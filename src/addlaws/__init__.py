@@ -30,8 +30,9 @@ from .examples import (bundled_finite, example1, example2,
 from .families import (CASE_COUNTS, EQUATION_IDS, CaseId, CaseParams,
                        ConstraintError, admissible_params, all_case_ids,
                        combine_additive, construct)
-from .oracle import (DEFAULT_ALPHABET, BudgetError, coverage_report,
-                     fuzz_constructors, grid_solutions, validate_alphabet)
+from .oracle import (DEFAULT_ALPHABET, BudgetError, GridInputError,
+                     coverage_report, fuzz_constructors, grid_solutions,
+                     validate_alphabet)
 
 __version__ = "1.0.0"
 
@@ -39,8 +40,8 @@ __all__ = [
     "AdditiveFn", "ALIASES", "BUILTIN_EQUATIONS", "BudgetError",
     "CASE_COUNTS", "CaseId", "CaseParams", "ClassifiedSolution",
     "ConstraintError", "DEFAULT_ALPHABET", "EPS", "EQUATION_IDS",
-    "EquationSyntaxError", "FiniteSemigroup", "FnTable", "MultChar",
-    "NotASolutionError", "RhoFn", "RhoSpace", "SemigroupError",
+    "EquationSyntaxError", "FiniteSemigroup", "FnTable", "GridInputError",
+    "MultChar", "NotASolutionError", "RhoFn", "RhoSpace", "SemigroupError",
     "Unclassified", "WindowedChar", "WindowedSemigroup",
     "additive_basis", "additive_residual", "admissible_params",
     "alias_equivalent", "all_case_ids", "builtin", "bundled_finite",

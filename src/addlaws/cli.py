@@ -34,8 +34,8 @@ from .dsl import (EquationSyntaxError, builtin, equation_symbols,
                   evaluate_residual, print_equation, resolve_equation)
 from .families import (ALPHA_EQUATIONS, CASE_COUNTS, CaseId, CaseParams,
                        ConstraintError, construct)
-from .oracle import (DEFAULT_ALPHABET, BudgetError, PAIR_BUDGET,
-                     coverage_report)
+from .oracle import (DEFAULT_ALPHABET, BudgetError, GridInputError,
+                     PAIR_BUDGET, coverage_report)
 
 EXIT_OK, EXIT_FAIL, EXIT_USAGE, EXIT_BUDGET = 0, 1, 2, 3
 
@@ -331,8 +331,7 @@ def _cmd_oracle(args) -> int:
     report = coverage_report(
         S, alphabet=_parse_alphabet(args.alphabet),
         alpha=_as_complex(args.alpha) if args.alpha is not None else 1.0,
-        equations=equations, tol=args.tol, budget=args.budget,
-        workers=args.workers)
+        equations=equations, tol=args.tol, budget=args.budget)
     lines = []
     clean = True
     for eq, block in report["equations"].items():
@@ -510,7 +509,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="comma-separated grid values (default bundled)")
     p.add_argument("--budget", type=int, default=PAIR_BUDGET,
                    help="candidate-pair budget (default 1e8)")
-    p.add_argument("--workers", type=int, default=1)
     p.set_defaults(handler=_cmd_oracle)
 
     p = sub.add_parser("report-examples",
@@ -539,7 +537,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     except (SemigroupError, EquationSyntaxError, NotASolutionError,
-            ConstraintError) as exc:
+            ConstraintError, GridInputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL
 

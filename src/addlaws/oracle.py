@@ -1,23 +1,25 @@
 """Exhaustive solution search over finite value grids, plus reporting.
 
-`grid_solutions` enumerates every pair of functions S -> alphabet and keeps
-the pairs solving a chosen equation; `coverage_report` classifies all of
-them and tabulates case coverage; `fuzz_constructors` hammers the solution
-constructors with random admissible parameters and reports the worst
-equation residual seen.
+`grid_solutions` finds every pair of functions S -> alphabet solving a
+chosen equation; `coverage_report` classifies all of them and tabulates case
+coverage; `fuzz_constructors` hammers the solution constructors with random
+admissible parameters and reports the worst equation residual seen.
 
-The scan runs in two phases: a chunked broadcast pass masks candidate pairs
-on a single probe site, and the survivors get the full residual over every
-(x, y) site.  Work can be partitioned over the f-index range ("workers");
-partitions are merged in index order, so the result is byte-identical for
-any worker count.
+The search is a join over the elements of S.  It assigns the values
+(f(e), g(e)) one element at a time, so each step multiplies the frontier of
+partial assignments by |alphabet|^2, and it checks each site (x, y) at the
+first step where x, y and x sigma(y) all have values.  A pair survives
+exactly when every site residual is within the tolerance, which is the same
+test, on the same float expression, as checking every one of the
+|alphabet|^(2n) candidate pairs, without visiting the pairs that an early
+site already rules out.  Survivors are sorted into canonical
+(f-index, g-index) order.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -34,24 +36,32 @@ DEFAULT_ALPHABET = (0, 1, -1, 1j, -1j, 0.5, -0.5, 2, -2)
 
 PAIR_BUDGET = 10 ** 8
 
+#: Most partial assignments one numpy pass of the join evaluates, so memory
+#: stays bounded even where a loose tolerance prunes little.
+BLOCK = 1 << 20
+
 
 class BudgetError(RuntimeError):
     """The requested scan exceeds the candidate-pair budget."""
+
+
+class GridInputError(ValueError):
+    """Bad grid-scan input: a malformed alphabet or a zero alpha."""
 
 
 def validate_alphabet(alphabet) -> tuple[complex, ...]:
     """Check the grid alphabet contract: contains 0, closed under negation."""
     values = tuple(complex(a) for a in alphabet)
     if not values:
-        raise ValueError("alphabet must not be empty")
+        raise GridInputError("alphabet must not be empty")
     if len(set(values)) != len(values):
-        raise ValueError("alphabet entries must be distinct")
+        raise GridInputError("alphabet entries must be distinct")
     if not any(abs(v) <= EPS for v in values):
-        raise ValueError("alphabet must contain 0")
+        raise GridInputError("alphabet must contain 0")
     for v in values:
         if not any(abs(v + w) <= EPS for w in values):
-            raise ValueError(f"alphabet is not closed under negation: "
-                             f"missing {-v}")
+            raise GridInputError(f"alphabet is not closed under negation: "
+                                 f"missing {-v}")
     return values
 
 
@@ -67,33 +77,31 @@ def value_tuples(alphabet, n: int) -> np.ndarray:
     return table.reshape(len(values) ** n, n)
 
 
-def _full_residual(equation: str, Fs: np.ndarray, Gs: np.ndarray,
-                   ps: np.ndarray, alpha: complex) -> np.ndarray:
-    """Max equation residual per aligned (f, g) pair; Fs, Gs are (k, n)."""
-    fL = Fs[:, ps]                       # f(x sigma(y)) at (k, x, y)
-    gL = Gs[:, ps]
-    fx = Fs[:, :, None]
-    fy = Fs[:, None, :]
-    gx = Gs[:, :, None]
-    gy = Gs[:, None, :]
-    if equation == "cos-sub":
-        R = gL - gx * gy - fx * fy
-    elif equation == "sine-add":
-        R = fL - fx * gy - fy * gx
-    elif equation == "cos-sine-g":
-        R = fL - fx * gy - fy * gx + gx * gy
-    elif equation == "alpha-sym":
-        R = fL - fx * gy - fy * gx - alpha * gL
-    elif equation == "alpha-skew":
-        R = fL - fx * gy + fy * gx - alpha * gL
-    else:
+def _check_scan(equation: str, S, alphabet, alpha, tol: float,
+                budget: int) -> tuple[tuple[complex, ...], complex]:
+    """Reject a scan before any work; returns its alphabet and alpha."""
+    if not isinstance(S, FiniteSemigroup):
+        raise TypeError("grid scans need a finite semigroup")
+    values = validate_alphabet(alphabet)
+    if equation not in EQUATION_IDS:
         raise KeyError(f"unknown equation id {equation!r}")
-    return np.max(np.abs(R), axis=(1, 2))
+    if equation in ALPHA_EQUATIONS:
+        alpha = 1.0 + 0j if alpha is None else complex(alpha)
+        if abs(alpha) <= tol:
+            raise GridInputError("alpha must be non-zero")
+    else:
+        alpha = 0j
+    total = (len(values) ** S.n) ** 2
+    if total > budget:
+        raise BudgetError(
+            f"scan of {total} candidate pairs exceeds the budget of "
+            f"{budget}; shrink the alphabet or raise the budget")
+    return values, alpha
 
 
 def _site_residual(equation: str, fx, fy, fp, gx, gy, gp,
                    alpha: complex) -> np.ndarray:
-    """Residual at one probe site, broadcast to (f-chunk, all g)."""
+    """Residual at one site (x, y) with p = x sigma(y), broadcast."""
     if equation == "cos-sub":
         return gp - gx * gy - fx * fy
     if equation == "sine-add":
@@ -107,98 +115,74 @@ def _site_residual(equation: str, fx, fy, fp, gx, gy, gp,
     raise KeyError(f"unknown equation id {equation!r}")
 
 
-def _scan_range(equation: str, V: np.ndarray, ps: np.ndarray, site,
-                lo: int, hi: int, alpha: complex, tol: float) -> list:
-    """Solutions with f-index in [lo, hi), in (f, g) index order."""
-    x0, y0 = site
-    p0 = int(ps[x0, y0])
-    sx, sy, sp = V[:, x0], V[:, y0], V[:, p0]
-    T = V.shape[0]
-    block = max(1, 4_000_000 // max(T, 1))
-    out: list[tuple[int, int]] = []
-    for a0 in range(lo, hi, block):
-        a1 = min(a0 + block, hi)
-        R = _site_residual(equation,
-                           sx[a0:a1, None], sy[a0:a1, None],
-                           sp[a0:a1, None],
-                           sx[None, :], sy[None, :], sp[None, :], alpha)
-        hits = np.argwhere(np.abs(R) <= tol)
-        if hits.size == 0:
-            continue
-        a_idx = hits[:, 0] + a0
-        b_idx = hits[:, 1]
-        for c0 in range(0, len(a_idx), 8192):
-            sel = slice(c0, c0 + 8192)
-            res = _full_residual(equation, V[a_idx[sel]], V[b_idx[sel]],
-                                 ps, alpha)
-            keep = res <= tol
-            out.extend(zip(a_idx[sel][keep].tolist(),
-                           b_idx[sel][keep].tolist()))
-    return out
-
-
 def grid_solutions(equation: str, S: FiniteSemigroup,
                    alphabet=DEFAULT_ALPHABET, alpha: complex | None = None,
-                   tol: float = EPS, budget: int = PAIR_BUDGET,
-                   workers: int = 1) -> list[tuple[FnTable, FnTable]]:
+                   tol: float = EPS, budget: int = PAIR_BUDGET
+                   ) -> list[tuple[FnTable, FnTable]]:
     """Every (f, g) over the alphabet grid solving the equation on S.
 
     Results come in canonical (f-index, g-index) order.  Raises
-    :class:`BudgetError` before scanning when the grid holds more candidate
+    :class:`BudgetError` before any work when the grid holds more candidate
     pairs than the budget allows.
     """
-    if not isinstance(S, FiniteSemigroup):
-        raise TypeError("grid scans need a finite semigroup")
-    values = validate_alphabet(alphabet)
-    if equation not in EQUATION_IDS:
-        raise KeyError(f"unknown equation id {equation!r}")
-    if equation in ALPHA_EQUATIONS:
-        alpha = 1.0 + 0j if alpha is None else complex(alpha)
-        if abs(alpha) <= tol:
-            raise ValueError("alpha must be non-zero")
-    else:
-        alpha = 0j
-    T = len(values) ** S.n
-    total = T * T
-    if total > budget:
-        raise BudgetError(
-            f"scan of {total} candidate pairs exceeds the budget of "
-            f"{budget}; shrink the alphabet or raise the budget")
-    V = value_tuples(values, S.n)
+    values, alpha = _check_scan(equation, S, alphabet, alpha, tol, budget)
+    n, m = S.n, len(values)
+    vals = np.array(values, dtype=np.complex128)
     ps = S.table[:, S.sigma]
-    site = (S.n - 1, S.n - 1)
-    workers = max(1, int(workers))
-    if workers == 1:
-        pairs = _scan_range(equation, V, ps, site, 0, T, alpha, tol)
-    else:
-        bounds = np.linspace(0, T, workers + 1, dtype=int)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = pool.map(
-                lambda k: _scan_range(equation, V, ps, site,
-                                      int(bounds[k]), int(bounds[k + 1]),
-                                      alpha, tol),
-                range(workers))
-        pairs = [p for part in parts for p in part]
-    out = []
-    for a, b in pairs:
-        f = FnTable(S, values=V[a].copy(), label="f")
-        g = FnTable(S, values=V[b].copy(), label="g")
-        out.append((f, g))
-    return out
+    # sites[j]: the sites whose three elements all have values at step j.
+    sites: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
+    for x in range(n):
+        for y in range(n):
+            p = int(ps[x, y])
+            sites[max(x, y, p)].append((x, y, p))
+    # Frontier rows hold the alphabet digits of f and g on elements 0..j-1.
+    digit = np.min_scalar_type(m - 1)
+    Fd = np.zeros((1, 0), dtype=digit)
+    Gd = np.zeros((1, 0), dtype=digit)
+    new_f, new_g = vals[:, None], vals[None, :]
+    rows = max(1, BLOCK // (m * m))
+    for j in range(n):
+        if len(Fd) == 0:
+            return []
+        grown_f, grown_g = [], []
+        for r0 in range(0, len(Fd), rows):
+            fc, gc = Fd[r0:r0 + rows], Gd[r0:r0 + rows]
+            # Values on elements 0..j over the (row, f(j), g(j)) cube.
+            f_at = [vals[fc[:, x], None, None] for x in range(j)] + [new_f]
+            g_at = [vals[gc[:, x], None, None] for x in range(j)] + [new_g]
+            ok = np.ones((len(fc), m, m), dtype=bool)
+            for x, y, p in sites[j]:
+                R = _site_residual(equation, f_at[x], f_at[y], f_at[p],
+                                   g_at[x], g_at[y], g_at[p], alpha)
+                ok &= np.abs(R) <= tol
+            r, a, b = np.nonzero(ok)
+            grown_f.append(np.column_stack([fc[r], a.astype(digit)]))
+            grown_g.append(np.column_stack([gc[r], b.astype(digit)]))
+        Fd, Gd = np.concatenate(grown_f), np.concatenate(grown_g)
+    # Lexicographic digit order, element 0 first, f before g.
+    order = np.lexsort(np.hstack([Fd, Gd])[:, ::-1].T)
+    return [(FnTable(S, values=fv, label="f"),
+             FnTable(S, values=gv, label="g"))
+            for fv, gv in zip(vals[Fd[order]], vals[Gd[order]])]
 
 
 def coverage_report(S: FiniteSemigroup, alphabet=DEFAULT_ALPHABET,
                     alpha: complex = 1.0, equations=None, tol: float = EPS,
-                    budget: int = PAIR_BUDGET, workers: int = 1) -> dict:
+                    budget: int = PAIR_BUDGET) -> dict:
     """Classify every grid solution of every equation on one carrier.
 
     The report maps each equation to its candidate-pair count, solution
     count, the per-case tally, and the classifier's diagnostic dumps for
     anything unclassified.  The payload is deterministic: identical
-    inputs give byte-identical JSON for any worker count.
+    inputs give byte-identical JSON.  Every requested scan is checked
+    before any work starts.
     """
-    chars = enumerate_characters(S)
     values = validate_alphabet(alphabet)
+    equations = list(equations or EQUATION_IDS)
+    for eq in equations:
+        _check_scan(eq, S, values, alpha if eq in ALPHA_EQUATIONS else None,
+                    tol, budget)
+    chars = enumerate_characters(S)
     scanned = (len(values) ** S.n) ** 2
     report = {
         "semigroup": S.name,
@@ -206,10 +190,10 @@ def coverage_report(S: FiniteSemigroup, alphabet=DEFAULT_ALPHABET,
         "alpha": cnum(complex(alpha)),
         "equations": {},
     }
-    for eq in (equations or EQUATION_IDS):
+    for eq in equations:
         a = complex(alpha) if eq in ALPHA_EQUATIONS else None
         pairs = grid_solutions(eq, S, values, alpha=a, tol=tol,
-                               budget=budget, workers=workers)
+                               budget=budget)
         cases: dict[str, int] = {}
         dumps = []
         for f, g in pairs:

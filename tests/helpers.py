@@ -85,3 +85,44 @@ def equation_residual(eq_id: str, f, g, S, alpha=None) -> float:
     if alpha is not None:
         binding["a"] = alpha
     return evaluate_residual(builtin(eq_id), binding, S)
+
+
+def reference_grid_pairs(eq_id: str, S, alphabet, alpha=None,
+                         tol: float = TOL) -> list[tuple[int, int]]:
+    """Every solving (f-index, g-index) pair by the plain all-pairs scan.
+
+    Indices count rows of ``value_tuples``.  Each block of f rows is
+    broadcast against every g row over all n^2 sites (x, y), and a pair is
+    kept when every site residual is within ``tol``.  Only for n <= 3,
+    where the (f, g, x, y) cube stays small.
+    """
+    from addlaws.oracle import value_tuples
+
+    if S.n > 3:
+        raise ValueError("the reference scan is for carriers with n <= 3")
+    V = value_tuples(alphabet, S.n)
+    ps = S.table[:, S.sigma]
+    a = 0j if alpha is None else complex(alpha)
+    # Axes (f row, g row, x, y).
+    fx, gx = V[:, None, :, None], V[None, :, :, None]
+    fy, gy = fx.swapaxes(2, 3), gx.swapaxes(2, 3)
+    fL, gL = V[:, ps][:, None], V[:, ps][None]   # f(x sigma(y)) at (x, y)
+    out = []
+    block = max(1, 2 ** 20 // (len(V) * S.n * S.n))
+    for a0 in range(0, len(V), block):
+        sl = slice(a0, a0 + block)
+        if eq_id == "cos-sub":
+            R = gL - gx * gy - fx[sl] * fy[sl]
+        elif eq_id == "sine-add":
+            R = fL[sl] - fx[sl] * gy - fy[sl] * gx
+        elif eq_id == "cos-sine-g":
+            R = fL[sl] - fx[sl] * gy - fy[sl] * gx + gx * gy
+        elif eq_id == "alpha-sym":
+            R = fL[sl] - fx[sl] * gy - fy[sl] * gx - a * gL
+        elif eq_id == "alpha-skew":
+            R = fL[sl] - fx[sl] * gy + fy[sl] * gx - a * gL
+        else:
+            raise KeyError(eq_id)
+        hits = np.argwhere(np.all(np.abs(R) <= tol, axis=(2, 3)))
+        out.extend((int(i) + a0, int(j)) for i, j in hits)
+    return out

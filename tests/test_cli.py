@@ -151,6 +151,22 @@ def test_oracle_respects_budget(capsys):
     assert code == EXIT_BUDGET and "budget" in err
 
 
+@pytest.mark.parametrize("argv,fragment", [
+    (["--alphabet", ","], "alphabet must not be empty"),
+    (["--alphabet", "0,1,1,-1"], "alphabet entries must be distinct"),
+    (["--alphabet", "1,-1"], "alphabet must contain 0"),
+    (["--alphabet", "0,1,2"], "alphabet is not closed under negation"),
+    (["--alpha", "0", "-e", "alpha-sym"], "alpha must be non-zero"),
+], ids=["empty", "duplicate", "no-zero", "not-negation-closed",
+        "zero-alpha"])
+def test_oracle_bad_input_is_a_typed_error(capsys, argv, fragment):
+    code = main(["oracle", "-s", "Z2", *argv])
+    out = capsys.readouterr()
+    assert code == EXIT_FAIL
+    assert out.err.startswith("error: ") and fragment in out.err
+    assert out.out == ""
+
+
 def test_oracle_custom_alphabet(capsys):
     code, payload, _ = run(capsys, "oracle", "-s", "Z1", "-e", "sine-add",
                            "--alphabet", "0,1,-1")

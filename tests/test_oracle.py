@@ -1,19 +1,32 @@
 """Exhaustive grid scans, coverage reports, and constructor fuzzing."""
 
+import cmath
 import random
 
 import numpy as np
 import pytest
 
+from addlaws import oracle
 from addlaws.core import stable_json
 from addlaws.dsl import BUILTIN_EQUATIONS
 from addlaws.families import CaseId, admissible_params, all_case_ids, construct
 from addlaws.oracle import (DEFAULT_ALPHABET, PAIR_BUDGET, BudgetError,
-                            coverage_report, fuzz_constructors, grid_solutions,
+                            GridInputError, coverage_report,
+                            fuzz_constructors, grid_solutions,
                             validate_alphabet, value_tuples)
-from addlaws.examples import z1, z2, z2xz2
+from addlaws.examples import m3, n3, np4, z1, z2, z3, z2xz2
 
-from helpers import TOL, equation_residual
+from helpers import TOL, equation_residual, reference_grid_pairs
+
+_W = cmath.exp(2j * cmath.pi / 3)
+#: Non-dyadic values: residuals are rounded, not exact, on this alphabet.
+THIRDS_ALPHABET = (0, 1 / 3, -1 / 3, _W, -_W, 1, -1)
+
+
+def _pair_indices(S, alphabet, sols):
+    """(f-index, g-index) of each solution pair, by value_tuples row."""
+    rows = {tuple(v): t for t, v in enumerate(value_tuples(alphabet, S.n))}
+    return [(rows[tuple(f.values)], rows[tuple(g.values)]) for f, g in sols]
 
 
 def test_default_alphabet_is_frozen():
@@ -29,7 +42,7 @@ def test_default_alphabet_is_frozen():
     ((0, 1, -1, 2), "not closed under negation"),
 ])
 def test_alphabet_validation(alphabet, fragment):
-    with pytest.raises(ValueError, match=fragment):
+    with pytest.raises(GridInputError, match=fragment):
         validate_alphabet(alphabet)
 
 
@@ -65,34 +78,86 @@ def test_scan_rejects_unknown_equation_and_zero_alpha():
         grid_solutions("alpha-sym", z2(), (0, 1, -1), alpha=0.0)
 
 
-def test_budget_is_checked_before_scanning():
-    with pytest.raises(BudgetError, match="shrink the alphabet"):
+def test_budget_is_checked_before_scanning(monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("scan work started before the budget check")
+
+    monkeypatch.setattr(oracle, "_site_residual", no_work)
+    monkeypatch.setattr(oracle, "enumerate_characters", no_work)
+    message = ("scan of 6561 candidate pairs exceeds the budget of 10; "
+               "shrink the alphabet or raise the budget")
+    with pytest.raises(BudgetError) as exc:
         grid_solutions("cos-sub", z2(), DEFAULT_ALPHABET, budget=10)
+    assert str(exc.value) == message
+    with pytest.raises(BudgetError) as exc:
+        coverage_report(z2(), budget=10)
+    assert str(exc.value) == message
 
 
-def test_grid_solutions_solve_and_match_worker_counts():
+def test_coverage_report_checks_every_scan_before_any_work(monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the input checks")
+
+    monkeypatch.setattr(oracle, "enumerate_characters", no_work)
+    monkeypatch.setattr(oracle, "grid_solutions", no_work)
+    with pytest.raises(GridInputError, match="alpha must be non-zero"):
+        coverage_report(z2xz2(), alpha=0)
+    with pytest.raises(GridInputError, match="must contain 0"):
+        coverage_report(z2(), alphabet=(1, -1))
+    with pytest.raises(KeyError, match="tan-add"):
+        coverage_report(z2(), equations=["cos-sub", "tan-add"])
+
+
+@pytest.mark.parametrize("tol", [1e-9, 1e-3, 0.3])
+@pytest.mark.parametrize("alphabet", [DEFAULT_ALPHABET, THIRDS_ALPHABET],
+                         ids=["default", "thirds"])
+@pytest.mark.parametrize("make", [z1, z2, z3, n3, m3],
+                         ids=["Z1", "Z2", "Z3", "N3", "M3"])
+@pytest.mark.parametrize("eq", BUILTIN_EQUATIONS)
+def test_grid_solutions_match_reference_scan(eq, make, alphabet, tol):
+    S = make()
+    alpha = 1.5 + 0.5j if eq in ("alpha-sym", "alpha-skew") else None
+    sols = grid_solutions(eq, S, alphabet, alpha=alpha, tol=tol)
+    want = reference_grid_pairs(eq, S, alphabet, alpha=alpha, tol=tol)
+    assert _pair_indices(S, alphabet, sols) == want
+
+
+def test_grid_solutions_solve_and_match_reference():
     S = z2()
     for eq in BUILTIN_EQUATIONS:
         alpha = 1.0 if eq in ("alpha-sym", "alpha-skew") else None
         base = grid_solutions(eq, S, DEFAULT_ALPHABET, alpha=alpha)
-        for f, g in base[:40]:
+        assert base, eq
+        for f, g in base:
             assert equation_residual(eq, f, g, S, alpha=alpha) <= TOL
-        split = grid_solutions(eq, S, DEFAULT_ALPHABET, alpha=alpha,
-                               workers=3)
-        assert len(base) == len(split)
-        for (f1, g1), (f2, g2) in zip(base, split):
-            assert f1.max_abs_diff(f2) == 0 and g1.max_abs_diff(g2) == 0
+        want = reference_grid_pairs(eq, S, DEFAULT_ALPHABET, alpha=alpha)
+        assert _pair_indices(S, DEFAULT_ALPHABET, base) == want
 
 
-def test_coverage_report_identical_across_worker_counts():
+def test_coverage_report_is_deterministic():
     S = z2()
-    r1 = coverage_report(S, workers=1)
-    r3 = coverage_report(S, workers=3)
-    assert stable_json(r1) == stable_json(r3)
+    r1 = coverage_report(S)
+    r2 = coverage_report(S)
+    assert stable_json(r1) == stable_json(r2)
     block = r1["equations"]["cos-sub"]
     assert block["pairs_scanned"] == 9 ** 2 * 9 ** 2
     assert block["unclassified"] == []
     assert sum(block["cases"].values()) == block["solutions"]
+
+
+@pytest.mark.parametrize("make,counts", [
+    (z2xz2, {"cos-sub": 11, "sine-add": 6585, "cos-sine-g": 7,
+             "alpha-sym": 11, "alpha-skew": 6633}),
+    (np4, {"cos-sub": 17, "sine-add": 6593, "cos-sine-g": 15,
+           "alpha-sym": 19, "alpha-skew": 6633}),
+], ids=["Z2xZ2", "NP4"])
+def test_solution_counts_on_four_element_carriers(make, counts):
+    S = make()
+    for eq, count in counts.items():
+        sols = grid_solutions(eq, S, DEFAULT_ALPHABET)
+        assert len(sols) == count, eq
+        keys = _pair_indices(S, DEFAULT_ALPHABET, sols)
+        assert keys == sorted(set(keys)), eq
 
 
 def test_constructed_alphabet_solutions_appear_in_grid(chars):
