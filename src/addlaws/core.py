@@ -8,6 +8,7 @@ and a finite verification window.
 
 from __future__ import annotations
 
+import functools
 import json
 import random
 from typing import Callable, Iterable, Sequence
@@ -46,7 +47,8 @@ class FiniteSemigroup:
     ``sigma[i]`` the index of the automorphism image of ``elements[i]``.
     Instances are immutable after construction and validated by default:
     associativity, involutivity and multiplicativity of sigma are all
-    checked exhaustively.
+    checked exhaustively.  ``kernels`` memoizes the equations compiled on
+    this carrier by :func:`addlaws.dsl.evaluate_residual`.
     """
 
     def __init__(self, name: str, elements: Sequence[str], table, sigma,
@@ -58,12 +60,18 @@ class FiniteSemigroup:
         self.sigma = np.asarray(sigma, dtype=np.intp)
         self.table.setflags(write=False)
         self.sigma.setflags(write=False)
+        self.kernels: dict = {}
         if validate:
             self.validate()
 
     @property
     def n(self) -> int:
         return len(self.elements)
+
+    @functools.cached_property
+    def _squares(self) -> frozenset[int]:
+        """The set S^2 = {x*y} as a frozenset of element indices."""
+        return frozenset(int(v) for v in np.unique(self.table))
 
     def mul(self, i: int, j: int) -> int:
         return int(self.table[i, j])
@@ -177,7 +185,7 @@ def load_semigroup(text: str) -> FiniteSemigroup:
 
 def square_set(S: FiniteSemigroup) -> frozenset[int]:
     """The set S^2 = {x*y} as a frozenset of element indices."""
-    return frozenset(int(v) for v in np.unique(S.table))
+    return S._squares
 
 
 class WindowedSemigroup:

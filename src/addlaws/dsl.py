@@ -14,6 +14,14 @@ no leading minus, '*' mandatory between factors):
 
 's(w)' applies the automorphism to the word w; 'a' is the one named
 constant an equation may carry.
+
+Residuals on a finite carrier come from a kernel compiled once per AST and
+carrier: one array of element indices per function application over every
+variable assignment, so a residual is one numpy gather of the bound value
+tables, each term's factors multiplied and the terms summed in AST order.
+Windowed carriers, whose elements are not indices, stay interpreted: the
+AST is walked once per variable assignment.  The two paths agree to
+rounding, not bit for bit.
 """
 
 from __future__ import annotations
@@ -23,7 +31,9 @@ import random
 from dataclasses import dataclass
 from typing import Iterable
 
-from .core import EPS, FiniteSemigroup, WindowedSemigroup
+import numpy as np
+
+from .core import FiniteSemigroup, FnTable, WindowedSemigroup
 
 MAX_RATIONAL = 10 ** 6
 
@@ -296,28 +306,148 @@ def word_element(word: Word, env: dict, mul, sig):
     return value
 
 
-def evaluate_residual(ast: Equation, binding: dict, S,
-                      window: Iterable | None = None) -> float:
-    """max |LHS - RHS| over all variable assignments from the window.
+def _word_indices(word: Word, env: dict, S: FiniteSemigroup) -> np.ndarray:
+    """Array form of `word_element`: element indices over all assignments."""
+    value = None
+    for atom in word.atoms:
+        v = env[atom.name] if isinstance(atom, Var) else \
+            S.sigma[_word_indices(atom.word, env, S)]
+        value = v if value is None else S.table[value, v]
+    return value
 
-    `binding` maps each function symbol used by the equation to a callable
-    on elements and, if the equation uses it, the constant 'a' to a number.
-    On a finite semigroup the window defaults to all of S.
-    """
-    funcs, varset, uses_a = equation_symbols(ast)
+
+def _window_indices(window: Iterable, n: int) -> np.ndarray:
+    domain = tuple(window)
+    for e in domain:
+        if e not in range(n):
+            raise ValueError(f"window element {e!r} is not an element "
+                             f"index of S (0..{n - 1})")
+    return np.array(domain, dtype=np.intp)
+
+
+def _bound_values(name: str, fn, n: int) -> np.ndarray:
+    """The value table of one bound function symbol on a carrier of size n."""
+    if isinstance(fn, FnTable) and fn.values is not None:
+        if len(fn.values) != n:
+            raise ValueError(f"table bound to {name!r} has "
+                             f"{len(fn.values)} values but |S| = {n}")
+        return fn.values
+    return np.array([complex(fn(e)) for e in range(n)], dtype=np.complex128)
+
+
+def _check_binding(funcs, uses_a: bool, binding: dict) -> None:
     for name in funcs:
         if name not in binding:
             raise KeyError(f"unbound symbol {name!r}")
     if uses_a and "a" not in binding:
         raise KeyError("unbound constant 'a'")
 
-    if isinstance(S, WindowedSemigroup):
-        mul, sig = S.product, S.sigma
-        domain = tuple(window) if window is not None else S.window
-    else:
-        mul, sig = S.mul, S.sig
-        domain = tuple(window) if window is not None else tuple(range(S.n))
 
+class _Kernel:
+    """An equation compiled on one finite carrier and window.
+
+    Function symbol k's values sit at k*n .. k*n + n - 1 of the
+    concatenated value tables, so ``index[r]`` gathers application r (in
+    AST order) over every variable assignment.  Each term is (negated, coeff,
+    rows): ``negated`` folds the term's sign with its side of the equation,
+    and ``rows`` lists the term's applications.
+    """
+
+    __slots__ = ("ast", "n", "fns", "uses_a", "index", "terms")
+
+    def __init__(self, ast: Equation, S: FiniteSemigroup,
+                 window: Iterable | None):
+        self.ast = ast
+        funcs, varset, self.uses_a = equation_symbols(ast)
+        self.n = n = S.n
+        domain = (np.arange(n) if window is None
+                  else _window_indices(window, n))
+        names = sorted(varset)
+        grids = np.meshgrid(*[domain] * len(names), indexing="ij")
+        env = {name: grid.ravel() for name, grid in zip(names, grids)}
+        self.fns = sorted(funcs)
+        rows, self.terms = [], []
+        for expr, orient in ((ast.lhs, 1), (ast.rhs, -1)):
+            for term in expr.terms:
+                first = len(rows)
+                for app in term.apps:
+                    rows.append(self.fns.index(app.fn) * n
+                                + _word_indices(app.word, env, S))
+                self.terms.append((term.sign * orient < 0, term.coeff,
+                                   range(first, len(rows))))
+        self.index = np.array(rows)
+
+    def residual(self, binding: dict) -> float:
+        """max |LHS - RHS|: each term's factors multiplied in AST order,
+        the terms summed in AST order."""
+        if self.index.shape[1] == 0:
+            return 0.0
+        tables = np.concatenate([_bound_values(name, binding[name], self.n)
+                                 for name in self.fns])
+        gathered = tables[self.index]
+        total = None
+        for negated, coeff, rows in self.terms:
+            value = gathered[rows[0]]
+            if coeff is not None:
+                value = coeff_value(coeff, binding) * value
+            for r in rows[1:]:
+                value = value * gathered[r]
+            if total is None:
+                total = -value if negated else value
+            elif negated:
+                total = total - value
+            else:
+                total = total + value
+        return float(np.abs(total).max())
+
+
+#: Compiled kernels a carrier keeps before its memo is cleared.
+KERNEL_MEMO_SIZE = 256
+
+
+def _kernel(ast: Equation, S: FiniteSemigroup,
+            window: Iterable | None) -> _Kernel:
+    """The compiled kernel of `ast` on S, memoized per carrier.
+
+    The memo is keyed by ``id(ast)``, so a lookup never hashes the AST.
+    Each kernel holds its AST, which keeps the id from being reused while
+    the entry lives.  Kernels over an explicit window are not memoized.
+    """
+    if window is not None:
+        return _Kernel(ast, S, window)
+    memo = S.kernels
+    kernel = memo.get(id(ast))
+    if kernel is None:
+        if len(memo) >= KERNEL_MEMO_SIZE:
+            memo.clear()
+        kernel = memo[id(ast)] = _Kernel(ast, S, None)
+    return kernel
+
+
+def evaluate_residual(ast: Equation, binding: dict, S,
+                      window: Iterable | None = None) -> float:
+    """max |LHS - RHS| over all variable assignments from the window.
+
+    `binding` maps each function symbol used by the equation to a callable
+    on elements and, if the equation uses it, the constant 'a' to a number.
+    On a finite semigroup the window defaults to all of S, holds element
+    indices, and the residual comes from the equation's compiled kernel; a
+    bound table whose length is not |S| or a window entry that is not an
+    element index raises ValueError.
+    """
+    if isinstance(S, WindowedSemigroup):
+        return _interpreted_residual(ast, binding, S, window)
+    kernel = _kernel(ast, S, window)
+    _check_binding(kernel.fns, kernel.uses_a, binding)
+    return kernel.residual(binding)
+
+
+def _interpreted_residual(ast: Equation, binding: dict, S: WindowedSemigroup,
+                          window: Iterable | None) -> float:
+    funcs, varset, uses_a = equation_symbols(ast)
+    _check_binding(funcs, uses_a, binding)
+    mul, sig = S.product, S.sigma
+    domain = tuple(window) if window is not None else S.window
     names = sorted(varset)
     worst = 0.0
     for assignment in itertools.product(domain, repeat=len(names)):

@@ -103,6 +103,8 @@ def test_square_set():
     assert square_set(n3()) == frozenset({0})
     assert square_set(m3()) == frozenset({0, 1, 2})
     assert square_set(np4()) == frozenset({0, 1, 2, 3})
+    S = m3()
+    assert square_set(S) is square_set(S)    # computed once per carrier
 
 
 def test_even_odd_split_on_coordinate_swap():

@@ -3,13 +3,19 @@ residual evaluation."""
 
 import random
 
+import numpy as np
 import pytest
 
-from addlaws.core import fn
-from addlaws.dsl import (BUILTIN_EQUATIONS, EquationSyntaxError, builtin,
-                         equation_symbols, evaluate_residual, parse_equation,
-                         print_equation, random_equation, resolve_equation)
-from addlaws.examples import z2, z3
+from addlaws import dsl, oracle
+from addlaws.classify import NotASolutionError, classify
+from addlaws.core import (EPS, FiniteSemigroup, WindowedSemigroup, fn,
+                          stable_json)
+from addlaws.dsl import (BUILTIN_EQUATIONS, KERNEL_MEMO_SIZE,
+                         EquationSyntaxError, builtin, coeff_value,
+                         equation_symbols, evaluate_residual,
+                         parse_equation, print_equation, random_equation,
+                         resolve_equation)
+from addlaws.examples import m3, n3, np4, z1, z2, z3, z2xz2
 
 from helpers import TOL
 
@@ -122,3 +128,142 @@ def test_residual_invariant_under_variable_swap():
             r1 = evaluate_residual(parse_equation(text), binding, S)
             r2 = evaluate_residual(parse_equation(swapped), binding, S)
             assert abs(r1 - r2) <= TOL, eq_id
+
+
+@pytest.mark.parametrize("table_on,carrier,fragment", [
+    (z3, z2, "table bound to 'f' has 3 values but |S| = 2"),
+    (z2, z3, "table bound to 'f' has 2 values but |S| = 3"),
+])
+def test_finite_residual_rejects_a_table_of_the_wrong_size(
+        table_on, carrier, fragment):
+    # Without the check a longer table is read through its first |S|
+    # values, a wrong answer with no error.
+    T, S = table_on(), carrier()
+    f = fn(T, np.ones(T.n), "f")
+    g = fn(S, np.ones(S.n), "g")
+    with pytest.raises(ValueError) as err:
+        evaluate_residual(builtin("sine-add"), {"f": f, "g": g}, S)
+    assert str(err.value) == fragment
+
+
+def test_finite_residual_rejects_a_window_outside_the_carrier():
+    S = z3()
+    one = fn(S, np.ones(3), "g")
+    with pytest.raises(ValueError, match="window element 5 is not an "
+                       r"element index of S \(0\.\.2\)"):
+        evaluate_residual(builtin("cos-sub"), {"f": one, "g": one}, S,
+                          window=[0, 5])
+
+
+AGREEMENT_CARRIERS = (z1, z2, z3, n3, m3, np4, z2xz2)
+
+
+def _interpreted_twin(S):
+    """The same table and sigma as a windowed carrier over all elements,
+    so `evaluate_residual` runs its interpreter on it."""
+    return WindowedSemigroup(f"{S.name}-interpreted",
+                             lambda x, y: int(S.table[x, y]),
+                             lambda x: int(S.sigma[x]), range(S.n))
+
+
+def _largest_term_bound(ast, binding):
+    """An upper bound on |term| over all terms and variable assignments."""
+    top = {name: float(np.max(np.abs(binding[name].values)))
+           for name in equation_symbols(ast)[0]}
+    bound = 0.0
+    for expr in (ast.lhs, ast.rhs):
+        for term in expr.terms:
+            size = abs(coeff_value(term.coeff, binding))
+            for app in term.apps:
+                size *= top[app.fn]
+            bound = max(bound, size)
+    return bound
+
+
+def _assert_agree(ast, binding, S, W, window=None):
+    kernel = evaluate_residual(ast, binding, S, window=window)
+    interp = evaluate_residual(ast, binding, W, window=window)
+    assert abs(kernel - interp) <= 1e-12 * _largest_term_bound(ast, binding)
+    for tol in (EPS, 1e-3, 0.5):
+        assert (kernel <= tol) == (interp <= tol)
+
+
+def _random_binding(S, rng):
+    def table(label):
+        return fn(S, rng.normal(size=S.n) + 1j * rng.normal(size=S.n), label)
+    return {"f": table("f"), "g": table("g"), "h": table("h"),
+            "a": complex(rng.normal(), rng.normal())}
+
+
+def test_finite_kernel_agrees_with_the_interpreter():
+    """The compiled kernel against the interpreter on the same carrier.
+
+    The two paths agree to rounding, not bit for bit: numpy's complex
+    multiplication and abs differ from CPython's in the last bit on many
+    random inputs (about 43% of random products), so residuals of
+    random tables often differ in their final bits.  Agreement is asserted
+    within 1e-12 of the largest term, together with identical decisions
+    against a tolerance.
+    """
+    rng = np.random.default_rng(5)
+    for make in AGREEMENT_CARRIERS:
+        S = make()
+        W = _interpreted_twin(S)
+        for seed in range(12):
+            binding = _random_binding(S, rng)
+            for ast in (*map(builtin, BUILTIN_EQUATIONS),
+                        random_equation(random.Random(seed))):
+                _assert_agree(ast, binding, S, W)
+        for eq_id in BUILTIN_EQUATIONS:
+            pairs = oracle.grid_solutions(eq_id, S)
+            for f, g in pairs[::max(1, len(pairs) // 8)]:
+                _assert_agree(builtin(eq_id), {"f": f, "g": g, "a": 1.0},
+                              S, W)
+
+
+def test_finite_kernel_agrees_on_a_window_subset():
+    rng = np.random.default_rng(6)
+    for make in (z3, m3, z2xz2):
+        S = make()
+        W = _interpreted_twin(S)
+        window = [S.n - 1, 0, S.n - 1]
+        for seed in range(12):
+            binding = _random_binding(S, rng)
+            for ast in (builtin("alpha-skew"),
+                        random_equation(random.Random(100 + seed))):
+                _assert_agree(ast, binding, S, W, window=window)
+
+
+def test_finite_carriers_never_reach_the_interpreter(monkeypatch):
+    S, T = z2xz2(), z2()
+    f, g = oracle.grid_solutions("sine-add", S)[100]
+    before = classify("sine-add", f, g, S).to_json_dict()
+    report = stable_json(oracle.coverage_report(T))
+
+    def no_interpreter(*args):
+        raise AssertionError("word_element ran on a finite carrier")
+    monkeypatch.setattr(dsl, "word_element", no_interpreter)
+    assert classify("sine-add", f, g, S).to_json_dict() == before
+    with pytest.raises(NotASolutionError):
+        classify("sine-add", g, f, S)
+    assert stable_json(oracle.coverage_report(T)) == report
+    with pytest.raises(AssertionError, match="word_element ran"):
+        evaluate_residual(builtin("sine-add"), {"f": f, "g": g},
+                          _interpreted_twin(S))
+
+
+def test_kernel_memo_never_hashes_the_ast_and_stays_bounded(monkeypatch):
+    base = z3()
+    S = FiniteSemigroup(base.name, base.elements, base.table, base.sigma)
+    binding = _random_binding(S, np.random.default_rng(7))
+    ast = builtin("alpha-sym")
+    first = evaluate_residual(ast, binding, S)
+
+    def no_hash(self):
+        raise AssertionError("the AST was hashed")
+    monkeypatch.setattr(dsl.Equation, "__hash__", no_hash)
+    assert evaluate_residual(ast, binding, S) == first
+    assert S.kernels[id(ast)].ast is ast
+    for seed in range(KERNEL_MEMO_SIZE + 5):
+        evaluate_residual(random_equation(random.Random(seed)), binding, S)
+    assert 0 < len(S.kernels) <= KERNEL_MEMO_SIZE
