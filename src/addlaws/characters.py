@@ -220,7 +220,9 @@ def ideal_sets(chi, S=None):
 
 @dataclass
 class AdditiveFn:
-    """An additive function on the product-closed set S \\ I.
+    """A function on part of a semigroup: an additive function on the
+    product-closed set S \\ I, or a rho function on the prime part P of a
+    character's null ideal (:data:`RhoFn` names the same class).
 
     `domain` is a frozenset of indices (finite) or a membership predicate
     (windowed); values are a dense table or a formula accordingly.
@@ -230,7 +232,6 @@ class AdditiveFn:
     values: np.ndarray | None = None
     formula: Callable | None = None
     parity: str = "even"
-    label: str = "A"
 
     def __call__(self, x) -> complex:
         if self.values is not None:
@@ -243,25 +244,8 @@ class AdditiveFn:
         return bool(self.domain(x))
 
 
-@dataclass
-class RhoFn:
-    """A function on the prime part P of a character's null ideal."""
-
-    domain: object
-    values: np.ndarray | None = None
-    formula: Callable | None = None
-    parity: str = "even"
-    label: str = "rho"
-
-    def __call__(self, x) -> complex:
-        if self.values is not None:
-            return complex(self.values[x])
-        return complex(self.formula(x))
-
-    def in_domain(self, x) -> bool:
-        if isinstance(self.domain, (frozenset, set)):
-            return x in self.domain
-        return bool(self.domain(x))
+#: A function on the prime part P; the same record as :class:`AdditiveFn`.
+RhoFn = AdditiveFn
 
 
 def real_kernel_basis(M: np.ndarray, tol: float = EPS) -> list[np.ndarray]:

@@ -12,15 +12,15 @@ dump; feeding a non-solution raises :class:`NotASolutionError`.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .characters import AdditiveFn, MultChar, RhoFn, enumerate_characters
-from .core import EPS, FiniteSemigroup, FnTable, cnum
+from .core import EPS, FiniteSemigroup, FnTable, cnum, square_set
 from .dsl import builtin, evaluate_residual
-from .families import (BRANCHES, CaseId, CaseParams, ConstraintError,
-                       construct)
+from .families import CaseId, CaseParams, ConstraintError, construct
 
 
 class NotASolutionError(ValueError):
@@ -130,17 +130,20 @@ def reduce_alpha_sym(f: FnTable, g: FnTable, alpha: complex) -> FnTable:
 
 
 #: Documented case folds: pairs of (constructed, classified) labels that
-#: denote the same solution table.
+#: denote the same solution table.  A key "<case> -> <case>" in CaseId
+#: string form is a fold that :func:`alias_equivalent` accepts; the other
+#: keys name a parameter value inside one case, whose case id is unchanged,
+#: and document the fold only.
 ALIASES = {
     "cos-sub/3@alpha=0":
         "f = 0 with g multiplicative is listed inside case 3 (alpha = 0)",
     "cos-sub/4@delta=1":
         "delta = 1 is the fold point of the two-character subcases; the "
         "case number is unchanged",
-    "cos-sine-g/8:conj -> cos-sine-g/8:chi":
+    "cos-sine-g/8conj -> cos-sine-g/8chi":
         "the branches exchange chi and chi*; classification reports branch "
         "'chi' against the conjugated character",
-    "alpha-sym/8:conj -> alpha-sym/8:chi":
+    "alpha-sym/8conj -> alpha-sym/8chi":
         "same branch exchange through the conjugated character",
     "alpha-skew/5@conj":
         "replacing chi by chi* negates c1 and c2; classification picks the "
@@ -152,14 +155,9 @@ ALIASES = {
 
 
 def alias_equivalent(constructed: CaseId, classified: CaseId) -> bool:
-    """Case equality up to the documented alias folds."""
-    if constructed == classified:
-        return True
-    same_case = (constructed.equation == classified.equation
-                 and constructed.case == classified.case)
-    if same_case and (constructed.equation, constructed.case) in BRANCHES:
-        return True
-    return False
+    """Case equality up to the case folds listed in :data:`ALIASES`."""
+    return (constructed == classified
+            or f"{constructed} -> {classified}" in ALIASES)
 
 
 # ---------------------------------------------------------------------------
@@ -237,8 +235,16 @@ class _Session:
         self.attempts: list[str] = []
         self.evens = [c for c in chars if c.even]
         self.nonevens = [c for c in chars if not c.even]
-        from .core import square_set
         self.sq = sorted(square_set(S))
+
+    def even_pairs(self):
+        """(chi1, chi2, f coords, g coords) for each pair of even
+        characters whose span holds both f and g, in walk order."""
+        for c1, c2 in itertools.combinations(self.evens, 2):
+            fc = _coords2(self.f.values, c1.values, c2.values, self.tol)
+            gc = _coords2(self.g.values, c1.values, c2.values, self.tol)
+            if fc is not None and gc is not None:
+                yield c1, c2, fc, gc
 
     def attempt(self, case: CaseId,
                 params: CaseParams) -> ClassifiedSolution | None:
@@ -281,45 +287,32 @@ def _classify_cos_sub(s: _Session):
             if hit:
                 return hit
     verdict = linear_dependence(f, g, tol)
+    lam = None                               # f = lam g
     if verdict.kind == "f-of-g":
         lam = verdict.coefficient
-        if min(abs(lam - 1j), abs(lam + 1j)) > tol:
-            chi = extract_character(g, 1 + lam * lam, S, tol=tol)
-            chi = chi and _match_char(s.chars, chi.values, tol)
-            if chi is not None:
-                hit = s.attempt(CaseId("cos-sub", 3),
-                                CaseParams(chi=chi, alpha=lam))
-                if hit:
-                    return hit
-    if verdict.kind == "g-of-f" and abs(verdict.coefficient) > tol:
+    elif verdict.kind == "g-of-f" and abs(verdict.coefficient) > tol:
         lam = 1 / verdict.coefficient
-        if min(abs(lam - 1j), abs(lam + 1j)) > tol:
-            chi = extract_character(g, 1 + lam * lam, S, tol=tol)
-            chi = chi and _match_char(s.chars, chi.values, tol)
-            if chi is not None:
-                hit = s.attempt(CaseId("cos-sub", 3),
-                                CaseParams(chi=chi, alpha=lam))
-                if hit:
-                    return hit
+    if lam is not None and min(abs(lam - 1j), abs(lam + 1j)) > tol:
+        chi = extract_character(g, 1 + lam * lam, S, tol=tol)
+        chi = chi and _match_char(s.chars, chi.values, tol)
+        if chi is not None:
+            hit = s.attempt(CaseId("cos-sub", 3),
+                            CaseParams(chi=chi, alpha=lam))
+            if hit:
+                return hit
     if verdict.kind == "independent":
-        for i in range(len(s.evens)):
-            for j in range(i + 1, len(s.evens)):
-                c1, c2 = s.evens[i], s.evens[j]
-                fc = _coords2(fv, c1.values, c2.values, tol)
-                gc = _coords2(gv, c1.values, c2.values, tol)
-                if fc is None or gc is None:
-                    continue
-                # f = (chi2 - chi1) t with t = 1/(1/delta + delta).
-                t = fc[1]
-                if abs(fc[0] + t) > tol or abs(t) <= tol:
-                    continue
-                delta = gc[1] / t
-                if any(abs(delta - b) <= tol for b in (0, 1j, -1j)):
-                    continue
-                hit = s.attempt(CaseId("cos-sub", 4),
-                                CaseParams(chi1=c1, chi2=c2, delta=delta))
-                if hit:
-                    return hit
+        for c1, c2, fc, gc in s.even_pairs():
+            # f = (chi2 - chi1) t with t = 1/(1/delta + delta).
+            t = fc[1]
+            if abs(fc[0] + t) > tol or abs(t) <= tol:
+                continue
+            delta = gc[1] / t
+            if any(abs(delta - b) <= tol for b in (0, 1j, -1j)):
+                continue
+            hit = s.attempt(CaseId("cos-sub", 4),
+                            CaseParams(chi1=c1, chi2=c2, delta=delta))
+            if hit:
+                return hit
         # Conjugate pair: f = -i(chi - chi*)/2, g = (chi + chi*)/2.
         # Looping over every chi with chi* != chi covers both signs of f,
         # since swapping chi for chi* negates it.
@@ -371,22 +364,16 @@ def _classify_sine_add(s: _Session):
             if hit:
                 return hit
     if verdict.kind == "independent":
-        for i in range(len(s.evens)):
-            for j in range(i + 1, len(s.evens)):
-                c1, c2 = s.evens[i], s.evens[j]
-                fc = _coords2(fv, c1.values, c2.values, tol)
-                gc = _coords2(gv, c1.values, c2.values, tol)
-                if fc is None or gc is None:
-                    continue
-                if abs(gc[0] - 0.5) > tol or abs(gc[1] - 0.5) > tol:
-                    continue
-                c = fc[0]
-                if abs(c) <= tol or abs(fc[1] + c) > tol:
-                    continue
-                hit = s.attempt(CaseId("sine-add", 4),
-                                CaseParams(chi1=c1, chi2=c2, c=c))
-                if hit:
-                    return hit
+        for c1, c2, fc, gc in s.even_pairs():
+            if abs(gc[0] - 0.5) > tol or abs(gc[1] - 0.5) > tol:
+                continue
+            c = fc[0]
+            if abs(c) <= tol or abs(fc[1] + c) > tol:
+                continue
+            hit = s.attempt(CaseId("sine-add", 4),
+                            CaseParams(chi1=c1, chi2=c2, c=c))
+            if hit:
+                return hit
     for chi in s.evens:
         if np.max(np.abs(gv - chi.values)) > tol:
             continue
@@ -432,22 +419,16 @@ def _classify_cos_sine_g(s: _Session):
                 if hit:
                     return hit
     if verdict.kind == "independent":
-        for i in range(len(s.evens)):
-            for j in range(i + 1, len(s.evens)):
-                c1, c2 = s.evens[i], s.evens[j]
-                fc = _coords2(fv, c1.values, c2.values, tol)
-                gc = _coords2(gv, c1.values, c2.values, tol)
-                if fc is None or gc is None:
-                    continue
-                if abs(gc[0] + gc[1] - 1) > tol:
-                    continue
-                w = gc[0] - gc[1]
-                if any(abs(w - b) <= tol for b in (0, 1, -1)):
-                    continue
-                hit = s.attempt(CaseId("cos-sine-g", 5),
-                                CaseParams(chi1=c1, chi2=c2, c1=w))
-                if hit:
-                    return hit
+        for c1, c2, _, gc in s.even_pairs():
+            if abs(gc[0] + gc[1] - 1) > tol:
+                continue
+            w = gc[0] - gc[1]
+            if any(abs(w - b) <= tol for b in (0, 1, -1)):
+                continue
+            hit = s.attempt(CaseId("cos-sine-g", 5),
+                            CaseParams(chi1=c1, chi2=c2, c1=w))
+            if hit:
+                return hit
     # case 8: g is a non-even character and f averages it with its dual.
     for chi in s.nonevens:
         if np.max(np.abs(gv - chi.values)) > tol:
@@ -617,7 +598,7 @@ def classify(equation: str, f: FnTable, g: FnTable, S: FiniteSemigroup,
             raise ValueError("alpha must be non-zero")
         binding["a"] = complex(alpha)
     residual = evaluate_residual(builtin(equation), binding, S)
-    if residual > tol:
+    if not residual <= tol:                 # a NaN residual is no solution
         raise NotASolutionError(
             f"(f, g) does not solve {equation}: residual {residual:.3g}")
 

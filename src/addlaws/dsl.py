@@ -27,6 +27,7 @@ rounding, not bit for bit.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from typing import Iterable
@@ -460,7 +461,10 @@ def _interpreted_residual(ast: Equation, binding: dict, S: WindowedSemigroup,
                     elem = word_element(app.word, env, mul, sig)
                     value *= binding[app.fn](elem)
                 total += value
-        worst = max(worst, abs(total))
+        err = abs(total)
+        if math.isnan(err):                 # max() would drop it
+            return err
+        worst = max(worst, err)
     return worst
 
 

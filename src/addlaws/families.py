@@ -1,12 +1,19 @@
 """Solution-family constructors for the five addition laws.
 
-Each equation in the registry admits a finite list of solution shapes on a
-semigroup with an involutive automorphism: the zero pair, pairs supported
-off the square S^2, scalar multiples of one multiplicative function,
-mixtures of two multiplicative functions, and piecewise families assembled
-from a multiplicative function chi, an additive function A off chi's null
-ideal, and a rho function on the prime part.  :func:`construct` builds the
-(f, g) pair of one such case from validated parameters;
+Each equation admits a finite list of solution shapes on a semigroup with
+an involutive automorphism: the zero pair, pairs supported off the square
+S^2, scalar multiples of one multiplicative function, mixtures of two
+multiplicative functions, and piecewise families assembled from a
+multiplicative function chi, an additive function A off chi's null ideal,
+and a rho function on the prime part.
+
+:data:`CASES` holds one :class:`CaseSpec` record per published case: its
+required parameter fields, its branches, whether a phi table may replace
+(A, rho), the kind of parameter menu it draws from, and each constant's
+clause and sampling pool in draw order.  ``EQUATION_IDS``, ``CASE_COUNTS``,
+``BRANCHES`` and ``ALPHA_EQUATIONS`` are derived from it.  The formulas
+stay in one builder per equation: :func:`construct` checks the record's
+fields and builds the (f, g) pair of one case from validated parameters;
 :func:`admissible_params` reports which cases a concrete finite carrier
 supports and draws random admissible parameters for them.
 """
@@ -14,29 +21,15 @@ supports and draws random admissible parameters for them.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, fields as dc_fields
+from dataclasses import dataclass, field, fields as dc_fields, replace
 
 import numpy as np
 
 from .characters import (AdditiveFn, MultChar, RhoFn, additive_basis,
                          check_condition_I, check_condition_II,
                          parity_residual, rho_space)
-from .core import EPS, FiniteSemigroup, FnTable, WindowedSemigroup, square_set
+from .core import EPS, FiniteSemigroup, FnTable, square_set
 from .dsl import evaluate_residual, parse_equation
-
-EQUATION_IDS = ("cos-sub", "sine-add", "cos-sine-g", "alpha-sym",
-                "alpha-skew")
-
-CASE_COUNTS = {"cos-sub": 6, "sine-add": 5, "cos-sine-g": 8,
-               "alpha-sym": 8, "alpha-skew": 6}
-
-#: Cases that carry an explicit branch choice.
-BRANCHES = {("cos-sub", 5): ("+", "-"),
-            ("cos-sine-g", 8): ("chi", "conj"),
-            ("alpha-sym", 8): ("chi", "conj")}
-
-#: Equations whose statement carries the non-zero constant alpha.
-ALPHA_EQUATIONS = ("alpha-sym", "alpha-skew")
 
 #: Exactly representable scalars for random parameter draws.
 SAMPLE_POOL = (1 + 0j, -1 + 0j, 2 + 0j, -2 + 0j, 0.5 + 0j, -0.5 + 0j,
@@ -49,6 +42,111 @@ FREE_VALUE_POOL = (0j, 1 + 0j, -1 + 0j, 1j, -1j, 0.5 + 0j, -0.5 + 0j,
 #: The sigma = id sine addition law that the phi component of the
 #: "chi + chi A" families satisfies together with chi.
 PHI_LAW = parse_equation("f(x y) = f(x)*g(y) + f(y)*g(x)")
+
+
+@dataclass(frozen=True)
+class CaseSpec:
+    """The published facts of one case, read by construct and the menus.
+
+    `menu` names what :func:`admissible_params` offers: "none" (no drawn
+    data), "free-vanishing" (a free function vanishing on S^2),
+    "free-arbitrary", "even" (one even character), "even-pair",
+    "noneven", "noneven-up-to-conj" (one of each chi, chi* pair),
+    "piecewise-even" or "piecewise-odd" (an even chi with A and rho of that
+    parity).  `constants` lists (name, clause, sampling pool) in draw order.
+    """
+
+    fields: frozenset
+    menu: str
+    constants: tuple
+    branches: tuple
+    phi: bool
+
+
+def _case(fields: str, menu: str = "none", *constants,
+          branches: tuple = (), phi: bool = False) -> CaseSpec:
+    """A record whose required CaseParams fields are named in `fields`;
+    `phi` lets a phi table replace the (A, rho) pair."""
+    return CaseSpec(frozenset(fields.split()), menu, constants, branches, phi)
+
+
+def _near(a: complex, b: complex) -> bool:
+    return abs(complex(a) - complex(b)) <= EPS
+
+
+def _avoiding(*bad) -> tuple:
+    return tuple(v for v in SAMPLE_POOL if not any(_near(v, b) for b in bad))
+
+
+def _with_alpha(spec: CaseSpec) -> CaseSpec:
+    """The record of a case of an equation that carries alpha, which is
+    drawn before the case's own constants."""
+    return replace(spec, fields=spec.fields | {"alpha"},
+                   constants=(("alpha", "alpha != 0", SAMPLE_POOL),)
+                   + spec.constants)
+
+
+_COS_SINE_G = (
+    _case(""),
+    _case("free", "free-vanishing"),
+    _case("free", "free-vanishing"),
+    _case("chi beta", "even",
+          ("beta", "beta not in {0, 1/2}", _avoiding(0.5))),
+    _case("chi1 chi2 c1", "even-pair",
+          ("c1", "c1 not in {0, 1, -1}", _avoiding(1, -1))),
+    _case("chi A rho", "piecewise-even", phi=True),
+    _case("chi A rho", "piecewise-even", phi=True),
+    _case("chi", "noneven", branches=("chi", "conj")),
+)
+
+#: One record per published case: CASES[equation][case - 1].  alpha-sym
+#: maps onto cos-sine-g case by case, so it shares that list plus alpha.
+CASES = {
+    "cos-sub": (
+        _case(""),
+        _case("free c", "free-vanishing", ("c", "c in {i, -i}", (1j, -1j))),
+        _case("chi alpha", "even",
+              ("alpha", "alpha not in {i, -i} (alpha = 0 gives f = 0)",
+               _avoiding(1j, -1j) + (0j,))),
+        _case("chi1 chi2 delta", "even-pair",
+              ("delta", "delta not in {0, i, -i}", _avoiding(1j, -1j))),
+        _case("chi A rho", "piecewise-even", branches=("+", "-")),
+        _case("chi", "noneven"),
+    ),
+    "sine-add": (
+        _case("free", "free-arbitrary"),
+        _case("free", "free-vanishing"),
+        _case("chi alpha", "even", ("alpha", "alpha != 0", SAMPLE_POOL)),
+        _case("chi1 chi2 c", "even-pair", ("c", "c != 0", SAMPLE_POOL)),
+        _case("chi A rho", "piecewise-even"),
+    ),
+    "cos-sine-g": _COS_SINE_G,
+    "alpha-sym": tuple(map(_with_alpha, _COS_SINE_G)),
+    "alpha-skew": tuple(map(_with_alpha, (
+        _case("free", "free-arbitrary"),
+        _case("free", "free-vanishing"),
+        _case("free", "free-vanishing"),
+        _case("free c", "free-vanishing",
+              ("c", "c not in {0, -1}", _avoiding(-1))),
+        _case("chi c1 c2", "noneven-up-to-conj",
+              ("c1", "c1 != 0", SAMPLE_POOL),
+              ("c2", "c2 unconstrained", SAMPLE_POOL + (0j,))),
+        _case("chi A rho c", "piecewise-odd",
+              ("c", "c unconstrained", SAMPLE_POOL + (0j,))),
+    ))),
+}
+
+EQUATION_IDS = tuple(CASES)
+
+CASE_COUNTS = {eq: len(specs) for eq, specs in CASES.items()}
+
+#: Cases that carry an explicit branch choice.
+BRANCHES = {(eq, k): spec.branches for eq, specs in CASES.items()
+            for k, spec in enumerate(specs, 1) if spec.branches}
+
+#: Equations whose statement carries the non-zero constant alpha.
+ALPHA_EQUATIONS = tuple(eq for eq, specs in CASES.items()
+                        if all("alpha" in spec.fields for spec in specs))
 
 
 class ConstraintError(ValueError):
@@ -86,11 +184,9 @@ class CaseId:
 
 def all_case_ids(equation: str) -> list[CaseId]:
     """Every CaseId of one equation, branches expanded."""
-    out = []
-    for k in range(1, CASE_COUNTS[equation] + 1):
-        branches = BRANCHES.get((equation, k), (None,))
-        out.extend(CaseId(equation, k, b) for b in branches)
-    return out
+    return [CaseId(equation, k, b)
+            for k, spec in enumerate(CASES[equation], 1)
+            for b in spec.branches or (None,)]
 
 
 @dataclass(frozen=True)
@@ -112,55 +208,22 @@ class CaseParams:
     phi: FnTable | None = None
 
     def present(self) -> frozenset[str]:
-        return frozenset(f.name for f in dc_fields(self)
-                         if getattr(self, f.name) is not None)
+        return frozenset(name for name in _PARAM_NAMES
+                         if getattr(self, name) is not None)
 
 
-_REQUIRED = {
-    ("cos-sub", 1): frozenset(),
-    ("cos-sub", 2): frozenset({"free", "c"}),
-    ("cos-sub", 3): frozenset({"chi", "alpha"}),
-    ("cos-sub", 4): frozenset({"chi1", "chi2", "delta"}),
-    ("cos-sub", 5): frozenset({"chi", "A", "rho"}),
-    ("cos-sub", 6): frozenset({"chi"}),
-    ("sine-add", 1): frozenset({"free"}),
-    ("sine-add", 2): frozenset({"free"}),
-    ("sine-add", 3): frozenset({"chi", "alpha"}),
-    ("sine-add", 4): frozenset({"chi1", "chi2", "c"}),
-    ("sine-add", 5): frozenset({"chi", "A", "rho"}),
-    ("cos-sine-g", 1): frozenset(),
-    ("cos-sine-g", 2): frozenset({"free"}),
-    ("cos-sine-g", 3): frozenset({"free"}),
-    ("cos-sine-g", 4): frozenset({"chi", "beta"}),
-    ("cos-sine-g", 5): frozenset({"chi1", "chi2", "c1"}),
-    ("cos-sine-g", 6): frozenset({"chi", "A", "rho"}),
-    ("cos-sine-g", 7): frozenset({"chi", "A", "rho"}),
-    ("cos-sine-g", 8): frozenset({"chi"}),
-    ("alpha-sym", 1): frozenset({"alpha"}),
-    ("alpha-sym", 2): frozenset({"alpha", "free"}),
-    ("alpha-sym", 3): frozenset({"alpha", "free"}),
-    ("alpha-sym", 4): frozenset({"alpha", "chi", "beta"}),
-    ("alpha-sym", 5): frozenset({"alpha", "chi1", "chi2", "c1"}),
-    ("alpha-sym", 6): frozenset({"alpha", "chi", "A", "rho"}),
-    ("alpha-sym", 7): frozenset({"alpha", "chi", "A", "rho"}),
-    ("alpha-sym", 8): frozenset({"alpha", "chi"}),
-    ("alpha-skew", 1): frozenset({"alpha", "free"}),
-    ("alpha-skew", 2): frozenset({"alpha", "free"}),
-    ("alpha-skew", 3): frozenset({"alpha", "free"}),
-    ("alpha-skew", 4): frozenset({"alpha", "free", "c"}),
-    ("alpha-skew", 5): frozenset({"alpha", "chi", "c1", "c2"}),
-    ("alpha-skew", 6): frozenset({"alpha", "chi", "A", "rho", "c"}),
-}
+_PARAM_NAMES = tuple(f.name for f in dc_fields(CaseParams))
 
-#: Cases that accept an explicit phi table instead of the (A, rho) pair.
-_PHI_ALTERNATIVE = {("cos-sine-g", 6), ("cos-sine-g", 7),
-                    ("alpha-sym", 6), ("alpha-sym", 7)}
+
+def _spec(case: CaseId) -> CaseSpec:
+    return CASES[case.equation][case.case - 1]
 
 
 def _check_fields(case: CaseId, params: CaseParams) -> None:
-    required = set(_REQUIRED[(case.equation, case.case)])
+    spec = _spec(case)
+    required = spec.fields
     present = params.present()
-    if (case.equation, case.case) in _PHI_ALTERNATIVE and "phi" in present:
+    if spec.phi and "phi" in present:
         required = (required - {"A", "rho"}) | {"phi"}
     if present != required:
         raise ConstraintError(
@@ -247,10 +310,6 @@ def _require(cond: bool, clause: str) -> None:
         raise ConstraintError(clause)
 
 
-def _near(a: complex, b: complex) -> bool:
-    return abs(complex(a) - complex(b)) <= EPS
-
-
 def _check_even_char(chi, name: str = "chi") -> None:
     _require(getattr(chi, "even", False), f"chi* = chi fails for {name}")
 
@@ -268,12 +327,10 @@ def _check_distinct(S, chi1, chi2) -> None:
 
 
 def _check_alpha(alpha) -> None:
-    _require(alpha is not None and not _near(alpha, 0), "alpha = 0")
+    _require(not _near(alpha, 0), "alpha = 0")
 
 
-def _check_free_vanishing(S, h: FnTable, arbitrary: bool = False) -> None:
-    if arbitrary:
-        return
+def _check_free_vanishing(S, h: FnTable) -> None:
     _require(_finite(S), "free-function cases need a finite carrier")
     _require(not h.is_zero(), "free function is zero")
     sq = sorted(square_set(S))
@@ -388,7 +445,7 @@ def _sine_add(case: CaseId, p: CaseParams, S):
         cf = _char_fn(p.chi)
         return _scale(cf, 1 / (2 * complex(p.alpha))), _scale(cf, 0.5)
     if k == 4:
-        _require(p.c is not None and not _near(p.c, 0), "c = 0")
+        _require(not _near(p.c, 0), "c = 0")
         _check_even_char(p.chi1, "chi1")
         _check_even_char(p.chi2, "chi2")
         _check_distinct(S, p.chi1, p.chi2)
@@ -483,8 +540,7 @@ def _alpha_skew(case: CaseId, p: CaseParams, S):
         return p.free, _scale(p.free, lam)
     if k == 5:
         _check_noneven_char(p.chi)
-        _require(p.c1 is not None and not _near(p.c1, 0), "c1 = 0")
-        _require(p.c2 is not None, "c2 is required")
+        _require(not _near(p.c1, 0), "c1 = 0")
         w1, w2 = complex(p.c1), complex(p.c2)
         cf, sf = _char_fn(p.chi), _conj_fn(p.chi)
         f = _lin(S, (a * (1 + w1 + w2) / 2, cf),
@@ -493,17 +549,10 @@ def _alpha_skew(case: CaseId, p: CaseParams, S):
         return f, g
     # case 6: f = alpha chi (1 + (1+c) A) | 0 | alpha (1+c) rho,
     #         g = chi (1 + c A) | 0 | c rho, with A and rho odd.
-    _require(p.c is not None, "c is required")
-    chi = p.chi
-    _check_even_char(chi)
-    _check_additive(S, chi, p.A, "odd")
-    _check_rho(S, chi, p.rho, "odd")
-    piece = _piece(S, chi, 0, 1, p.A, 1, p.rho)
-    _require(not _fn_is_zero(piece, S), "A and rho both vanish")
-    _require(check_condition_II(piece, chi, S), "condition (II) fails")
+    _sine_piece(S, p, "odd")
     w = complex(p.c)
-    f = _piece(S, chi, a, a * (1 + w), p.A, a * (1 + w), p.rho)
-    g = _piece(S, chi, 1, w, p.A, w, p.rho)
+    f = _piece(S, p.chi, a, a * (1 + w), p.A, a * (1 + w), p.rho)
+    g = _piece(S, p.chi, 1, w, p.A, w, p.rho)
     return f, g
 
 
@@ -594,8 +643,6 @@ class ParamMenu:
             return None
         for _ in range(80):
             params = self._draw(rng)
-            if params is None:
-                return None
             try:
                 construct(self.case, params, self.S)
             except ConstraintError:
@@ -603,67 +650,22 @@ class ParamMenu:
             return params
         return None
 
-    def _draw(self, rng) -> CaseParams | None:
-        eq, k = self.case.equation, self.case.case
+    def _draw(self, rng) -> CaseParams:
+        spec = _spec(self.case)
         out: dict = {}
-        if eq in ALPHA_EQUATIONS:
-            out["alpha"] = _pick(rng, SAMPLE_POOL)
-        for name, pool in self._constant_pools().items():
+        for name, _, pool in spec.constants:
             out[name] = _pick(rng, pool)
-        if self._wants_single_char():
+        if "chi" in spec.fields:
             idx = rng.randrange(len(self.chars))
             out["chi"] = self.chars[idx]
-            if self._wants_piece():
-                parity = "odd" if (eq, k) == ("alpha-skew", 6) else "even"
-                A, rho = self._draw_piece(rng, idx, parity)
-                out["A"], out["rho"] = A, rho
-        if self._wants_pair():
+            if "A" in spec.fields:
+                out["A"], out["rho"] = self._draw_piece(rng, idx)
+        if "chi1" in spec.fields:
             out["chi1"], out["chi2"] = self.char_pairs[
                 rng.randrange(len(self.char_pairs))]
-        if self._wants_free():
+        if "free" in spec.fields:
             out["free"] = self._draw_free(rng)
         return CaseParams(**out)
-
-    def _constant_pools(self) -> dict:
-        pools = {}
-        no = lambda *bad: tuple(v for v in SAMPLE_POOL
-                                if not any(_near(v, b) for b in bad))
-        eq, k = self.case.equation, self.case.case
-        if (eq, k) == ("cos-sub", 2):
-            pools["c"] = (1j, -1j)
-        if (eq, k) == ("cos-sub", 3):
-            pools["alpha"] = no(1j, -1j) + (0j,)
-        if (eq, k) == ("cos-sub", 4):
-            pools["delta"] = no(1j, -1j)
-        if (eq, k) == ("sine-add", 3):
-            pools["alpha"] = SAMPLE_POOL
-        if (eq, k) == ("sine-add", 4):
-            pools["c"] = SAMPLE_POOL
-        if (eq, k) in (("cos-sine-g", 4), ("alpha-sym", 4)):
-            pools["beta"] = no(0.5)
-        if (eq, k) in (("cos-sine-g", 5), ("alpha-sym", 5)):
-            pools["c1"] = no(1, -1)
-        if (eq, k) == ("alpha-skew", 4):
-            pools["c"] = no(-1)
-        if (eq, k) == ("alpha-skew", 5):
-            pools["c1"] = SAMPLE_POOL
-            pools["c2"] = SAMPLE_POOL + (0j,)
-        if (eq, k) == ("alpha-skew", 6):
-            pools["c"] = SAMPLE_POOL + (0j,)
-        return pools
-
-    def _wants_single_char(self) -> bool:
-        return bool(self.chars) and "chi" in _REQUIRED[
-            (self.case.equation, self.case.case)]
-
-    def _wants_pair(self) -> bool:
-        return "chi1" in _REQUIRED[(self.case.equation, self.case.case)]
-
-    def _wants_free(self) -> bool:
-        return "free" in _REQUIRED[(self.case.equation, self.case.case)]
-
-    def _wants_piece(self) -> bool:
-        return "A" in _REQUIRED[(self.case.equation, self.case.case)]
 
     def _draw_free(self, rng) -> FnTable:
         vals = np.zeros(self.S.n, dtype=np.complex128)
@@ -676,29 +678,20 @@ class ParamMenu:
             vals[support[0]] = 1.0
         return FnTable(self.S, values=vals)
 
-    def _draw_piece(self, rng, idx: int, parity: str):
-        basis = self.additive.get(idx, [])
-        space = self.rho_spaces.get(idx)
-        chi = self.chars[idx]
+    def _draw_piece(self, rng, idx: int):
+        basis = self.additive[idx]
+        space = self.rho_spaces[idx]          # of the menu's parity
         small = (0j, 1 + 0j, -1 + 0j, 2 + 0j, 1j)
         for _ in range(40):
             coeffs = [_pick(rng, small) for _ in basis]
-            frees = [_pick(rng, small)
-                     for _ in range(space.dimension if space else 0)]
-            if not any(abs(v) > 0 for v in coeffs + frees):
-                continue
-            A = combine_additive(self.S, basis, coeffs, chi, parity)
-            rho = (space.instance(frees, self.S.n) if space
-                   else RhoFn(domain=frozenset(chi.prime_part),
-                              values=np.zeros(self.S.n), parity=parity))
-            rho = RhoFn(domain=rho.domain, values=rho.values, parity=parity)
-            return A, rho
-        A = combine_additive(self.S, basis, [1] * len(basis), chi, parity)
-        rho = (space.instance([1] * space.dimension, self.S.n) if space
-               else RhoFn(domain=frozenset(chi.prime_part),
-                          values=np.zeros(self.S.n), parity=parity))
-        rho = RhoFn(domain=rho.domain, values=rho.values, parity=parity)
-        return A, rho
+            frees = [_pick(rng, small) for _ in range(space.dimension)]
+            if any(abs(v) > 0 for v in coeffs + frees):
+                break
+        else:
+            coeffs, frees = [1] * len(basis), [1] * space.dimension
+        A = combine_additive(self.S, basis, coeffs, self.chars[idx],
+                             space.parity)
+        return A, space.instance(frees, self.S.n)
 
 
 def _pick(rng, pool):
@@ -715,42 +708,32 @@ def admissible_params(case: CaseId, S: FiniteSemigroup,
     if not isinstance(S, FiniteSemigroup):
         raise TypeError("admissible_params needs a finite semigroup")
     menu = ParamMenu(case=case, S=S)
+    spec = _spec(case)
+    kind = spec.menu
     evens = [c for c in characters if c.even]
     nonevens = [c for c in characters if not c.even]
-    nonsq = tuple(sorted(set(range(S.n)) - square_set(S)))
-    eq, k = case.equation, case.case
-
-    def free_vanish():
-        menu.free_support = nonsq
-        menu.available = bool(nonsq)
-        if not nonsq:
-            menu.notes.append("S^2 = S leaves no non-zero function "
-                              "vanishing on S^2")
-
-    def free_any():
-        menu.free_arbitrary = True
-        menu.available = True
-
-    def single_even():
-        menu.chars = list(evens)
-        menu.available = bool(evens)
-        if not evens:
-            menu.notes.append("no even character")
-
-    def pair_even():
-        menu.char_pairs = [(a, b) for a, b in
-                           itertools.combinations(evens, 2)]
-        menu.available = bool(menu.char_pairs)
-        if not menu.char_pairs:
-            menu.notes.append("fewer than two even characters")
-
-    def noneven():
-        menu.chars = list(nonevens)
-        menu.available = bool(nonevens)
-        if not nonevens:
-            menu.notes.append("no character with chi* != chi")
-
-    def piecewise(parity: str):
+    if kind == "free-vanishing":
+        menu.free_support = tuple(sorted(set(range(S.n)) - square_set(S)))
+        missing = "S^2 = S leaves no non-zero function vanishing on S^2"
+    elif kind == "even":
+        menu.chars = evens
+        missing = "no even character"
+    elif kind == "even-pair":
+        menu.char_pairs = list(itertools.combinations(evens, 2))
+        missing = "fewer than two even characters"
+    elif kind == "noneven":
+        menu.chars = nonevens
+        missing = "no character with chi* != chi"
+    elif kind == "noneven-up-to-conj":
+        seen = set()
+        for chi in nonevens:
+            pair_key = frozenset((chi.key(), _conj_char(chi).key()))
+            if pair_key not in seen:
+                seen.add(pair_key)
+                menu.chars.append(chi)
+        missing = "no character with chi* != chi"
+    elif kind.startswith("piecewise-"):
+        parity = kind.removeprefix("piecewise-")
         for chi in evens:
             basis = additive_basis(S, chi, parity)
             space = rho_space(chi, S, parity)
@@ -759,83 +742,14 @@ def admissible_params(case: CaseId, S: FiniteSemigroup,
                 menu.chars.append(chi)
                 menu.additive[idx] = basis
                 menu.rho_spaces[idx] = space
-        menu.available = bool(menu.chars)
-        if not menu.chars:
-            menu.notes.append(
-                f"no even character carries a non-zero {parity} A or rho")
-
-    kind = {
-        ("cos-sub", 1): lambda: setattr(menu, "available", True),
-        ("cos-sub", 2): free_vanish,
-        ("cos-sub", 3): single_even,
-        ("cos-sub", 4): pair_even,
-        ("cos-sub", 5): lambda: piecewise("even"),
-        ("cos-sub", 6): noneven,
-        ("sine-add", 1): free_any,
-        ("sine-add", 2): free_vanish,
-        ("sine-add", 3): single_even,
-        ("sine-add", 4): pair_even,
-        ("sine-add", 5): lambda: piecewise("even"),
-        ("cos-sine-g", 1): lambda: setattr(menu, "available", True),
-        ("cos-sine-g", 2): free_vanish,
-        ("cos-sine-g", 3): free_vanish,
-        ("cos-sine-g", 4): single_even,
-        ("cos-sine-g", 5): pair_even,
-        ("cos-sine-g", 6): lambda: piecewise("even"),
-        ("cos-sine-g", 7): lambda: piecewise("even"),
-        ("cos-sine-g", 8): noneven,
-        ("alpha-sym", 1): lambda: setattr(menu, "available", True),
-        ("alpha-sym", 2): free_vanish,
-        ("alpha-sym", 3): free_vanish,
-        ("alpha-sym", 4): single_even,
-        ("alpha-sym", 5): pair_even,
-        ("alpha-sym", 6): lambda: piecewise("even"),
-        ("alpha-sym", 7): lambda: piecewise("even"),
-        ("alpha-sym", 8): noneven,
-        ("alpha-skew", 1): free_any,
-        ("alpha-skew", 2): free_vanish,
-        ("alpha-skew", 3): free_vanish,
-        ("alpha-skew", 4): free_vanish,
-        ("alpha-skew", 5): _askew5_menu,
-        ("alpha-skew", 6): lambda: piecewise("odd"),
-    }
-    action = kind[(eq, k)]
-    if action is _askew5_menu:
-        _askew5_menu(menu, nonevens)
-    else:
-        action()
-
-    menu.branches = BRANCHES.get((eq, k), ())
-    menu.constants = _CONSTANT_CLAUSES.get((eq, k), {})
-    if eq in ALPHA_EQUATIONS:
-        menu.constants = {**menu.constants, "alpha": "alpha != 0"}
+        missing = f"no even character carries a non-zero {parity} A or rho"
+    else:                                   # "none" or "free-arbitrary"
+        menu.free_arbitrary = kind == "free-arbitrary"
+        missing = None
+    menu.available = missing is None or bool(
+        menu.chars or menu.char_pairs or menu.free_support)
+    if not menu.available:
+        menu.notes.append(missing)
+    menu.branches = spec.branches
+    menu.constants = {name: clause for name, clause, _ in spec.constants}
     return menu
-
-
-def _askew5_menu(menu: ParamMenu, nonevens) -> None:
-    seen = set()
-    for chi in nonevens:
-        pair_key = frozenset((chi.key(), _conj_char(chi).key()))
-        if pair_key in seen:
-            continue
-        seen.add(pair_key)
-        menu.chars.append(chi)
-    menu.available = bool(menu.chars)
-    if not menu.chars:
-        menu.notes.append("no character with chi* != chi")
-
-
-_CONSTANT_CLAUSES = {
-    ("cos-sub", 2): {"c": "c in {i, -i}"},
-    ("cos-sub", 3): {"alpha": "alpha not in {i, -i} (alpha = 0 gives f = 0)"},
-    ("cos-sub", 4): {"delta": "delta not in {0, i, -i}"},
-    ("sine-add", 3): {"alpha": "alpha != 0"},
-    ("sine-add", 4): {"c": "c != 0"},
-    ("cos-sine-g", 4): {"beta": "beta not in {0, 1/2}"},
-    ("cos-sine-g", 5): {"c1": "c1 not in {0, 1, -1}"},
-    ("alpha-sym", 4): {"beta": "beta not in {0, 1/2}"},
-    ("alpha-sym", 5): {"c1": "c1 not in {0, 1, -1}"},
-    ("alpha-skew", 4): {"c": "c not in {0, -1}"},
-    ("alpha-skew", 5): {"c1": "c1 != 0", "c2": "c2 unconstrained"},
-    ("alpha-skew", 6): {"c": "c unconstrained"},
-}

@@ -76,6 +76,14 @@ def test_classify_rejects_non_solutions():
         classify("cos-sub", fn(S, [1, 1], "f"), fn(S, [1, 1], "g"), S)
 
 
+def test_classify_rejects_a_nan_residual():
+    # A NaN residual compares False against the tolerance either way round,
+    # so it must be refused rather than passed on to the case walk.
+    S = z2()
+    with pytest.raises(NotASolutionError, match="residual nan"):
+        classify("sine-add", fn(S, [np.nan, 0], "f"), fn(S, [1, 1], "g"), S)
+
+
 def test_classify_argument_errors(ex1):
     S = z2()
     f = fn(S, [0, 0], "f")
@@ -142,6 +150,20 @@ def test_alias_branch_fold(chars):
     assert alias_equivalent(CaseId("cos-sine-g", 8, "conj"), hit.case)
     assert not alias_equivalent(CaseId("cos-sine-g", 8, "conj"),
                                 CaseId("cos-sine-g", 4))
+
+
+def test_alias_equivalence_keeps_branches_apart():
+    # Only the folds listed in ALIASES are equivalences: two branches of a
+    # case are otherwise different solutions, and a fold has a direction.
+    for eq in ("cos-sine-g", "alpha-sym"):
+        assert alias_equivalent(CaseId(eq, 8, "conj"), CaseId(eq, 8, "chi"))
+        assert not alias_equivalent(CaseId(eq, 8, "chi"),
+                                    CaseId(eq, 8, "conj"))
+    for a, b in (("+", "-"), ("-", "+")):
+        assert not alias_equivalent(CaseId("cos-sub", 5, a),
+                                    CaseId("cos-sub", 5, b))
+    assert alias_equivalent(CaseId("cos-sub", 5, "-"),
+                            CaseId("cos-sub", 5, "-"))
 
 
 def test_alias_conjugate_pair_swap(chars):

@@ -195,6 +195,14 @@ def _random_binding(S, rng):
             "a": complex(rng.normal(), rng.normal())}
 
 
+def test_nan_values_give_a_nan_residual_on_both_paths():
+    S = z2()
+    binding = {"f": fn(S, [np.nan, 0], "f"), "g": fn(S, [1, 1], "g")}
+    for carrier in (S, _interpreted_twin(S)):
+        assert np.isnan(evaluate_residual(builtin("sine-add"), binding,
+                                          carrier)), carrier.name
+
+
 def test_finite_kernel_agrees_with_the_interpreter():
     """The compiled kernel against the interpreter on the same carrier.
 

@@ -1,21 +1,72 @@
 """Constructors for the solution cases: frozen tables, constraint
 enforcement, parameter menus, and structural properties."""
 
+import dataclasses
+import hashlib
 import random
 
 import numpy as np
 import pytest
 
-from addlaws.core import fn
+from addlaws.core import cnum, fn, stable_json
 from addlaws.dsl import BUILTIN_EQUATIONS
 from addlaws.families import (BRANCHES, CASE_COUNTS, CaseId, CaseParams,
                               ConstraintError, admissible_params, all_case_ids,
                               combine_additive, construct, zero_additive)
 from addlaws.examples import n3, z2, z2xz2
+from addlaws.oracle import fuzz_constructors
 
 from helpers import TOL, equation_residual
 
 ALPHA_EQS = ("alpha-sym", "alpha-skew")
+
+#: SHA-256 of every menu, seeded draw, constructed table and fuzz report
+#: below, recorded before the per-case tables were folded into one registry.
+CASE_OUTPUT_DIGEST = ("84ebcb54cc3d6a9ffdf236e3c994411a"
+                      "41499cc2617bb69f1a4b0acd081b3efc")
+
+
+def _param_record(params: CaseParams) -> dict:
+    out = {}
+    for f in dataclasses.fields(params):
+        value = getattr(params, f.name)
+        if value is None:
+            continue
+        if isinstance(value, (int, float, complex)):
+            out[f.name] = cnum(value)
+            continue
+        out[f.name] = [cnum(z) for z in value.values]
+        if hasattr(value, "parity"):
+            out[f.name + ".parity"] = value.parity
+            out[f.name + ".domain"] = sorted(value.domain)
+    return out
+
+
+def test_case_outputs_byte_identical(carriers, chars):
+    """Menus, seeded draws, constructed pairs and fuzz reports hash to the
+    digest pinned before the case registry refactor."""
+    digest = hashlib.sha256()
+    for name in ("Z1", "Z2", "Z3", "Z2xZ2", "N3", "M3", "NP4"):
+        S = carriers[name]
+        for eq in BUILTIN_EQUATIONS:
+            for case in all_case_ids(eq):
+                menu = admissible_params(case, S, chars[name])
+                digest.update(stable_json([name, str(case), menu.describe(),
+                                           menu.constants]).encode())
+                for seed in range(5):
+                    params = menu.sample(random.Random(seed))
+                    if params is None:
+                        digest.update(b"None")
+                        continue
+                    f, g = construct(case, params, S)
+                    digest.update(stable_json(
+                        [_param_record(params),
+                         [cnum(z) for z in f.values],
+                         [cnum(z) for z in g.values]]).encode())
+    for eq in BUILTIN_EQUATIONS:
+        digest.update(stable_json(fuzz_constructors(eq, n=40, seed=0))
+                      .encode())
+    assert digest.hexdigest() == CASE_OUTPUT_DIGEST
 
 
 def test_case_registry_shape():
