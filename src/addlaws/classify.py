@@ -8,23 +8,38 @@ and proves the answer by reconstructing the pair through
 :func:`addlaws.families.construct` and comparing tables.  A solution that
 matches no case is returned as :class:`Unclassified` with a diagnostic
 dump; feeding a non-solution raises :class:`NotASolutionError`.
+
+Each walk opens with leading steps whose cases are built from one free
+table alone: both tables zero, f = 0, F = f/alpha - g = 0, and g = 0 or f
+vanishing on S^2.  :data:`LEADING_STEPS` holds them once, for the per-pair
+walks and for :func:`classify_rows`, which runs them as masks over a whole
+stack of pairs.  A mask takes a row only where the walk would answer at
+that step with a hit, checked by one batched construct-and-compare per
+case that gives the floats and checks of :meth:`_Session.attempt`; every
+other row is left for :func:`classify`.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .characters import AdditiveFn, MultChar, RhoFn, enumerate_characters
 from .core import EPS, FiniteSemigroup, FnTable, cnum, square_set
-from .dsl import builtin, evaluate_residual
-from .families import CaseId, CaseParams, ConstraintError, construct
+from .dsl import builtin, evaluate_residual, residual_rows
+from .families import (CASES, CaseId, CaseParams, ConstraintError, construct,
+                       construct_rows)
 
 
 class NotASolutionError(ValueError):
     """classify() was fed a pair that does not solve the equation."""
+
+
+def _not_a_solution(equation: str, residual: float) -> NotASolutionError:
+    return NotASolutionError(
+        f"(f, g) does not solve {equation}: residual {residual:.3g}")
 
 
 @dataclass(frozen=True)
@@ -164,15 +179,18 @@ def alias_equivalent(constructed: CaseId, classified: CaseId) -> bool:
 # Extraction helpers.
 # ---------------------------------------------------------------------------
 
-def _is_zero(v: np.ndarray, tol: float) -> bool:
-    return bool(np.all(np.abs(v) <= tol))
+# _is_zero and _vanishes_on test one table, or each row of a stack of tables
+# whose last axis runs over the elements.
+
+def _is_zero(v: np.ndarray, tol: float) -> np.ndarray:
+    return np.all(np.abs(v) <= tol, axis=-1)
 
 
-def _vanishes_on(v: np.ndarray, idx, tol: float) -> bool:
+def _vanishes_on(v: np.ndarray, idx, tol: float) -> np.ndarray:
     idx = sorted(idx)
     if not idx:
-        return True
-    return bool(np.max(np.abs(v[idx])) <= tol)
+        return np.ones(v.shape[:-1], dtype=bool)
+    return np.max(np.abs(v[..., idx]), axis=-1) <= tol
 
 
 def _coords2(h: np.ndarray, u: np.ndarray, v: np.ndarray,
@@ -223,15 +241,98 @@ def _extract_piece(S: FiniteSemigroup, chi: MultChar, piece: np.ndarray,
     return A, rho
 
 
+@dataclass(frozen=True)
+class _Step:
+    """A leading step of a walk.  Where every test holds, the walk attempts
+    `case`, whose record has a form (see :class:`addlaws.families.CaseSpec`).
+    It answers with the outcome when `final` and moves on after a miss
+    otherwise.  Each test is called as test(f, g, alpha, sq, tol)."""
+
+    case: CaseId
+    final: bool
+    tests: tuple
+
+
+def _f_zero(f, g, alpha, sq, tol):
+    return _is_zero(f, tol)
+
+
+def _g_zero(f, g, alpha, sq, tol):
+    return _is_zero(g, tol)
+
+
+def _f_nonzero(f, g, alpha, sq, tol):
+    return ~_is_zero(f, tol)
+
+
+def _f_on_square(f, g, alpha, sq, tol):
+    """f vanishes on S^2."""
+    return _vanishes_on(f, sq, tol)
+
+
+def _g_on_square(f, g, alpha, sq, tol):
+    return _vanishes_on(g, sq, tol)
+
+
+def _g_twice_f(f, g, alpha, sq, tol):
+    return np.max(np.abs(g - 2 * f), axis=-1) <= tol
+
+
+def _skew_zero(f, g, alpha, sq, tol):
+    """F = f/alpha - g vanishes."""
+    return _is_zero(f / complex(alpha) - g, tol)
+
+
+#: The leading steps of each walk, in walk order, read by the per-pair
+#: walks (:meth:`_Session.lead`, which stops at a step's first failing
+#: test and runs each test once) and by the batch masks
+#: (:func:`classify_rows`) alike.  alpha-sym walks cos-sine-g's steps on
+#: its reduced pair.
+LEADING_STEPS = {
+    "cos-sub": (_Step(CaseId("cos-sub", 1), True, (_f_zero, _g_zero)),),
+    "sine-add": (
+        _Step(CaseId("sine-add", 1), True, (_f_zero,)),
+        _Step(CaseId("sine-add", 2), False, (_g_zero, _f_on_square)),
+    ),
+    "cos-sine-g": (
+        _Step(CaseId("cos-sine-g", 1), True, (_f_zero, _g_zero)),
+        _Step(CaseId("cos-sine-g", 2), False,
+              (_f_on_square, _f_nonzero, _g_zero)),
+        _Step(CaseId("cos-sine-g", 3), False,
+              (_f_on_square, _f_nonzero, _g_twice_f)),
+    ),
+    "alpha-skew": (
+        _Step(CaseId("alpha-skew", 1), True, (_skew_zero,)),
+        _Step(CaseId("alpha-skew", 3), False, (_g_zero,)),
+        _Step(CaseId("alpha-skew", 2), False, (_f_zero, _g_on_square)),
+    ),
+}
+
+
+def _form_free(case: CaseId, f, g):
+    """The table a form case keeps as it is, which is its free table."""
+    form = CASES[case.equation][case.case - 1].form
+    return f if form[0] == 1 else g if form[1] == 1 else None
+
+
+def _form_params(case: CaseId, f: FnTable, g: FnTable,
+                 alpha) -> CaseParams:
+    """The parameters that rebuild (f, g) as the form case `case`."""
+    spec = CASES[case.equation][case.case - 1]
+    return CaseParams(alpha=alpha if "alpha" in spec.fields else None,
+                      free=_form_free(case, f, g))
+
+
 class _Session:
     """One classification run; collects failed attempts for diagnostics."""
 
     def __init__(self, equation: str, f: FnTable, g: FnTable,
-                 S: FiniteSemigroup, chars, tol: float):
+                 S: FiniteSemigroup, chars, tol: float, alpha=None):
         self.equation = equation
         self.f, self.g, self.S = f, g, S
         self.chars = chars
         self.tol = tol
+        self.alpha = alpha
         self.attempts: list[str] = []
         self.evens = [c for c in chars if c.even]
         self.nonevens = [c for c in chars if not c.even]
@@ -245,6 +346,23 @@ class _Session:
             gc = _coords2(self.g.values, c1.values, c2.values, self.tol)
             if fc is not None and gc is not None:
                 yield c1, c2, fc, gc
+
+    def lead(self) -> tuple[bool, ClassifiedSolution | None]:
+        """Run the walk's leading steps: (answered, hit)."""
+        args = (self.f.values, self.g.values, self.alpha, self.sq, self.tol)
+        known = {}
+        for step in LEADING_STEPS[self.equation]:
+            for test in step.tests:
+                if test not in known:
+                    known[test] = test(*args)
+                if not known[test]:
+                    break
+            else:
+                hit = self.attempt(step.case, _form_params(
+                    step.case, self.f, self.g, self.alpha))
+                if hit or step.final:
+                    return True, hit
+        return False, None
 
     def attempt(self, case: CaseId,
                 params: CaseParams) -> ClassifiedSolution | None:
@@ -275,8 +393,9 @@ class _Session:
 def _classify_cos_sub(s: _Session):
     f, g, S, tol = s.f, s.g, s.S, s.tol
     fv, gv = f.values, g.values
-    if _is_zero(fv, tol) and _is_zero(gv, tol):
-        return s.attempt(CaseId("cos-sub", 1), CaseParams())
+    answered, hit = s.lead()
+    if answered:
+        return hit
     # g non-zero but vanishing on the square: f = c g with c^2 = -1.
     if not _is_zero(gv, tol) and _vanishes_on(gv, s.sq, tol):
         lam = _ratio(fv, gv, tol)
@@ -343,12 +462,9 @@ def _classify_cos_sub(s: _Session):
 def _classify_sine_add(s: _Session):
     f, g, S, tol = s.f, s.g, s.S, s.tol
     fv, gv = f.values, g.values
-    if _is_zero(fv, tol):
-        return s.attempt(CaseId("sine-add", 1), CaseParams(free=g))
-    if _is_zero(gv, tol) and _vanishes_on(fv, s.sq, tol):
-        hit = s.attempt(CaseId("sine-add", 2), CaseParams(free=f))
-        if hit:
-            return hit
+    answered, hit = s.lead()
+    if answered:
+        return hit
     verdict = linear_dependence(f, g, tol)
     lam = None
     if verdict.kind == "f-of-g" and abs(verdict.coefficient) > tol:
@@ -391,17 +507,9 @@ def _classify_sine_add(s: _Session):
 def _classify_cos_sine_g(s: _Session):
     f, g, S, tol = s.f, s.g, s.S, s.tol
     fv, gv = f.values, g.values
-    if _is_zero(fv, tol) and _is_zero(gv, tol):
-        return s.attempt(CaseId("cos-sine-g", 1), CaseParams())
-    if not _is_zero(fv, tol) and _vanishes_on(fv, s.sq, tol):
-        if _is_zero(gv, tol):
-            hit = s.attempt(CaseId("cos-sine-g", 2), CaseParams(free=f))
-            if hit:
-                return hit
-        if np.max(np.abs(gv - 2 * fv)) <= tol:
-            hit = s.attempt(CaseId("cos-sine-g", 3), CaseParams(free=f))
-            if hit:
-                return hit
+    answered, hit = s.lead()
+    if answered:
+        return hit
     verdict = linear_dependence(f, g, tol)
     lam = None
     if verdict.kind == "f-of-g":
@@ -472,14 +580,9 @@ def _classify_alpha_sym(s: _Session, alpha: complex):
     if hit is None:
         return None
     k, params = hit.case.case, hit.params
-    if k == 1:
-        return s.attempt(CaseId("alpha-sym", 1), CaseParams(alpha=alpha))
-    if k == 2:
-        return s.attempt(CaseId("alpha-sym", 2),
-                         CaseParams(alpha=alpha, free=f))
-    if k == 3:
-        return s.attempt(CaseId("alpha-sym", 3),
-                         CaseParams(alpha=alpha, free=g))
+    if CASES["alpha-sym"][k - 1].form is not None:
+        case = CaseId("alpha-sym", k)
+        return s.attempt(case, _form_params(case, f, g, alpha))
     translated = CaseParams(alpha=alpha, chi=params.chi, chi1=params.chi1,
                             chi2=params.chi2, A=params.A, rho=params.rho,
                             beta=params.beta, c1=params.c1)
@@ -489,20 +592,10 @@ def _classify_alpha_sym(s: _Session, alpha: complex):
 def _classify_alpha_skew(s: _Session, alpha: complex):
     f, g, S, tol = s.f, s.g, s.S, s.tol
     fv, gv = f.values, g.values
+    answered, hit = s.lead()
+    if answered:
+        return hit
     Fv = fv / complex(alpha) - gv
-    if _is_zero(Fv, tol):
-        return s.attempt(CaseId("alpha-skew", 1),
-                         CaseParams(alpha=alpha, free=g))
-    if _is_zero(gv, tol):
-        hit = s.attempt(CaseId("alpha-skew", 3),
-                        CaseParams(alpha=alpha, free=f))
-        if hit:
-            return hit
-    if _is_zero(fv, tol) and _vanishes_on(gv, s.sq, tol):
-        hit = s.attempt(CaseId("alpha-skew", 2),
-                        CaseParams(alpha=alpha, free=g))
-        if hit:
-            return hit
     verdict = linear_dependence(f, g, tol)
     lam = None                               # g = lam f
     if verdict.kind == "g-of-f":
@@ -570,6 +663,61 @@ def _extract_alpha(equation: str, f: FnTable, g: FnTable,
     return complex(np.vdot(gxy, target) / den)
 
 
+def _attempt_rows(case: CaseId, F: np.ndarray, G: np.ndarray,
+                  S: FiniteSemigroup, alpha, tol: float) -> np.ndarray:
+    """:meth:`_Session.attempt` of a form case on each row of (F, G):
+    which rows it accepts."""
+    ok, fc, gc = construct_rows(case, S, _form_free(case, F, G), alpha,
+                                len(F))
+    dev = np.maximum(np.abs(F - fc).max(axis=-1),
+                     np.abs(G - gc).max(axis=-1))
+    return ok & ~(dev > tol)
+
+
+def classify_rows(equation: str, F: np.ndarray, G: np.ndarray,
+                  S: FiniteSemigroup, alpha: complex | None = None,
+                  tol: float = EPS) -> np.ndarray:
+    """The front of :func:`classify` for a stack of pairs (rows of F, G).
+
+    Every row's residual is checked as `classify` checks it, and the first
+    row that fails raises the same :class:`NotASolutionError`.  Then the
+    leading steps of the equation's walk run as masks over the rows.  A
+    step settles a row only where the walk would answer there with a hit:
+    the step applies, no earlier step did, and the case's batched
+    construct-and-compare accepts the row.  Returns the settled case number
+    of each row, or 0 where the row is left to `classify`: no step applies,
+    or a step applies and its attempt misses, which the walk logs.  The
+    alpha equations need `alpha`.
+    """
+    binding = {"f": F, "g": G}
+    if alpha is not None:
+        binding["a"] = complex(alpha)
+    residual = residual_rows(builtin(equation), binding, S)
+    bad = np.flatnonzero(~(residual <= tol))
+    if bad.size:
+        raise _not_a_solution(equation, float(residual[bad[0]]))
+    sq = sorted(square_set(S))
+    walk, Fw = equation, F
+    if equation == "alpha-sym":            # the walk of reduce_alpha_sym
+        walk, Fw = "cos-sine-g", (G - F / complex(alpha)) / 2
+    case = np.zeros(len(F), dtype=np.intp)
+    open_rows = np.ones(len(F), dtype=bool)
+    for step in LEADING_STEPS[walk]:
+        applies = open_rows.copy()
+        for test in step.tests:
+            applies &= test(Fw, G, alpha, sq, tol)
+        rows = np.flatnonzero(applies)
+        if not rows.size:
+            continue
+        open_rows[rows] = False
+        hit = _attempt_rows(step.case, Fw[rows], G[rows], S, alpha, tol)
+        if walk != equation:
+            hit &= _attempt_rows(CaseId(equation, step.case.case), F[rows],
+                                 G[rows], S, alpha, tol)
+        case[rows[hit]] = step.case.case
+    return case
+
+
 def classify(equation: str, f: FnTable, g: FnTable, S: FiniteSemigroup,
              sigma=None, alpha: complex | None = None, chars=None,
              tol: float = EPS):
@@ -599,12 +747,11 @@ def classify(equation: str, f: FnTable, g: FnTable, S: FiniteSemigroup,
         binding["a"] = complex(alpha)
     residual = evaluate_residual(builtin(equation), binding, S)
     if not residual <= tol:                 # a NaN residual is no solution
-        raise NotASolutionError(
-            f"(f, g) does not solve {equation}: residual {residual:.3g}")
+        raise _not_a_solution(equation, residual)
 
     if chars is None:
         chars = enumerate_characters(S)
-    session = _Session(equation, f, g, S, chars, tol)
+    session = _Session(equation, f, g, S, chars, tol, binding.get("a"))
     if equation == "cos-sub":
         hit = _classify_cos_sub(session)
     elif equation == "sine-add":

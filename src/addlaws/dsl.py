@@ -327,12 +327,18 @@ def _window_indices(window: Iterable, n: int) -> np.ndarray:
 
 
 def _bound_values(name: str, fn, n: int) -> np.ndarray:
-    """The value table of one bound function symbol on a carrier of size n."""
+    """The value table of one bound function symbol on a carrier of size n.
+
+    An array's last axis runs over the elements; leading axes are rows.
+    """
     if isinstance(fn, FnTable) and fn.values is not None:
-        if len(fn.values) != n:
-            raise ValueError(f"table bound to {name!r} has "
-                             f"{len(fn.values)} values but |S| = {n}")
-        return fn.values
+        fn = fn.values
+    if isinstance(fn, np.ndarray):
+        if fn.shape[-1:] != (n,):
+            got = fn.shape[-1] if fn.ndim else 0
+            raise ValueError(f"table bound to {name!r} has {got} values "
+                             f"but |S| = {n}")
+        return fn
     return np.array([complex(fn(e)) for e in range(n)], dtype=np.complex128)
 
 
@@ -378,14 +384,18 @@ class _Kernel:
                                    range(first, len(rows))))
         self.index = np.array(rows)
 
-    def residual(self, binding: dict) -> float:
-        """max |LHS - RHS|: each term's factors multiplied in AST order,
-        the terms summed in AST order."""
-        if self.index.shape[1] == 0:
-            return 0.0
+    def residuals(self, binding: dict) -> np.ndarray:
+        """max |LHS - RHS| per row of the bound tables: each term's factors
+        multiplied in AST order, the terms summed in AST order.  Stacked
+        tables (equal leading axes) give one residual per row; plain
+        tables give one scalar."""
         tables = np.concatenate([_bound_values(name, binding[name], self.n)
-                                 for name in self.fns])
-        gathered = tables[self.index]
+                                 for name in self.fns], axis=-1)
+        if self.index.shape[1] == 0:
+            return np.zeros(tables.shape[:-1])
+        # With the element axis first (tables.T), gathered[r] is application
+        # r over (assignment, rows...), and .T restores the rows' order.
+        gathered = tables.T[self.index]
         total = None
         for negated, coeff, rows in self.terms:
             value = gathered[rows[0]]
@@ -399,7 +409,7 @@ class _Kernel:
                 total = total - value
             else:
                 total = total + value
-        return float(np.abs(total).max())
+        return np.abs(total).max(axis=0).T
 
 
 #: Compiled kernels a carrier keeps before its memo is cleared.
@@ -438,9 +448,22 @@ def evaluate_residual(ast: Equation, binding: dict, S,
     """
     if isinstance(S, WindowedSemigroup):
         return _interpreted_residual(ast, binding, S, window)
+    return float(residual_rows(ast, binding, S, window))
+
+
+def residual_rows(ast: Equation, binding: dict, S: FiniteSemigroup,
+                  window: Iterable | None = None) -> np.ndarray:
+    """`evaluate_residual` on a finite carrier for stacks of tables.
+
+    Each function symbol may be bound to an array whose last axis runs
+    over the elements of S; its leading axes are rows, and the result holds
+    one residual per row.  Row by row the floats are the ones
+    `evaluate_residual` gives for that row's tables, which is this function
+    on one row.
+    """
     kernel = _kernel(ast, S, window)
     _check_binding(kernel.fns, kernel.uses_a, binding)
-    return kernel.residual(binding)
+    return kernel.residuals(binding)
 
 
 def _interpreted_residual(ast: Equation, binding: dict, S: WindowedSemigroup,

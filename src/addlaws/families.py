@@ -10,12 +10,15 @@ and a rho function on the prime part.
 :data:`CASES` holds one :class:`CaseSpec` record per published case: its
 required parameter fields, its branches, whether a phi table may replace
 (A, rho), the kind of parameter menu it draws from, and each constant's
-clause and sampling pool in draw order.  ``EQUATION_IDS``, ``CASE_COUNTS``,
-``BRANCHES`` and ``ALPHA_EQUATIONS`` are derived from it.  The formulas
-stay in one builder per equation: :func:`construct` checks the record's
-fields and builds the (f, g) pair of one case from validated parameters;
-:func:`admissible_params` reports which cases a concrete finite carrier
-supports and draws random admissible parameters for them.
+clause and sampling pool in draw order, and, for the zero pair and the
+cases built from one free table alone, the pair's form.  ``EQUATION_IDS``,
+``CASE_COUNTS``, ``BRANCHES`` and ``ALPHA_EQUATIONS`` are derived from it.
+The other formulas stay in one builder per equation: :func:`construct`
+checks the record's fields and builds the (f, g) pair of one case from
+validated parameters, and :func:`construct_rows` builds a form case for a
+whole stack of free tables at once; :func:`admissible_params` reports which
+cases a concrete finite carrier supports and draws random admissible
+parameters for them.
 """
 
 from __future__ import annotations
@@ -54,6 +57,9 @@ class CaseSpec:
     "noneven", "noneven-up-to-conj" (one of each chi, chi* pair),
     "piecewise-even" or "piecewise-odd" (an even chi with A and rho of that
     parity).  `constants` lists (name, clause, sampling pool) in draw order.
+    `form`, when set, is the pair (f, g) as two factors of the free table:
+    None is the zero table, 1 the free table itself, and a number or
+    "alpha" that multiple of it.
     """
 
     fields: frozenset
@@ -61,13 +67,16 @@ class CaseSpec:
     constants: tuple
     branches: tuple
     phi: bool
+    form: tuple | None
 
 
 def _case(fields: str, menu: str = "none", *constants,
-          branches: tuple = (), phi: bool = False) -> CaseSpec:
+          branches: tuple = (), phi: bool = False,
+          form: tuple | None = None) -> CaseSpec:
     """A record whose required CaseParams fields are named in `fields`;
     `phi` lets a phi table replace the (A, rho) pair."""
-    return CaseSpec(frozenset(fields.split()), menu, constants, branches, phi)
+    return CaseSpec(frozenset(fields.split()), menu, constants, branches, phi,
+                    form)
 
 
 def _near(a: complex, b: complex) -> bool:
@@ -86,10 +95,12 @@ def _with_alpha(spec: CaseSpec) -> CaseSpec:
                    + spec.constants)
 
 
+_ZERO = (None, None)           # the form of the zero pair
+
 _COS_SINE_G = (
-    _case(""),
-    _case("free", "free-vanishing"),
-    _case("free", "free-vanishing"),
+    _case("", form=_ZERO),
+    _case("free", "free-vanishing", form=(1, None)),
+    _case("free", "free-vanishing", form=(1, 2)),
     _case("chi beta", "even",
           ("beta", "beta not in {0, 1/2}", _avoiding(0.5))),
     _case("chi1 chi2 c1", "even-pair",
@@ -103,7 +114,7 @@ _COS_SINE_G = (
 #: maps onto cos-sine-g case by case, so it shares that list plus alpha.
 CASES = {
     "cos-sub": (
-        _case(""),
+        _case("", form=_ZERO),
         _case("free c", "free-vanishing", ("c", "c in {i, -i}", (1j, -1j))),
         _case("chi alpha", "even",
               ("alpha", "alpha not in {i, -i} (alpha = 0 gives f = 0)",
@@ -114,18 +125,20 @@ CASES = {
         _case("chi", "noneven"),
     ),
     "sine-add": (
-        _case("free", "free-arbitrary"),
-        _case("free", "free-vanishing"),
+        _case("free", "free-arbitrary", form=(None, 1)),
+        _case("free", "free-vanishing", form=(1, None)),
         _case("chi alpha", "even", ("alpha", "alpha != 0", SAMPLE_POOL)),
         _case("chi1 chi2 c", "even-pair", ("c", "c != 0", SAMPLE_POOL)),
         _case("chi A rho", "piecewise-even"),
     ),
     "cos-sine-g": _COS_SINE_G,
-    "alpha-sym": tuple(map(_with_alpha, _COS_SINE_G)),
+    # Case 3 keeps g as its free table where cos-sine-g builds (f, 2f).
+    "alpha-sym": tuple(map(_with_alpha, _COS_SINE_G[:2] + (
+        replace(_COS_SINE_G[2], form=(None, 1)),) + _COS_SINE_G[3:])),
     "alpha-skew": tuple(map(_with_alpha, (
-        _case("free", "free-arbitrary"),
-        _case("free", "free-vanishing"),
-        _case("free", "free-vanishing"),
+        _case("free", "free-arbitrary", form=("alpha", 1)),
+        _case("free", "free-vanishing", form=(None, 1)),
+        _case("free", "free-vanishing", form=(1, None)),
         _case("free c", "free-vanishing",
               ("c", "c not in {0, -1}", _avoiding(-1))),
         _case("chi c1 c2", "noneven-up-to-conj",
@@ -330,13 +343,20 @@ def _check_alpha(alpha) -> None:
     _require(not _near(alpha, 0), "alpha = 0")
 
 
-def _check_free_vanishing(S, h: FnTable) -> None:
-    _require(_finite(S), "free-function cases need a finite carrier")
-    _require(not h.is_zero(), "free function is zero")
+def _free_vanishing_clauses(S, values: np.ndarray):
+    """Each free-vanishing clause with where it fails: a bool over the
+    leading axes of `values`, whose last axis runs over the elements."""
+    yield "free function is zero", np.all(np.abs(values) <= EPS, axis=-1)
     sq = sorted(square_set(S))
     if sq:
-        _require(float(np.max(np.abs(h.values[sq]))) <= EPS,
-                 "free function does not vanish on S^2")
+        yield ("free function does not vanish on S^2",
+               ~(np.max(np.abs(values[..., sq]), axis=-1) <= EPS))
+
+
+def _check_free_vanishing(S, h: FnTable) -> None:
+    _require(_finite(S), "free-function cases need a finite carrier")
+    for clause, fails in _free_vanishing_clauses(S, h.values):
+        _require(not fails, clause)
 
 
 def _check_additive(S, chi, A: AdditiveFn, parity: str) -> None:
@@ -387,13 +407,12 @@ def _max_parity_dev(h: FnTable, S) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Case builders.  Each returns the unlabeled (f, g) pair.
+# Case builders.  Each returns the unlabeled (f, g) pair of a case whose
+# record has no form.
 # ---------------------------------------------------------------------------
 
 def _cos_sub(case: CaseId, p: CaseParams, S):
     k = case.case
-    if k == 1:
-        return _zero_fn(S), _zero_fn(S)
     if k == 2:
         _require(any(_near(p.c, v) for v in (1j, -1j)), "c not in {i, -i}")
         _check_free_vanishing(S, p.free)
@@ -434,11 +453,6 @@ def _cos_sub(case: CaseId, p: CaseParams, S):
 
 def _sine_add(case: CaseId, p: CaseParams, S):
     k = case.case
-    if k == 1:
-        return _zero_fn(S), p.free
-    if k == 2:
-        _check_free_vanishing(S, p.free)
-        return p.free, _zero_fn(S)
     if k == 3:
         _check_even_char(p.chi)
         _check_alpha(p.alpha)
@@ -459,14 +473,6 @@ def _sine_add(case: CaseId, p: CaseParams, S):
 
 def _cos_sine_g(case: CaseId, p: CaseParams, S):
     k = case.case
-    if k == 1:
-        return _zero_fn(S), _zero_fn(S)
-    if k == 2:
-        _check_free_vanishing(S, p.free)
-        return p.free, _zero_fn(S)
-    if k == 3:
-        _check_free_vanishing(S, p.free)
-        return p.free, _scale(p.free, 2)
     if k == 4:
         _check_even_char(p.chi)
         _require(not any(_near(p.beta, v) for v in (0, 0.5)),
@@ -506,14 +512,6 @@ def _alpha_sym(case: CaseId, p: CaseParams, S):
     _check_alpha(p.alpha)
     a = complex(p.alpha)
     k = case.case
-    if k == 1:
-        return _zero_fn(S), _zero_fn(S)
-    if k == 2:
-        _check_free_vanishing(S, p.free)
-        return p.free, _zero_fn(S)
-    if k == 3:
-        _check_free_vanishing(S, p.free)
-        return _zero_fn(S), p.free
     # Cases 4..8 come from the cos-sine-g tables (fE, gE) of the same case
     # number through f = alpha (gE - 2 fE), g = gE.
     fe, ge = _cos_sine_g(CaseId("cos-sine-g", k, case.branch), p, S)
@@ -525,14 +523,6 @@ def _alpha_skew(case: CaseId, p: CaseParams, S):
     _check_alpha(p.alpha)
     a = complex(p.alpha)
     k = case.case
-    if k == 1:
-        return _scale(p.free, a), p.free
-    if k == 2:
-        _check_free_vanishing(S, p.free)
-        return _zero_fn(S), p.free
-    if k == 3:
-        _check_free_vanishing(S, p.free)
-        return p.free, _zero_fn(S)
     if k == 4:
         _require(not any(_near(p.c, v) for v in (0, -1)), "c in {0, -1}")
         _check_free_vanishing(S, p.free)
@@ -561,16 +551,78 @@ _BUILDERS = {"cos-sub": _cos_sub, "sine-add": _sine_add,
              "alpha-skew": _alpha_skew}
 
 
+def _form_checks(spec: CaseSpec, alpha) -> None:
+    """The checks of a form case that do not depend on its free table."""
+    if "alpha" in spec.fields:
+        _check_alpha(alpha)
+
+
+def _form_table(S, factor, free: FnTable | None, alpha) -> FnTable:
+    if factor is None:
+        return _zero_fn(S)
+    if factor == 1:
+        return free
+    return _scale(free, alpha if factor == "alpha" else factor)
+
+
+def _form_rows(factor, free: np.ndarray | None, alpha, shape) -> np.ndarray:
+    if factor is None:
+        return np.zeros(shape, dtype=np.complex128)
+    if factor == 1:
+        return free
+    return complex(alpha if factor == "alpha" else factor) * free
+
+
+def _labelled(h: FnTable, label: str, params: CaseParams) -> FnTable:
+    if h is params.free or h is params.phi:
+        h = (FnTable(h.domain, values=h.values) if h.finite
+             else FnTable(h.domain, formula=h.formula))
+    h.label = label
+    return h
+
+
 def construct(case: CaseId, params: CaseParams, S):
-    """Build the (f, g) tables of one solution case.
+    """Build the (f, g) tables of one solution case, labelled "f" and "g".
 
     Raises :class:`ConstraintError` naming the violated clause when the
-    parameters do not satisfy the case's side constraints.
+    parameters do not satisfy the case's side constraints.  Where the pair
+    hands back the caller's own `free` or `phi` table, it comes as a new
+    FnTable sharing that table's read-only values (or formula); the
+    caller's table keeps its label.
     """
     _check_fields(case, params)
-    f, g = _BUILDERS[case.equation](case, params, S)
-    f.label, g.label = "f", "g"
-    return f, g
+    spec = _spec(case)
+    if spec.form is None:
+        f, g = _BUILDERS[case.equation](case, params, S)
+    else:
+        _form_checks(spec, params.alpha)
+        if spec.menu == "free-vanishing":
+            _check_free_vanishing(S, params.free)
+        f, g = (_form_table(S, u, params.free, params.alpha)
+                for u in spec.form)
+    return _labelled(f, "f", params), _labelled(g, "g", params)
+
+
+def construct_rows(case: CaseId, S: FiniteSemigroup, free=None,
+                   alpha=None, rows: int = 1):
+    """`construct` of a form case for a stack of free tables.
+
+    `free` is an array of shape (rows, |S|), or None for the zero pair.
+    Returns (ok, f, g): the rows whose parameters pass every check of
+    :func:`construct`, and the (rows, |S|) value stacks it builds, float
+    for float.
+    """
+    spec = _spec(case)
+    ok = np.ones(rows, dtype=bool)
+    try:
+        _form_checks(spec, alpha)
+    except ConstraintError:
+        ok[:] = False
+    if spec.menu == "free-vanishing":
+        for _, fails in _free_vanishing_clauses(S, free):
+            ok &= ~fails
+    f, g = (_form_rows(u, free, alpha, (rows, S.n)) for u in spec.form)
+    return ok, f, g
 
 
 def zero_additive(S: FiniteSemigroup, chi, parity: str = "even") -> AdditiveFn:

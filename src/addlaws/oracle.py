@@ -13,22 +13,33 @@ exactly when every site residual is within the tolerance, which is the same
 test, on the same float expression, as checking every one of the
 |alphabet|^(2n) candidate pairs, without visiting the pairs that an early
 site already rules out.  Survivors are sorted into canonical
-(f-index, g-index) order.
+(f-index, g-index) order and come back as a :class:`GridSolutions`, whose
+value stacks hold one row per solution.  The search never calls the
+classifier, so it stays an independent check of it.
+
+A coverage report classifies each equation's stacks in chunks of rows.
+:func:`addlaws.classify.classify_rows` re-checks every row's residual and
+settles, with vectorised masks, the rows that the leading steps of the
+classification walk answer with a hit: the zero pair, f = 0, F = f/alpha -
+g = 0, and the free tables vanishing on S^2.  Only the rows it leaves
+become FnTables and go through :func:`addlaws.classify.classify`, in grid
+order, so the report is byte-identical to classifying every pair.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+from collections.abc import Sequence
 
 import numpy as np
 
 from .characters import enumerate_characters
-from .classify import Unclassified, classify
+from .classify import Unclassified, classify, classify_rows
 from .core import EPS, FiniteSemigroup, FnTable, cnum
 from .dsl import builtin, evaluate_residual
-from .families import (ALPHA_EQUATIONS, EQUATION_IDS, admissible_params,
-                       all_case_ids, construct)
+from .families import (ALPHA_EQUATIONS, EQUATION_IDS, CaseId,
+                       admissible_params, all_case_ids, construct)
 
 #: Grid alphabet used throughout the acceptance runs: zero, the units,
 #: the square roots of -1, and the half/double ring.
@@ -39,6 +50,12 @@ PAIR_BUDGET = 10 ** 8
 #: Most partial assignments one numpy pass of the join evaluates, so memory
 #: stays bounded even where a loose tolerance prunes little.
 BLOCK = 1 << 20
+
+#: Coverage reports classify solutions in chunks of BLOCK // (ROW_SPREAD
+#: |S|^2) rows: a row's residual gather holds one value per function
+#: application and variable assignment, up to 6 |S|^2 for the built-ins,
+#: and the term products several more of |S|^2 each.
+ROW_SPREAD = 64
 
 
 class BudgetError(RuntimeError):
@@ -115,10 +132,35 @@ def _site_residual(equation: str, fx, fy, fp, gx, gy, gp,
     raise KeyError(f"unknown equation id {equation!r}")
 
 
+class GridSolutions(Sequence):
+    """The solutions of one grid search, as read-only value stacks.
+
+    ``f`` and ``g`` have shape (k, |S|): row i holds the values of the i-th
+    solution.  Item i is that pair as two FnTables labelled "f" and "g",
+    built when it is read; a slice is a GridSolutions over those rows.
+    """
+
+    __slots__ = ("S", "f", "g")
+
+    def __init__(self, S: FiniteSemigroup, f: np.ndarray, g: np.ndarray):
+        f.setflags(write=False)
+        g.setflags(write=False)
+        self.S, self.f, self.g = S, f, g
+
+    def __len__(self) -> int:
+        return len(self.f)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return GridSolutions(self.S, self.f[i], self.g[i])
+        return (FnTable(self.S, values=self.f[i], label="f"),
+                FnTable(self.S, values=self.g[i], label="g"))
+
+
 def grid_solutions(equation: str, S: FiniteSemigroup,
                    alphabet=DEFAULT_ALPHABET, alpha: complex | None = None,
                    tol: float = EPS, budget: int = PAIR_BUDGET
-                   ) -> list[tuple[FnTable, FnTable]]:
+                   ) -> GridSolutions:
     """Every (f, g) over the alphabet grid solving the equation on S.
 
     Results come in canonical (f-index, g-index) order.  Raises
@@ -141,9 +183,9 @@ def grid_solutions(equation: str, S: FiniteSemigroup,
     Gd = np.zeros((1, 0), dtype=digit)
     new_f, new_g = vals[:, None], vals[None, :]
     rows = max(1, BLOCK // (m * m))
+    # 0 is in the alphabet and the zero pair solves every built-in
+    # equation, so the frontier never empties.
     for j in range(n):
-        if len(Fd) == 0:
-            return []
         grown_f, grown_g = [], []
         for r0 in range(0, len(Fd), rows):
             fc, gc = Fd[r0:r0 + rows], Gd[r0:r0 + rows]
@@ -161,9 +203,7 @@ def grid_solutions(equation: str, S: FiniteSemigroup,
         Fd, Gd = np.concatenate(grown_f), np.concatenate(grown_g)
     # Lexicographic digit order, element 0 first, f before g.
     order = np.lexsort(np.hstack([Fd, Gd])[:, ::-1].T)
-    return [(FnTable(S, values=fv, label="f"),
-             FnTable(S, values=gv, label="g"))
-            for fv, gv in zip(vals[Fd[order]], vals[Gd[order]])]
+    return GridSolutions(S, vals[Fd[order]], vals[Gd[order]])
 
 
 def coverage_report(S: FiniteSemigroup, alphabet=DEFAULT_ALPHABET,
@@ -176,6 +216,12 @@ def coverage_report(S: FiniteSemigroup, alphabet=DEFAULT_ALPHABET,
     anything unclassified.  The payload is deterministic: identical
     inputs give byte-identical JSON.  Every requested scan is checked
     before any work starts.
+
+    Each equation's solutions are classified as whole stacks, in chunks of
+    rows: :func:`addlaws.classify.classify_rows` re-checks their residuals
+    and settles the rows that the leading steps of the walk answer with a
+    hit, and only the rows left over become FnTables and go through
+    :func:`addlaws.classify.classify`, in their grid order.
     """
     values = validate_alphabet(alphabet)
     equations = list(equations or EQUATION_IDS)
@@ -184,6 +230,7 @@ def coverage_report(S: FiniteSemigroup, alphabet=DEFAULT_ALPHABET,
                     tol, budget)
     chars = enumerate_characters(S)
     scanned = (len(values) ** S.n) ** 2
+    chunk = max(1, BLOCK // (ROW_SPREAD * S.n ** 2))
     report = {
         "semigroup": S.name,
         "alphabet": [cnum(v) for v in values],
@@ -194,9 +241,15 @@ def coverage_report(S: FiniteSemigroup, alphabet=DEFAULT_ALPHABET,
         a = complex(alpha) if eq in ALPHA_EQUATIONS else None
         pairs = grid_solutions(eq, S, values, alpha=a, tol=tol,
                                budget=budget)
-        cases: dict[str, int] = {}
+        settled = np.concatenate(
+            [classify_rows(eq, pairs.f[r:r + chunk], pairs.g[r:r + chunk],
+                           S, alpha=a, tol=tol)
+             for r in range(0, len(pairs), chunk)])
+        cases = {str(CaseId(eq, int(k))): int(count) for k, count in
+                 zip(*np.unique(settled[settled > 0], return_counts=True))}
         dumps = []
-        for f, g in pairs:
+        for i in np.flatnonzero(settled == 0):
+            f, g = pairs[i]
             hit = classify(eq, f, g, S, alpha=a, chars=chars, tol=tol)
             if isinstance(hit, Unclassified):
                 dumps.append(hit.to_json_dict())

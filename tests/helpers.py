@@ -126,3 +126,43 @@ def reference_grid_pairs(eq_id: str, S, alphabet, alpha=None,
         hits = np.argwhere(np.all(np.abs(R) <= tol, axis=(2, 3)))
         out.extend((int(i) + a0, int(j)) for i, j in hits)
     return out
+
+
+def reference_coverage_report(S, alphabet=None, alpha=1.0, equations=None,
+                              tol: float = TOL) -> dict:
+    """`coverage_report` by the plain per-pair loop.
+
+    Every `grid_solutions` pair goes through `classify`, one at a time, and
+    the report is assembled exactly as `coverage_report` lays it out.
+    """
+    from addlaws.characters import enumerate_characters
+    from addlaws.classify import Unclassified, classify
+    from addlaws.core import cnum
+    from addlaws.families import ALPHA_EQUATIONS, EQUATION_IDS
+    from addlaws.oracle import (DEFAULT_ALPHABET, grid_solutions,
+                                validate_alphabet)
+
+    values = validate_alphabet(DEFAULT_ALPHABET if alphabet is None
+                               else alphabet)
+    chars = enumerate_characters(S)
+    report = {"semigroup": S.name, "alphabet": [cnum(v) for v in values],
+              "alpha": cnum(complex(alpha)), "equations": {}}
+    for eq in list(equations or EQUATION_IDS):
+        a = complex(alpha) if eq in ALPHA_EQUATIONS else None
+        pairs = list(grid_solutions(eq, S, values, alpha=a, tol=tol,
+                                    budget=10 ** 12))
+        cases: dict[str, int] = {}
+        dumps = []
+        for f, g in pairs:
+            hit = classify(eq, f, g, S, alpha=a, chars=chars, tol=tol)
+            if isinstance(hit, Unclassified):
+                dumps.append(hit.to_json_dict())
+            else:
+                cases[str(hit.case)] = cases.get(str(hit.case), 0) + 1
+        report["equations"][eq] = {
+            "pairs_scanned": (len(values) ** S.n) ** 2,
+            "solutions": len(pairs),
+            "cases": dict(sorted(cases.items())),
+            "unclassified": dumps,
+        }
+    return report

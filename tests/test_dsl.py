@@ -275,3 +275,38 @@ def test_kernel_memo_never_hashes_the_ast_and_stays_bounded(monkeypatch):
     for seed in range(KERNEL_MEMO_SIZE + 5):
         evaluate_residual(random_equation(random.Random(seed)), binding, S)
     assert 0 < len(S.kernels) <= KERNEL_MEMO_SIZE
+
+
+@pytest.mark.parametrize("make", [m3, np4, z2xz2], ids=["M3", "NP4", "Z2xZ2"])
+def test_stacked_kernel_rows_equal_the_per_pair_floats(make):
+    """Every row of a stacked residual is the per-pair float, bit for bit.
+
+    Tables come from grid stacks (every 5th solution of each built-in,
+    with h bound to the g rows shifted by one); the residual is compared
+    with `==`, on the built-ins and on the random ASTs above.
+    """
+    S = make()
+    asts = [*map(builtin, BUILTIN_EQUATIONS),
+            *(random_equation(random.Random(seed)) for seed in range(12))]
+    for eq_id in BUILTIN_EQUATIONS:
+        sols = oracle.grid_solutions(eq_id, S)[::5]
+        F, G = sols.f, sols.g
+        H = np.roll(G, 1, axis=0)
+        a = 1.5 + 0.5j
+        for ast in asts:
+            rows = dsl.residual_rows(ast, {"f": F, "g": G, "h": H, "a": a},
+                                     S)
+            assert rows.shape == (len(F),)
+            for k in range(len(F)):
+                binding = {"f": fn(S, F[k]), "g": fn(S, G[k]),
+                           "h": fn(S, H[k]), "a": a}
+                assert rows[k] == evaluate_residual(ast, binding, S)
+
+
+def test_stacked_tables_must_span_the_carrier():
+    S = z3()
+    with pytest.raises(ValueError, match="has 2 values but"):
+        dsl.residual_rows(builtin("sine-add"),
+                          {"f": np.zeros((4, 2)), "g": np.zeros((4, 2))}, S)
+    assert dsl.residual_rows(builtin("sine-add"), {
+        "f": np.zeros((0, 3)), "g": np.zeros((0, 3))}, S).shape == (0,)

@@ -312,3 +312,17 @@ def test_phi_route_matches_additive_route(ex1):
     for x in list(ex1.window)[::7]:
         assert abs(f1(x) - f2(x)) <= TOL
         assert abs(g1(x) - g2(x)) <= TOL
+
+
+def test_construct_never_relabels_or_hands_back_the_callers_table():
+    """A free table passed in comes back wrapped, sharing its values, and
+    keeps its own label."""
+    S = n3()
+    h = fn(S, [0, 1, -1], "h")
+    f, g = construct(CaseId("sine-add", 2), CaseParams(free=h), S)
+    assert f is not h and f.values is h.values and f.label == "f"
+    f2, g2 = construct(CaseId("alpha-skew", 2), CaseParams(alpha=1, free=h),
+                       S)
+    assert g2 is not h and g2.values is h.values and g2.label == "g"
+    assert f.label == "f" and h.label == "h"
+    assert not h.values.flags.writeable
