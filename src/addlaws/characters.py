@@ -8,6 +8,7 @@ conditions that piecewise solution families carry.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
@@ -74,12 +75,34 @@ class MultChar:
         return float(np.max(np.abs(v[S.table] - np.outer(v, v))))
 
     def key(self) -> tuple:
-        return tuple((round(z.real, 12), round(z.imag, 12))
-                     for z in self.values)
+        return _values_key(self.values)
 
     def __repr__(self):
         vals = ", ".join(f"{z:.3g}" for z in self.values)
         return f"MultChar([{vals}], even={self.even})"
+
+
+def _values_key(values) -> tuple:
+    return tuple((round(z.real, 12), round(z.imag, 12)) for z in values)
+
+
+@functools.lru_cache(maxsize=32)
+def conjugate_representatives(chars: tuple) -> tuple:
+    """The first character of each {chi, chi*} pair with chi* != chi, in
+    the order of `chars`.
+
+    `chars` is a tuple so that the list is worked out once per tuple of
+    character objects, however many callers ask for it.
+    """
+    seen, reps = set(), []
+    for chi in chars:
+        if chi.even:
+            continue
+        key = frozenset((chi.key(), _values_key(chi.conj)))
+        if key not in seen:
+            seen.add(key)
+            reps.append(chi)
+    return tuple(reps)
 
 
 class WindowedChar:

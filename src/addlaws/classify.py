@@ -13,8 +13,15 @@ Each walk opens with leading steps whose cases are built from one free
 table alone: both tables zero, f = 0, F = f/alpha - g = 0, and g = 0 or f
 vanishing on S^2.  :data:`LEADING_STEPS` holds them once, for the per-pair
 walks and for :func:`classify_rows`, which runs them as masks over a whole
-stack of pairs.  A mask takes a row only where the walk would answer at
-that step with a hit, checked by one batched construct-and-compare per
+stack of pairs.  Then comes the ratio stage: cos-sub/2 (f = +-i g),
+alpha-skew/4 (g = lambda f) and alpha-skew/5 (F a multiple of
+(chi - chi*)/2), whose tests read a least-squares ratio or the rank
+decision of [f g].  Those tests are row tests too, shared by the walks
+(which run them on a one-row stack) and by :func:`classify_rows`, and the
+ratio and rank decision are computed once, for stacks, with np.vecdot,
+which gives np.vdot's floats row by row.  A mask takes a row only where no
+earlier step applied and no earlier case was attempted, and the walk would
+answer there with a hit, checked by one batched construct-and-compare per
 case that gives the floats and checks of :meth:`_Session.attempt`; every
 other row is left for :func:`classify`.
 """
@@ -26,7 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .characters import AdditiveFn, MultChar, RhoFn, enumerate_characters
+from .characters import (AdditiveFn, MultChar, RhoFn,
+                         conjugate_representatives, enumerate_characters)
 from .core import EPS, FiniteSemigroup, FnTable, cnum, square_set
 from .dsl import builtin, evaluate_residual, residual_rows
 from .families import (CASES, CaseId, CaseParams, ConstraintError, construct,
@@ -91,20 +99,8 @@ def linear_dependence(f: FnTable, g: FnTable,
     column; dependence holds when the residual stays below the pivot
     tolerance in the max norm.
     """
-    fv, gv = f.values, g.values
-    fz = bool(np.all(np.abs(fv) <= tol))
-    gz = bool(np.all(np.abs(gv) <= tol))
-    if fz and gz:
-        return DependenceVerdict("both-zero")
-    if not gz:
-        lam = complex(np.vdot(gv, fv) / np.vdot(gv, gv))
-        if float(np.max(np.abs(fv - lam * gv))) <= tol:
-            return DependenceVerdict("f-of-g", lam)
-    if not fz:
-        mu = complex(np.vdot(fv, gv) / np.vdot(fv, fv))
-        if float(np.max(np.abs(gv - mu * fv))) <= tol:
-            return DependenceVerdict("g-of-f", mu)
-    return DependenceVerdict("independent")
+    (verdict,) = _dependence(f.values[None], g.values[None], tol)
+    return verdict
 
 
 def extract_character(h: FnTable, beta: complex, S: FiniteSemigroup,
@@ -180,17 +176,18 @@ def alias_equivalent(constructed: CaseId, classified: CaseId) -> bool:
 # ---------------------------------------------------------------------------
 
 # _is_zero and _vanishes_on test one table, or each row of a stack of tables
-# whose last axis runs over the elements.
+# whose last axis runs over the elements.  _ratio and _dependence take
+# stacks and return one answer per row, with the floats of one table.
 
 def _is_zero(v: np.ndarray, tol: float) -> np.ndarray:
-    return np.all(np.abs(v) <= tol, axis=-1)
+    return (np.abs(v) <= tol).all(axis=-1)
 
 
 def _vanishes_on(v: np.ndarray, idx, tol: float) -> np.ndarray:
     idx = sorted(idx)
     if not idx:
         return np.ones(v.shape[:-1], dtype=bool)
-    return np.max(np.abs(v[..., idx]), axis=-1) <= tol
+    return np.abs(v[..., idx]).max(axis=-1) <= tol
 
 
 def _coords2(h: np.ndarray, u: np.ndarray, v: np.ndarray,
@@ -203,15 +200,44 @@ def _coords2(h: np.ndarray, u: np.ndarray, v: np.ndarray,
     return complex(sol[0]), complex(sol[1])
 
 
-def _ratio(num: np.ndarray, den: np.ndarray, tol: float) -> complex | None:
-    """Least-squares lambda with num = lambda * den, or None."""
-    nn = complex(np.vdot(den, den))
-    if abs(nn) <= tol:
-        return None
-    lam = complex(np.vdot(den, num) / nn)
-    if float(np.max(np.abs(num - lam * den))) > tol:
-        return None
-    return lam
+def _fit(num: np.ndarray, den: np.ndarray, rows: list):
+    """For each of the rows: <den, den>, the least-squares lambda with
+    num = lambda den, and the max-norm misfit.  np.vecdot gives np.vdot's
+    floats, row by row.  Callers pass rows whose den is not zero, so
+    <den, den> is zero only where its squares underflow."""
+    if not rows:
+        return []
+    if len(rows) < len(num):
+        num, den = num[rows], den[rows]
+    nn = np.vecdot(den, den)
+    lam = np.vecdot(den, num) / nn
+    miss = np.abs(num - lam[:, None] * den).max(axis=-1)
+    return list(zip(rows, nn.tolist(), lam.tolist(), miss.tolist()))
+
+
+def _ratio(num: np.ndarray, den: np.ndarray, tol: float,
+           rows=None) -> list:
+    """Least-squares lambda with num = lambda * den, or None, for each of
+    the rows (default all)."""
+    if rows is None:
+        rows = range(len(num))
+    return [None if abs(n) <= tol or m > tol else lam
+            for _, n, lam, m in _fit(num, den, rows)]
+
+
+def _dependence(f: np.ndarray, g: np.ndarray,
+                tol: float) -> list[DependenceVerdict]:
+    """:func:`linear_dependence` of each row of the stacks f and g."""
+    fz, gz = _is_zero(f, tol).tolist(), _is_zero(g, tol).tolist()
+    out = [DependenceVerdict("both-zero") if a and b else None
+           for a, b in zip(fz, gz)]
+    # f = lambda g where g is non-zero, else g = mu f where f is non-zero.
+    for kind, num, den, zero in (("f-of-g", f, g, gz), ("g-of-f", g, f, fz)):
+        rows = [i for i, v in enumerate(out) if v is None and not zero[i]]
+        for i, _, c, miss in _fit(num, den, rows):
+            if miss <= tol:
+                out[i] = DependenceVerdict(kind, c)
+    return [v or DependenceVerdict("independent") for v in out]
 
 
 def _match_char(chars, values: np.ndarray, tol: float) -> MultChar | None:
@@ -323,6 +349,68 @@ def _form_params(case: CaseId, f: FnTable, g: FnTable,
                       free=_form_free(case, f, g))
 
 
+# The ratio stage: the cases that the walks try next, cos-sub/2, then
+# alpha-skew/4 and alpha-skew/5, as row tests shared by the per-pair walks
+# (on a one-row stack) and by classify_rows.  Each returns the rows where
+# the walk attempts the case, and the constants it attempts them with.
+
+def _keep(rows: np.ndarray, values: list):
+    """The rows whose value is not None, and those values."""
+    keep = [i for i, v in enumerate(values) if v is not None]
+    return rows[keep], [values[i] for i in keep]
+
+
+def _unit_c(lam: complex | None, tol: float) -> complex | None:
+    if lam is None or not min(abs(lam - 1j), abs(lam + 1j)) <= tol:
+        return None
+    return 1j if abs(lam - 1j) <= tol else -1j
+
+
+def _unit_c_rows(f, g, sq, tol):
+    """cos-sub/2: g is non-zero and vanishes on S^2, and f = c g with
+    c in {i, -i}."""
+    rows = np.flatnonzero(_vanishes_on(g, sq, tol))
+    if rows.size:
+        rows = rows[~_is_zero(g[rows], tol)]
+    if not rows.size:
+        return rows, []
+    return _keep(rows, [_unit_c(lam, tol)
+                        for lam in _ratio(f, g, tol, rows.tolist())])
+
+
+def _skew_c(verdict: DependenceVerdict, alpha: complex,
+            tol: float) -> complex | None:
+    lam = None                               # g = lam f
+    if verdict.kind == "g-of-f":
+        lam = verdict.coefficient
+    elif verdict.kind == "f-of-g" and abs(verdict.coefficient) > tol:
+        lam = 1 / verdict.coefficient
+    if lam is not None and abs(lam) > tol and abs(1 - lam * alpha) > tol:
+        return lam * alpha / (1 - lam * alpha)
+    return None
+
+
+def _skew_c_rows(f, g, alpha: complex, tol):
+    """alpha-skew/4: g = lambda f, and c = lambda alpha / (1 - lambda
+    alpha)."""
+    return _keep(np.arange(len(f)), [_skew_c(v, alpha, tol)
+                                     for v in _dependence(f, g, tol)])
+
+
+def _conj_pair_rows(F, g, chi, tol):
+    """alpha-skew/5 with chi: F = f/alpha - g = c1 d with c1 != 0 and
+    g - e = c2 d, for d = (chi - chi*)/2 and e = (chi + chi*)/2."""
+    d = (chi.values - chi.conj) / 2
+    e = (chi.values + chi.conj) / 2
+    d = np.broadcast_to(d, F.shape)
+    c1 = _ratio(F, d, tol)
+    rows = [i for i, c in enumerate(c1) if c is not None and not abs(c) <= tol]
+    c2 = _ratio(g - e, d, tol, rows)
+    return _keep(np.array(rows, dtype=np.intp),
+                 [None if w2 is None else (c1[i], w2)
+                  for i, w2 in zip(rows, c2)])
+
+
 class _Session:
     """One classification run; collects failed attempts for diagnostics."""
 
@@ -397,14 +485,11 @@ def _classify_cos_sub(s: _Session):
     if answered:
         return hit
     # g non-zero but vanishing on the square: f = c g with c^2 = -1.
-    if not _is_zero(gv, tol) and _vanishes_on(gv, s.sq, tol):
-        lam = _ratio(fv, gv, tol)
-        if lam is not None and min(abs(lam - 1j), abs(lam + 1j)) <= tol:
-            c = 1j if abs(lam - 1j) <= tol else -1j
-            hit = s.attempt(CaseId("cos-sub", 2),
-                            CaseParams(free=g, c=c))
-            if hit:
-                return hit
+    _, cs = _unit_c_rows(fv[None], gv[None], s.sq, tol)
+    if cs:
+        hit = s.attempt(CaseId("cos-sub", 2), CaseParams(free=g, c=cs[0]))
+        if hit:
+            return hit
     verdict = linear_dependence(f, g, tol)
     lam = None                               # f = lam g
     if verdict.kind == "f-of-g":
@@ -595,37 +680,20 @@ def _classify_alpha_skew(s: _Session, alpha: complex):
     answered, hit = s.lead()
     if answered:
         return hit
-    Fv = fv / complex(alpha) - gv
-    verdict = linear_dependence(f, g, tol)
-    lam = None                               # g = lam f
-    if verdict.kind == "g-of-f":
-        lam = verdict.coefficient
-    elif verdict.kind == "f-of-g" and abs(verdict.coefficient) > tol:
-        lam = 1 / verdict.coefficient
-    if lam is not None and abs(lam) > tol \
-            and abs(1 - lam * complex(alpha)) > tol:
-        c = lam * complex(alpha) / (1 - lam * complex(alpha))
+    _, cs = _skew_c_rows(fv[None], gv[None], alpha, tol)
+    if cs:
         hit = s.attempt(CaseId("alpha-skew", 4),
-                        CaseParams(alpha=alpha, free=f, c=c))
+                        CaseParams(alpha=alpha, free=f, c=cs[0]))
         if hit:
             return hit
-    # case 5: F is proportional to (chi - chi*)/2 for a non-even character.
-    seen = set()
-    for chi in s.nonevens:
-        key = frozenset((chi.key(),
-                         tuple((round(z.real, 12), round(z.imag, 12))
-                               for z in chi.conj)))
-        if key in seen:
+    # case 5: F is proportional to (chi - chi*)/2 for a non-even character,
+    # one of each conjugate pair.
+    Fv = fv / complex(alpha) - gv
+    for chi in conjugate_representatives(tuple(s.chars)):
+        _, cs = _conj_pair_rows(Fv[None], gv[None], chi, tol)
+        if not cs:
             continue
-        seen.add(key)
-        d = (chi.values - chi.conj) / 2
-        e = (chi.values + chi.conj) / 2
-        c1 = _ratio(Fv, d, tol)
-        if c1 is None or abs(c1) <= tol:
-            continue
-        c2 = _ratio(gv - e, d, tol)
-        if c2 is None:
-            continue
+        c1, c2 = cs[0]
         hit = s.attempt(CaseId("alpha-skew", 5),
                         CaseParams(alpha=alpha, chi=chi, c1=c1, c2=c2))
         if hit:
@@ -636,7 +704,7 @@ def _classify_alpha_skew(s: _Session, alpha: complex):
         if piece is None:
             continue
         A, rho = piece
-        c = _ratio(gv - chi.values, Fv, tol)
+        (c,) = _ratio((gv - chi.values)[None], Fv[None], tol)
         if c is None:
             continue
         hit = s.attempt(CaseId("alpha-skew", 6),
@@ -664,11 +732,12 @@ def _extract_alpha(equation: str, f: FnTable, g: FnTable,
 
 
 def _attempt_rows(case: CaseId, F: np.ndarray, G: np.ndarray,
-                  S: FiniteSemigroup, alpha, tol: float) -> np.ndarray:
-    """:meth:`_Session.attempt` of a form case on each row of (F, G):
-    which rows it accepts."""
-    ok, fc, gc = construct_rows(case, S, _form_free(case, F, G), alpha,
-                                len(F))
+                  S: FiniteSemigroup, params: CaseParams,
+                  tol: float) -> np.ndarray:
+    """:meth:`_Session.attempt` on each row of (F, G), with the rows of
+    `params` (see :func:`addlaws.families.construct_rows`): which rows it
+    accepts."""
+    ok, fc, gc = construct_rows(case, S, params, len(F))
     dev = np.maximum(np.abs(F - fc).max(axis=-1),
                      np.abs(G - gc).max(axis=-1))
     return ok & ~(dev > tol)
@@ -676,18 +745,22 @@ def _attempt_rows(case: CaseId, F: np.ndarray, G: np.ndarray,
 
 def classify_rows(equation: str, F: np.ndarray, G: np.ndarray,
                   S: FiniteSemigroup, alpha: complex | None = None,
-                  tol: float = EPS) -> np.ndarray:
+                  tol: float = EPS, chars=None) -> np.ndarray:
     """The front of :func:`classify` for a stack of pairs (rows of F, G).
 
     Every row's residual is checked as `classify` checks it, and the first
     row that fails raises the same :class:`NotASolutionError`.  Then the
-    leading steps of the equation's walk run as masks over the rows.  A
-    step settles a row only where the walk would answer there with a hit:
-    the step applies, no earlier step did, and the case's batched
-    construct-and-compare accepts the row.  Returns the settled case number
-    of each row, or 0 where the row is left to `classify`: no step applies,
-    or a step applies and its attempt misses, which the walk logs.  The
-    alpha equations need `alpha`.
+    leading steps of the equation's walk, and after them its ratio stage
+    (cos-sub/2; alpha-skew/4, then alpha-skew/5 for each representative of
+    a conjugate pair), run as masks over the rows.  A mask settles a row
+    only where the walk would answer there with a hit: no earlier step
+    applied and no earlier case was attempted, the mask's test holds, and
+    the case's batched construct-and-compare accepts the row.  Returns the
+    settled case number of each row, or 0 where the row is left to
+    `classify`: no mask applies, or one applies and its attempt misses,
+    which the walk logs.  The alpha equations need `alpha`; `chars` is the
+    enumerate_characters list, worked out here when alpha-skew needs it
+    and it is not given.
     """
     binding = {"f": F, "g": G}
     if alpha is not None:
@@ -702,6 +775,7 @@ def classify_rows(equation: str, F: np.ndarray, G: np.ndarray,
         walk, Fw = "cos-sine-g", (G - F / complex(alpha)) / 2
     case = np.zeros(len(F), dtype=np.intp)
     open_rows = np.ones(len(F), dtype=bool)
+
     for step in LEADING_STEPS[walk]:
         applies = open_rows.copy()
         for test in step.tests:
@@ -710,11 +784,43 @@ def classify_rows(equation: str, F: np.ndarray, G: np.ndarray,
         if not rows.size:
             continue
         open_rows[rows] = False
-        hit = _attempt_rows(step.case, Fw[rows], G[rows], S, alpha, tol)
+        hit = _attempt_rows(step.case, Fw[rows], G[rows], S, _form_params(
+            step.case, Fw[rows], G[rows], alpha), tol)
         if walk != equation:
-            hit &= _attempt_rows(CaseId(equation, step.case.case), F[rows],
-                                 G[rows], S, alpha, tol)
+            bound = CaseId(equation, step.case.case)
+            hit &= _attempt_rows(bound, F[rows], G[rows], S, _form_params(
+                bound, F[rows], G[rows], alpha), tol)
         case[rows[hit]] = step.case.case
+
+    def settle(cid: CaseId, rows: np.ndarray, params: CaseParams) -> None:
+        """Close the rows the walk attempts `cid` on; mark the hits."""
+        if not rows.size:
+            return
+        open_rows[rows] = False
+        hit = _attempt_rows(cid, F[rows], G[rows], S, params, tol)
+        case[rows[hit]] = cid.case
+
+    if walk == "cos-sub":
+        at = np.flatnonzero(open_rows)
+        rows, cs = _unit_c_rows(F[at], G[at], sq, tol)
+        settle(CaseId("cos-sub", 2), at[rows],
+               CaseParams(free=G[at[rows]], c=cs))
+    elif walk == "alpha-skew":
+        a = complex(alpha)
+        at = np.flatnonzero(open_rows)
+        rows, cs = _skew_c_rows(F[at], G[at], a, tol)
+        settle(CaseId("alpha-skew", 4), at[rows],
+               CaseParams(alpha=a, free=F[at[rows]], c=cs))
+        Fs = F / a - G
+        if chars is None:
+            chars = enumerate_characters(S)
+        for chi in conjugate_representatives(tuple(chars)):
+            at = np.flatnonzero(open_rows)
+            rows, cs = _conj_pair_rows(Fs[at], G[at], chi, tol)
+            if cs:
+                c1, c2 = zip(*cs)
+                settle(CaseId("alpha-skew", 5), at[rows],
+                       CaseParams(alpha=a, chi=chi, c1=c1, c2=c2))
     return case
 
 

@@ -439,6 +439,18 @@ def _cmd_report_examples(args) -> int:
 # Argument parsing.
 # ---------------------------------------------------------------------------
 
+def _at_least_one(text: str) -> int:
+    """argparse type of a count: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="addlaws",
@@ -516,7 +528,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--example", type=int, choices=(1, 2), required=True)
     p.add_argument("--window", type=int, default=200,
                    help="window upper bound for example 1")
-    p.add_argument("--pairs", type=int, default=1000,
+    p.add_argument("--pairs", type=_at_least_one, default=1000,
                    help="sampled pair count for example 2")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tol", type=float, default=EPS)

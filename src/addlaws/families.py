@@ -13,12 +13,14 @@ required parameter fields, its branches, whether a phi table may replace
 clause and sampling pool in draw order, and, for the zero pair and the
 cases built from one free table alone, the pair's form.  ``EQUATION_IDS``,
 ``CASE_COUNTS``, ``BRANCHES`` and ``ALPHA_EQUATIONS`` are derived from it.
-The other formulas stay in one builder per equation: :func:`construct`
-checks the record's fields and builds the (f, g) pair of one case from
-validated parameters, and :func:`construct_rows` builds a form case for a
-whole stack of free tables at once; :func:`admissible_params` reports which
-cases a concrete finite carrier supports and draws random admissible
-parameters for them.
+The three ratio cases (cos-sub/2, alpha-skew/4, alpha-skew/5) are row
+cases: their clauses and tables are written once for a stack of parameter
+rows.  The other formulas stay in one builder per equation.
+:func:`construct` checks the record's fields and builds the (f, g) pair of
+one case from validated parameters (a form or row case as one row), and
+:func:`construct_rows` builds a form or row case for a whole stack of rows
+at once; :func:`admissible_params` reports which cases a concrete finite
+carrier supports and draws random admissible parameters for them.
 """
 
 from __future__ import annotations
@@ -28,9 +30,10 @@ from dataclasses import dataclass, field, fields as dc_fields, replace
 
 import numpy as np
 
-from .characters import (AdditiveFn, MultChar, RhoFn, additive_basis,
+from .characters import (AdditiveFn, RhoFn, additive_basis,
                          check_condition_I, check_condition_II,
-                         parity_residual, rho_space)
+                         conjugate_representatives, parity_residual,
+                         rho_space)
 from .core import EPS, FiniteSemigroup, FnTable, square_set
 from .dsl import evaluate_residual, parse_equation
 
@@ -353,12 +356,6 @@ def _free_vanishing_clauses(S, values: np.ndarray):
                ~(np.max(np.abs(values[..., sq]), axis=-1) <= EPS))
 
 
-def _check_free_vanishing(S, h: FnTable) -> None:
-    _require(_finite(S), "free-function cases need a finite carrier")
-    for clause, fails in _free_vanishing_clauses(S, h.values):
-        _require(not fails, clause)
-
-
 def _check_additive(S, chi, A: AdditiveFn, parity: str) -> None:
     _require(A.parity == parity, f"A parity must be {parity}")
     _require(parity_residual(A, chi, S) <= EPS, f"A parity must be {parity}")
@@ -408,15 +405,11 @@ def _max_parity_dev(h: FnTable, S) -> float:
 
 # ---------------------------------------------------------------------------
 # Case builders.  Each returns the unlabeled (f, g) pair of a case whose
-# record has no form.
+# record has no form and that is not a row case.
 # ---------------------------------------------------------------------------
 
 def _cos_sub(case: CaseId, p: CaseParams, S):
     k = case.case
-    if k == 2:
-        _require(any(_near(p.c, v) for v in (1j, -1j)), "c not in {i, -i}")
-        _check_free_vanishing(S, p.free)
-        return _scale(p.free, p.c), p.free
     if k == 3:
         _check_even_char(p.chi)
         _require(not any(_near(p.alpha, v) for v in (1j, -1j)),
@@ -522,21 +515,6 @@ def _alpha_sym(case: CaseId, p: CaseParams, S):
 def _alpha_skew(case: CaseId, p: CaseParams, S):
     _check_alpha(p.alpha)
     a = complex(p.alpha)
-    k = case.case
-    if k == 4:
-        _require(not any(_near(p.c, v) for v in (0, -1)), "c in {0, -1}")
-        _check_free_vanishing(S, p.free)
-        lam = complex(p.c) / (a * (1 + complex(p.c)))
-        return p.free, _scale(p.free, lam)
-    if k == 5:
-        _check_noneven_char(p.chi)
-        _require(not _near(p.c1, 0), "c1 = 0")
-        w1, w2 = complex(p.c1), complex(p.c2)
-        cf, sf = _char_fn(p.chi), _conj_fn(p.chi)
-        f = _lin(S, (a * (1 + w1 + w2) / 2, cf),
-                 (a * (1 - w1 - w2) / 2, sf))
-        g = _lin(S, ((1 + w2) / 2, cf), ((1 - w2) / 2, sf))
-        return f, g
     # case 6: f = alpha chi (1 + (1+c) A) | 0 | alpha (1+c) rho,
     #         g = chi (1 + c A) | 0 | c rho, with A and rho odd.
     _sine_piece(S, p, "odd")
@@ -551,10 +529,104 @@ _BUILDERS = {"cos-sub": _cos_sub, "sine-add": _sine_add,
              "alpha-skew": _alpha_skew}
 
 
-def _form_checks(spec: CaseSpec, alpha) -> None:
-    """The checks of a form case that do not depend on its free table."""
+# ---------------------------------------------------------------------------
+# Row cases: built for a stack of parameter rows at once.  A row holds a
+# free table (a row of a (rows, |S|) array) and the case's constants (one
+# entry of a sequence per name, or one number for one pair); alpha and chi
+# are shared by all rows.  `construct` builds one row.  Each case has its
+# clauses, (clause, fails over the rows) in construct's order, and its
+# tables, (rows, |S|) stacks that are exact on the rows that pass every
+# clause.
+# ---------------------------------------------------------------------------
+
+def _near_rows(values, *targets) -> np.ndarray:
+    """_near(v, t) for some t in targets, for one value or each of a
+    sequence of values.  np.hypot is the C library hypot that Python's
+    complex abs calls, so a stack gets _near's floats."""
+    if np.ndim(values) == 0:
+        return np.bool_(any(_near(values, t) for t in targets))
+    v = np.asarray(values, dtype=np.complex128)
+    out = np.zeros(v.shape, dtype=bool)
+    for t in targets:
+        d = v - complex(t)
+        out |= np.hypot(d.real, d.imag) <= EPS
+    return out
+
+
+def _unit_c_clauses(p: CaseParams):
+    yield "c not in {i, -i}", ~_near_rows(p.c, 1j, -1j)
+
+
+def _unit_c_tables(S, p: CaseParams, free, ok):
+    """cos-sub/2: f = c free, g = free."""
+    return np.reshape(p.c, (-1, 1)).astype(np.complex128) * free, free
+
+
+def _skew_c_clauses(p: CaseParams):
+    yield "c in {0, -1}", _near_rows(p.c, 0, -1)
+
+
+def _skew_c_tables(S, p: CaseParams, free, ok):
+    """alpha-skew/4: f = free, g = c / (alpha (1 + c)) free."""
+    a = complex(p.alpha)
+    lam = [complex(c) / (a * (1 + complex(c))) if good else 0j
+           for c, good in zip(np.atleast_1d(p.c).tolist(), ok)]
+    return free, np.array(lam, dtype=np.complex128)[:, None] * free
+
+
+def _conj_pair_clauses(p: CaseParams):
+    yield "chi* != chi fails", np.bool_(getattr(p.chi, "even", True))
+    yield "c1 = 0", _near_rows(p.c1, 0)
+
+
+def _conj_rows(S, chi, coeffs):
+    """u chi + v chi* for each row (u, v) of coeffs, float for float as
+    _lin builds it: a (rows, |S|) stack on a finite carrier, a list of
+    formula tables on a windowed one."""
+    if not _finite(S):
+        return [_lin(S, (u, _char_fn(chi)), (v, _conj_fn(chi)))
+                for u, v in coeffs]
+    u, v = np.array(coeffs, dtype=np.complex128).reshape(-1, 2).T
+    zero = np.zeros((len(u), S.n), dtype=np.complex128)
+    return (zero + u[:, None] * chi.values) + v[:, None] * chi.conj
+
+
+def _conj_pair_tables(S, p: CaseParams, free, ok):
+    """alpha-skew/5: f = alpha ((1 + c1 + c2) chi + (1 - c1 - c2) chi*)/2,
+    g = ((1 + c2) chi + (1 - c2) chi*)/2."""
+    a = complex(p.alpha)
+    w = [(complex(w1), complex(w2))
+         for w1, w2 in zip(np.atleast_1d(p.c1), np.atleast_1d(p.c2))]
+    f = _conj_rows(S, p.chi, [(a * (1 + w1 + w2) / 2, a * (1 - w1 - w2) / 2)
+                              for w1, w2 in w])
+    g = _conj_rows(S, p.chi, [((1 + w2) / 2, (1 - w2) / 2) for _, w2 in w])
+    return f, g
+
+
+#: (clauses, tables) of each row case.
+_ROW_CASES = {
+    ("cos-sub", 2): (_unit_c_clauses, _unit_c_tables),
+    ("alpha-skew", 4): (_skew_c_clauses, _skew_c_tables),
+    ("alpha-skew", 5): (_conj_pair_clauses, _conj_pair_tables),
+}
+
+
+def _clauses(case: CaseId, S, p: CaseParams, free):
+    """Each clause `construct` checks for a form or row case, in its order,
+    with where it fails: a bool that broadcasts over the rows.  `p` holds
+    one pair's parameters or the rows; `free` is the free table's values,
+    one row or a stack."""
+    spec = _spec(case)
     if "alpha" in spec.fields:
-        _check_alpha(alpha)
+        yield "alpha = 0", np.bool_(_near(p.alpha, 0))
+    row_case = _ROW_CASES.get((case.equation, case.case))
+    if row_case is not None:
+        yield from row_case[0](p)
+    if spec.menu == "free-vanishing":
+        if not _finite(S):
+            yield "free-function cases need a finite carrier", np.True_
+            return
+        yield from _free_vanishing_clauses(S, free)
 
 
 def _form_table(S, factor, free: FnTable | None, alpha) -> FnTable:
@@ -592,36 +664,44 @@ def construct(case: CaseId, params: CaseParams, S):
     """
     _check_fields(case, params)
     spec = _spec(case)
-    if spec.form is None:
+    row_case = _ROW_CASES.get((case.equation, case.case))
+    if spec.form is None and row_case is None:
         f, g = _BUILDERS[case.equation](case, params, S)
-    else:
-        _form_checks(spec, params.alpha)
-        if spec.menu == "free-vanishing":
-            _check_free_vanishing(S, params.free)
+        return _labelled(f, "f", params), _labelled(g, "g", params)
+    free = None if params.free is None else params.free.values
+    for clause, fails in _clauses(case, S, params, free):
+        _require(not fails, clause)
+    if spec.form is not None:
         f, g = (_form_table(S, u, params.free, params.alpha)
                 for u in spec.form)
+    else:
+        rows = None if free is None else free[None]
+        f, g = (params.free if h is rows
+                else FnTable(S, values=h[0]) if _finite(S) else h[0]
+                for h in row_case[1](S, params, rows, (True,)))
     return _labelled(f, "f", params), _labelled(g, "g", params)
 
 
-def construct_rows(case: CaseId, S: FiniteSemigroup, free=None,
-                   alpha=None, rows: int = 1):
-    """`construct` of a form case for a stack of free tables.
+def construct_rows(case: CaseId, S: FiniteSemigroup, params: CaseParams,
+                   rows: int):
+    """`construct` of a form or row case for a stack of parameter rows.
 
-    `free` is an array of shape (rows, |S|), or None for the zero pair.
-    Returns (ok, f, g): the rows whose parameters pass every check of
-    :func:`construct`, and the (rows, |S|) value stacks it builds, float
-    for float.
+    `params` holds the rows: `free` as an array of shape (rows, |S|), the
+    row case constants as sequences of length `rows`; alpha and chi are
+    shared.  Returns (ok, f, g): the rows whose parameters pass every
+    check of :func:`construct`, and the (rows, |S|) value stacks it
+    builds, float for float on those rows.
     """
-    spec = _spec(case)
     ok = np.ones(rows, dtype=bool)
-    try:
-        _form_checks(spec, alpha)
-    except ConstraintError:
-        ok[:] = False
-    if spec.menu == "free-vanishing":
-        for _, fails in _free_vanishing_clauses(S, free):
-            ok &= ~fails
-    f, g = (_form_rows(u, free, alpha, (rows, S.n)) for u in spec.form)
+    for _, fails in _clauses(case, S, params, params.free):
+        ok &= ~fails
+    spec = _spec(case)
+    if spec.form is not None:
+        f, g = (_form_rows(u, params.free, params.alpha, (rows, S.n))
+                for u in spec.form)
+    else:
+        f, g = _ROW_CASES[case.equation, case.case][1](S, params,
+                                                       params.free, ok)
     return ok, f, g
 
 
@@ -750,10 +830,6 @@ def _pick(rng, pool):
     return pool[rng.randrange(len(pool))]
 
 
-def _conj_char(chi: MultChar) -> MultChar:
-    return MultChar(chi.semigroup, chi.conj, check=False)
-
-
 def admissible_params(case: CaseId, S: FiniteSemigroup,
                       characters) -> ParamMenu:
     """The concrete parameter menu of one case on one finite carrier."""
@@ -777,12 +853,7 @@ def admissible_params(case: CaseId, S: FiniteSemigroup,
         menu.chars = nonevens
         missing = "no character with chi* != chi"
     elif kind == "noneven-up-to-conj":
-        seen = set()
-        for chi in nonevens:
-            pair_key = frozenset((chi.key(), _conj_char(chi).key()))
-            if pair_key not in seen:
-                seen.add(pair_key)
-                menu.chars.append(chi)
+        menu.chars = list(conjugate_representatives(tuple(characters)))
         missing = "no character with chi* != chi"
     elif kind.startswith("piecewise-"):
         parity = kind.removeprefix("piecewise-")

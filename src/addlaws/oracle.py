@@ -20,15 +20,18 @@ classifier, so it stays an independent check of it.
 A coverage report classifies each equation's stacks in chunks of rows.
 :func:`addlaws.classify.classify_rows` re-checks every row's residual and
 settles, with vectorised masks, the rows that the leading steps of the
-classification walk answer with a hit: the zero pair, f = 0, F = f/alpha -
-g = 0, and the free tables vanishing on S^2.  Only the rows it leaves
+classification walk answer with a hit (the zero pair, f = 0, F = f/alpha -
+g = 0, and the free tables vanishing on S^2), then those of its ratio
+stage (cos-sub/2, alpha-skew/4, alpha-skew/5).  Only the rows it leaves
 become FnTables and go through :func:`addlaws.classify.classify`, in grid
-order, so the report is byte-identical to classifying every pair.
+order, so the report is byte-identical to classifying every pair.  A scan
+refuses a tolerance that is negative or not finite.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from collections.abc import Sequence
 
@@ -63,7 +66,8 @@ class BudgetError(RuntimeError):
 
 
 class GridInputError(ValueError):
-    """Bad grid-scan input: a malformed alphabet or a zero alpha."""
+    """Bad grid-scan input: a malformed alphabet, a zero alpha, or a
+    tolerance that is negative or not finite."""
 
 
 def validate_alphabet(alphabet) -> tuple[complex, ...]:
@@ -102,6 +106,9 @@ def _check_scan(equation: str, S, alphabet, alpha, tol: float,
     values = validate_alphabet(alphabet)
     if equation not in EQUATION_IDS:
         raise KeyError(f"unknown equation id {equation!r}")
+    if not (math.isfinite(tol) and tol >= 0):
+        raise GridInputError(
+            f"tolerance must be finite and at least 0, got {tol!r}")
     if equation in ALPHA_EQUATIONS:
         alpha = 1.0 + 0j if alpha is None else complex(alpha)
         if abs(alpha) <= tol:
@@ -219,9 +226,9 @@ def coverage_report(S: FiniteSemigroup, alphabet=DEFAULT_ALPHABET,
 
     Each equation's solutions are classified as whole stacks, in chunks of
     rows: :func:`addlaws.classify.classify_rows` re-checks their residuals
-    and settles the rows that the leading steps of the walk answer with a
-    hit, and only the rows left over become FnTables and go through
-    :func:`addlaws.classify.classify`, in their grid order.
+    and settles the rows that the leading steps and the ratio stage of the
+    walk answer with a hit, and only the rows left over become FnTables
+    and go through :func:`addlaws.classify.classify`, in their grid order.
     """
     values = validate_alphabet(alphabet)
     equations = list(equations or EQUATION_IDS)
@@ -243,7 +250,7 @@ def coverage_report(S: FiniteSemigroup, alphabet=DEFAULT_ALPHABET,
                                budget=budget)
         settled = np.concatenate(
             [classify_rows(eq, pairs.f[r:r + chunk], pairs.g[r:r + chunk],
-                           S, alpha=a, tol=tol)
+                           S, alpha=a, tol=tol, chars=chars)
              for r in range(0, len(pairs), chunk)])
         cases = {str(CaseId(eq, int(k))): int(count) for k, count in
                  zip(*np.unique(settled[settled > 0], return_counts=True))}

@@ -1,6 +1,7 @@
 """Round-tripping solutions back to their cases, dependence analysis,
 character extraction, and the documented alias folds."""
 
+import importlib
 import random
 
 import numpy as np
@@ -18,6 +19,10 @@ from addlaws.examples import n3, z2, z2xz2, z3
 
 from helpers import TOL
 
+# import_module, because the package re-exports a function named classify
+# that shadows the submodule attribute of the same name.
+classify_mod = importlib.import_module("addlaws.classify")
+
 ALPHA_EQS = ("alpha-sym", "alpha-skew")
 
 
@@ -29,6 +34,63 @@ def test_linear_dependence_prefers_f_of_g():
     assert v.kind == "independent" and v.coefficient is None
     v = linear_dependence(fn(S, [0, 0], "f"), fn(S, [0, 0], "g"))
     assert v.kind == "both-zero"
+
+
+def _vdot_fit(num, den):
+    """The one-table least-squares fit, written with np.vdot."""
+    nn = complex(np.vdot(den, den))
+    lam = complex(np.vdot(den, num) / nn)
+    return nn, lam, float(np.max(np.abs(num - lam * den)))
+
+
+def _stacks(n, rows=400):
+    rng = np.random.default_rng(n)
+    grid = np.array([0, 1, -1, 1j, -1j, 0.5, -0.5, 2, -2])
+    num = rng.standard_normal((rows, n)) + 1j * rng.standard_normal((rows, n))
+    den = rng.standard_normal((rows, n)) + 1j * rng.standard_normal((rows, n))
+    num[::3] = grid[rng.integers(0, 9, (len(num[::3]), n))]
+    den[::3] = grid[rng.integers(0, 9, (len(den[::3]), n))]
+    den[1::3] = num[1::3] * (0.5 - 2j) + 1e-12 * den[1::3]
+    den[::3][:, 0] = 1                         # no all-zero grid row
+    return num, den
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_stacked_fit_and_ratio_give_the_one_table_floats(n):
+    """_fit on a stack, some of its rows, or one row gives np.vdot's
+    floats, compared with ==."""
+    num, den = _stacks(n)
+    want = [(i, *_vdot_fit(a, b)) for i, (a, b) in enumerate(zip(num, den))]
+    assert classify_mod._fit(num, den, range(len(num))) == want
+    assert classify_mod._fit(num, den, [5, 17, 230]) == \
+        [want[5], want[17], want[230]]
+    for a, b, (_, *w) in zip(num[:40], den[:40], want):
+        assert classify_mod._fit(a[None], b[None], [0]) == [(0, *w)]
+    tol = 1e-9
+    stacked = classify_mod._ratio(num, den, tol)
+    assert stacked == [None if abs(nn) <= tol or miss > tol else lam
+                       for _, nn, lam, miss in want]
+    assert any(lam is not None for lam in stacked)
+    assert stacked[:40] == [classify_mod._ratio(a[None], b[None], tol)[0]
+                            for a, b in zip(num[:40], den[:40])]
+
+
+def test_stacked_dependence_equals_linear_dependence_row_by_row():
+    S = z3()
+    rng = np.random.default_rng(5)
+    grid = np.array([0, 1, -1, 0.5, -0.5, 2j])
+    f = grid[rng.integers(0, 6, (300, 3))]
+    g = grid[rng.integers(0, 6, (300, 3))]
+    g[::4] = f[::4] * (1 - 1j)
+    f[1::5] = g[1::5] * 0.5
+    f[2::7] = 0
+    f[3::11] = g[3::11] = 0
+    got = classify_mod._dependence(f, g, TOL)
+    want = [linear_dependence(fn(S, a, "f"), fn(S, b, "g"))
+            for a, b in zip(f, g)]
+    assert got == want
+    assert {v.kind for v in got} == {"both-zero", "f-of-g", "g-of-f",
+                                     "independent"}
 
 
 def test_extract_character():

@@ -129,6 +129,18 @@ def test_usage_errors_exit_2(capsys):
     assert e.value.code == EXIT_USAGE
 
 
+@pytest.mark.parametrize("pairs,fragment", [
+    ("0", "must be at least 1, got 0"),
+    ("-3", "must be at least 1, got -3"),
+    ("many", "expected an integer, got 'many'"),
+])
+def test_report_examples_needs_at_least_one_pair(capsys, pairs, fragment):
+    with pytest.raises(SystemExit) as e:
+        main(["report-examples", "--example", "2", "--pairs", pairs])
+    assert e.value.code == EXIT_USAGE
+    assert f"argument --pairs: {fragment}" in capsys.readouterr().err
+
+
 def test_oracle_clean_scan_and_artifact(capsys, tmp_path):
     out1 = tmp_path / "r1.json"
     out2 = tmp_path / "r2.json"
@@ -157,8 +169,10 @@ def test_oracle_respects_budget(capsys):
     (["--alphabet", "1,-1"], "alphabet must contain 0"),
     (["--alphabet", "0,1,2"], "alphabet is not closed under negation"),
     (["--alpha", "0", "-e", "alpha-sym"], "alpha must be non-zero"),
+    (["--tol", "-1"], "tolerance must be finite and at least 0, got -1.0"),
+    (["--tol", "nan"], "tolerance must be finite and at least 0, got nan"),
 ], ids=["empty", "duplicate", "no-zero", "not-negation-closed",
-        "zero-alpha"])
+        "zero-alpha", "negative-tol", "nan-tol"])
 def test_oracle_bad_input_is_a_typed_error(capsys, argv, fragment):
     code = main(["oracle", "-s", "Z2", *argv])
     out = capsys.readouterr()

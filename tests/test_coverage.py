@@ -84,6 +84,20 @@ def test_four_element_reports_match_the_per_pair_loop(make):
         stable_json(reference_coverage_report(S))
 
 
+@pytest.mark.parametrize("alpha,pair_rows", [(1j, 76), (2, 76),
+                                             (1.5 + 0.5j, 0)],
+                         ids=["i", "2", "mix"])
+def test_z2xz2_alpha_reports_match_the_per_pair_loop(alpha, pair_rows):
+    """Z2xZ2 has non-even characters, so its alpha-skew grid holds
+    alpha-skew/5 rows (at alpha = 1.5 + 0.5j only the zero pair solves)."""
+    S = z2xz2()
+    got = coverage_report(S, alpha=alpha, equations=ALPHA_EQS)
+    want = reference_coverage_report(S, alpha=alpha, equations=ALPHA_EQS)
+    cases = got["equations"]["alpha-skew"]["cases"]
+    assert cases.get("alpha-skew/5", 0) == pair_rows
+    assert stable_json(got) == stable_json(want)
+
+
 def test_grid_solutions_is_a_lazy_read_only_sequence():
     S = n3()
     sols = grid_solutions("sine-add", S, THIRDS_ALPHABET)
@@ -113,12 +127,15 @@ def test_coverage_report_classifies_only_the_rows_the_masks_leave(
     """Per-pair classify and FnTables only for rows no mask settles.
 
     A Z2xZ2 report has 13,247 solutions, and the per-pair loop made a
-    classify call and two FnTables for each.
+    classify call and two FnTables for each.  The leading-step masks left
+    122 (Z2xZ2) and 413 (N3) rows; the ratio stage takes the 72
+    alpha-skew/5 rows of Z2xZ2 and the 48 cos-sub/2 and 352 alpha-skew/4
+    rows of N3.
     """
     classified = _count_calls(monkeypatch, oracle, "classify")
     searched = _count_calls(monkeypatch, oracle, "grid_solutions")
     read = _count_calls(monkeypatch, oracle.GridSolutions, "__getitem__")
-    for make, left in ((z2xz2, 122), (n3, 413)):
+    for make, left in ((z2xz2, 50), (n3, 13)):
         for counter in (classified, searched, read):
             counter.clear()
         report = coverage_report(make())

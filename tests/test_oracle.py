@@ -78,6 +78,25 @@ def test_scan_rejects_unknown_equation_and_zero_alpha():
         grid_solutions("alpha-sym", z2(), (0, 1, -1), alpha=0.0)
 
 
+@pytest.mark.parametrize("tol", [-1.0, -1e-12, float("nan"), float("inf")],
+                         ids=["minus-one", "tiny-negative", "nan", "inf"])
+def test_scan_rejects_a_tolerance_that_is_negative_or_not_finite(
+        monkeypatch, tol):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the input checks")
+
+    with pytest.raises(GridInputError, match="tolerance must be finite"):
+        grid_solutions("cos-sub", z1(), tol=tol)
+    monkeypatch.setattr(oracle, "enumerate_characters", no_work)
+    with pytest.raises(GridInputError, match="tolerance must be finite"):
+        coverage_report(z2(), tol=tol)
+
+
+def test_scan_accepts_a_zero_tolerance():
+    # Every value product on the default grid is exact in floating point.
+    assert len(grid_solutions("sine-add", z1(), (0, 1, -1), tol=0.0)) == 3
+
+
 def test_budget_is_checked_before_scanning(monkeypatch):
     def no_work(*args, **kwargs):
         raise AssertionError("scan work started before the budget check")
