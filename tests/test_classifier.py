@@ -1,6 +1,8 @@
 """Round-tripping solutions back to their cases, dependence analysis,
 character extraction, and the documented alias folds."""
 
+import dataclasses
+import hashlib
 import importlib
 import random
 
@@ -11,11 +13,12 @@ from addlaws.classify import (ALIASES, ClassifiedSolution, NotASolutionError,
                               Unclassified, alias_equivalent, classify,
                               extract_character, linear_dependence,
                               reduce_alpha_sym)
-from addlaws.core import fn
+from addlaws.core import FnTable, cnum, fn, stable_json
 from addlaws.dsl import BUILTIN_EQUATIONS
 from addlaws.families import CaseId, CaseParams, admissible_params, \
     all_case_ids, construct
 from addlaws.examples import n3, z2, z2xz2, z3
+from addlaws.oracle import grid_solutions
 
 from helpers import TOL
 
@@ -24,6 +27,12 @@ from helpers import TOL
 classify_mod = importlib.import_module("addlaws.classify")
 
 ALPHA_EQS = ("alpha-sym", "alpha-skew")
+
+#: SHA-256 of the per-pair classify outcomes of
+#: test_classify_outcomes_byte_identical, recorded before the character
+#: check of the walks moved from extract_character into the session.
+CLASSIFY_OUTCOME_DIGEST = ("c425532ee0edc37dbf44d54cf4e1af62"
+                           "7503bc0f0a1dd2d087be16ed40413877")
 
 
 def test_linear_dependence_prefers_f_of_g():
@@ -283,3 +292,73 @@ def test_classified_payload_shape(chars):
     d = classify("cos-sub", f, g, S).to_json_dict()
     assert d["equation"] == "cos-sub" and d["case"] == 3
     assert d["constants"]["alpha"] == [2.0, 0.0]
+
+
+def _outcome(eq, f, g, S, alpha, chars, tol) -> list:
+    """classify's answer as JSON data: a hit with its constants and every
+    parameter's values, an Unclassified dump with its attempt log, or the
+    error's type and message."""
+    try:
+        hit = classify(eq, f, g, S, alpha=alpha, chars=chars, tol=tol)
+    except ValueError as exc:
+        return [type(exc).__name__, str(exc)]
+    if isinstance(hit, Unclassified):
+        return ["unclassified", hit.to_json_dict()]
+    params = {}
+    for field in dataclasses.fields(hit.params):
+        value = getattr(hit.params, field.name)
+        if value is None:
+            continue
+        if isinstance(value, (int, float, complex)):
+            params[field.name] = cnum(value)
+            continue
+        params[field.name] = [cnum(z) for z in value.values]
+        if hasattr(value, "parity"):
+            params[field.name] += [value.parity, sorted(value.domain)]
+    return ["hit", hit.to_json_dict(), params]
+
+
+def _spread(rows, k: int) -> list:
+    """At most k of the rows, evenly spaced, first and last included."""
+    rows = np.asarray(rows)
+    if len(rows) <= k:
+        return rows.tolist()
+    return rows[np.linspace(0, len(rows) - 1, k).round().astype(int)].tolist()
+
+
+def test_classify_outcomes_byte_identical(carriers, chars):
+    """Per-pair classify answers, logs and errors hash to a pinned digest.
+
+    Coverage reports settle most rows in classify_rows, so they say little
+    about classify's own answers.  Here every carrier and equation gives
+    evenly spaced grid solutions plus those classify_rows leaves to
+    classify; each pair is classified as it is, swapped, with f and with g
+    perturbed at one element, and (alpha equations) with alpha recovered
+    by least squares, each at three tolerances.
+    """
+    digest = hashlib.sha256()
+    for name in ("Z1", "Z2", "Z3", "N3", "M3", "NP4", "Z2xZ2"):
+        S, cs = carriers[name], chars[name]
+        for eq in BUILTIN_EQUATIONS:
+            alpha = 1.0 if eq in ALPHA_EQS else None
+            sols = grid_solutions(eq, S, alpha=alpha)
+            left = np.flatnonzero(classify_mod.classify_rows(
+                eq, sols.f, sols.g, S, alpha=alpha, chars=cs) == 0)
+            for i in sorted(set(_spread(range(len(sols)), 16))
+                            | set(_spread(left, 16))):
+                fv, gv = sols.f[i], sols.g[i]
+                bump = np.zeros(S.n)
+                bump[i % S.n] = 1e-4
+                variants = [(fv, gv, alpha), (gv, fv, alpha),
+                            (fv + bump, gv, alpha),
+                            (fv, gv - 500 * bump, alpha)]
+                if alpha is not None:
+                    variants.append((fv, gv, None))
+                for a, b, al in variants:
+                    f = FnTable(S, values=a, label="f")
+                    g = FnTable(S, values=b, label="g")
+                    for tol in (1e-9, 1e-3, 0.3):
+                        digest.update(stable_json(
+                            [name, eq, i, tol,
+                             _outcome(eq, f, g, S, al, cs, tol)]).encode())
+    assert digest.hexdigest() == CLASSIFY_OUTCOME_DIGEST
