@@ -17,8 +17,7 @@ from .characters import (AdditiveFn, MultChar, RhoFn, RhoSpace, WindowedChar,
                          rho_space)
 from .classify import (ALIASES, ClassifiedSolution, NotASolutionError,
                        Unclassified, alias_equivalent, classify,
-                       extract_character, linear_dependence,
-                       reduce_alpha_sym)
+                       linear_dependence, reduce_alpha_sym)
 from .core import (EPS, FiniteSemigroup, FnTable, SemigroupError,
                    WindowedSemigroup, even_odd_parts, fn, load_semigroup,
                    square_set, stable_json)
@@ -48,10 +47,9 @@ __all__ = [
     "check_condition_I", "check_condition_II", "classify",
     "combine_additive", "construct", "coverage_report",
     "enumerate_characters", "evaluate_residual", "even_odd_parts",
-    "example1", "example2", "example_semigroups", "extract_character",
-    "fn", "fuzz_constructors", "grid_solutions", "ideal_sets",
-    "linear_dependence", "load_semigroup", "parity_residual",
-    "parse_equation", "print_equation", "reduce_alpha_sym",
-    "resolve_equation", "rho_space", "square_set", "stable_json",
-    "validate_alphabet",
+    "example1", "example2", "example_semigroups", "fn",
+    "fuzz_constructors", "grid_solutions", "ideal_sets", "linear_dependence",
+    "load_semigroup", "parity_residual", "parse_equation", "print_equation",
+    "reduce_alpha_sym", "resolve_equation", "rho_space", "square_set",
+    "stable_json", "validate_alphabet",
 ]

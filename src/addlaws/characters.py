@@ -14,7 +14,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .core import (EPS, FiniteSemigroup, FnTable, WindowedSemigroup, ceq)
+from .core import EPS, FiniteSemigroup, FnTable, WindowedSemigroup
 
 #: Tolerance for snapping a propagated character value onto its candidate
 #: set.  Products of exact roots of unity carry only ~1e-15 of float noise,
@@ -22,9 +22,8 @@ from .core import (EPS, FiniteSemigroup, FnTable, WindowedSemigroup, ceq)
 SNAP_TOL = 1e-6
 
 
-def _ideal_sets_from_values(S: FiniteSemigroup, values: np.ndarray,
-                            tol: float = EPS):
-    ideal = frozenset(i for i in range(S.n) if abs(values[i]) <= tol)
+def _ideal_sets_from_values(S: FiniteSemigroup, values: np.ndarray):
+    ideal = frozenset(i for i in range(S.n) if abs(values[i]) <= EPS)
     ideal_sq = frozenset(int(S.table[i, j]) for i in ideal for j in ideal)
     edge = sorted(ideal - ideal_sq)
     non_ideal = sorted(set(range(S.n)) - ideal)
@@ -43,25 +42,24 @@ class MultChar:
     """A non-zero multiplicative function on a finite semigroup.
 
     Caches the null ideal I, its square I^2, the prime part P, the
-    composition with the automorphism, and the evenness flag.
+    composition with the automorphism, and the evenness flag.  Raises
+    ValueError when the values are zero or not multiplicative.
     """
 
-    def __init__(self, S: FiniteSemigroup, values, tol: float = EPS,
-                 check: bool = True):
+    def __init__(self, S: FiniteSemigroup, values):
         self.semigroup = S
         v = np.asarray(values, dtype=np.complex128)
         v.setflags(write=False)
         self.values = v
         self.conj = v[S.sigma]
-        self.even = bool(np.all(np.abs(self.conj - v) <= tol))
+        self.even = bool(np.all(np.abs(self.conj - v) <= EPS))
         self.null_ideal, self.null_square, self.prime_part = \
-            _ideal_sets_from_values(S, v, tol)
-        if check:
-            if np.all(np.abs(v) <= tol):
-                raise ValueError("multiplicative function must be non-zero")
-            bad = self.multiplicativity_residual()
-            if bad > tol:
-                raise ValueError(f"not multiplicative (residual {bad:.3g})")
+            _ideal_sets_from_values(S, v)
+        if np.all(np.abs(v) <= EPS):
+            raise ValueError("multiplicative function must be non-zero")
+        bad = self.multiplicativity_residual()
+        if bad > EPS:
+            raise ValueError(f"not multiplicative (residual {bad:.3g})")
 
     def __call__(self, i: int) -> complex:
         return complex(self.values[i])
@@ -110,21 +108,21 @@ class WindowedChar:
 
     Ideal membership comes from formula predicates supplied by the carrier's
     example builder; the defining quantifiers are certified over the window
-    only (`window_certified` is always True here).
+    only (`window_certified` is always True here).  Every bundled windowed
+    character is even.
     """
 
     window_certified = True
+    even = True
 
     def __init__(self, W: WindowedSemigroup, formula: Callable,
                  in_ideal: Callable, in_ideal_square: Callable,
-                 in_prime_part: Callable, even: bool = True,
-                 label: str = "chi"):
+                 in_prime_part: Callable, label: str = "chi"):
         self.semigroup = W
         self.formula = formula
         self.in_ideal = in_ideal
         self.in_ideal_square = in_ideal_square
         self.in_prime_part = in_prime_part
-        self.even = even
         self.label = label
 
     def __call__(self, x) -> complex:
@@ -169,7 +167,7 @@ def _snap(value: complex, candidates: Sequence[complex]) -> complex | None:
     return None
 
 
-def enumerate_characters(S: FiniteSemigroup, tol: float = EPS) -> list[MultChar]:
+def enumerate_characters(S: FiniteSemigroup) -> list[MultChar]:
     """All non-zero multiplicative functions on S, canonically ordered.
 
     Backtracking over the per-element candidate sets with constraint
@@ -208,7 +206,7 @@ def enumerate_characters(S: FiniteSemigroup, tol: float = EPS) -> list[MultChar]
             x = values.index(None)
         except ValueError:
             table = np.array(values, dtype=np.complex128)
-            if np.max(np.abs(table)) > tol:
+            if np.max(np.abs(table)) > EPS:
                 found.append(table)
             return
         for c in cands[x]:
@@ -220,12 +218,12 @@ def enumerate_characters(S: FiniteSemigroup, tol: float = EPS) -> list[MultChar]
                 values[t] = None
 
     search()
-    chars = [MultChar(S, v, tol=tol) for v in found]
+    chars = [MultChar(S, v) for v in found]
     chars.sort(key=MultChar.key)
     return chars
 
 
-def ideal_sets(chi, S=None):
+def ideal_sets(chi):
     """The triple (I, I^2 within S, prime part P) for a character.
 
     Finite characters return cached frozensets of element indices; windowed
@@ -271,8 +269,9 @@ class AdditiveFn:
 RhoFn = AdditiveFn
 
 
-def real_kernel_basis(M: np.ndarray, tol: float = EPS) -> list[np.ndarray]:
-    """Kernel basis of a real matrix by elimination with pivot tolerance."""
+def real_kernel_basis(M: np.ndarray) -> list[np.ndarray]:
+    """Kernel basis of a real matrix by elimination with pivot tolerance
+    EPS."""
     M = np.array(M, dtype=float)
     if M.size == 0:
         return [np.eye(M.shape[1])[k] for k in range(M.shape[1])]
@@ -283,12 +282,12 @@ def real_kernel_basis(M: np.ndarray, tol: float = EPS) -> list[np.ndarray]:
         if r >= rows:
             break
         piv = r + int(np.argmax(np.abs(M[r:, c])))
-        if abs(M[piv, c]) <= tol:
+        if abs(M[piv, c]) <= EPS:
             continue
         M[[r, piv]] = M[[piv, r]]
         M[r] = M[r] / M[r, c]
         for rr in range(rows):
-            if rr != r and abs(M[rr, c]) > tol:
+            if rr != r and abs(M[rr, c]) > EPS:
                 M[rr] = M[rr] - M[rr, c] * M[r]
         pivots.append(c)
         r += 1
@@ -412,15 +411,14 @@ class RhoSpace:
                      parity=self.parity)
 
 
-def rho_space(chi: MultChar, S: FiniteSemigroup = None, parity: str = "even",
-              tol: float = EPS) -> RhoSpace:
+def rho_space(chi: MultChar, S: FiniteSemigroup,
+              parity: str = "even") -> RhoSpace:
     """Orbit decomposition of P with propagated multipliers.
 
     Relations: rho(u p) = chi(u) rho(p), rho(p v) = chi(v) rho(p) for u, v
     outside the ideal, and rho o sigma = +/- rho.  Conflicting relations on
     an orbit force rho = 0 there instead of failing.
     """
-    S = S if S is not None else chi.semigroup
     if parity not in ("even", "odd"):
         raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
     P = sorted(chi.prime_part)
@@ -458,7 +456,7 @@ def rho_space(chi: MultChar, S: FiniteSemigroup = None, parity: str = "even",
             for b, w in edges[a]:
                 target = mult[a] * w
                 if b in mult:
-                    if abs(mult[b] - target) > tol:
+                    if abs(mult[b] - target) > EPS:
                         conflict = True
                 else:
                     mult[b] = target
@@ -470,7 +468,7 @@ def rho_space(chi: MultChar, S: FiniteSemigroup = None, parity: str = "even",
     return space
 
 
-def check_condition_I(rho, chi, S=None, tol: float = EPS) -> bool:
+def check_condition_I(rho, chi, S) -> bool:
     """Translation compatibility of rho over the prime part.
 
     For p in P and u, v outside the ideal: up, pv and upv lie in P with
@@ -478,7 +476,6 @@ def check_condition_I(rho, chi, S=None, tol: float = EPS) -> bool:
     rho(upv) = rho(p) chi(uv).  Windowed carriers quantify u, v, p over the
     window only.
     """
-    S = S if S is not None else chi.semigroup
     if isinstance(S, WindowedSemigroup):
         mul = S.product
         P = [x for x in S.window if chi.in_prime_part(x)]
@@ -493,23 +490,22 @@ def check_condition_I(rho, chi, S=None, tol: float = EPS) -> bool:
         rp = rho(p)
         for u in non_ideal:
             x = mul(u, p)
-            if not in_P(x) or abs(rho(x) - rp * chi(u)) > tol:
+            if not in_P(x) or abs(rho(x) - rp * chi(u)) > EPS:
                 return False
             x = mul(p, u)
-            if not in_P(x) or abs(rho(x) - rp * chi(u)) > tol:
+            if not in_P(x) or abs(rho(x) - rp * chi(u)) > EPS:
                 return False
         for u in non_ideal:
             for v in non_ideal:
                 x = mul(u, mul(p, v))
-                if not in_P(x) or abs(rho(x) - rp * chi(mul(u, v))) > tol:
+                if not in_P(x) or abs(rho(x) - rp * chi(mul(u, v))) > EPS:
                     return False
     return True
 
 
-def check_condition_II(f, chi, S=None, tol: float = EPS) -> bool:
+def check_condition_II(f, chi, S) -> bool:
     """Vanishing of f on mixed products: f(xy) = f(yx) = 0 whenever one
     factor is in I \\ P and the other outside I."""
-    S = S if S is not None else chi.semigroup
     if isinstance(S, WindowedSemigroup):
         mul = S.product
         edge = [x for x in S.window
@@ -521,14 +517,13 @@ def check_condition_II(f, chi, S=None, tol: float = EPS) -> bool:
         non_ideal = sorted(set(range(S.n)) - chi.null_ideal)
     for x in edge:
         for y in non_ideal:
-            if abs(f(mul(x, y))) > tol or abs(f(mul(y, x))) > tol:
+            if abs(f(mul(x, y))) > EPS or abs(f(mul(y, x))) > EPS:
                 return False
     return True
 
 
-def parity_residual(fn, chi, S=None) -> float:
+def parity_residual(fn, S) -> float:
     """max |f(sigma x) -/+ f(x)| over the function's domain."""
-    S = S if S is not None else chi.semigroup
     sign = 1.0 if fn.parity == "even" else -1.0
     if isinstance(S, WindowedSemigroup):
         pts = [x for x in S.window if fn.in_domain(x)]

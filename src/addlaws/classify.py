@@ -103,31 +103,6 @@ def linear_dependence(f: FnTable, g: FnTable,
     return verdict
 
 
-def extract_character(h: FnTable, beta: complex, S: FiniteSemigroup,
-                      sigma=None, tol: float = EPS) -> MultChar | None:
-    """chi = beta h when h satisfies h(x sigma(y)) = beta h(x) h(y).
-
-    Returns the verified multiplicative, even character, or None when the
-    relation or the evenness fails.
-    """
-    if abs(complex(beta)) <= tol:
-        raise ValueError("beta must be non-zero")
-    sig = np.asarray(sigma, dtype=np.intp) if sigma is not None else S.sigma
-    hv = h.values
-    lhs = hv[S.table[:, sig]]
-    if float(np.max(np.abs(lhs - complex(beta) * np.outer(hv, hv)))) > tol:
-        return None
-    if sigma is not None and not np.array_equal(sig, S.sigma):
-        S = FiniteSemigroup(S.name, S.elements, S.table, sig)
-    try:
-        chi = MultChar(S, complex(beta) * hv, tol=tol)
-    except ValueError:
-        return None
-    if not chi.even:
-        return None
-    return chi
-
-
 def reduce_alpha_sym(f: FnTable, g: FnTable, alpha: complex) -> FnTable:
     """The pair map onto the cos-sine-g equation: returns -F/2 for
     F = f/alpha - g, so that (-F/2, g) solves cos-sine-g whenever (f, g)
@@ -435,6 +410,25 @@ class _Session:
             if fc is not None and gc is not None:
                 yield c1, c2, fc, gc
 
+    def character(self, h: np.ndarray, beta: complex) -> MultChar | None:
+        """The enumerated character equal to chi = beta h, when h satisfies
+        h(x sigma(y)) = beta h(x) h(y) and chi is non-zero, multiplicative
+        and even; None otherwise."""
+        S, tol, b = self.S, self.tol, complex(beta)
+        if abs(b) <= tol:
+            raise ValueError("beta must be non-zero")
+        lhs = h[S.table[:, S.sigma]]
+        if float(np.max(np.abs(lhs - b * np.outer(h, h)))) > tol:
+            return None
+        v = b * h
+        if np.all(np.abs(v) <= tol):
+            return None
+        if float(np.max(np.abs(v[S.table] - np.outer(v, v)))) > tol:
+            return None
+        if not np.all(np.abs(v[S.sigma] - v) <= tol):
+            return None
+        return _match_char(self.chars, v, tol)
+
     def lead(self) -> tuple[bool, ClassifiedSolution | None]:
         """Run the walk's leading steps: (answered, hit)."""
         args = (self.f.values, self.g.values, self.alpha, self.sq, self.tol)
@@ -497,8 +491,7 @@ def _classify_cos_sub(s: _Session):
     elif verdict.kind == "g-of-f" and abs(verdict.coefficient) > tol:
         lam = 1 / verdict.coefficient
     if lam is not None and min(abs(lam - 1j), abs(lam + 1j)) > tol:
-        chi = extract_character(g, 1 + lam * lam, S, tol=tol)
-        chi = chi and _match_char(s.chars, chi.values, tol)
+        chi = s.character(gv, 1 + lam * lam)
         if chi is not None:
             hit = s.attempt(CaseId("cos-sub", 3),
                             CaseParams(chi=chi, alpha=lam))
@@ -557,8 +550,7 @@ def _classify_sine_add(s: _Session):
     elif verdict.kind == "g-of-f" and abs(verdict.coefficient) > tol:
         lam = 1 / verdict.coefficient
     if lam is not None:
-        chi = extract_character(g, 2, S, tol=tol)
-        chi = chi and _match_char(s.chars, chi.values, tol)
+        chi = s.character(gv, 2)
         if chi is not None:
             hit = s.attempt(CaseId("sine-add", 3),
                             CaseParams(chi=chi, alpha=1 / lam))
@@ -604,8 +596,7 @@ def _classify_cos_sine_g(s: _Session):
     if lam is not None and abs(2 * lam - 1) > tol:
         beta = lam / (2 * lam - 1)
         if abs(beta) > tol:
-            chi = extract_character(g, 1 / beta, S, tol=tol)
-            chi = chi and _match_char(s.chars, chi.values, tol)
+            chi = s.character(gv, 1 / beta)
             if chi is not None:
                 hit = s.attempt(CaseId("cos-sine-g", 4),
                                 CaseParams(chi=chi, beta=beta))
@@ -825,8 +816,7 @@ def classify_rows(equation: str, F: np.ndarray, G: np.ndarray,
 
 
 def classify(equation: str, f: FnTable, g: FnTable, S: FiniteSemigroup,
-             sigma=None, alpha: complex | None = None, chars=None,
-             tol: float = EPS):
+             alpha: complex | None = None, chars=None, tol: float = EPS):
     """Classify a verified solution pair on a finite semigroup.
 
     For the two alpha equations the constant is taken from `alpha` when
@@ -836,10 +826,6 @@ def classify(equation: str, f: FnTable, g: FnTable, S: FiniteSemigroup,
     if not isinstance(S, FiniteSemigroup):
         raise TypeError("classification runs on finite semigroups only; "
                         "windowed carriers use construct-then-compare")
-    if sigma is not None and not np.array_equal(
-            np.asarray(sigma, dtype=np.intp), S.sigma):
-        S = FiniteSemigroup(S.name, S.elements, S.table, sigma)
-        chars = None
     if equation not in ("cos-sub", "sine-add", "cos-sine-g", "alpha-sym",
                         "alpha-skew"):
         raise KeyError(f"unknown equation id {equation!r}")

@@ -41,11 +41,7 @@ EXIT_OK, EXIT_FAIL, EXIT_USAGE, EXIT_BUDGET = 0, 1, 2, 3
 
 
 class CliError(Exception):
-    """Validation failure with a message and an exit code."""
-
-    def __init__(self, message: str, code: int = EXIT_FAIL):
-        super().__init__(message)
-        self.code = code
+    """Validation failure with a message; the command exits with EXIT_FAIL."""
 
 
 def _resolve_semigroup(value: str):
@@ -95,12 +91,21 @@ def _read_json(path: str):
         raise CliError(f"{path}: {exc}") from exc
 
 
+def _typed(path: str, name: str, value, kind: type):
+    """`value`, the field `name` of the JSON file `path`, if it is a
+    `kind` (dict or list)."""
+    if not isinstance(value, kind):
+        what = "an object" if kind is dict else "an array"
+        raise CliError(f"{path}: field {name!r} must be {what}")
+    return value
+
+
 def _read_pair(S: FiniteSemigroup, path: str) -> tuple[FnTable, FnTable]:
     data = _read_json(path)
     if not isinstance(data, dict) or "f" not in data or "g" not in data:
         raise CliError(f"{path}: expected an object with fields 'f' and 'g'")
     norm = {side: {name: cnum(_as_complex(v))
-                   for name, v in data[side].items()}
+                   for name, v in _typed(path, side, data[side], dict).items()}
             for side in ("f", "g")}
     try:
         f = FnTable.from_json_dict(S, norm["f"], label="f")
@@ -112,7 +117,7 @@ def _read_pair(S: FiniteSemigroup, path: str) -> tuple[FnTable, FnTable]:
 
 def _emit(args, payload: dict, lines) -> None:
     text = stable_json(payload)
-    if getattr(args, "output", None):
+    if args.output:
         Path(args.output).write_text(text + "\n", encoding="utf-8")
         for line in lines:
             print(line)
@@ -222,8 +227,9 @@ def _cmd_rho(args) -> int:
     return EXIT_OK
 
 
-def _params_from_file(S: FiniteSemigroup, case: CaseId, data: dict,
+def _params_from_file(S: FiniteSemigroup, case: CaseId, path: str,
                       chars) -> CaseParams:
+    data = _read_json(path)
     if not isinstance(data, dict):
         raise CliError("parameter file must hold a JSON object")
     fields: dict = {}
@@ -237,8 +243,8 @@ def _params_from_file(S: FiniteSemigroup, case: CaseId, data: dict,
                 raise CliError(f"{name} must be a character index")
             fields[name] = _pick_char(S, chars, idx)
     if "free" in data:
-        values = {name: cnum(_as_complex(v))
-                  for name, v in data["free"].items()}
+        values = {name: cnum(_as_complex(v)) for name, v in
+                  _typed(path, "free", data["free"], dict).items()}
         try:
             fields["free"] = FnTable.from_json_dict(S, values)
         except ValueError as exc:
@@ -251,13 +257,17 @@ def _params_from_file(S: FiniteSemigroup, case: CaseId, data: dict,
         chi = fields["chi"]
         from .families import combine_additive
         basis = additive_basis(S, chi, parity)
-        coeffs = [_as_complex(v) for v in data.get("A", {}).get("coeffs", [])]
+        A = _typed(path, "A", data.get("A", {}), dict)
+        coeffs = [_as_complex(v) for v in
+                  _typed(path, "A.coeffs", A.get("coeffs", []), list)]
         if len(coeffs) != len(basis):
             raise CliError(f"A.coeffs must give {len(basis)} value(s) for "
                            "this character's additive basis")
         fields["A"] = combine_additive(S, basis, coeffs, chi, parity)
         space = rho_space(chi, S, parity)
-        free = [_as_complex(v) for v in data.get("rho", {}).get("free", [])]
+        rho = _typed(path, "rho", data.get("rho", {}), dict)
+        free = [_as_complex(v) for v in
+                _typed(path, "rho.free", rho.get("free", []), list)]
         if len(free) != space.dimension:
             raise CliError(f"rho.free must give {space.dimension} value(s) "
                            "for this character's rho space")
@@ -276,7 +286,7 @@ def _cmd_construct(args) -> int:
     except ValueError as exc:
         raise CliError(str(exc)) from exc
     chars = enumerate_characters(S)
-    params = _params_from_file(S, case, _read_json(args.params), chars)
+    params = _params_from_file(S, case, args.params, chars)
     try:
         f, g = construct(case, params, S)
     except (ConstraintError, ValueError) as exc:
@@ -302,7 +312,7 @@ def _cmd_classify(args) -> int:
     alpha = _as_complex(args.alpha) if args.alpha is not None else None
     try:
         hit = classify(args.equation, f, g, S, alpha=alpha, tol=args.tol)
-    except NotASolutionError as exc:
+    except ValueError as exc:       # not a solution, or alpha within tol of 0
         raise CliError(str(exc)) from exc
     if isinstance(hit, Unclassified):
         _emit(args, hit.to_json_dict(),
@@ -360,7 +370,7 @@ def _example1_report(args) -> dict:
     A = W.extras["additive_family"]({r: 1 for r in primes[:4]})
     rng_pairs = [(x, y) for x in win for y in win]
     a_res = additive_residual(A, W, rng_pairs)
-    a_even = parity_residual(A, chi, W)
+    a_even = parity_residual(A, W)
 
     rho = W.extras["rho_family"](1.0, "even")
     cond1 = check_condition_I(rho, chi, W)
@@ -459,7 +469,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     "verify.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, fn=False, equation=False, output=True):
+    def common(p, fn=False, equation=False):
         p.add_argument("--semigroup", "-s", required=True,
                        help="bundled name or path to a semigroup JSON file")
         if equation:
@@ -470,9 +480,8 @@ def _build_parser() -> argparse.ArgumentParser:
                            help="JSON file with fields 'f' and 'g'")
         p.add_argument("--tol", type=float, default=EPS,
                        help="acceptance tolerance (default 1e-9)")
-        if output:
-            p.add_argument("--output", "-o", help="write the JSON artifact "
-                           "to this path")
+        p.add_argument("--output", "-o", help="write the JSON artifact "
+                       "to this path")
 
     p = sub.add_parser("check", help="evaluate an equation residual")
     common(p, fn=True, equation=True)
@@ -542,13 +551,10 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
     except BudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (SemigroupError, EquationSyntaxError, NotASolutionError,
+    except (CliError, SemigroupError, EquationSyntaxError, NotASolutionError,
             ConstraintError, GridInputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL

@@ -20,11 +20,6 @@ import numpy as np
 EPS = 1e-9
 
 
-def ceq(a: complex, b: complex, tol: float = EPS) -> bool:
-    """Scalar equality: |a - b| <= tol."""
-    return abs(complex(a) - complex(b)) <= tol
-
-
 def stable_json(obj) -> str:
     """Serialize deterministically (sorted keys, no whitespace jitter)."""
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
@@ -45,14 +40,13 @@ class FiniteSemigroup:
 
     ``table[i, j]`` holds the index of ``elements[i] * elements[j]`` and
     ``sigma[i]`` the index of the automorphism image of ``elements[i]``.
-    Instances are immutable after construction and validated by default:
+    Instances are validated when built and immutable after:
     associativity, involutivity and multiplicativity of sigma are all
     checked exhaustively.  ``kernels`` memoizes the equations compiled on
     this carrier by :func:`addlaws.dsl.evaluate_residual`.
     """
 
-    def __init__(self, name: str, elements: Sequence[str], table, sigma,
-                 validate: bool = True):
+    def __init__(self, name: str, elements: Sequence[str], table, sigma):
         self.name = name
         self.elements = tuple(str(e) for e in elements)
         self.index = {e: k for k, e in enumerate(self.elements)}
@@ -61,8 +55,7 @@ class FiniteSemigroup:
         self.table.setflags(write=False)
         self.sigma.setflags(write=False)
         self.kernels: dict = {}
-        if validate:
-            self.validate()
+        self.validate()
 
     @property
     def n(self) -> int:
@@ -192,23 +185,20 @@ class WindowedSemigroup:
     """A possibly infinite semigroup verified over a finite window.
 
     ``product`` and ``sigma`` must be total computable maps on the carrier.
-    Validation checks sigma's involutivity and multiplicativity on all
-    window pairs and associativity on a deterministic sample of triples
+    Construction validates sigma's involutivity and multiplicativity on all
+    window pairs and associativity on a sample of triples drawn with seed 0
     (a full triple check would be cubic in the window size for no gain).
     """
 
     def __init__(self, name: str, product: Callable, sigma: Callable,
-                 window: Sequence, triple_samples: int = 10_000,
-                 seed: int = 0, validate: bool = True, extras: dict | None = None):
+                 window: Sequence, triple_samples: int = 10_000):
         self.name = name
         self.product = product
         self.sigma = sigma
         self.window = tuple(window)
         self.triple_samples = triple_samples
-        self.seed = seed
-        self.extras = dict(extras or {})
-        if validate:
-            self.validate()
+        self.extras: dict = {}
+        self.validate()
 
     def __repr__(self):
         return f"WindowedSemigroup({self.name!r}, window={len(self.window)})"
@@ -225,7 +215,7 @@ class WindowedSemigroup:
                 if sig(mul(x, y)) != mul(sig(x), sig(y)):
                     raise SemigroupError(
                         f"sigma is not multiplicative at ({x!r}, {y!r})")
-        rng = random.Random(self.seed)
+        rng = random.Random(0)
         w = self.window
         for _ in range(self.triple_samples):
             x, y, z = rng.choice(w), rng.choice(w), rng.choice(w)
@@ -281,10 +271,10 @@ class FnTable:
         return FnTable(self.domain, formula=lambda x: fm(sig(x)),
                        label=self.label + "*")
 
-    def is_zero(self, tol: float = EPS) -> bool:
+    def is_zero(self) -> bool:
         if self.values is None:
             raise ValueError("is_zero needs a finite value table")
-        return bool(np.all(np.abs(self.values) <= tol))
+        return bool(np.all(np.abs(self.values) <= EPS))
 
     def max_abs_diff(self, other: "FnTable") -> float:
         if self.values is None or other.values is None:
@@ -321,19 +311,18 @@ def fn(S, values_or_formula, label: str = "") -> FnTable:
     return FnTable(S, values=values_or_formula, label=label)
 
 
-def even_odd_parts(f: FnTable, S=None, sigma=None) -> tuple[FnTable, FnTable]:
+def even_odd_parts(f: FnTable) -> tuple[FnTable, FnTable]:
     """Split f into its even and odd parts relative to the automorphism.
 
     Returns (fe, fo) with fe + fo = f, fe o sigma = fe and fo o sigma = -fo.
     """
-    S = S if S is not None else f.domain
+    S = f.domain
     if f.values is not None:
-        perm = sigma if sigma is not None else S.sigma
-        starred = f.values[perm]
+        starred = f.values[S.sigma]
         fe = FnTable(S, values=(f.values + starred) / 2, label=f.label + "^e")
         fo = FnTable(S, values=(f.values - starred) / 2, label=f.label + "^o")
         return fe, fo
-    sig = sigma if sigma is not None else S.sigma
+    sig = S.sigma
     fm = f.formula
     fe = FnTable(S, formula=lambda x: (fm(x) + fm(sig(x))) / 2,
                  label=f.label + "^e")

@@ -521,14 +521,14 @@ def resolve_equation(text: str) -> Equation:
     return parse_equation(text)
 
 
-def random_equation(rng: random.Random, max_terms: int = 3,
-                    max_apps: int = 2, max_sig_depth: int = 2) -> Equation:
-    """A random well-formed AST, for parse/print round-trip fuzzing."""
+def random_equation(rng: random.Random) -> Equation:
+    """A random well-formed AST, for parse/print round-trip fuzzing: up to
+    3 terms a side, 2 applications a term and 2 nested s(...)."""
 
     def rand_word(depth: int) -> Word:
         atoms = []
         for _ in range(rng.randint(1, 3)):
-            if depth < max_sig_depth and rng.random() < 0.3:
+            if depth < 2 and rng.random() < 0.3:
                 atoms.append(Sig(rand_word(depth + 1)))
             else:
                 atoms.append(Var(rng.choice(VARIABLES)))
@@ -545,11 +545,11 @@ def random_equation(rng: random.Random, max_terms: int = 3,
     def rand_term(first: bool) -> Term:
         sign = 1 if first else rng.choice([1, -1])
         apps = tuple(App(rng.choice(FUNCTIONS), rand_word(0))
-                     for _ in range(rng.randint(1, max_apps)))
+                     for _ in range(rng.randint(1, 2)))
         return Term(sign, rand_coeff(), apps)
 
     def rand_expr() -> Expr:
-        count = rng.randint(1, max_terms)
+        count = rng.randint(1, 3)
         return Expr(tuple(rand_term(k == 0) for k in range(count)))
 
     return Equation(rand_expr(), rand_expr())

@@ -107,8 +107,8 @@ def _primes_upto(limit: int) -> list[int]:
 
 
 @functools.lru_cache(maxsize=None)
-def example1(window_max: int = 200, p: int = 2, q: int = 3) -> WindowedSemigroup:
-    """Multiplicative naturals >= 2; sigma swaps the primes p and q.
+def example1(window_max: int = 200) -> WindowedSemigroup:
+    """Multiplicative naturals >= 2; sigma swaps the primes p = 2 and q = 3.
 
     extras:
       chi             the indicator of the complement of pN u qN
@@ -117,6 +117,7 @@ def example1(window_max: int = 200, p: int = 2, q: int = 3) -> WindowedSemigroup
       rho_family      (c, parity) -> RhoFn constant on each of the two rays
       primes          the primes in the window other than p and q
     """
+    p, q = 2, 3
 
     def sigma(n: int) -> int:
         return _swap_pq(n, p, q)
@@ -141,7 +142,7 @@ def example1(window_max: int = 200, p: int = 2, q: int = 3) -> WindowedSemigroup
         "Example1", product=lambda a, b: a * b, sigma=sigma, window=window)
 
     chi = WindowedChar(W, chi_formula, in_ideal, in_ideal_square,
-                       in_prime_part, even=True)
+                       in_prime_part)
     free_primes = [r for r in _primes_upto(window_max) if r not in (p, q)]
 
     def additive_family(coeffs: dict[int, complex]) -> AdditiveFn:
@@ -219,16 +220,14 @@ def example2() -> WindowedSemigroup:
     def never(_u) -> bool:
         return False
 
-    chi0 = WindowedChar(W, lambda u: 1 + 0j, never, never, never, even=True,
+    chi0 = WindowedChar(W, lambda u: 1 + 0j, never, never, never,
                         label="chi0")
     # Any point with a zero coordinate factors through the same axis, so the
     # ideal equals its own square and the prime part is empty.
     chi_abs = WindowedChar(W, lambda u: complex(abs(u[0]) * abs(u[1])),
-                           on_axes, on_axes, never, even=True,
-                           label="chi_abs")
+                           on_axes, on_axes, never, label="chi_abs")
     chi_sgn = WindowedChar(W, lambda u: complex(u[0] * u[1]),
-                           on_axes, on_axes, never, even=True,
-                           label="chi_sgn")
+                           on_axes, on_axes, never, label="chi_sgn")
 
     def log_candidate(a: complex, b: complex, parity: str) -> AdditiveFn:
         def formula(u) -> complex:

@@ -358,7 +358,7 @@ def _free_vanishing_clauses(S, values: np.ndarray):
 
 def _check_additive(S, chi, A: AdditiveFn, parity: str) -> None:
     _require(A.parity == parity, f"A parity must be {parity}")
-    _require(parity_residual(A, chi, S) <= EPS, f"A parity must be {parity}")
+    _require(parity_residual(A, S) <= EPS, f"A parity must be {parity}")
     if _finite(S):
         D = sorted(set(range(S.n)) - chi.null_ideal)
         for x in D:
@@ -373,7 +373,7 @@ def _check_additive(S, chi, A: AdditiveFn, parity: str) -> None:
 
 def _check_rho(S, chi, rho: RhoFn, parity: str) -> None:
     _require(rho.parity == parity, f"rho parity must be {parity}")
-    _require(parity_residual(rho, chi, S) <= EPS,
+    _require(parity_residual(rho, S) <= EPS,
              f"rho parity must be {parity}")
     _require(check_condition_I(rho, chi, S), "condition (I) fails")
 
@@ -703,12 +703,6 @@ def construct_rows(case: CaseId, S: FiniteSemigroup, params: CaseParams,
         f, g = _ROW_CASES[case.equation, case.case][1](S, params,
                                                        params.free, ok)
     return ok, f, g
-
-
-def zero_additive(S: FiniteSemigroup, chi, parity: str = "even") -> AdditiveFn:
-    dom = frozenset(set(range(S.n)) - chi.null_ideal)
-    return AdditiveFn(domain=dom, values=np.zeros(S.n, dtype=np.complex128),
-                      parity=parity)
 
 
 def combine_additive(S: FiniteSemigroup, basis: list[AdditiveFn],

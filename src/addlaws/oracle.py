@@ -41,6 +41,7 @@ from .characters import enumerate_characters
 from .classify import Unclassified, classify, classify_rows
 from .core import EPS, FiniteSemigroup, FnTable, cnum
 from .dsl import builtin, evaluate_residual
+from .examples import bundled_finite
 from .families import (ALPHA_EQUATIONS, EQUATION_IDS, CaseId,
                        admissible_params, all_case_ids, construct)
 
@@ -272,17 +273,14 @@ def coverage_report(S: FiniteSemigroup, alphabet=DEFAULT_ALPHABET,
     return report
 
 
-def fuzz_constructors(equation: str, n: int = 500, seed: int = 0,
-                      semigroups=None, tol: float = EPS) -> dict:
+def fuzz_constructors(equation: str, n: int = 500, seed: int = 0) -> dict:
     """Randomized soak test of the constructors for one equation.
 
     Draws `n` admissible parameter bundles per case (each over a random
     bundled carrier where the case is populated), rebuilds the pair, and
     records the worst equation residual.  Deterministic in `seed`.
     """
-    if semigroups is None:
-        from .examples import bundled_finite
-        semigroups = bundled_finite()
+    semigroups = bundled_finite()
     rng = random.Random(seed)
     chars = {S.name: enumerate_characters(S) for S in semigroups}
     ast = builtin(equation)

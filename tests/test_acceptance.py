@@ -113,7 +113,7 @@ def test_criterion_4_symmetry_identities(bundle, chars):
         for chi in chars[S.name]:
             if not chi.even:
                 continue
-            I, I2, P = ideal_sets(chi, S)
+            I, I2, P = ideal_sets(chi)
             blocks = {"I": I, "I^2": I2, "S-I": set(range(S.n)) - I,
                       "I-I^2": I - I2, "P": P, "I-P": I - P}
             for label, block in blocks.items():

@@ -56,7 +56,7 @@ def test_sigma_fixes_ideal_partition_of_even_characters(carriers, chars):
         for chi in chars[name]:
             if not chi.even:
                 continue
-            I, I2, P = ideal_sets(chi, S)
+            I, I2, P = ideal_sets(chi)
             sig = {int(S.sigma[x]) for x in range(S.n)}  # sanity: bijection
             assert sig == set(range(S.n))
             for block in (I, I2, set(range(S.n)) - I, I - I2, P, I - P):
@@ -66,7 +66,7 @@ def test_sigma_fixes_ideal_partition_of_even_characters(carriers, chars):
 def test_ideal_sets_m3():
     S = m3()
     chi = enumerate_characters(S)[0]          # (1, 0, 0) on ('1', 'p', '0')
-    I, I2, P = ideal_sets(chi, S)
+    I, I2, P = ideal_sets(chi)
     assert I == frozenset({1, 2})
     assert I2 == frozenset({2})
     assert P == frozenset({1})
@@ -75,7 +75,7 @@ def test_ideal_sets_m3():
 def test_ideal_sets_np4():
     S = np4()
     chi = enumerate_characters(S)[0]          # (1, 0, 0, 0) on (e, p, q, z)
-    I, I2, P = ideal_sets(chi, S)
+    I, I2, P = ideal_sets(chi)
     assert I == frozenset({1, 2, 3})
     assert I2 == frozenset({3})
     assert P == frozenset({1, 2})
@@ -116,8 +116,8 @@ def test_rho_space_np4_carries_both_parities():
     assert r_odd(1) == 2.0 and r_odd(2) == -2.0
     assert check_condition_I(r_even, chi, S)
     assert check_condition_I(r_odd, chi, S)
-    assert parity_residual(r_even, chi, S) <= TOL
-    assert parity_residual(r_odd, chi, S) <= TOL
+    assert parity_residual(r_even, S) <= TOL
+    assert parity_residual(r_odd, S) <= TOL
     with pytest.raises(ValueError, match="free value"):
         even.instance([1.0, 2.0], S.n)
 
@@ -158,7 +158,7 @@ def test_windowed_character_on_prime_swap_carrier(ex1):
     assert chi.formula(35) == 1                  # coprime to 6
     assert chi.formula(10) == 0                  # divisible by 2
     assert chi.even and chi.window_certified
-    I, I2, P = ideal_sets(chi, ex1)
+    I, I2, P = ideal_sets(chi)
     # Independent membership formulas over the window: the ideal is the
     # multiples of 2 or 3, and the prime part is {2w, 3w : gcd(w, 6) = 1}.
     for x in ex1.window:
@@ -175,7 +175,7 @@ def test_windowed_additive_family_is_additive(ex1):
     pairs = [(x, y) for x in dom for y in dom]
     assert len(pairs) >= 1000
     assert additive_residual(A, ex1, pairs) <= TOL
-    assert parity_residual(A, ex1.extras["chi"], ex1) <= TOL
+    assert parity_residual(A, ex1) <= TOL
 
 
 def test_windowed_rho_family_satisfies_condition_I(ex1):
@@ -183,4 +183,4 @@ def test_windowed_rho_family_satisfies_condition_I(ex1):
     for parity in ("even", "odd"):
         rho = ex1.extras["rho_family"](1.5, parity)
         assert check_condition_I(rho, chi, ex1)
-        assert parity_residual(rho, chi, ex1) <= TOL
+        assert parity_residual(rho, ex1) <= TOL

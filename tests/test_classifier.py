@@ -1,5 +1,5 @@
 """Round-tripping solutions back to their cases, dependence analysis,
-character extraction, and the documented alias folds."""
+the pinned classify outcomes, and the documented alias folds."""
 
 import dataclasses
 import hashlib
@@ -11,9 +11,8 @@ import pytest
 
 from addlaws.classify import (ALIASES, ClassifiedSolution, NotASolutionError,
                               Unclassified, alias_equivalent, classify,
-                              extract_character, linear_dependence,
-                              reduce_alpha_sym)
-from addlaws.core import FnTable, cnum, fn, stable_json
+                              linear_dependence, reduce_alpha_sym)
+from addlaws.core import FiniteSemigroup, FnTable, cnum, fn, stable_json
 from addlaws.dsl import BUILTIN_EQUATIONS
 from addlaws.families import CaseId, CaseParams, admissible_params, \
     all_case_ids, construct
@@ -29,8 +28,8 @@ classify_mod = importlib.import_module("addlaws.classify")
 ALPHA_EQS = ("alpha-sym", "alpha-skew")
 
 #: SHA-256 of the per-pair classify outcomes of
-#: test_classify_outcomes_byte_identical, recorded before the character
-#: check of the walks moved from extract_character into the session.
+#: test_classify_outcomes_byte_identical, recorded before the walks'
+#: character check moved into the classification session.
 CLASSIFY_OUTCOME_DIGEST = ("c425532ee0edc37dbf44d54cf4e1af62"
                            "7503bc0f0a1dd2d087be16ed40413877")
 
@@ -102,23 +101,6 @@ def test_stacked_dependence_equals_linear_dependence_row_by_row():
                                      "independent"}
 
 
-def test_extract_character():
-    S = z2()
-    chi = extract_character(fn(S, [0.5, 0.5], "h"), 2.0, S)
-    assert chi is not None and np.allclose(chi.values, [1, 1])
-    assert extract_character(fn(S, [1, 2], "h"), 1.0, S) is None
-    with pytest.raises(ValueError, match="beta"):
-        extract_character(fn(S, [1, 1], "h"), 0.0, S)
-    # A non-even candidate is rejected even though it is multiplicative.
-    T = z3()
-    omega = np.exp(2j * np.pi / 3)
-    assert extract_character(fn(T, [1, omega, omega ** 2], "h"), 1.0, T) is None
-    # ... but accepted under an automorphism override that makes it even.
-    chi = extract_character(fn(T, [1, omega, omega ** 2], "h"), 1.0, T,
-                            sigma=np.arange(3))
-    assert chi is not None
-
-
 def test_classify_degenerate_pair_on_null_carrier():
     S = n3()
     g = fn(S, [0, 1, 1], "g")
@@ -182,15 +164,16 @@ def test_unclassified_diagnostics_have_full_dump(chars):
 
 def test_sigma_override_rebuilds_the_carrier(chars):
     # The second-coordinate sign character solves the multiplicative
-    # specialization only when sigma is overridden to the identity.
+    # specialization only on the Klein group with sigma = id.
     S = z2xz2()
+    T = FiniteSemigroup("Z2xZ2-id", S.elements, S.table, np.arange(4))
     chi = chars["Z2xZ2"][1]
-    f = fn(S, [0, 0, 0, 0], "f")
-    g = fn(S, chi.values, "g")
-    hit = classify("cos-sub", f, g, S, sigma=np.arange(4))
+    hit = classify("cos-sub", fn(T, [0, 0, 0, 0], "f"),
+                   fn(T, chi.values, "g"), T)
     assert hit.case == CaseId("cos-sub", 3)
     with pytest.raises(NotASolutionError):
-        classify("cos-sub", f, g, S)
+        classify("cos-sub", fn(S, [0, 0, 0, 0], "f"), fn(S, chi.values, "g"),
+                 S)
 
 
 def test_alias_alpha_zero_folds_into_scaled_character(chars):

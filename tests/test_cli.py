@@ -113,6 +113,50 @@ def test_classify_round_trips_from_files(capsys, tmp_path):
     assert payload["constants"]["c"] == [0.0, 1.0]
 
 
+@pytest.mark.parametrize("equation,alpha", [
+    ("alpha-sym", "0"), ("alpha-skew", "0"), ("alpha-sym", "1e-12")])
+def test_classify_zero_alpha_is_a_typed_error(capsys, tmp_path, equation,
+                                              alpha):
+    fg = write_pair(tmp_path, "fg.json",
+                    {"e": [0, 0], "a": [0, 0]}, {"e": [0, 0], "a": [0, 0]})
+    code = main(["classify", "-s", "Z2", "-e", equation, "--alpha", alpha,
+                 "--fn", fg])
+    out = capsys.readouterr()
+    assert code == EXIT_FAIL
+    assert out.err == "error: alpha must be non-zero\n" and out.out == ""
+
+
+@pytest.mark.parametrize("command", ["check", "classify"])
+@pytest.mark.parametrize("side", ["f", "g"])
+def test_pair_file_tables_must_be_objects(capsys, tmp_path, command, side):
+    tables = {"f": {"e": [0, 0], "a": [0, 0]},
+              "g": {"e": [1, 0], "a": [1, 0]}}
+    tables[side] = [0, 0]
+    fg = write_pair(tmp_path, "fg.json", tables["f"], tables["g"])
+    code = main([command, "-s", "Z2", "-e", "cos-sub", "--fn", fg])
+    out = capsys.readouterr()
+    assert code == EXIT_FAIL
+    assert out.err == f"error: {fg}: field '{side}' must be an object\n"
+
+
+@pytest.mark.parametrize("params,field,what", [
+    ({"free": [1, 0]}, "free", "an object"),
+    ({"chi": 0, "A": [1]}, "A", "an object"),
+    ({"chi": 0, "rho": [1]}, "rho", "an object"),
+    ({"chi": 0, "A": {"coeffs": 1}}, "A.coeffs", "an array"),
+    ({"chi": 0, "rho": {"free": 1}}, "rho.free", "an array"),
+])
+def test_params_file_fields_are_type_checked(capsys, tmp_path, params, field,
+                                             what):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(params))
+    code = main(["construct", "-s", "Z2", "-e", "sine-add", "--case", "5",
+                 "--params", str(path)])
+    out = capsys.readouterr()
+    assert code == EXIT_FAIL
+    assert out.err == f"error: {path}: field '{field}' must be {what}\n"
+
+
 def test_classify_unknown_semigroup(capsys, tmp_path):
     fg = write_pair(tmp_path, "fg.json", {"e": [0, 0]}, {"e": [0, 0]})
     code = main(["classify", "-s", "Q8", "-e", "cos-sub", "--fn", fg])

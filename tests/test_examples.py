@@ -62,7 +62,7 @@ def test_prime_swap_additive_and_rho(ex1):
     assert additive_residual(A, ex1, pairs) <= TOL
     rho = ex1.extras["rho_family"](0.5, "odd")
     assert rho(2) == 0.5 and rho(3) == -0.5
-    assert parity_residual(rho, ex1.extras["chi"], ex1) <= TOL
+    assert parity_residual(rho, ex1) <= TOL
 
 
 def test_quadrant_grid_window_structure(ex2):

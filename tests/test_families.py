@@ -12,7 +12,7 @@ from addlaws.core import cnum, fn, stable_json
 from addlaws.dsl import BUILTIN_EQUATIONS
 from addlaws.families import (BRANCHES, CASE_COUNTS, CaseId, CaseParams,
                               ConstraintError, admissible_params, all_case_ids,
-                              combine_additive, construct, zero_additive)
+                              combine_additive, construct)
 from addlaws.examples import n3, z2, z2xz2
 from addlaws.oracle import fuzz_constructors
 
@@ -292,8 +292,6 @@ def test_character_built_cases_are_abelian(carriers, chars):
 def test_additive_helpers(chars):
     S = z2()
     chi = chars["Z2"][1]
-    z = zero_additive(S, chi)
-    assert z.in_domain(0) and all(z(x) == 0 for x in range(S.n))
     both = combine_additive(S, [], [], chi)
     assert all(both(x) == 0 for x in range(S.n))
 
