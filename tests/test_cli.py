@@ -1,11 +1,17 @@
 """Command-line entry point: exit codes, JSON artifacts, file handling."""
 
+import hashlib
 import json
 
 import pytest
 
 from addlaws.cli import EXIT_BUDGET, EXIT_FAIL, EXIT_OK, EXIT_USAGE, main
 from addlaws.examples import m3
+
+#: SHA-256 of the exit codes and stdout of the report-examples runs in
+#: test_report_examples_byte_identical.
+REPORT_EXAMPLES_DIGEST = ("5f7c9998b644dad97d9890f3402b09e9"
+                          "e00c538f9844ad7af2f46634a8f450f1")
 
 
 def run(capsys, *argv):
@@ -245,3 +251,22 @@ def test_report_example_1(capsys):
     assert code == EXIT_OK
     assert payload["ok"] is True
     assert payload["end_to_end"]["residual"] <= 1e-9
+
+
+def test_report_examples_byte_identical(capsys):
+    """Exit codes and stdout of report-examples hash to a pinned digest.
+
+    The other report tests check only `ok` and the end-to-end residual, so
+    without this a change that moved a windowed residual's digits would go
+    unnoticed.  Example 1 runs at windows 2, 16, 38 and 80, example 2 at 1
+    and 400 pairs with seeds 0 and 7.
+    """
+    runs = [("--example", "1", "--window", str(w)) for w in (2, 16, 38, 80)]
+    runs += [("--example", "2", "--pairs", str(p), "--seed", str(s))
+             for p in (1, 400) for s in (0, 7)]
+    digest = hashlib.sha256()
+    for argv in runs:
+        code = main(["report-examples", *argv])
+        out = capsys.readouterr().out
+        digest.update(f"{' '.join(argv)} -> {code}\n{out}".encode())
+    assert digest.hexdigest() == REPORT_EXAMPLES_DIGEST
