@@ -42,8 +42,9 @@ class MultChar:
     """A non-zero multiplicative function on a finite semigroup.
 
     Caches the null ideal I, its square I^2, the prime part P, the
-    composition with the automorphism, and the evenness flag.  Raises
-    ValueError when the values are zero or not multiplicative.
+    composition with the automorphism, and the evenness flag; `in_ideal`
+    and `in_prime_part` test membership as on a :class:`WindowedChar`.
+    Raises ValueError when the values are zero or not multiplicative.
     """
 
     def __init__(self, S: FiniteSemigroup, values):
@@ -55,6 +56,8 @@ class MultChar:
         self.even = bool(np.all(np.abs(self.conj - v) <= EPS))
         self.null_ideal, self.null_square, self.prime_part = \
             _ideal_sets_from_values(S, v)
+        self.in_ideal = self.null_ideal.__contains__
+        self.in_prime_part = self.prime_part.__contains__
         if np.all(np.abs(v) <= EPS):
             raise ValueError("multiplicative function must be non-zero")
         bad = self.multiplicativity_residual()
@@ -356,7 +359,7 @@ def additive_basis(S, chi, parity: str = "even") -> list[AdditiveFn]:
 
 def additive_residual(A: AdditiveFn, S, pairs: Iterable) -> float:
     """max |A(xy) - A(x) - A(y)| over the given pairs (domain-filtered)."""
-    mul = S.product if isinstance(S, WindowedSemigroup) else S.mul
+    mul = S.mul
     worst = 0.0
     for x, y in pairs:
         if not (A.in_domain(x) and A.in_domain(y)):
@@ -476,16 +479,9 @@ def check_condition_I(rho, chi, S) -> bool:
     rho(upv) = rho(p) chi(uv).  Windowed carriers quantify u, v, p over the
     window only.
     """
-    if isinstance(S, WindowedSemigroup):
-        mul = S.product
-        P = [x for x in S.window if chi.in_prime_part(x)]
-        non_ideal = [x for x in S.window if not chi.in_ideal(x)]
-        in_P = chi.in_prime_part
-    else:
-        mul = S.mul
-        P = sorted(chi.prime_part)
-        non_ideal = sorted(set(range(S.n)) - chi.null_ideal)
-        in_P = chi.prime_part.__contains__
+    mul, in_P = S.mul, chi.in_prime_part
+    P = [x for x in S.window if in_P(x)]
+    non_ideal = [x for x in S.window if not chi.in_ideal(x)]
     for p in P:
         rp = rho(p)
         for u in non_ideal:
@@ -506,15 +502,10 @@ def check_condition_I(rho, chi, S) -> bool:
 def check_condition_II(f, chi, S) -> bool:
     """Vanishing of f on mixed products: f(xy) = f(yx) = 0 whenever one
     factor is in I \\ P and the other outside I."""
-    if isinstance(S, WindowedSemigroup):
-        mul = S.product
-        edge = [x for x in S.window
-                if chi.in_ideal(x) and not chi.in_prime_part(x)]
-        non_ideal = [x for x in S.window if not chi.in_ideal(x)]
-    else:
-        mul = S.mul
-        edge = sorted(chi.null_ideal - chi.prime_part)
-        non_ideal = sorted(set(range(S.n)) - chi.null_ideal)
+    mul = S.mul
+    edge = [x for x in S.window
+            if chi.in_ideal(x) and not chi.in_prime_part(x)]
+    non_ideal = [x for x in S.window if not chi.in_ideal(x)]
     for x in edge:
         for y in non_ideal:
             if abs(f(mul(x, y))) > EPS or abs(f(mul(y, x))) > EPS:
@@ -525,13 +516,8 @@ def check_condition_II(f, chi, S) -> bool:
 def parity_residual(fn, S) -> float:
     """max |f(sigma x) -/+ f(x)| over the function's domain."""
     sign = 1.0 if fn.parity == "even" else -1.0
-    if isinstance(S, WindowedSemigroup):
-        pts = [x for x in S.window if fn.in_domain(x)]
-        sig = S.sigma
-    else:
-        pts = [x for x in range(S.n) if fn.in_domain(x)]
-        sig = S.sig
     worst = 0.0
-    for x in pts:
-        worst = max(worst, abs(fn(sig(x)) - sign * fn(x)))
+    for x in S.window:
+        if fn.in_domain(x):
+            worst = max(worst, abs(fn(S.sig(x)) - sign * fn(x)))
     return worst

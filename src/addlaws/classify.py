@@ -110,9 +110,9 @@ def reduce_alpha_sym(f: FnTable, g: FnTable, alpha: complex) -> FnTable:
     a = complex(alpha)
     if abs(a) <= EPS:
         raise ValueError("alpha must be non-zero")
-    if f.finite and g.finite:
-        return FnTable(f.domain, values=(g.values - f.values / a) / 2)
-    return FnTable(f.domain, formula=lambda x: (g(x) - f(x) / a) / 2)
+    if f.values is None or g.values is None:
+        raise ValueError("reduce_alpha_sym needs finite value tables")
+    return FnTable(f.domain, values=(g.values - f.values / a) / 2)
 
 
 #: Documented case folds: pairs of (constructed, classified) labels that

@@ -35,7 +35,7 @@ from .dsl import (EquationSyntaxError, builtin, equation_symbols,
 from .families import (ALPHA_EQUATIONS, CASE_COUNTS, CaseId, CaseParams,
                        ConstraintError, construct)
 from .oracle import (DEFAULT_ALPHABET, BudgetError, GridInputError,
-                     PAIR_BUDGET, coverage_report)
+                     PAIR_BUDGET, coverage_report, validate_tolerance)
 
 EXIT_OK, EXIT_FAIL, EXIT_USAGE, EXIT_BUDGET = 0, 1, 2, 3
 
@@ -359,8 +359,7 @@ def _example1_report(args) -> dict:
     from .examples import example1
     W = example1(window_max=args.window)
     chi = W.extras["chi"]
-    mul, sig = W.product, W.sigma
-    win = W.window
+    mul, sig, win = W.mul, W.sig, W.window
 
     chi_mult = max(abs(chi(mul(x, y)) - chi(x) * chi(y))
                    for x in win for y in win)
@@ -403,7 +402,7 @@ def _example2_report(args) -> dict:
     W = example2()
     chars = W.extras["chars"]
     pairs = W.extras["sample_pairs"](args.pairs, args.seed)
-    mul, sig = W.product, W.sigma
+    mul, sig = W.mul, W.sig
 
     char_block = {}
     chars_ok = True
@@ -421,9 +420,7 @@ def _example2_report(args) -> dict:
         basis = W.extras["additive_basis"](chars["chi_abs"], parity)
         for k, A in enumerate(basis):
             res = additive_residual(A, W, pairs)
-            par = max(abs(A(sig(u)) -
-                          (A(u) if parity == "even" else -A(u)))
-                      for u in W.window if A.in_domain(u))
+            par = parity_residual(A, W)
             add_ok = add_ok and res <= args.tol and par <= args.tol
             add_block[f"{parity}[{k}]"] = {"pairs": len(pairs),
                                            "residual": res,
@@ -550,6 +547,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        validate_tolerance(args.tol)
         return args.handler(args)
     except BudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)

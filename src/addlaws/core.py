@@ -3,7 +3,9 @@
 Elements of a finite semigroup are handled as indices into its element
 list; every derived set or table is ordered by index so that output is
 deterministic.  Infinite carriers are represented by a computable product
-and a finite verification window.
+and a finite verification window.  Both kinds of carrier answer to the same
+names: ``S.window`` (the elements every check quantifies over), ``S.mul(x,
+y)`` and ``S.sig(x)``.
 """
 
 from __future__ import annotations
@@ -42,14 +44,16 @@ class FiniteSemigroup:
     ``sigma[i]`` the index of the automorphism image of ``elements[i]``.
     Instances are validated when built and immutable after:
     associativity, involutivity and multiplicativity of sigma are all
-    checked exhaustively.  ``kernels`` memoizes the equations compiled on
-    this carrier by :func:`addlaws.dsl.evaluate_residual`.
+    checked exhaustively.  ``window`` is every element index.  ``kernels``
+    memoizes the equations compiled on this carrier by
+    :func:`addlaws.dsl.evaluate_residual`.
     """
 
     def __init__(self, name: str, elements: Sequence[str], table, sigma):
         self.name = name
         self.elements = tuple(str(e) for e in elements)
         self.index = {e: k for k, e in enumerate(self.elements)}
+        self.window = range(len(self.elements))
         self.table = np.asarray(table, dtype=np.intp)
         self.sigma = np.asarray(sigma, dtype=np.intp)
         self.table.setflags(write=False)
@@ -184,20 +188,24 @@ def square_set(S: FiniteSemigroup) -> frozenset[int]:
 class WindowedSemigroup:
     """A possibly infinite semigroup verified over a finite window.
 
-    ``product`` and ``sigma`` must be total computable maps on the carrier.
-    Construction validates sigma's involutivity and multiplicativity on all
+    ``mul`` (the product) and ``sig`` (the automorphism) must be total
+    computable maps on the carrier, whose elements are hashable.
+    Construction validates sig's involutivity and multiplicativity on all
     window pairs and associativity on a sample of triples drawn with seed 0
     (a full triple check would be cubic in the window size for no gain).
+    ``kernels`` memoizes the equations compiled on this carrier by
+    :func:`addlaws.dsl.evaluate_residual`, as on a finite one.
     """
 
-    def __init__(self, name: str, product: Callable, sigma: Callable,
+    def __init__(self, name: str, mul: Callable, sig: Callable,
                  window: Sequence, triple_samples: int = 10_000):
         self.name = name
-        self.product = product
-        self.sigma = sigma
+        self.mul = mul
+        self.sig = sig
         self.window = tuple(window)
         self.triple_samples = triple_samples
         self.extras: dict = {}
+        self.kernels: dict = {}
         self.validate()
 
     def __repr__(self):
@@ -206,7 +214,7 @@ class WindowedSemigroup:
     def validate(self) -> None:
         if not self.window:
             raise SemigroupError("empty window")
-        sig, mul = self.sigma, self.product
+        sig, mul = self.sig, self.mul
         for x in self.window:
             if sig(sig(x)) != x:
                 raise SemigroupError(f"sigma is not involutive at {x!r}")
@@ -264,11 +272,9 @@ class FnTable:
 
     def star(self) -> "FnTable":
         """The composition with the automorphism (f* = f o sigma)."""
-        if self.values is not None:
-            return FnTable(self.domain, values=self.values[self.domain.sigma],
-                           label=self.label + "*")
-        sig, fm = self.domain.sigma, self.formula
-        return FnTable(self.domain, formula=lambda x: fm(sig(x)),
+        if self.values is None:
+            raise ValueError("star needs a finite value table")
+        return FnTable(self.domain, values=self.values[self.domain.sigma],
                        label=self.label + "*")
 
     def is_zero(self) -> bool:
@@ -316,16 +322,10 @@ def even_odd_parts(f: FnTable) -> tuple[FnTable, FnTable]:
 
     Returns (fe, fo) with fe + fo = f, fe o sigma = fe and fo o sigma = -fo.
     """
+    if f.values is None:
+        raise ValueError("even_odd_parts needs a finite value table")
     S = f.domain
-    if f.values is not None:
-        starred = f.values[S.sigma]
-        fe = FnTable(S, values=(f.values + starred) / 2, label=f.label + "^e")
-        fo = FnTable(S, values=(f.values - starred) / 2, label=f.label + "^o")
-        return fe, fo
-    sig = S.sigma
-    fm = f.formula
-    fe = FnTable(S, formula=lambda x: (fm(x) + fm(sig(x))) / 2,
-                 label=f.label + "^e")
-    fo = FnTable(S, formula=lambda x: (fm(x) - fm(sig(x))) / 2,
-                 label=f.label + "^o")
+    starred = f.values[S.sigma]
+    fe = FnTable(S, values=(f.values + starred) / 2, label=f.label + "^e")
+    fo = FnTable(S, values=(f.values - starred) / 2, label=f.label + "^o")
     return fe, fo

@@ -15,26 +15,27 @@ no leading minus, '*' mandatory between factors):
 's(w)' applies the automorphism to the word w; 'a' is the one named
 constant an equation may carry.
 
-Residuals on a finite carrier come from a kernel compiled once per AST and
-carrier: one array of element indices per function application over every
-variable assignment, so a residual is one numpy gather of the bound value
-tables, each term's factors multiplied and the terms summed in AST order.
-Windowed carriers, whose elements are not indices, stay interpreted: the
-AST is walked once per variable assignment.  The two paths agree to
-rounding, not bit for bit.
+Residuals come from a kernel compiled once per AST and carrier: one array
+of point indices per function application over every variable assignment,
+so a residual is one numpy gather of the bound functions' values at the
+points, each term's factors multiplied and the terms summed in AST order.
+On a finite carrier the points are its elements, and a bound table is
+gathered as it stands.  On a windowed carrier the points are the distinct
+elements the applications reach over the window, each bound function is
+called once per point, and the gather and sum are the same code, so both
+carriers give the same floats for the same values.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 import random
 from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
 
-from .core import FiniteSemigroup, FnTable, WindowedSemigroup
+from .core import FiniteSemigroup, FnTable
 
 MAX_RATIONAL = 10 ** 6
 
@@ -350,47 +351,73 @@ def _check_binding(funcs, uses_a: bool, binding: dict) -> None:
         raise KeyError("unbound constant 'a'")
 
 
+def _point_slots(apps: list, names: list, S,
+                 window: Iterable | None) -> tuple[list, tuple]:
+    """Each application's point slot over every assignment on a windowed
+    carrier, and the points: the distinct elements the applications reach,
+    in the order they are first reached."""
+    domain = S.window if window is None else tuple(window)
+    slot: dict = {}
+    cols = [[] for _ in apps]
+    for assignment in itertools.product(domain, repeat=len(names)):
+        env = dict(zip(names, assignment))
+        for col, app in zip(cols, apps):
+            elem = word_element(app.word, env, S.mul, S.sig)
+            col.append(slot.setdefault(elem, len(slot)))
+    return [np.array(col, dtype=np.intp) for col in cols], tuple(slot)
+
+
 class _Kernel:
-    """An equation compiled on one finite carrier and window.
+    """An equation compiled on one carrier and window.
 
     Function symbol k's values sit at k*n .. k*n + n - 1 of the
-    concatenated value tables, so ``index[r]`` gathers application r (in
-    AST order) over every variable assignment.  Each term is (negated, coeff,
-    rows): ``negated`` folds the term's sign with its side of the equation,
-    and ``rows`` lists the term's applications.
+    concatenated value tables, n the number of points, so ``index[r]``
+    gathers application r (in AST order) over every variable assignment.
+    ``points`` is None on a finite carrier, whose points are its element
+    indices, and the windowed carrier's reached elements otherwise.  Each
+    term is (negated, coeff, rows): ``negated`` folds the term's sign with
+    its side of the equation, and ``rows`` lists the term's applications.
     """
 
-    __slots__ = ("ast", "n", "fns", "uses_a", "index", "terms")
+    __slots__ = ("ast", "n", "points", "fns", "uses_a", "index", "terms")
 
-    def __init__(self, ast: Equation, S: FiniteSemigroup,
-                 window: Iterable | None):
+    def __init__(self, ast: Equation, S, window: Iterable | None):
         self.ast = ast
         funcs, varset, self.uses_a = equation_symbols(ast)
-        self.n = n = S.n
-        domain = (np.arange(n) if window is None
-                  else _window_indices(window, n))
-        names = sorted(varset)
-        grids = np.meshgrid(*[domain] * len(names), indexing="ij")
-        env = {name: grid.ravel() for name, grid in zip(names, grids)}
         self.fns = sorted(funcs)
-        rows, self.terms = [], []
+        names = sorted(varset)
+        apps, self.terms = [], []
         for expr, orient in ((ast.lhs, 1), (ast.rhs, -1)):
             for term in expr.terms:
-                first = len(rows)
-                for app in term.apps:
-                    rows.append(self.fns.index(app.fn) * n
-                                + _word_indices(app.word, env, S))
+                first = len(apps)
+                apps.extend(term.apps)
                 self.terms.append((term.sign * orient < 0, term.coeff,
-                                   range(first, len(rows))))
-        self.index = np.array(rows)
+                                   range(first, len(apps))))
+        if isinstance(S, FiniteSemigroup):
+            self.points, self.n = None, S.n
+            domain = (np.arange(S.n) if window is None
+                      else _window_indices(window, S.n))
+            grids = np.meshgrid(*[domain] * len(names), indexing="ij")
+            env = {name: grid.ravel() for name, grid in zip(names, grids)}
+            cols = [_word_indices(app.word, env, S) for app in apps]
+        else:
+            cols, self.points = _point_slots(apps, names, S, window)
+            self.n = len(self.points)
+        self.index = np.array([self.fns.index(app.fn) * self.n + col
+                               for app, col in zip(apps, cols)])
 
     def residuals(self, binding: dict) -> np.ndarray:
         """max |LHS - RHS| per row of the bound tables: each term's factors
         multiplied in AST order, the terms summed in AST order.  Stacked
         tables (equal leading axes) give one residual per row; plain
-        tables give one scalar."""
-        tables = np.concatenate([_bound_values(name, binding[name], self.n)
-                                 for name in self.fns], axis=-1)
+        tables give one scalar.  A windowed carrier's functions are called
+        once per point."""
+        if self.points is None:
+            tables = np.concatenate([_bound_values(name, binding[name], self.n)
+                                     for name in self.fns], axis=-1)
+        else:
+            tables = np.array([complex(binding[name](e)) for name in self.fns
+                               for e in self.points], dtype=np.complex128)
         if self.index.shape[1] == 0:
             return np.zeros(tables.shape[:-1])
         # With the element axis first (tables.T), gathered[r] is application
@@ -416,8 +443,7 @@ class _Kernel:
 KERNEL_MEMO_SIZE = 256
 
 
-def _kernel(ast: Equation, S: FiniteSemigroup,
-            window: Iterable | None) -> _Kernel:
+def _kernel(ast: Equation, S, window: Iterable | None) -> _Kernel:
     """The compiled kernel of `ast` on S, memoized per carrier.
 
     The memo is keyed by ``id(ast)``, so a lookup never hashes the AST.
@@ -441,54 +467,26 @@ def evaluate_residual(ast: Equation, binding: dict, S,
 
     `binding` maps each function symbol used by the equation to a callable
     on elements and, if the equation uses it, the constant 'a' to a number.
-    On a finite semigroup the window defaults to all of S, holds element
-    indices, and the residual comes from the equation's compiled kernel; a
-    bound table whose length is not |S| or a window entry that is not an
-    element index raises ValueError.
+    The window defaults to ``S.window``.  On a finite semigroup it holds
+    element indices, and a bound table whose length is not |S| or a window
+    entry that is not an element index raises ValueError.
     """
-    if isinstance(S, WindowedSemigroup):
-        return _interpreted_residual(ast, binding, S, window)
     return float(residual_rows(ast, binding, S, window))
 
 
-def residual_rows(ast: Equation, binding: dict, S: FiniteSemigroup,
+def residual_rows(ast: Equation, binding: dict, S,
                   window: Iterable | None = None) -> np.ndarray:
-    """`evaluate_residual` on a finite carrier for stacks of tables.
+    """`evaluate_residual` for stacks of tables.
 
-    Each function symbol may be bound to an array whose last axis runs
-    over the elements of S; its leading axes are rows, and the result holds
-    one residual per row.  Row by row the floats are the ones
-    `evaluate_residual` gives for that row's tables, which is this function
-    on one row.
+    On a finite carrier each function symbol may be bound to an array
+    whose last axis runs over the elements of S; its leading axes are rows,
+    and the result holds one residual per row.  Row by row the floats are
+    the ones `evaluate_residual` gives for that row's tables, which is this
+    function on one row.
     """
     kernel = _kernel(ast, S, window)
     _check_binding(kernel.fns, kernel.uses_a, binding)
     return kernel.residuals(binding)
-
-
-def _interpreted_residual(ast: Equation, binding: dict, S: WindowedSemigroup,
-                          window: Iterable | None) -> float:
-    funcs, varset, uses_a = equation_symbols(ast)
-    _check_binding(funcs, uses_a, binding)
-    mul, sig = S.product, S.sigma
-    domain = tuple(window) if window is not None else S.window
-    names = sorted(varset)
-    worst = 0.0
-    for assignment in itertools.product(domain, repeat=len(names)):
-        env = dict(zip(names, assignment))
-        total = 0j
-        for expr, orient in ((ast.lhs, 1.0), (ast.rhs, -1.0)):
-            for term in expr.terms:
-                value = term.sign * orient * coeff_value(term.coeff, binding)
-                for app in term.apps:
-                    elem = word_element(app.word, env, mul, sig)
-                    value *= binding[app.fn](elem)
-                total += value
-        err = abs(total)
-        if math.isnan(err):                 # max() would drop it
-            return err
-        worst = max(worst, err)
-    return worst
 
 
 #: The five built-in equations.

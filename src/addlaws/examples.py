@@ -119,7 +119,7 @@ def example1(window_max: int = 200) -> WindowedSemigroup:
     """
     p, q = 2, 3
 
-    def sigma(n: int) -> int:
+    def sig(n: int) -> int:
         return _swap_pq(n, p, q)
 
     window = range(2, window_max + 1)
@@ -139,7 +139,7 @@ def example1(window_max: int = 200) -> WindowedSemigroup:
         return in_ideal(n) and not in_ideal_square(n)
 
     W = WindowedSemigroup(
-        "Example1", product=lambda a, b: a * b, sigma=sigma, window=window)
+        "Example1", mul=lambda a, b: a * b, sig=sig, window=window)
 
     chi = WindowedChar(W, chi_formula, in_ideal, in_ideal_square,
                        in_prime_part)
@@ -205,13 +205,13 @@ def example2() -> WindowedSemigroup:
     coords = [k / _GRID_STEP for k in range(-_GRID_STEP + 1, _GRID_STEP)]
     window = [(x, y) for x in coords for y in coords]
 
-    def product(u, v):
+    def mul(u, v):
         return (u[0] * v[0], u[1] * v[1])
 
-    def sigma(u):
+    def sig(u):
         return (u[1], u[0])
 
-    W = WindowedSemigroup("Example2", product=product, sigma=sigma,
+    W = WindowedSemigroup("Example2", mul=mul, sig=sig,
                           window=window, triple_samples=2000)
 
     def on_axes(u) -> bool:

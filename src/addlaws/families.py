@@ -307,14 +307,8 @@ def _piece(S, chi, s_chi: complex, s_a: complex, A: AdditiveFn,
     return FnTable(S, formula=formula)
 
 
-def _fn_max_abs(h: FnTable, S) -> float:
-    if h.finite:
-        return float(np.max(np.abs(h.values))) if h.values.size else 0.0
-    return max((abs(h(x)) for x in S.window), default=0.0)
-
-
 def _fn_is_zero(h: FnTable, S) -> bool:
-    return _fn_max_abs(h, S) <= EPS
+    return all(abs(h(x)) <= EPS for x in S.window)
 
 
 # ---------------------------------------------------------------------------
@@ -335,11 +329,8 @@ def _check_noneven_char(chi) -> None:
 
 
 def _check_distinct(S, chi1, chi2) -> None:
-    if _finite(S):
-        diff = float(np.max(np.abs(chi1.values - chi2.values)))
-    else:
-        diff = max(abs(chi1(x) - chi2(x)) for x in S.window)
-    _require(diff > EPS, "chi1 = chi2")
+    _require(any(abs(chi1(x) - chi2(x)) > EPS for x in S.window),
+             "chi1 = chi2")
 
 
 def _check_alpha(alpha) -> None:
@@ -384,7 +375,8 @@ def _sine_piece(S, params: CaseParams, parity: str = "even") -> FnTable:
     _check_even_char(chi)
     if params.phi is not None:
         phi = params.phi
-        _require(_max_parity_dev(phi, S) <= EPS, "phi is not even")
+        _require(all(abs(phi(S.sig(x)) - phi(x)) <= EPS for x in S.window),
+                 "phi is not even")
         _require(not _fn_is_zero(phi, S), "phi = 0")
         res = evaluate_residual(PHI_LAW, {"f": phi, "g": chi.fn}, S)
         _require(res <= EPS, "phi does not solve its sine law")
@@ -395,12 +387,6 @@ def _sine_piece(S, params: CaseParams, parity: str = "even") -> FnTable:
     _require(not _fn_is_zero(piece, S), "A and rho both vanish")
     _require(check_condition_II(piece, chi, S), "condition (II) fails")
     return piece
-
-
-def _max_parity_dev(h: FnTable, S) -> float:
-    if h.finite:
-        return float(np.max(np.abs(h.values[S.sigma] - h.values)))
-    return max(abs(h(S.sigma(x)) - h(x)) for x in S.window)
 
 
 # ---------------------------------------------------------------------------
@@ -581,11 +567,7 @@ def _conj_pair_clauses(p: CaseParams):
 
 def _conj_rows(S, chi, coeffs):
     """u chi + v chi* for each row (u, v) of coeffs, float for float as
-    _lin builds it: a (rows, |S|) stack on a finite carrier, a list of
-    formula tables on a windowed one."""
-    if not _finite(S):
-        return [_lin(S, (u, _char_fn(chi)), (v, _conj_fn(chi)))
-                for u, v in coeffs]
+    _lin builds it: a (rows, |S|) stack."""
     u, v = np.array(coeffs, dtype=np.complex128).reshape(-1, 2).T
     zero = np.zeros((len(u), S.n), dtype=np.complex128)
     return (zero + u[:, None] * chi.values) + v[:, None] * chi.conj
@@ -676,8 +658,7 @@ def construct(case: CaseId, params: CaseParams, S):
                 for u in spec.form)
     else:
         rows = None if free is None else free[None]
-        f, g = (params.free if h is rows
-                else FnTable(S, values=h[0]) if _finite(S) else h[0]
+        f, g = (params.free if h is rows else FnTable(S, values=h[0])
                 for h in row_case[1](S, params, rows, (True,)))
     return _labelled(f, "f", params), _labelled(g, "g", params)
 
@@ -736,7 +717,6 @@ class ParamMenu:
     additive: dict = field(default_factory=dict)
     rho_spaces: dict = field(default_factory=dict)
     constants: dict = field(default_factory=dict)
-    branches: tuple = ()
 
     def describe(self) -> dict:
         names = self.S.elements
@@ -867,6 +847,5 @@ def admissible_params(case: CaseId, S: FiniteSemigroup,
         menu.chars or menu.char_pairs or menu.free_support)
     if not menu.available:
         menu.notes.append(missing)
-    menu.branches = spec.branches
     menu.constants = {name: clause for name, clause, _ in spec.constants}
     return menu

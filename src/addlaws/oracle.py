@@ -25,7 +25,8 @@ g = 0, and the free tables vanishing on S^2), then those of its ratio
 stage (cos-sub/2, alpha-skew/4, alpha-skew/5).  Only the rows it leaves
 become FnTables and go through :func:`addlaws.classify.classify`, in grid
 order, so the report is byte-identical to classifying every pair.  A scan
-refuses a tolerance that is negative or not finite.
+refuses a tolerance that is negative or not finite, and an alpha that is
+not finite.
 """
 
 from __future__ import annotations
@@ -67,8 +68,8 @@ class BudgetError(RuntimeError):
 
 
 class GridInputError(ValueError):
-    """Bad grid-scan input: a malformed alphabet, a zero alpha, or a
-    tolerance that is negative or not finite."""
+    """Bad grid-scan input: a malformed alphabet, a zero or non-finite
+    alpha, or a tolerance that is negative or not finite."""
 
 
 def validate_alphabet(alphabet) -> tuple[complex, ...]:
@@ -87,6 +88,13 @@ def validate_alphabet(alphabet) -> tuple[complex, ...]:
     return values
 
 
+def validate_tolerance(tol: float) -> None:
+    """Check that a tolerance is finite and at least 0."""
+    if not (math.isfinite(tol) and tol >= 0):
+        raise GridInputError(
+            f"tolerance must be finite and at least 0, got {tol!r}")
+
+
 def value_tuples(alphabet, n: int) -> np.ndarray:
     """All functions S -> alphabet as a (len(alphabet)^n, n) table.
 
@@ -99,6 +107,12 @@ def value_tuples(alphabet, n: int) -> np.ndarray:
     return table.reshape(len(values) ** n, n)
 
 
+def _check_alpha_finite(alpha) -> None:
+    a = complex(alpha)
+    if not (math.isfinite(a.real) and math.isfinite(a.imag)):
+        raise GridInputError("alpha must be finite")
+
+
 def _check_scan(equation: str, S, alphabet, alpha, tol: float,
                 budget: int) -> tuple[tuple[complex, ...], complex]:
     """Reject a scan before any work; returns its alphabet and alpha."""
@@ -107,11 +121,10 @@ def _check_scan(equation: str, S, alphabet, alpha, tol: float,
     values = validate_alphabet(alphabet)
     if equation not in EQUATION_IDS:
         raise KeyError(f"unknown equation id {equation!r}")
-    if not (math.isfinite(tol) and tol >= 0):
-        raise GridInputError(
-            f"tolerance must be finite and at least 0, got {tol!r}")
+    validate_tolerance(tol)
     if equation in ALPHA_EQUATIONS:
         alpha = 1.0 + 0j if alpha is None else complex(alpha)
+        _check_alpha_finite(alpha)
         if abs(alpha) <= tol:
             raise GridInputError("alpha must be non-zero")
     else:
@@ -223,7 +236,8 @@ def coverage_report(S: FiniteSemigroup, alphabet=DEFAULT_ALPHABET,
     count, the per-case tally, and the classifier's diagnostic dumps for
     anything unclassified.  The payload is deterministic: identical
     inputs give byte-identical JSON.  Every requested scan is checked
-    before any work starts.
+    before any work starts, and alpha must be finite even when no alpha
+    equation is requested, since the report records it.
 
     Each equation's solutions are classified as whole stacks, in chunks of
     rows: :func:`addlaws.classify.classify_rows` re-checks their residuals
@@ -232,6 +246,7 @@ def coverage_report(S: FiniteSemigroup, alphabet=DEFAULT_ALPHABET,
     and go through :func:`addlaws.classify.classify`, in their grid order.
     """
     values = validate_alphabet(alphabet)
+    _check_alpha_finite(alpha)
     equations = list(equations or EQUATION_IDS)
     for eq in equations:
         _check_scan(eq, S, values, alpha if eq in ALPHA_EQUATIONS else None,

@@ -202,7 +202,7 @@ def test_criterion_7_windowed_end_to_end(ex1):
     worst = 0.0
     for x in range(2, 61):
         for y in range(2, 61):
-            lhs = g(x * ex1.sigma(y))
+            lhs = g(x * ex1.sig(y))
             worst = max(worst, abs(lhs - g(x) * g(y) - f(x) * f(y)))
     cond1 = check_condition_I(rho, chi, ex1)
     cond2 = check_condition_II(f, chi, ex1)

@@ -221,14 +221,39 @@ def test_oracle_respects_budget(capsys):
     (["--alpha", "0", "-e", "alpha-sym"], "alpha must be non-zero"),
     (["--tol", "-1"], "tolerance must be finite and at least 0, got -1.0"),
     (["--tol", "nan"], "tolerance must be finite and at least 0, got nan"),
+    (["--alpha", "nan"], "alpha must be finite"),
+    (["--alpha", "inf", "-e", "alpha-sym"], "alpha must be finite"),
+    (["--alpha", "nan", "-e", "cos-sub"], "alpha must be finite"),
 ], ids=["empty", "duplicate", "no-zero", "not-negation-closed",
-        "zero-alpha", "negative-tol", "nan-tol"])
+        "zero-alpha", "negative-tol", "nan-tol", "nan-alpha",
+        "inf-alpha-sym", "nan-alpha-cos-sub"])
 def test_oracle_bad_input_is_a_typed_error(capsys, argv, fragment):
     code = main(["oracle", "-s", "Z2", *argv])
     out = capsys.readouterr()
     assert code == EXIT_FAIL
     assert out.err.startswith("error: ") and fragment in out.err
     assert out.out == ""
+
+
+@pytest.mark.parametrize("tol,shown", [("-1", "-1.0"), ("nan", "nan")],
+                         ids=["negative", "nan"])
+@pytest.mark.parametrize("argv", [
+    ["check", "-s", "Z2", "-e", "cos-sub", "--fn", "fg.json"],
+    ["chars", "-s", "Z2"],
+    ["additive", "-s", "Z2", "--char", "0"],
+    ["rho", "-s", "Z2", "--char", "0"],
+    ["construct", "-s", "Z2", "-e", "cos-sub", "--case", "1",
+     "--params", "params.json"],
+    ["classify", "-s", "Z2", "-e", "cos-sub", "--fn", "fg.json"],
+    ["oracle", "-s", "Z2"],
+    ["report-examples", "--example", "2"],
+], ids=lambda argv: argv[0])
+def test_every_subcommand_refuses_a_bad_tolerance(capsys, argv, tol, shown):
+    code = main([*argv, "--tol", tol])
+    out = capsys.readouterr()
+    assert code == EXIT_FAIL and out.out == ""
+    assert out.err == (f"error: tolerance must be finite and at least 0, "
+                       f"got {shown}\n")
 
 
 def test_oracle_custom_alphabet(capsys):

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from addlaws.classify import reduce_alpha_sym
 from addlaws.core import (FiniteSemigroup, FnTable, SemigroupError,
                           WindowedSemigroup, even_odd_parts, fn,
                           load_semigroup, square_set, stable_json)
@@ -159,7 +160,22 @@ def test_stable_json_is_key_sorted_and_compact():
 def test_windowed_carrier_checks_its_window():
     W = WindowedSemigroup("pos", lambda x, y: x * y, lambda x: x,
                           tuple(range(2, 40)))
-    assert W.product(6, 7) == 42
+    assert W.mul(6, 7) == 42
     with pytest.raises(SemigroupError, match="involutive"):
         WindowedSemigroup("bad", lambda x, y: x * y, lambda x: x + 1,
                           tuple(range(2, 40)))
+
+
+@pytest.mark.parametrize("op", [
+    FnTable.is_zero,
+    lambda h: h.max_abs_diff(h),
+    FnTable.star,
+    even_odd_parts,
+    lambda h: reduce_alpha_sym(h, h, 1.0),
+], ids=["is_zero", "max_abs_diff", "star", "even_odd_parts",
+        "reduce_alpha_sym"])
+def test_value_table_operations_refuse_a_formula_table(op):
+    W = WindowedSemigroup("pos", lambda x, y: x * y, lambda x: x,
+                          tuple(range(2, 10)))
+    with pytest.raises(ValueError, match="needs (a )?finite value tables?"):
+        op(fn(W, lambda x: 1j))

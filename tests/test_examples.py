@@ -37,12 +37,12 @@ def test_extra_fixtures_are_valid():
 
 def test_prime_swap_window_structure(ex1):
     assert ex1.window[0] == 2 and ex1.window[-1] == 200
-    assert ex1.sigma(12) == 18          # 2^2*3 <-> 3^2*2
-    assert ex1.sigma(35) == 35          # coprime to 6: fixed
+    assert ex1.sig(12) == 18            # 2^2*3 <-> 3^2*2
+    assert ex1.sig(35) == 35            # coprime to 6: fixed
     for x in list(ex1.window)[::11]:
-        assert ex1.sigma(ex1.sigma(x)) == x
+        assert ex1.sig(ex1.sig(x)) == x
         for y in list(ex1.window)[::23]:
-            assert ex1.sigma(x * y) == ex1.sigma(x) * ex1.sigma(y)
+            assert ex1.sig(x * y) == ex1.sig(x) * ex1.sig(y)
 
 
 def test_prime_swap_character_and_primes(ex1):
@@ -69,9 +69,9 @@ def test_quadrant_grid_window_structure(ex2):
     assert len(ex2.window) == 31 * 31
     x = ex2.window[5]
     y = ex2.window[10]
-    prod = ex2.product(x, y)
+    prod = ex2.mul(x, y)
     assert prod == (x[0] * y[0], x[1] * y[1])
-    assert ex2.sigma((0.25, -0.5)) == (-0.5, 0.25)
+    assert ex2.sig((0.25, -0.5)) == (-0.5, 0.25)
 
 
 def test_quadrant_grid_characters(ex2):
@@ -80,12 +80,12 @@ def test_quadrant_grid_characters(ex2):
     pairs = ex2.extras["sample_pairs"](500, 1)
     assert len(pairs) >= 500
     for name, chi in chars.items():
-        worst = max(abs(chi.formula(ex2.product(x, y)) -
+        worst = max(abs(chi.formula(ex2.mul(x, y)) -
                         chi.formula(x) * chi.formula(y))
                     for x, y in pairs)
         assert worst <= TOL, name
         for x, _ in pairs[:100]:
-            assert abs(chi.formula(ex2.sigma(x)) - chi.formula(x)) <= TOL
+            assert abs(chi.formula(ex2.sig(x)) - chi.formula(x)) <= TOL
 
 
 def test_quadrant_grid_additive_basis(ex2):

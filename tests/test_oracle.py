@@ -92,6 +92,22 @@ def test_scan_rejects_a_tolerance_that_is_negative_or_not_finite(
         coverage_report(z2(), tol=tol)
 
 
+@pytest.mark.parametrize("alpha", [float("nan"), float("inf"),
+                                   complex(1, float("nan"))],
+                         ids=["nan", "inf", "nan-imaginary"])
+def test_scan_rejects_an_alpha_that_is_not_finite(monkeypatch, alpha):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the input checks")
+
+    for eq in ("alpha-sym", "alpha-skew"):
+        with pytest.raises(GridInputError, match="alpha must be finite"):
+            grid_solutions(eq, z2(), alpha=alpha)
+    monkeypatch.setattr(oracle, "enumerate_characters", no_work)
+    for equations in (None, ["cos-sub"], ["alpha-skew"]):
+        with pytest.raises(GridInputError, match="alpha must be finite"):
+            coverage_report(z1(), alpha=alpha, equations=equations)
+
+
 def test_scan_accepts_a_zero_tolerance():
     # Every value product on the default grid is exact in floating point.
     assert len(grid_solutions("sine-add", z1(), (0, 1, -1), tol=0.0)) == 3
