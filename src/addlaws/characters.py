@@ -357,15 +357,24 @@ def additive_basis(S, chi, parity: str = "even") -> list[AdditiveFn]:
     return out
 
 
-def additive_residual(A: AdditiveFn, S, pairs: Iterable) -> float:
-    """max |A(xy) - A(x) - A(y)| over the given pairs (domain-filtered)."""
-    mul = S.mul
+def _worst(diffs: Iterable[float]) -> float:
+    """The largest of diffs, 0.0 for none; NaN as soon as one is NaN, so
+    that a `<= tol` check refuses it."""
     worst = 0.0
-    for x, y in pairs:
-        if not (A.in_domain(x) and A.in_domain(y)):
-            continue
-        worst = max(worst, abs(A(mul(x, y)) - A(x) - A(y)))
+    for d in diffs:
+        if not d <= worst:
+            if d != d:
+                return d
+            worst = d
     return worst
+
+
+def additive_residual(A: AdditiveFn, S, pairs: Iterable) -> float:
+    """max |A(xy) - A(x) - A(y)| over the given pairs (domain-filtered);
+    NaN if any term is NaN."""
+    mul, in_domain = S.mul, A.in_domain
+    return _worst(abs(A(mul(x, y)) - A(x) - A(y)) for x, y in pairs
+                  if in_domain(x) and in_domain(y))
 
 
 @dataclass
@@ -486,15 +495,15 @@ def check_condition_I(rho, chi, S) -> bool:
         rp = rho(p)
         for u in non_ideal:
             x = mul(u, p)
-            if not in_P(x) or abs(rho(x) - rp * chi(u)) > EPS:
+            if not (in_P(x) and abs(rho(x) - rp * chi(u)) <= EPS):
                 return False
             x = mul(p, u)
-            if not in_P(x) or abs(rho(x) - rp * chi(u)) > EPS:
+            if not (in_P(x) and abs(rho(x) - rp * chi(u)) <= EPS):
                 return False
         for u in non_ideal:
             for v in non_ideal:
                 x = mul(u, mul(p, v))
-                if not in_P(x) or abs(rho(x) - rp * chi(mul(u, v))) > EPS:
+                if not (in_P(x) and abs(rho(x) - rp * chi(mul(u, v))) <= EPS):
                     return False
     return True
 
@@ -508,16 +517,14 @@ def check_condition_II(f, chi, S) -> bool:
     non_ideal = [x for x in S.window if not chi.in_ideal(x)]
     for x in edge:
         for y in non_ideal:
-            if abs(f(mul(x, y))) > EPS or abs(f(mul(y, x))) > EPS:
+            if not (abs(f(mul(x, y))) <= EPS and abs(f(mul(y, x))) <= EPS):
                 return False
     return True
 
 
 def parity_residual(fn, S) -> float:
-    """max |f(sigma x) -/+ f(x)| over the function's domain."""
+    """max |f(sigma x) -/+ f(x)| over the function's domain; NaN if any term
+    is NaN."""
     sign = 1.0 if fn.parity == "even" else -1.0
-    worst = 0.0
-    for x in S.window:
-        if fn.in_domain(x):
-            worst = max(worst, abs(fn(S.sig(x)) - sign * fn(x)))
-    return worst
+    return _worst(abs(fn(S.sig(x)) - sign * fn(x)) for x in S.window
+                  if fn.in_domain(x))

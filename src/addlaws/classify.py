@@ -9,21 +9,27 @@ and proves the answer by reconstructing the pair through
 matches no case is returned as :class:`Unclassified` with a diagnostic
 dump; feeding a non-solution raises :class:`NotASolutionError`.
 
-Each walk opens with leading steps whose cases are built from one free
-table alone: both tables zero, f = 0, F = f/alpha - g = 0, and g = 0 or f
-vanishing on S^2.  :data:`LEADING_STEPS` holds them once, for the per-pair
-walks and for :func:`classify_rows`, which runs them as masks over a whole
-stack of pairs.  Then comes the ratio stage: cos-sub/2 (f = +-i g),
-alpha-skew/4 (g = lambda f) and alpha-skew/5 (F a multiple of
-(chi - chi*)/2), whose tests read a least-squares ratio or the rank
-decision of [f g].  Those tests are row tests too, shared by the walks
-(which run them on a one-row stack) and by :func:`classify_rows`, and the
-ratio and rank decision are computed once, for stacks, with np.vecdot,
-which gives np.vdot's floats row by row.  A mask takes a row only where no
-earlier step applied and no earlier case was attempted, and the walk would
-answer there with a hit, checked by one batched construct-and-compare per
-case that gives the floats and checks of :meth:`_Session.attempt`; every
-other row is left for :func:`classify`.
+Each equation's walk is a stream of candidates, (CaseId, CaseParams) pairs
+in the paper's case order, read lazily: :meth:`_Session.run` attempts them
+one at a time and stops at the first hit, so nothing past it is extracted.
+alpha-sym's walk runs cos-sine-g's on the reduced pair and yields the
+translated hit.
+
+A stream opens with leading steps whose cases are built from one free table
+alone: both tables zero, f = 0, F = f/alpha - g = 0, and g = 0 or f
+vanishing on S^2; a final step that applies ends the stream after its
+candidate.  :data:`LEADING_STEPS` holds them once, for the per-pair walks
+and for :func:`classify_rows`, which runs them as masks over a whole stack
+of pairs.  Then comes the ratio stage: cos-sub/2 (f = +-i g), alpha-skew/4
+(g = lambda f) and alpha-skew/5 (F a multiple of (chi - chi*)/2), whose
+tests read a least-squares ratio or the rank decision of [f g].  Those tests
+are row tests too, shared by the walks (which run them on a one-row stack)
+and by :func:`classify_rows`, and the ratio and rank decision are computed
+once, for stacks, with np.vecdot, which gives np.vdot's floats row by row.
+A mask takes a row only where no earlier step applied and no earlier case
+was attempted, and the walk would answer there with a hit, checked by one
+batched construct-and-compare per case that gives the floats and checks of
+:meth:`_Session.attempt`; every other row is left for :func:`classify`.
 """
 
 from __future__ import annotations
@@ -244,10 +250,10 @@ def _extract_piece(S: FiniteSemigroup, chi: MultChar, piece: np.ndarray,
 
 @dataclass(frozen=True)
 class _Step:
-    """A leading step of a walk.  Where every test holds, the walk attempts
-    `case`, whose record has a form (see :class:`addlaws.families.CaseSpec`).
-    It answers with the outcome when `final` and moves on after a miss
-    otherwise.  Each test is called as test(f, g, alpha, sq, tol)."""
+    """A leading step of a walk.  Where every test holds, the walk's stream
+    yields `case`, whose record has a form (see
+    :class:`addlaws.families.CaseSpec`), and ends there when `final`.  Each
+    test is called as test(f, g, alpha, sq, tol)."""
 
     case: CaseId
     final: bool
@@ -285,8 +291,7 @@ def _skew_zero(f, g, alpha, sq, tol):
 
 
 #: The leading steps of each walk, in walk order, read by the per-pair
-#: walks (:meth:`_Session.lead`, which stops at a step's first failing
-#: test and runs each test once) and by the batch masks
+#: walks (:meth:`_Session.candidates`) and by the batch masks
 #: (:func:`classify_rows`) alike.  alpha-sym walks cos-sine-g's steps on
 #: its reduced pair.
 LEADING_STEPS = {
@@ -429,22 +434,34 @@ class _Session:
             return None
         return _match_char(self.chars, v, tol)
 
-    def lead(self) -> tuple[bool, ClassifiedSolution | None]:
-        """Run the walk's leading steps: (answered, hit)."""
+    def candidates(self, walk):
+        """The walk's candidate stream: the leading steps of
+        :data:`LEADING_STEPS` (stopping at a step's first failing test, with
+        each test run once), then those of walk(self).  A final step that
+        applies ends the stream after its candidate."""
         args = (self.f.values, self.g.values, self.alpha, self.sq, self.tol)
         known = {}
-        for step in LEADING_STEPS[self.equation]:
+        for step in LEADING_STEPS.get(self.equation, ()):
             for test in step.tests:
                 if test not in known:
                     known[test] = test(*args)
                 if not known[test]:
                     break
             else:
-                hit = self.attempt(step.case, _form_params(
-                    step.case, self.f, self.g, self.alpha))
-                if hit or step.final:
-                    return True, hit
-        return False, None
+                yield step.case, _form_params(step.case, self.f, self.g,
+                                              self.alpha)
+                if step.final:
+                    return
+        yield from walk(self)
+
+    def run(self, walk) -> ClassifiedSolution | None:
+        """Attempt the candidates of :meth:`candidates` in order; the first
+        hit answers, and the stream is not read past it."""
+        for case, params in self.candidates(walk):
+            hit = self.attempt(case, params)
+            if hit:
+                return hit
+        return None
 
     def attempt(self, case: CaseId,
                 params: CaseParams) -> ClassifiedSolution | None:
@@ -469,21 +486,18 @@ class _Session:
 
 
 # ---------------------------------------------------------------------------
-# Per-equation classification walks.
+# Per-equation classification walks.  Each is a generator of the
+# (CaseId, CaseParams) candidates that follow the leading steps, in the
+# paper's case order; _Session.run attempts them and stops at the first hit.
 # ---------------------------------------------------------------------------
 
 def _classify_cos_sub(s: _Session):
     f, g, S, tol = s.f, s.g, s.S, s.tol
     fv, gv = f.values, g.values
-    answered, hit = s.lead()
-    if answered:
-        return hit
     # g non-zero but vanishing on the square: f = c g with c^2 = -1.
     _, cs = _unit_c_rows(fv[None], gv[None], s.sq, tol)
     if cs:
-        hit = s.attempt(CaseId("cos-sub", 2), CaseParams(free=g, c=cs[0]))
-        if hit:
-            return hit
+        yield CaseId("cos-sub", 2), CaseParams(free=g, c=cs[0])
     verdict = linear_dependence(f, g, tol)
     lam = None                               # f = lam g
     if verdict.kind == "f-of-g":
@@ -493,10 +507,7 @@ def _classify_cos_sub(s: _Session):
     if lam is not None and min(abs(lam - 1j), abs(lam + 1j)) > tol:
         chi = s.character(gv, 1 + lam * lam)
         if chi is not None:
-            hit = s.attempt(CaseId("cos-sub", 3),
-                            CaseParams(chi=chi, alpha=lam))
-            if hit:
-                return hit
+            yield CaseId("cos-sub", 3), CaseParams(chi=chi, alpha=lam)
     if verdict.kind == "independent":
         for c1, c2, fc, gc in s.even_pairs():
             # f = (chi2 - chi1) t with t = 1/(1/delta + delta).
@@ -504,12 +515,9 @@ def _classify_cos_sub(s: _Session):
             if abs(fc[0] + t) > tol or abs(t) <= tol:
                 continue
             delta = gc[1] / t
-            if any(abs(delta - b) <= tol for b in (0, 1j, -1j)):
-                continue
-            hit = s.attempt(CaseId("cos-sub", 4),
-                            CaseParams(chi1=c1, chi2=c2, delta=delta))
-            if hit:
-                return hit
+            if not any(abs(delta - b) <= tol for b in (0, 1j, -1j)):
+                yield CaseId("cos-sub", 4), CaseParams(chi1=c1, chi2=c2,
+                                                       delta=delta)
         # Conjugate pair: f = -i(chi - chi*)/2, g = (chi + chi*)/2.
         # Looping over every chi with chi* != chi covers both signs of f,
         # since swapping chi for chi* negates it.
@@ -517,32 +525,22 @@ def _classify_cos_sub(s: _Session):
             conj = chi.conj
             if np.max(np.abs(fv + 0.5j * (chi.values - conj))) > tol:
                 continue
-            if np.max(np.abs(gv - 0.5 * (chi.values + conj))) > tol:
-                continue
-            hit = s.attempt(CaseId("cos-sub", 6), CaseParams(chi=chi))
-            if hit:
-                return hit
+            if np.max(np.abs(gv - 0.5 * (chi.values + conj))) <= tol:
+                yield CaseId("cos-sub", 6), CaseParams(chi=chi)
     for chi in s.evens:
         piece = _extract_piece(S, chi, 1j * fv, "even", tol)
         if piece is None:
             continue
         A, rho = piece
         for branch, sign in (("+", 1j), ("-", -1j)):
-            if np.max(np.abs(gv - (chi.values + sign * fv))) > tol:
-                continue
-            hit = s.attempt(CaseId("cos-sub", 5, branch),
-                            CaseParams(chi=chi, A=A, rho=rho))
-            if hit:
-                return hit
-    return None
+            if np.max(np.abs(gv - (chi.values + sign * fv))) <= tol:
+                yield (CaseId("cos-sub", 5, branch),
+                       CaseParams(chi=chi, A=A, rho=rho))
 
 
 def _classify_sine_add(s: _Session):
     f, g, S, tol = s.f, s.g, s.S, s.tol
     fv, gv = f.values, g.values
-    answered, hit = s.lead()
-    if answered:
-        return hit
     verdict = linear_dependence(f, g, tol)
     lam = None
     if verdict.kind == "f-of-g" and abs(verdict.coefficient) > tol:
@@ -552,41 +550,26 @@ def _classify_sine_add(s: _Session):
     if lam is not None:
         chi = s.character(gv, 2)
         if chi is not None:
-            hit = s.attempt(CaseId("sine-add", 3),
-                            CaseParams(chi=chi, alpha=1 / lam))
-            if hit:
-                return hit
+            yield CaseId("sine-add", 3), CaseParams(chi=chi, alpha=1 / lam)
     if verdict.kind == "independent":
         for c1, c2, fc, gc in s.even_pairs():
             if abs(gc[0] - 0.5) > tol or abs(gc[1] - 0.5) > tol:
                 continue
             c = fc[0]
-            if abs(c) <= tol or abs(fc[1] + c) > tol:
-                continue
-            hit = s.attempt(CaseId("sine-add", 4),
-                            CaseParams(chi1=c1, chi2=c2, c=c))
-            if hit:
-                return hit
+            if abs(c) > tol and abs(fc[1] + c) <= tol:
+                yield CaseId("sine-add", 4), CaseParams(chi1=c1, chi2=c2, c=c)
     for chi in s.evens:
         if np.max(np.abs(gv - chi.values)) > tol:
             continue
         piece = _extract_piece(S, chi, fv, "even", tol)
-        if piece is None:
-            continue
-        A, rho = piece
-        hit = s.attempt(CaseId("sine-add", 5),
-                        CaseParams(chi=chi, A=A, rho=rho))
-        if hit:
-            return hit
-    return None
+        if piece is not None:
+            A, rho = piece
+            yield CaseId("sine-add", 5), CaseParams(chi=chi, A=A, rho=rho)
 
 
 def _classify_cos_sine_g(s: _Session):
     f, g, S, tol = s.f, s.g, s.S, s.tol
     fv, gv = f.values, g.values
-    answered, hit = s.lead()
-    if answered:
-        return hit
     verdict = linear_dependence(f, g, tol)
     lam = None
     if verdict.kind == "f-of-g":
@@ -598,97 +581,72 @@ def _classify_cos_sine_g(s: _Session):
         if abs(beta) > tol:
             chi = s.character(gv, 1 / beta)
             if chi is not None:
-                hit = s.attempt(CaseId("cos-sine-g", 4),
-                                CaseParams(chi=chi, beta=beta))
-                if hit:
-                    return hit
+                yield CaseId("cos-sine-g", 4), CaseParams(chi=chi, beta=beta)
     if verdict.kind == "independent":
         for c1, c2, _, gc in s.even_pairs():
             if abs(gc[0] + gc[1] - 1) > tol:
                 continue
             w = gc[0] - gc[1]
-            if any(abs(w - b) <= tol for b in (0, 1, -1)):
-                continue
-            hit = s.attempt(CaseId("cos-sine-g", 5),
-                            CaseParams(chi1=c1, chi2=c2, c1=w))
-            if hit:
-                return hit
+            if not any(abs(w - b) <= tol for b in (0, 1, -1)):
+                yield (CaseId("cos-sine-g", 5),
+                       CaseParams(chi1=c1, chi2=c2, c1=w))
     # case 8: g is a non-even character and f averages it with its dual.
     for chi in s.nonevens:
-        if np.max(np.abs(gv - chi.values)) > tol:
-            continue
-        hit = s.attempt(CaseId("cos-sine-g", 8, "chi"), CaseParams(chi=chi))
-        if hit:
-            return hit
+        if np.max(np.abs(gv - chi.values)) <= tol:
+            yield CaseId("cos-sine-g", 8, "chi"), CaseParams(chi=chi)
     # case 7: g itself is an even character, f = phi + chi.
     for chi in s.evens:
         if np.max(np.abs(gv - chi.values)) > tol:
             continue
         piece = _extract_piece(S, chi, fv - chi.values, "even", tol)
-        if piece is None:
-            continue
-        A, rho = piece
-        hit = s.attempt(CaseId("cos-sine-g", 7),
-                        CaseParams(chi=chi, A=A, rho=rho))
-        if hit:
-            return hit
+        if piece is not None:
+            A, rho = piece
+            yield CaseId("cos-sine-g", 7), CaseParams(chi=chi, A=A, rho=rho)
     # case 6: 2f - g is an even character, g = phi + chi.
     for chi in s.evens:
         if np.max(np.abs(2 * fv - gv - chi.values)) > tol:
             continue
         piece = _extract_piece(S, chi, gv - chi.values, "even", tol)
-        if piece is None:
-            continue
-        A, rho = piece
-        hit = s.attempt(CaseId("cos-sine-g", 6),
-                        CaseParams(chi=chi, A=A, rho=rho))
-        if hit:
-            return hit
-    return None
+        if piece is not None:
+            A, rho = piece
+            yield CaseId("cos-sine-g", 6), CaseParams(chi=chi, A=A, rho=rho)
 
 
-def _classify_alpha_sym(s: _Session, alpha: complex):
-    f, g, S, tol = s.f, s.g, s.S, s.tol
-    phi = reduce_alpha_sym(f, g, alpha)
-    inner = _Session("cos-sine-g", phi, g, S, s.chars, tol)
-    hit = _classify_cos_sine_g(inner)
+def _classify_alpha_sym(s: _Session):
+    """The hit of cos-sine-g's walk on the reduced pair, as an alpha-sym
+    candidate."""
+    f, g, alpha = s.f, s.g, s.alpha
+    inner = _Session("cos-sine-g", reduce_alpha_sym(f, g, alpha), g, s.S,
+                     s.chars, s.tol)
+    hit = inner.run(_classify_cos_sine_g)
     s.attempts.extend(f"via cos-sine-g: {a}" for a in inner.attempts)
     if hit is None:
-        return None
-    k, params = hit.case.case, hit.params
-    if CASES["alpha-sym"][k - 1].form is not None:
-        case = CaseId("alpha-sym", k)
-        return s.attempt(case, _form_params(case, f, g, alpha))
-    translated = CaseParams(alpha=alpha, chi=params.chi, chi1=params.chi1,
-                            chi2=params.chi2, A=params.A, rho=params.rho,
-                            beta=params.beta, c1=params.c1)
-    return s.attempt(CaseId("alpha-sym", k, hit.case.branch), translated)
+        return
+    case, p = CaseId("alpha-sym", hit.case.case, hit.case.branch), hit.params
+    if CASES["alpha-sym"][case.case - 1].form is not None:
+        yield case, _form_params(case, f, g, alpha)
+    else:
+        yield case, CaseParams(alpha=alpha, chi=p.chi, chi1=p.chi1,
+                               chi2=p.chi2, A=p.A, rho=p.rho, beta=p.beta,
+                               c1=p.c1)
 
 
-def _classify_alpha_skew(s: _Session, alpha: complex):
-    f, g, S, tol = s.f, s.g, s.S, s.tol
+def _classify_alpha_skew(s: _Session):
+    f, g, S, tol, alpha = s.f, s.g, s.S, s.tol, s.alpha
     fv, gv = f.values, g.values
-    answered, hit = s.lead()
-    if answered:
-        return hit
     _, cs = _skew_c_rows(fv[None], gv[None], alpha, tol)
     if cs:
-        hit = s.attempt(CaseId("alpha-skew", 4),
-                        CaseParams(alpha=alpha, free=f, c=cs[0]))
-        if hit:
-            return hit
+        yield (CaseId("alpha-skew", 4),
+               CaseParams(alpha=alpha, free=f, c=cs[0]))
     # case 5: F is proportional to (chi - chi*)/2 for a non-even character,
     # one of each conjugate pair.
-    Fv = fv / complex(alpha) - gv
+    Fv = fv / alpha - gv
     for chi in conjugate_representatives(tuple(s.chars)):
         _, cs = _conj_pair_rows(Fv[None], gv[None], chi, tol)
-        if not cs:
-            continue
-        c1, c2 = cs[0]
-        hit = s.attempt(CaseId("alpha-skew", 5),
-                        CaseParams(alpha=alpha, chi=chi, c1=c1, c2=c2))
-        if hit:
-            return hit
+        if cs:
+            c1, c2 = cs[0]
+            yield (CaseId("alpha-skew", 5),
+                   CaseParams(alpha=alpha, chi=chi, c1=c1, c2=c2))
     # case 6: F = chi A | 0 | rho with odd A, rho; g = chi + c F.
     for chi in s.evens:
         piece = _extract_piece(S, chi, Fv, "odd", tol)
@@ -696,13 +654,16 @@ def _classify_alpha_skew(s: _Session, alpha: complex):
             continue
         A, rho = piece
         (c,) = _ratio((gv - chi.values)[None], Fv[None], tol)
-        if c is None:
-            continue
-        hit = s.attempt(CaseId("alpha-skew", 6),
-                        CaseParams(alpha=alpha, chi=chi, A=A, rho=rho, c=c))
-        if hit:
-            return hit
-    return None
+        if c is not None:
+            yield (CaseId("alpha-skew", 6),
+                   CaseParams(alpha=alpha, chi=chi, A=A, rho=rho, c=c))
+
+
+#: The walk of each equation, by equation id.
+_WALKS = {"cos-sub": _classify_cos_sub, "sine-add": _classify_sine_add,
+          "cos-sine-g": _classify_cos_sine_g,
+          "alpha-sym": _classify_alpha_sym,
+          "alpha-skew": _classify_alpha_skew}
 
 
 def _extract_alpha(equation: str, f: FnTable, g: FnTable,
@@ -826,8 +787,7 @@ def classify(equation: str, f: FnTable, g: FnTable, S: FiniteSemigroup,
     if not isinstance(S, FiniteSemigroup):
         raise TypeError("classification runs on finite semigroups only; "
                         "windowed carriers use construct-then-compare")
-    if equation not in ("cos-sub", "sine-add", "cos-sine-g", "alpha-sym",
-                        "alpha-skew"):
+    if equation not in _WALKS:
         raise KeyError(f"unknown equation id {equation!r}")
 
     binding = {"f": f, "g": g}
@@ -844,16 +804,7 @@ def classify(equation: str, f: FnTable, g: FnTable, S: FiniteSemigroup,
     if chars is None:
         chars = enumerate_characters(S)
     session = _Session(equation, f, g, S, chars, tol, binding.get("a"))
-    if equation == "cos-sub":
-        hit = _classify_cos_sub(session)
-    elif equation == "sine-add":
-        hit = _classify_sine_add(session)
-    elif equation == "cos-sine-g":
-        hit = _classify_cos_sine_g(session)
-    elif equation == "alpha-sym":
-        hit = _classify_alpha_sym(session, complex(alpha))
-    else:
-        hit = _classify_alpha_skew(session, complex(alpha))
+    hit = session.run(_WALKS[equation])
     if hit is None:
         return session.give_up(residual)
     return hit

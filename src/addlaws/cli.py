@@ -21,6 +21,7 @@ Exit codes: 0 success, 1 validation failure or unclassified event,
 from __future__ import annotations
 
 import argparse
+import cmath
 import sys
 from pathlib import Path
 
@@ -67,18 +68,24 @@ def _finite(S) -> FiniteSemigroup:
     return S
 
 
-def _as_complex(value) -> complex:
+def _as_complex(value, name: str) -> complex:
+    """`value`, the number `name`, as a finite complex number."""
+    z = None
     if isinstance(value, (int, float)):
-        return complex(value)
-    if isinstance(value, list) and len(value) == 2:
-        return complex(value[0], value[1])
-    if isinstance(value, str):
+        z = complex(value)
+    elif isinstance(value, list) and len(value) == 2:
+        z = complex(value[0], value[1])
+    elif isinstance(value, str):
         try:
-            return complex(value.replace(" ", ""))
+            z = complex(value.replace(" ", ""))
         except ValueError:
             pass
-    raise CliError(f"cannot read {value!r} as a complex number "
-                   "(use a number, [re, im], or 'a+bj')")
+    if z is None:
+        raise CliError(f"cannot read {value!r} as a complex number "
+                       "(use a number, [re, im], or 'a+bj')")
+    if not cmath.isfinite(z):
+        raise CliError(f"{name} must be finite, got {value!r}")
+    return z
 
 
 def _read_json(path: str):
@@ -104,7 +111,7 @@ def _read_pair(S: FiniteSemigroup, path: str) -> tuple[FnTable, FnTable]:
     data = _read_json(path)
     if not isinstance(data, dict) or "f" not in data or "g" not in data:
         raise CliError(f"{path}: expected an object with fields 'f' and 'g'")
-    norm = {side: {name: cnum(_as_complex(v))
+    norm = {side: {name: cnum(_as_complex(v, f"{side}[{name!r}]"))
                    for name, v in _typed(path, side, data[side], dict).items()}
             for side in ("f", "g")}
     try:
@@ -163,11 +170,11 @@ def _cmd_check(args) -> int:
         raise CliError("check reads dense tables; windowed carriers are "
                        "exercised through report-examples")
     f, g = _read_pair(S, args.fn)
+    alpha = _as_complex(1.0 if args.alpha is None else args.alpha, "alpha")
     binding = {"f": f, "g": g}
     _, _, uses_a = equation_symbols(ast)
     if uses_a:
-        binding["a"] = _as_complex(args.alpha if args.alpha is not None
-                                   else 1.0)
+        binding["a"] = alpha
     residual = evaluate_residual(ast, binding, S)
     ok = residual <= args.tol
     payload = {"equation": print_equation(ast), "semigroup": S.name,
@@ -235,7 +242,7 @@ def _params_from_file(S: FiniteSemigroup, case: CaseId, path: str,
     fields: dict = {}
     for name in ("alpha", "beta", "delta", "c", "c1", "c2"):
         if name in data:
-            fields[name] = _as_complex(data[name])
+            fields[name] = _as_complex(data[name], name)
     for name in ("chi", "chi1", "chi2"):
         if name in data:
             idx = data[name]
@@ -243,7 +250,8 @@ def _params_from_file(S: FiniteSemigroup, case: CaseId, path: str,
                 raise CliError(f"{name} must be a character index")
             fields[name] = _pick_char(S, chars, idx)
     if "free" in data:
-        values = {name: cnum(_as_complex(v)) for name, v in
+        values = {name: cnum(_as_complex(v, f"free[{name!r}]"))
+                  for name, v in
                   _typed(path, "free", data["free"], dict).items()}
         try:
             fields["free"] = FnTable.from_json_dict(S, values)
@@ -258,7 +266,7 @@ def _params_from_file(S: FiniteSemigroup, case: CaseId, path: str,
         from .families import combine_additive
         basis = additive_basis(S, chi, parity)
         A = _typed(path, "A", data.get("A", {}), dict)
-        coeffs = [_as_complex(v) for v in
+        coeffs = [_as_complex(v, "A.coeffs") for v in
                   _typed(path, "A.coeffs", A.get("coeffs", []), list)]
         if len(coeffs) != len(basis):
             raise CliError(f"A.coeffs must give {len(basis)} value(s) for "
@@ -266,7 +274,7 @@ def _params_from_file(S: FiniteSemigroup, case: CaseId, path: str,
         fields["A"] = combine_additive(S, basis, coeffs, chi, parity)
         space = rho_space(chi, S, parity)
         rho = _typed(path, "rho", data.get("rho", {}), dict)
-        free = [_as_complex(v) for v in
+        free = [_as_complex(v, "rho.free") for v in
                 _typed(path, "rho.free", rho.get("free", []), list)]
         if len(free) != space.dimension:
             raise CliError(f"rho.free must give {space.dimension} value(s) "
@@ -309,7 +317,7 @@ def _cmd_classify(args) -> int:
         raise CliError(f"classification covers the built-in ids ({known}), "
                        f"got {args.equation!r}")
     f, g = _read_pair(S, args.fn)
-    alpha = _as_complex(args.alpha) if args.alpha is not None else None
+    alpha = None if args.alpha is None else _as_complex(args.alpha, "alpha")
     try:
         hit = classify(args.equation, f, g, S, alpha=alpha, tol=args.tol)
     except ValueError as exc:       # not a solution, or alpha within tol of 0
@@ -328,7 +336,8 @@ def _cmd_classify(args) -> int:
 def _parse_alphabet(text: str | None):
     if text is None:
         return DEFAULT_ALPHABET
-    return tuple(_as_complex(part) for part in text.split(",") if part)
+    return tuple(_as_complex(part, "alphabet entry")
+                 for part in text.split(",") if part)
 
 
 def _cmd_oracle(args) -> int:
@@ -338,9 +347,9 @@ def _cmd_oracle(args) -> int:
         known = ", ".join(sorted(CASE_COUNTS))
         raise CliError(f"oracle scans the built-in ids ({known}), "
                        f"got {args.equation!r}")
+    alpha = 1.0 if args.alpha is None else _as_complex(args.alpha, "alpha")
     report = coverage_report(
-        S, alphabet=_parse_alphabet(args.alphabet),
-        alpha=_as_complex(args.alpha) if args.alpha is not None else 1.0,
+        S, alphabet=_parse_alphabet(args.alphabet), alpha=alpha,
         equations=equations, tol=args.tol, budget=args.budget)
     lines = []
     clean = True

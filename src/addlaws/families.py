@@ -25,6 +25,7 @@ carrier supports and draws random admissible parameters for them.
 
 from __future__ import annotations
 
+import cmath
 import itertools
 from dataclasses import dataclass, field, fields as dc_fields, replace
 
@@ -245,6 +246,9 @@ def _check_fields(case: CaseId, params: CaseParams) -> None:
         raise ConstraintError(
             f"case {case} requires fields {sorted(required)}, "
             f"got {sorted(present)}")
+    for name in ("alpha", "beta", "delta", "c", "c1", "c2"):
+        if name in present and not cmath.isfinite(getattr(params, name)):
+            raise ConstraintError(f"{name} is not finite")
 
 
 # ---------------------------------------------------------------------------

@@ -4,11 +4,11 @@ rho parameter spaces."""
 import numpy as np
 import pytest
 
-from addlaws.characters import (MultChar, additive_basis, additive_residual,
-                                check_condition_I, check_condition_II,
-                                element_periods, enumerate_characters,
-                                ideal_sets, parity_residual, real_kernel_basis,
-                                rho_space)
+from addlaws.characters import (AdditiveFn, MultChar, RhoFn, additive_basis,
+                                additive_residual, check_condition_I,
+                                check_condition_II, element_periods,
+                                enumerate_characters, ideal_sets,
+                                parity_residual, real_kernel_basis, rho_space)
 from addlaws.examples import m3, n3, np4, z2, z3
 
 from helpers import TOL, brute_force_characters, match_tables
@@ -128,6 +128,22 @@ def test_condition_II_detects_mixed_products():
     # Edge I \ P = {'0'}; its products with the unit land back at '0'.
     assert check_condition_II(lambda x: [0, 1, 0][x], chi, S)
     assert not check_condition_II(lambda x: [0, 1, 1][x], chi, S)
+
+
+def test_parity_and_additive_residuals_keep_a_nan():
+    S = z2()
+    A = AdditiveFn(domain=frozenset({0, 1}), values=np.array([np.nan, 0]))
+    assert np.isnan(parity_residual(A, S))
+    # The NaN term comes first, then a finite one that max() would keep.
+    assert np.isnan(additive_residual(A, S, [(0, 0), (1, 1)]))
+
+
+def test_conditions_refuse_nan_tables():
+    S = m3()
+    chi = enumerate_characters(S)[0]            # [1, 0, 0], P = {p}
+    rho = RhoFn(domain=frozenset({1}), values=np.array([0, np.nan, 0]))
+    assert not check_condition_I(rho, chi, S)
+    assert not check_condition_II(lambda x: np.nan, chi, S)
 
 
 def test_element_periods():

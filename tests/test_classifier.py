@@ -123,6 +123,27 @@ def test_classify_single_character_scalings(chars):
     assert hit.case == CaseId("alpha-skew", 1)
 
 
+def test_a_hit_ends_the_candidate_stream(chars, monkeypatch):
+    """The walk's candidates are extracted lazily: once cos-sine-g/4 hits,
+    the /7 and /6 candidates behind it are never built."""
+    S = z2()
+    f, g = construct(CaseId("cos-sine-g", 4),
+                     CaseParams(chi=chars["Z2"][1], beta=1.0), S)
+    session = classify_mod._Session("cos-sine-g", f, g, S, chars["Z2"], TOL)
+    stream = session.candidates(classify_mod._classify_cos_sine_g)
+    assert [str(case) for case, _ in stream] == [
+        "cos-sine-g/4", "cos-sine-g/7", "cos-sine-g/6"]
+    calls = {"construct": 0, "_extract_piece": 0}
+    for name in calls:
+        def counted(*args, _real=getattr(classify_mod, name), _name=name):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(classify_mod, name, counted)
+    hit = classify("cos-sine-g", f, g, S, chars=chars["Z2"])
+    assert hit.case == CaseId("cos-sine-g", 4)
+    assert calls == {"construct": 1, "_extract_piece": 0}
+
+
 def test_classify_rejects_non_solutions():
     S = z2()
     with pytest.raises(NotASolutionError, match="does not solve"):

@@ -145,6 +145,37 @@ def test_pair_file_tables_must_be_objects(capsys, tmp_path, command, side):
     assert out.err == f"error: {fg}: field '{side}' must be an object\n"
 
 
+@pytest.mark.parametrize("argv,shown", [
+    (["check", "-s", "Z2", "-e", "cos-sub", "--fn", "nan.json"],
+     "f['e'] must be finite, got 'nan'"),
+    (["check", "-s", "Z2", "-e", "alpha-sym", "--fn", "fg.json",
+      "--alpha", "inf"], "alpha must be finite, got 'inf'"),
+    (["check", "-s", "Z2", "-e", "cos-sub", "--fn", "fg.json",
+      "--alpha", "nan"], "alpha must be finite, got 'nan'"),
+    (["construct", "-s", "Z2", "-e", "sine-add", "--case", "3",
+      "--params", "params.json"], "alpha must be finite, got 'nan'"),
+    (["classify", "-s", "Z2", "-e", "cos-sub", "--fn", "nan.json"],
+     "f['e'] must be finite, got 'nan'"),
+    (["classify", "-s", "Z2", "-e", "alpha-skew", "--fn", "fg.json",
+      "--alpha", "1+nanj"], "alpha must be finite, got '1+nanj'"),
+    (["oracle", "-s", "Z2", "--alphabet", "0,1,-1,inf,-inf"],
+     "alphabet entry must be finite, got 'inf'"),
+], ids=["check-fn", "check-alpha", "check-unused-alpha", "construct-params",
+        "classify-fn", "classify-alpha", "oracle-alphabet"])
+def test_non_finite_numbers_are_refused(capsys, tmp_path, monkeypatch, argv,
+                                        shown):
+    monkeypatch.chdir(tmp_path)
+    write_pair(tmp_path, "fg.json", {"e": [0, 0], "a": [0, 0]},
+               {"e": [0, 0], "a": [0, 0]})
+    write_pair(tmp_path, "nan.json", {"e": "nan", "a": 0}, {"e": 1, "a": 1})
+    (tmp_path / "params.json").write_text(
+        json.dumps({"chi": 1, "alpha": "nan"}))
+    code = main(argv)
+    out = capsys.readouterr()
+    assert code == EXIT_FAIL and out.out == ""
+    assert out.err == f"error: {shown}\n"
+
+
 @pytest.mark.parametrize("params,field,what", [
     ({"free": [1, 0]}, "free", "an object"),
     ({"chi": 0, "A": [1]}, "A", "an object"),

@@ -13,7 +13,8 @@ from addlaws.dsl import BUILTIN_EQUATIONS
 from addlaws.families import (BRANCHES, CASE_COUNTS, CaseId, CaseParams,
                               ConstraintError, admissible_params, all_case_ids,
                               combine_additive, construct)
-from addlaws.examples import n3, z2, z2xz2
+from addlaws.characters import AdditiveFn, RhoFn, enumerate_characters
+from addlaws.examples import m3, n3, z2, z2xz2
 from addlaws.oracle import fuzz_constructors
 
 from helpers import TOL, equation_residual
@@ -187,6 +188,38 @@ def test_constraint_violations_elsewhere(chars):
     with pytest.raises(ConstraintError, match="alpha = 0"):
         construct(CaseId("alpha-skew", 1),
                   CaseParams(free=fn(z2(), [1, 0], "g"), alpha=0.0), z2())
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, complex(0, np.nan)],
+                         ids=["nan", "inf", "nan-imaginary"])
+@pytest.mark.parametrize("case,name,params_fn", [
+    (CaseId("cos-sub", 3), "alpha",
+     lambda chi, v: CaseParams(chi=chi, alpha=v)),
+    (CaseId("cos-sine-g", 4), "beta",
+     lambda chi, v: CaseParams(chi=chi, beta=v)),
+    (CaseId("cos-sub", 4), "delta",
+     lambda chi, v: CaseParams(chi1=chi, chi2=chi, delta=v)),
+    (CaseId("sine-add", 4), "c",
+     lambda chi, v: CaseParams(chi1=chi, chi2=chi, c=v)),
+    (CaseId("cos-sine-g", 5), "c1",
+     lambda chi, v: CaseParams(chi1=chi, chi2=chi, c1=v)),
+    (CaseId("alpha-skew", 5), "c2",
+     lambda chi, v: CaseParams(alpha=1.0, chi=chi, c1=1.0, c2=v)),
+], ids=["alpha", "beta", "delta", "c", "c1", "c2"])
+def test_non_finite_constants_are_refused(case, name, params_fn, value,
+                                          chars):
+    """The constant is refused by name before any other check."""
+    with pytest.raises(ConstraintError, match=f"^{name} is not finite$"):
+        construct(case, params_fn(chars["Z2"][1], value), z2())
+
+
+def test_nan_rho_is_refused():
+    S = m3()
+    chi = enumerate_characters(S)[0]            # [1, 0, 0], P = {p}
+    A = AdditiveFn(domain=frozenset({0}), values=np.zeros(3))
+    rho = RhoFn(domain=frozenset({1}), values=np.array([0, np.nan, 0]))
+    with pytest.raises(ConstraintError):
+        construct(CaseId("sine-add", 5), CaseParams(chi=chi, A=A, rho=rho), S)
 
 
 def test_menu_availability(carriers, chars):
