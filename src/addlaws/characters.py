@@ -69,7 +69,7 @@ class MultChar:
 
     @property
     def fn(self) -> FnTable:
-        return FnTable(self.semigroup, values=self.values, label="chi")
+        return FnTable(self.semigroup, values=self.values)
 
     def multiplicativity_residual(self) -> float:
         S, v = self.semigroup, self.values
@@ -120,20 +120,19 @@ class WindowedChar:
 
     def __init__(self, W: WindowedSemigroup, formula: Callable,
                  in_ideal: Callable, in_ideal_square: Callable,
-                 in_prime_part: Callable, label: str = "chi"):
+                 in_prime_part: Callable):
         self.semigroup = W
         self.formula = formula
         self.in_ideal = in_ideal
         self.in_ideal_square = in_ideal_square
         self.in_prime_part = in_prime_part
-        self.label = label
 
     def __call__(self, x) -> complex:
         return complex(self.formula(x))
 
     @property
     def fn(self) -> FnTable:
-        return FnTable(self.semigroup, formula=self.formula, label=self.label)
+        return FnTable(self.semigroup, formula=self.formula)
 
 
 def element_periods(S: FiniteSemigroup) -> list[int]:

@@ -41,7 +41,8 @@ import numpy as np
 
 from .characters import (AdditiveFn, MultChar, RhoFn,
                          conjugate_representatives, enumerate_characters)
-from .core import EPS, FiniteSemigroup, FnTable, cnum, square_set
+from .core import (EPS, FiniteSemigroup, FnTable, cnum, square_set,
+                   validate_tolerance)
 from .dsl import builtin, evaluate_residual, residual_rows
 from .families import (CASES, CaseId, CaseParams, ConstraintError, construct,
                        construct_rows)
@@ -103,8 +104,10 @@ def linear_dependence(f: FnTable, g: FnTable,
 
     The dependence coefficient is the least-squares ratio against the pivot
     column; dependence holds when the residual stays below the pivot
-    tolerance in the max norm.
+    tolerance in the max norm.  Raises ValueError for a tolerance that is
+    negative or not finite.
     """
+    validate_tolerance(tol)
     (verdict,) = _dependence(f.values[None], g.values[None], tol)
     return verdict
 
@@ -712,8 +715,10 @@ def classify_rows(equation: str, F: np.ndarray, G: np.ndarray,
     `classify`: no mask applies, or one applies and its attempt misses,
     which the walk logs.  The alpha equations need `alpha`; `chars` is the
     enumerate_characters list, worked out here when alpha-skew needs it
-    and it is not given.
+    and it is not given.  Raises ValueError for a tolerance that is
+    negative or not finite.
     """
+    validate_tolerance(tol)
     binding = {"f": F, "g": G}
     if alpha is not None:
         binding["a"] = complex(alpha)
@@ -783,12 +788,14 @@ def classify(equation: str, f: FnTable, g: FnTable, S: FiniteSemigroup,
     For the two alpha equations the constant is taken from `alpha` when
     given and recovered by least squares otherwise.  `chars` can carry a
     precomputed enumerate_characters list to share across many calls.
+    Raises ValueError for a tolerance that is negative or not finite.
     """
     if not isinstance(S, FiniteSemigroup):
         raise TypeError("classification runs on finite semigroups only; "
                         "windowed carriers use construct-then-compare")
     if equation not in _WALKS:
         raise KeyError(f"unknown equation id {equation!r}")
+    validate_tolerance(tol)
 
     binding = {"f": f, "g": g}
     if equation in ("alpha-sym", "alpha-skew"):

@@ -30,13 +30,13 @@ from .characters import (additive_basis, additive_residual,
                          enumerate_characters, parity_residual, rho_space)
 from .classify import (NotASolutionError, Unclassified, classify)
 from .core import (EPS, FiniteSemigroup, FnTable, SemigroupError, cnum,
-                   load_semigroup, stable_json)
+                   load_semigroup, stable_json, validate_tolerance)
 from .dsl import (EquationSyntaxError, builtin, equation_symbols,
                   evaluate_residual, print_equation, resolve_equation)
 from .families import (ALPHA_EQUATIONS, CASE_COUNTS, CaseId, CaseParams,
                        ConstraintError, construct)
 from .oracle import (DEFAULT_ALPHABET, BudgetError, GridInputError,
-                     PAIR_BUDGET, coverage_report, validate_tolerance)
+                     PAIR_BUDGET, coverage_report)
 
 EXIT_OK, EXIT_FAIL, EXIT_USAGE, EXIT_BUDGET = 0, 1, 2, 3
 
@@ -69,11 +69,12 @@ def _finite(S) -> FiniteSemigroup:
 
 
 def _as_complex(value, name: str) -> complex:
-    """`value`, the number `name`, as a finite complex number."""
+    """`value`, the number `name`, as a finite complex number (not a bool)."""
     z = None
-    if isinstance(value, (int, float)):
+    if type(value) in (int, float):
         z = complex(value)
-    elif isinstance(value, list) and len(value) == 2:
+    elif (isinstance(value, list) and len(value) == 2
+          and all(type(v) in (int, float) for v in value)):
         z = complex(value[0], value[1])
     elif isinstance(value, str):
         try:
@@ -81,7 +82,7 @@ def _as_complex(value, name: str) -> complex:
         except ValueError:
             pass
     if z is None:
-        raise CliError(f"cannot read {value!r} as a complex number "
+        raise CliError(f"{name}: cannot read {value!r} as a complex number "
                        "(use a number, [re, im], or 'a+bj')")
     if not cmath.isfinite(z):
         raise CliError(f"{name} must be finite, got {value!r}")
@@ -115,8 +116,8 @@ def _read_pair(S: FiniteSemigroup, path: str) -> tuple[FnTable, FnTable]:
                    for name, v in _typed(path, side, data[side], dict).items()}
             for side in ("f", "g")}
     try:
-        f = FnTable.from_json_dict(S, norm["f"], label="f")
-        g = FnTable.from_json_dict(S, norm["g"], label="g")
+        f = FnTable.from_json_dict(S, norm["f"])
+        g = FnTable.from_json_dict(S, norm["g"])
     except ValueError as exc:
         raise CliError(f"{path}: {exc}") from exc
     return f, g
@@ -246,7 +247,7 @@ def _params_from_file(S: FiniteSemigroup, case: CaseId, path: str,
     for name in ("chi", "chi1", "chi2"):
         if name in data:
             idx = data[name]
-            if not isinstance(idx, int):
+            if type(idx) is not int:        # a JSON bool is no index
                 raise CliError(f"{name} must be a character index")
             fields[name] = _pick_char(S, chars, idx)
     if "free" in data:
@@ -556,7 +557,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        validate_tolerance(args.tol)
+        validate_tolerance(args.tol, GridInputError)
         return args.handler(args)
     except BudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import random
 from typing import Callable, Iterable, Sequence
 
@@ -31,6 +32,12 @@ def cnum(z: complex) -> list[float]:
     """Complex number as a JSON-friendly [re, im] pair."""
     z = complex(z)
     return [z.real, z.imag]
+
+
+def validate_tolerance(tol: float, error: type = ValueError) -> None:
+    """Raise `error` unless a tolerance is finite and at least 0."""
+    if not (math.isfinite(tol) and tol >= 0):
+        raise error(f"tolerance must be finite and at least 0, got {tol!r}")
 
 
 class SemigroupError(ValueError):
@@ -242,6 +249,7 @@ class FnTable:
     (windowed).
     """
 
+    # Nothing reads `label`; it stays because perfbench/workloads.py passes it.
     __slots__ = ("domain", "values", "formula", "label")
 
     def __init__(self, domain, values=None, formula=None, label: str = ""):
@@ -274,8 +282,7 @@ class FnTable:
         """The composition with the automorphism (f* = f o sigma)."""
         if self.values is None:
             raise ValueError("star needs a finite value table")
-        return FnTable(self.domain, values=self.values[self.domain.sigma],
-                       label=self.label + "*")
+        return FnTable(self.domain, values=self.values[self.domain.sigma])
 
     def is_zero(self) -> bool:
         if self.values is None:
@@ -294,8 +301,7 @@ class FnTable:
         return {names[i]: cnum(self.values[i]) for i in range(len(names))}
 
     @classmethod
-    def from_json_dict(cls, S: FiniteSemigroup, data: dict,
-                       label: str = "") -> "FnTable":
+    def from_json_dict(cls, S: FiniteSemigroup, data: dict) -> "FnTable":
         values = np.zeros(S.n, dtype=np.complex128)
         seen = set()
         for name, pair in data.items():
@@ -307,7 +313,7 @@ class FnTable:
         if missing:
             raise ValueError(
                 f"missing value(s) for: {', '.join(sorted(missing))}")
-        return cls(S, values=values, label=label)
+        return cls(S, values=values)
 
 
 def fn(S, values_or_formula, label: str = "") -> FnTable:
@@ -326,6 +332,5 @@ def even_odd_parts(f: FnTable) -> tuple[FnTable, FnTable]:
         raise ValueError("even_odd_parts needs a finite value table")
     S = f.domain
     starred = f.values[S.sigma]
-    fe = FnTable(S, values=(f.values + starred) / 2, label=f.label + "^e")
-    fo = FnTable(S, values=(f.values - starred) / 2, label=f.label + "^o")
-    return fe, fo
+    return (FnTable(S, values=(f.values + starred) / 2),
+            FnTable(S, values=(f.values - starred) / 2))

@@ -220,14 +220,13 @@ def example2() -> WindowedSemigroup:
     def never(_u) -> bool:
         return False
 
-    chi0 = WindowedChar(W, lambda u: 1 + 0j, never, never, never,
-                        label="chi0")
+    chi0 = WindowedChar(W, lambda u: 1 + 0j, never, never, never)
     # Any point with a zero coordinate factors through the same axis, so the
     # ideal equals its own square and the prime part is empty.
     chi_abs = WindowedChar(W, lambda u: complex(abs(u[0]) * abs(u[1])),
-                           on_axes, on_axes, never, label="chi_abs")
+                           on_axes, on_axes, never)
     chi_sgn = WindowedChar(W, lambda u: complex(u[0] * u[1]),
-                           on_axes, on_axes, never, label="chi_sgn")
+                           on_axes, on_axes, never)
 
     def log_candidate(a: complex, b: complex, parity: str) -> AdditiveFn:
         def formula(u) -> complex:

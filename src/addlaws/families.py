@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import cmath
 import itertools
-from dataclasses import dataclass, field, fields as dc_fields, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -225,11 +225,8 @@ class CaseParams:
     phi: FnTable | None = None
 
     def present(self) -> frozenset[str]:
-        return frozenset(name for name in _PARAM_NAMES
-                         if getattr(self, name) is not None)
-
-
-_PARAM_NAMES = tuple(f.name for f in dc_fields(CaseParams))
+        return frozenset(name for name, value in self.__dict__.items()
+                         if value is not None)
 
 
 def _spec(case: CaseId) -> CaseSpec:
@@ -263,14 +260,6 @@ def _zero_fn(S) -> FnTable:
     if _finite(S):
         return FnTable(S, values=np.zeros(S.n))
     return FnTable(S, formula=lambda x: 0j)
-
-
-def _char_fn(chi) -> FnTable:
-    return chi.fn
-
-
-def _conj_fn(chi) -> FnTable:
-    return chi.fn.star()
 
 
 def _scale(h: FnTable, coeff: complex) -> FnTable:
@@ -394,8 +383,8 @@ def _sine_piece(S, params: CaseParams, parity: str = "even") -> FnTable:
 
 
 # ---------------------------------------------------------------------------
-# Case builders.  Each returns the unlabeled (f, g) pair of a case whose
-# record has no form and that is not a row case.
+# Case builders.  Each returns the (f, g) pair of a case whose record has no
+# form and that is not a row case.
 # ---------------------------------------------------------------------------
 
 def _cos_sub(case: CaseId, p: CaseParams, S):
@@ -405,7 +394,7 @@ def _cos_sub(case: CaseId, p: CaseParams, S):
         _require(not any(_near(p.alpha, v) for v in (1j, -1j)),
                  "alpha in {i, -i}")
         s = 1 / (1 + complex(p.alpha) ** 2)
-        cf = _char_fn(p.chi)
+        cf = p.chi.fn
         return _scale(cf, complex(p.alpha) * s), _scale(cf, s)
     if k == 4:
         _require(not any(_near(p.delta, v) for v in (0, 1j, -1j)),
@@ -415,7 +404,7 @@ def _cos_sub(case: CaseId, p: CaseParams, S):
         _check_distinct(S, p.chi1, p.chi2)
         d = complex(p.delta)
         den = 1 / d + d
-        c1, c2 = _char_fn(p.chi1), _char_fn(p.chi2)
+        c1, c2 = p.chi1.fn, p.chi2.fn
         f = _lin(S, (-1 / den, c1), (1 / den, c2))
         g = _lin(S, (1 / (d * den), c1), (d / den, c2))
         return f, g
@@ -424,11 +413,11 @@ def _cos_sub(case: CaseId, p: CaseParams, S):
         piece = _sine_piece(S, p)
         f = _scale(piece, -1j)
         sign = 1j if case.branch == "+" else -1j
-        g = _lin(S, (1, _char_fn(p.chi)), (sign, f))
+        g = _lin(S, (1, p.chi.fn), (sign, f))
         return f, g
     # case 6: f = -i(chi - chi*)/2, g = (chi + chi*)/2 with chi* != chi.
     _check_noneven_char(p.chi)
-    cf, sf = _char_fn(p.chi), _conj_fn(p.chi)
+    cf, sf = p.chi.fn, p.chi.fn.star()
     f = _lin(S, (-0.5j, cf), (0.5j, sf))
     g = _lin(S, (0.5, cf), (0.5, sf))
     return f, g
@@ -439,19 +428,19 @@ def _sine_add(case: CaseId, p: CaseParams, S):
     if k == 3:
         _check_even_char(p.chi)
         _check_alpha(p.alpha)
-        cf = _char_fn(p.chi)
+        cf = p.chi.fn
         return _scale(cf, 1 / (2 * complex(p.alpha))), _scale(cf, 0.5)
     if k == 4:
         _require(not _near(p.c, 0), "c = 0")
         _check_even_char(p.chi1, "chi1")
         _check_even_char(p.chi2, "chi2")
         _check_distinct(S, p.chi1, p.chi2)
-        c1, c2 = _char_fn(p.chi1), _char_fn(p.chi2)
+        c1, c2 = p.chi1.fn, p.chi2.fn
         f = _lin(S, (complex(p.c), c1), (-complex(p.c), c2))
         g = _lin(S, (0.5, c1), (0.5, c2))
         return f, g
     piece = _sine_piece(S, p)
-    return piece, _char_fn(p.chi)
+    return piece, p.chi.fn
 
 
 def _cos_sine_g(case: CaseId, p: CaseParams, S):
@@ -461,7 +450,7 @@ def _cos_sine_g(case: CaseId, p: CaseParams, S):
         _require(not any(_near(p.beta, v) for v in (0, 0.5)),
                  "beta in {0, 1/2}")
         b = complex(p.beta)
-        cf = _char_fn(p.chi)
+        cf = p.chi.fn
         return _scale(cf, b * b / (2 * b - 1)), _scale(cf, b)
     if k == 5:
         _require(not any(_near(p.c1, v) for v in (0, 1, -1)),
@@ -471,21 +460,21 @@ def _cos_sine_g(case: CaseId, p: CaseParams, S):
         _check_distinct(S, p.chi1, p.chi2)
         w = complex(p.c1)
         fc = (w * w + 1) / (2 * w)
-        c1, c2 = _char_fn(p.chi1), _char_fn(p.chi2)
+        c1, c2 = p.chi1.fn, p.chi2.fn
         f = _lin(S, ((1 + fc) / 2, c1), ((1 - fc) / 2, c2))
         g = _lin(S, ((1 + w) / 2, c1), ((1 - w) / 2, c2))
         return f, g
     if k == 6:
         phi = _sine_piece(S, p)
-        cf = _char_fn(p.chi)
+        cf = p.chi.fn
         return _lin(S, (0.5, phi), (1, cf)), _lin(S, (1, phi), (1, cf))
     if k == 7:
         phi = _sine_piece(S, p)
-        cf = _char_fn(p.chi)
+        cf = p.chi.fn
         return _lin(S, (1, phi), (1, cf)), cf
     # case 8: f = (chi + chi*)/2, g one of chi, chi*.
     _check_noneven_char(p.chi)
-    cf, sf = _char_fn(p.chi), _conj_fn(p.chi)
+    cf, sf = p.chi.fn, p.chi.fn.star()
     f = _lin(S, (0.5, cf), (0.5, sf))
     g = cf if case.branch == "chi" else sf
     return f, g
@@ -631,40 +620,28 @@ def _form_rows(factor, free: np.ndarray | None, alpha, shape) -> np.ndarray:
     return complex(alpha if factor == "alpha" else factor) * free
 
 
-def _labelled(h: FnTable, label: str, params: CaseParams) -> FnTable:
-    if h is params.free or h is params.phi:
-        h = (FnTable(h.domain, values=h.values) if h.finite
-             else FnTable(h.domain, formula=h.formula))
-    h.label = label
-    return h
-
-
 def construct(case: CaseId, params: CaseParams, S):
-    """Build the (f, g) tables of one solution case, labelled "f" and "g".
+    """Build the (f, g) tables of one solution case.
 
     Raises :class:`ConstraintError` naming the violated clause when the
-    parameters do not satisfy the case's side constraints.  Where the pair
-    hands back the caller's own `free` or `phi` table, it comes as a new
-    FnTable sharing that table's read-only values (or formula); the
-    caller's table keeps its label.
+    parameters do not satisfy the case's side constraints.  Where f or g
+    is the caller's own `free` or `phi` table, that table itself is handed
+    back; its values are read-only.
     """
     _check_fields(case, params)
     spec = _spec(case)
     row_case = _ROW_CASES.get((case.equation, case.case))
     if spec.form is None and row_case is None:
-        f, g = _BUILDERS[case.equation](case, params, S)
-        return _labelled(f, "f", params), _labelled(g, "g", params)
+        return _BUILDERS[case.equation](case, params, S)
     free = None if params.free is None else params.free.values
     for clause, fails in _clauses(case, S, params, free):
         _require(not fails, clause)
     if spec.form is not None:
-        f, g = (_form_table(S, u, params.free, params.alpha)
-                for u in spec.form)
-    else:
-        rows = None if free is None else free[None]
-        f, g = (params.free if h is rows else FnTable(S, values=h[0])
-                for h in row_case[1](S, params, rows, (True,)))
-    return _labelled(f, "f", params), _labelled(g, "g", params)
+        return tuple(_form_table(S, u, params.free, params.alpha)
+                     for u in spec.form)
+    rows = None if free is None else free[None]
+    return tuple(params.free if h is rows else FnTable(S, values=h[0])
+                 for h in row_case[1](S, params, rows, (True,)))
 
 
 def construct_rows(case: CaseId, S: FiniteSemigroup, params: CaseParams,

@@ -40,7 +40,7 @@ import numpy as np
 
 from .characters import enumerate_characters
 from .classify import Unclassified, classify, classify_rows
-from .core import EPS, FiniteSemigroup, FnTable, cnum
+from .core import EPS, FiniteSemigroup, FnTable, cnum, validate_tolerance
 from .dsl import builtin, evaluate_residual
 from .examples import bundled_finite
 from .families import (ALPHA_EQUATIONS, EQUATION_IDS, CaseId,
@@ -88,13 +88,6 @@ def validate_alphabet(alphabet) -> tuple[complex, ...]:
     return values
 
 
-def validate_tolerance(tol: float) -> None:
-    """Check that a tolerance is finite and at least 0."""
-    if not (math.isfinite(tol) and tol >= 0):
-        raise GridInputError(
-            f"tolerance must be finite and at least 0, got {tol!r}")
-
-
 def value_tuples(alphabet, n: int) -> np.ndarray:
     """All functions S -> alphabet as a (len(alphabet)^n, n) table.
 
@@ -121,7 +114,7 @@ def _check_scan(equation: str, S, alphabet, alpha, tol: float,
     values = validate_alphabet(alphabet)
     if equation not in EQUATION_IDS:
         raise KeyError(f"unknown equation id {equation!r}")
-    validate_tolerance(tol)
+    validate_tolerance(tol, GridInputError)
     if equation in ALPHA_EQUATIONS:
         alpha = 1.0 + 0j if alpha is None else complex(alpha)
         _check_alpha_finite(alpha)
@@ -157,8 +150,8 @@ class GridSolutions(Sequence):
     """The solutions of one grid search, as read-only value stacks.
 
     ``f`` and ``g`` have shape (k, |S|): row i holds the values of the i-th
-    solution.  Item i is that pair as two FnTables labelled "f" and "g",
-    built when it is read; a slice is a GridSolutions over those rows.
+    solution.  Item i is that pair as two FnTables, built when it is read;
+    a slice is a GridSolutions over those rows.
     """
 
     __slots__ = ("S", "f", "g")
@@ -174,8 +167,8 @@ class GridSolutions(Sequence):
     def __getitem__(self, i):
         if isinstance(i, slice):
             return GridSolutions(self.S, self.f[i], self.g[i])
-        return (FnTable(self.S, values=self.f[i], label="f"),
-                FnTable(self.S, values=self.g[i], label="g"))
+        return (FnTable(self.S, values=self.f[i]),
+                FnTable(self.S, values=self.g[i]))
 
 
 def grid_solutions(equation: str, S: FiniteSemigroup,
@@ -277,8 +270,7 @@ def coverage_report(S: FiniteSemigroup, alphabet=DEFAULT_ALPHABET,
             if isinstance(hit, Unclassified):
                 dumps.append(hit.to_json_dict())
             else:
-                label = str(hit.case)
-                cases[label] = cases.get(label, 0) + 1
+                cases[str(hit.case)] = cases.get(str(hit.case), 0) + 1
         report["equations"][eq] = {
             "pairs_scanned": scanned,
             "solutions": len(pairs),

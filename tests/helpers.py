@@ -166,3 +166,62 @@ def reference_coverage_report(S, alphabet=None, alpha=1.0, equations=None,
             "unclassified": dumps,
         }
     return report
+
+
+def semigroup_tables(n: int):
+    """Every associative multiplication table on range(n), as a tuple of
+    rows.  Backtracks over the cells in row order; a value stays only while
+    every triple whose four products are all known associates."""
+    t = [[None] * n for _ in range(n)]
+    triples = list(itertools.product(range(n), repeat=3))
+
+    def associative() -> bool:
+        for x, y, z in triples:
+            xy, yz = t[x][y], t[y][z]
+            if xy is None or yz is None:
+                continue
+            left, right = t[xy][z], t[x][yz]
+            if left is not None and right is not None and left != right:
+                return False
+        return True
+
+    def fill(k: int):
+        if k == n * n:
+            yield tuple(tuple(row) for row in t)
+            return
+        x, y = divmod(k, n)
+        for v in range(n):
+            t[x][y] = v
+            if associative():
+                yield from fill(k + 1)
+        t[x][y] = None
+
+    yield from fill(0)
+
+
+def _relabel(table, sigma, p):
+    """(table, sigma) with each element x renamed p[x]."""
+    n = len(p)
+    inv = sorted(range(n), key=p.__getitem__)
+    return (tuple(tuple(p[table[inv[a]][inv[b]]] for b in range(n))
+                  for a in range(n)),
+            tuple(p[sigma[inv[a]]] for a in range(n)))
+
+
+def census(n: int) -> list[tuple[tuple, tuple]]:
+    """Every pair (S, sigma) of order n up to isomorphism, sorted: S an
+    associative table and sigma an involutive automorphism of it, each pair
+    in its canonical form, the least of its relabellings under every
+    permutation of range(n)."""
+    perms = list(itertools.permutations(range(n)))
+    elems = range(n)
+    found = set()
+    for table in semigroup_tables(n):
+        for s in perms:
+            if any(s[s[x]] != x for x in elems):
+                continue
+            if any(s[table[x][y]] != table[s[x]][s[y]]
+                   for x in elems for y in elems):
+                continue
+            found.add(min(_relabel(table, s, p) for p in perms))
+    return sorted(found)

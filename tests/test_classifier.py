@@ -169,6 +169,24 @@ def test_classify_argument_errors(ex1):
         classify("cos-sub", lambda x: 0, lambda x: 0, ex1)
 
 
+@pytest.mark.parametrize("tol", [-1.0, float("inf"), float("nan")],
+                         ids=["negative", "inf", "nan"])
+def test_library_refuses_a_bad_tolerance(tol):
+    # With tol = inf this non-solution came back as cos-sub/1, the zero
+    # pair (classify_rows settled it as case 1); with -1 or nan the check
+    # that refuses it said "residual 0".
+    S = z2()
+    f, g = fn(S, [0, 0]), fn(S, [1, 1])
+    shown = f"tolerance must be finite and at least 0, got {tol!r}"
+    for call in (lambda: classify("cos-sub", f, g, S, tol=tol),
+                 lambda: classify_mod.classify_rows(
+                     "cos-sub", f.values[None], g.values[None], S, tol=tol),
+                 lambda: linear_dependence(f, g, tol)):
+        with pytest.raises(ValueError) as err:
+            call()
+        assert err.type is ValueError and str(err.value) == shown
+
+
 def test_unclassified_diagnostics_have_full_dump(chars):
     # Starving the classifier of characters forces the diagnostic path.
     S = z2()

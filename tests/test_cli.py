@@ -176,6 +176,33 @@ def test_non_finite_numbers_are_refused(capsys, tmp_path, monkeypatch, argv,
     assert out.err == f"error: {shown}\n"
 
 
+@pytest.mark.parametrize("argv,shown", [
+    (["classify", "-s", "Z2", "-e", "cos-sub", "--fn", "bool.json"],
+     "f['e']: cannot read True as a complex number"),
+    (["check", "-s", "Z2", "-e", "cos-sub", "--fn", "pair.json"],
+     "g['a']: cannot read [1, False] as a complex number"),
+    (["construct", "-s", "Z2", "-e", "cos-sub", "--case", "3",
+      "--params", "alpha.json"],
+     "alpha: cannot read True as a complex number"),
+    (["construct", "-s", "Z2", "-e", "cos-sub", "--case", "3",
+      "--params", "chi.json"], "chi must be a character index"),
+], ids=["classify-fn", "check-fn-pair", "construct-alpha", "construct-chi"])
+def test_json_booleans_are_not_numbers(capsys, tmp_path, monkeypatch, argv,
+                                       shown):
+    monkeypatch.chdir(tmp_path)
+    write_pair(tmp_path, "bool.json", {"e": True, "a": False},
+               {"e": 1, "a": 1})
+    write_pair(tmp_path, "pair.json", {"e": 1, "a": 1},
+               {"e": 1, "a": [1, False]})
+    (tmp_path / "alpha.json").write_text(json.dumps({"chi": 1,
+                                                      "alpha": True}))
+    (tmp_path / "chi.json").write_text(json.dumps({"chi": True, "alpha": 1}))
+    code = main(argv)
+    out = capsys.readouterr()
+    assert code == EXIT_FAIL and out.out == ""
+    assert out.err.startswith(f"error: {shown}")
+
+
 @pytest.mark.parametrize("params,field,what", [
     ({"free": [1, 0]}, "free", "an object"),
     ({"chi": 0, "A": [1]}, "A", "an object"),

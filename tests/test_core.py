@@ -114,7 +114,6 @@ def test_even_odd_split_on_coordinate_swap():
     fe, fo = even_odd_parts(f)
     assert np.allclose(fe.values, [1, 0, 0, -1], atol=TOL)
     assert np.allclose(fo.values, [0, 1, -1, 0], atol=TOL)
-    assert fe.label.endswith("^e") and fo.label.endswith("^o")
 
 
 def test_even_odd_split_reconstructs_and_has_parity(carriers):
@@ -132,7 +131,7 @@ def test_fn_table_json_round_trip():
     f = fn(S, [0.5, -0.25j], "f")
     data = f.to_json_dict()
     assert data == {"e": [0.5, 0.0], "a": [0.0, -0.25]}
-    back = FnTable.from_json_dict(S, data, "f")
+    back = FnTable.from_json_dict(S, data)
     assert f.max_abs_diff(back) == 0.0
 
 

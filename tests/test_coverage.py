@@ -107,7 +107,6 @@ def test_grid_solutions_is_a_lazy_read_only_sequence():
     items = list(sols)
     assert len(items) == len(want)
     for (f, g), (i, j) in zip(items, want):
-        assert (f.label, g.label) == ("f", "g")
         assert f.domain is S and g.domain is S
         assert np.array_equal(f.values, rows[i])
         assert np.array_equal(g.values, rows[j])

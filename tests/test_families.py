@@ -139,9 +139,8 @@ def test_conjugate_pair_table(chars):
     assert equation_residual("cos-sub", f, g, S) <= TOL
 
 
-def test_constructed_labels():
+def test_cos_sub_1_is_the_zero_pair():
     f, g = construct(CaseId("cos-sub", 1), CaseParams(), z2())
-    assert f.label == "f" and g.label == "g"
     assert f.is_zero() and g.is_zero()
 
 
@@ -345,15 +344,13 @@ def test_phi_route_matches_additive_route(ex1):
         assert abs(g1(x) - g2(x)) <= TOL
 
 
-def test_construct_never_relabels_or_hands_back_the_callers_table():
-    """A free table passed in comes back wrapped, sharing its values, and
-    keeps its own label."""
+def test_construct_hands_back_the_callers_read_only_table():
+    """A free table passed in comes back as itself, values read-only."""
     S = n3()
-    h = fn(S, [0, 1, -1], "h")
+    h = fn(S, [0, 1, -1])
     f, g = construct(CaseId("sine-add", 2), CaseParams(free=h), S)
-    assert f is not h and f.values is h.values and f.label == "f"
+    assert f is h
     f2, g2 = construct(CaseId("alpha-skew", 2), CaseParams(alpha=1, free=h),
                        S)
-    assert g2 is not h and g2.values is h.values and g2.label == "g"
-    assert f.label == "f" and h.label == "h"
+    assert g2 is h
     assert not h.values.flags.writeable
