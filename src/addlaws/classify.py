@@ -121,7 +121,9 @@ def reduce_alpha_sym(f: FnTable, g: FnTable, alpha: complex) -> FnTable:
         raise ValueError("alpha must be non-zero")
     if f.values is None or g.values is None:
         raise ValueError("reduce_alpha_sym needs finite value tables")
-    return FnTable(f.domain, values=(g.values - f.values / a) / 2)
+    v = (g.values - f.values / a) / 2
+    v.setflags(write=False)                 # FnTable keeps it without a copy
+    return FnTable(f.domain, values=v)
 
 
 #: Documented case folds: pairs of (constructed, classified) labels that

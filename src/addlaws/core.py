@@ -246,7 +246,9 @@ class FnTable:
     with the element order; on a :class:`WindowedSemigroup` it is a formula
     (any callable on carrier elements).  Either way evaluation is by call:
     ``f(x)`` with ``x`` an element index (finite) or a carrier element
-    (windowed).
+    (windowed).  A table is read-only: an array that is still writable is
+    copied, so the caller can neither change the table through it nor
+    find it frozen; a read-only array is kept as it is.
     """
 
     # Nothing reads `label`; it stays because perfbench/workloads.py passes it.
@@ -262,7 +264,9 @@ class FnTable:
             if isinstance(domain, FiniteSemigroup) and v.shape != (domain.n,):
                 raise ValueError(
                     f"value table length {v.shape} != |S| = {domain.n}")
-            v.setflags(write=False)
+            if v.flags.writeable:       # the caller may still write to it
+                v = v.copy()
+                v.setflags(write=False)
             self.values = v
             self.formula = None
         else:
@@ -282,7 +286,9 @@ class FnTable:
         """The composition with the automorphism (f* = f o sigma)."""
         if self.values is None:
             raise ValueError("star needs a finite value table")
-        return FnTable(self.domain, values=self.values[self.domain.sigma])
+        v = self.values[self.domain.sigma]
+        v.setflags(write=False)
+        return FnTable(self.domain, values=v)
 
     def is_zero(self) -> bool:
         if self.values is None:
@@ -307,7 +313,12 @@ class FnTable:
         for name, pair in data.items():
             if name not in S.index:
                 raise ValueError(f"unknown element {name!r}")
-            values[S.index[name]] = complex(pair[0], pair[1])
+            try:
+                re, im = pair
+                values[S.index[name]] = complex(re, im)
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"value of {name!r} is not a pair of "
+                                 f"numbers [re, im]: {pair!r}") from exc
             seen.add(name)
         missing = set(S.elements) - seen
         if missing:

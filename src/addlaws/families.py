@@ -9,18 +9,18 @@ and a rho function on the prime part.
 
 :data:`CASES` holds one :class:`CaseSpec` record per published case: its
 required parameter fields, its branches, whether a phi table may replace
-(A, rho), the kind of parameter menu it draws from, and each constant's
-clause and sampling pool in draw order, and, for the zero pair and the
-cases built from one free table alone, the pair's form.  ``EQUATION_IDS``,
-``CASE_COUNTS``, ``BRANCHES`` and ``ALPHA_EQUATIONS`` are derived from it.
-The three ratio cases (cos-sub/2, alpha-skew/4, alpha-skew/5) are row
-cases: their clauses and tables are written once for a stack of parameter
-rows.  The other formulas stay in one builder per equation.
-:func:`construct` checks the record's fields and builds the (f, g) pair of
-one case from validated parameters (a form or row case as one row), and
-:func:`construct_rows` builds a form or row case for a whole stack of rows
-at once; :func:`admissible_params` reports which cases a concrete finite
-carrier supports and draws random admissible parameters for them.
+(A, rho), the kind of parameter menu it draws from (which is also the
+condition on its characters), each constant's admissible set in draw order,
+and, for the zero pair and the cases built from one free table alone, the
+pair's form.  ``EQUATION_IDS``, ``CASE_COUNTS``, ``BRANCHES`` and
+``ALPHA_EQUATIONS`` are derived from it.  The form cases and the three
+ratio cases (cos-sub/2, alpha-skew/4, alpha-skew/5) are row cases: their
+tables are written once for a stack of parameter rows.  The other formulas
+stay in one builder per equation.  :func:`construct` checks the record's
+fields and clauses and builds the (f, g) pair of one case (a row case as
+one row), and :func:`construct_rows` builds a row case for a whole stack
+of rows at once; :func:`admissible_params` reports which cases a concrete
+finite carrier supports and draws random admissible parameters for them.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from __future__ import annotations
 import cmath
 import itertools
 from dataclasses import dataclass, field, replace
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -51,19 +52,62 @@ FREE_VALUE_POOL = (0j, 1 + 0j, -1 + 0j, 1j, -1j, 0.5 + 0j, -0.5 + 0j,
 PHI_LAW = parse_equation("f(x y) = f(x)*g(y) + f(y)*g(x)")
 
 
+#: How a constant's set is written in clauses.
+_SHOWN = {0.5: "1/2", 1j: "i", -1j: "-i"}
+
+
+@dataclass(frozen=True)
+class _Constant:
+    """One constant of a case: its value must lie in `values` (`inside`)
+    or avoid them (no values: unconstrained).  The menus' clause, the
+    text construct raises and the sampling pool are derived from it."""
+
+    name: str
+    values: tuple = ()
+    inside: bool = False
+    note: str = ""
+
+    def _statement(self, inside: bool) -> str:
+        shown = ", ".join(_SHOWN.get(v, f"{v:g}") for v in self.values)
+        if len(self.values) == 1:
+            return f"{self.name} {'=' if inside else '!='} {shown}"
+        return f"{self.name} {'in' if inside else 'not in'} {{{shown}}}"
+
+    @cached_property
+    def clause(self) -> str:
+        if not self.values:
+            return f"{self.name} unconstrained"
+        note = f" ({self.note})" if self.note else ""
+        return self._statement(self.inside) + note
+
+    @cached_property
+    def failure(self) -> str:
+        return self._statement(not self.inside)
+
+    @cached_property
+    def pool(self) -> tuple:
+        """The set itself, or else SAMPLE_POOL without the set, plus 0
+        unless 0 is in the set."""
+        if self.inside:
+            return self.values
+        keep = tuple(v for v in SAMPLE_POOL if not _hits(v, self.values))
+        return keep if _hits(0, self.values) else keep + (0j,)
+
+
 @dataclass(frozen=True)
 class CaseSpec:
     """The published facts of one case, read by construct and the menus.
 
     `menu` names what :func:`admissible_params` offers: "none" (no drawn
     data), "free-vanishing" (a free function vanishing on S^2),
-    "free-arbitrary", "even" (one even character), "even-pair",
-    "noneven", "noneven-up-to-conj" (one of each chi, chi* pair),
-    "piecewise-even" or "piecewise-odd" (an even chi with A and rho of that
-    parity).  `constants` lists (name, clause, sampling pool) in draw order.
-    `form`, when set, is the pair (f, g) as two factors of the free table:
-    None is the zero table, 1 the free table itself, and a number or
-    "alpha" that multiple of it.
+    "free-arbitrary", "even" (one even character), "even-pair" (two
+    distinct even characters), "noneven", "noneven-up-to-conj" (one of
+    each chi, chi* pair), "piecewise-even" or "piecewise-odd" (an even chi
+    with A and rho of that parity); construct checks the kind's condition
+    on the characters.  `constants` lists each constant's admissible set
+    in draw order.  `form`, when set, is the pair (f, g) as two factors of
+    the free table: None is the zero table, 1 the free table itself, and a
+    number or "alpha" that multiple of it.
     """
 
     fields: frozenset
@@ -83,20 +127,26 @@ def _case(fields: str, menu: str = "none", *constants,
                     form)
 
 
-def _near(a: complex, b: complex) -> bool:
-    return abs(complex(a) - complex(b)) <= EPS
-
-
-def _avoiding(*bad) -> tuple:
-    return tuple(v for v in SAMPLE_POOL if not any(_near(v, b) for b in bad))
+def _hits(values, targets):
+    """Whether one value (a bool) or each of a sequence (an array) lies
+    within EPS of a target.  np.hypot is the C library hypot that Python's
+    complex abs calls, so a sequence gets one value's floats."""
+    if isinstance(values, (int, float, complex)):
+        v = complex(values)
+        return any(abs(v - t) <= EPS for t in targets)
+    v = np.asarray(values, dtype=np.complex128)
+    out = np.zeros(v.shape, dtype=bool)
+    for t in targets:
+        d = v - complex(t)
+        out |= np.hypot(d.real, d.imag) <= EPS
+    return out
 
 
 def _with_alpha(spec: CaseSpec) -> CaseSpec:
     """The record of a case of an equation that carries alpha, which is
     drawn before the case's own constants."""
     return replace(spec, fields=spec.fields | {"alpha"},
-                   constants=(("alpha", "alpha != 0", SAMPLE_POOL),)
-                   + spec.constants)
+                   constants=(_Constant("alpha", (0,)),) + spec.constants)
 
 
 _ZERO = (None, None)           # the form of the zero pair
@@ -105,10 +155,8 @@ _COS_SINE_G = (
     _case("", form=_ZERO),
     _case("free", "free-vanishing", form=(1, None)),
     _case("free", "free-vanishing", form=(1, 2)),
-    _case("chi beta", "even",
-          ("beta", "beta not in {0, 1/2}", _avoiding(0.5))),
-    _case("chi1 chi2 c1", "even-pair",
-          ("c1", "c1 not in {0, 1, -1}", _avoiding(1, -1))),
+    _case("chi beta", "even", _Constant("beta", (0, 0.5))),
+    _case("chi1 chi2 c1", "even-pair", _Constant("c1", (0, 1, -1))),
     _case("chi A rho", "piecewise-even", phi=True),
     _case("chi A rho", "piecewise-even", phi=True),
     _case("chi", "noneven", branches=("chi", "conj")),
@@ -119,20 +167,20 @@ _COS_SINE_G = (
 CASES = {
     "cos-sub": (
         _case("", form=_ZERO),
-        _case("free c", "free-vanishing", ("c", "c in {i, -i}", (1j, -1j))),
+        _case("free c", "free-vanishing",
+              _Constant("c", (1j, -1j), inside=True)),
         _case("chi alpha", "even",
-              ("alpha", "alpha not in {i, -i} (alpha = 0 gives f = 0)",
-               _avoiding(1j, -1j) + (0j,))),
+              _Constant("alpha", (1j, -1j), note="alpha = 0 gives f = 0")),
         _case("chi1 chi2 delta", "even-pair",
-              ("delta", "delta not in {0, i, -i}", _avoiding(1j, -1j))),
+              _Constant("delta", (0, 1j, -1j))),
         _case("chi A rho", "piecewise-even", branches=("+", "-")),
         _case("chi", "noneven"),
     ),
     "sine-add": (
         _case("free", "free-arbitrary", form=(None, 1)),
         _case("free", "free-vanishing", form=(1, None)),
-        _case("chi alpha", "even", ("alpha", "alpha != 0", SAMPLE_POOL)),
-        _case("chi1 chi2 c", "even-pair", ("c", "c != 0", SAMPLE_POOL)),
+        _case("chi alpha", "even", _Constant("alpha", (0,))),
+        _case("chi1 chi2 c", "even-pair", _Constant("c", (0,))),
         _case("chi A rho", "piecewise-even"),
     ),
     "cos-sine-g": _COS_SINE_G,
@@ -143,13 +191,10 @@ CASES = {
         _case("free", "free-arbitrary", form=("alpha", 1)),
         _case("free", "free-vanishing", form=(None, 1)),
         _case("free", "free-vanishing", form=(1, None)),
-        _case("free c", "free-vanishing",
-              ("c", "c not in {0, -1}", _avoiding(-1))),
+        _case("free c", "free-vanishing", _Constant("c", (0, -1))),
         _case("chi c1 c2", "noneven-up-to-conj",
-              ("c1", "c1 != 0", SAMPLE_POOL),
-              ("c2", "c2 unconstrained", SAMPLE_POOL + (0j,))),
-        _case("chi A rho c", "piecewise-odd",
-              ("c", "c unconstrained", SAMPLE_POOL + (0j,))),
+              _Constant("c1", (0,)), _Constant("c2")),
+        _case("chi A rho c", "piecewise-odd", _Constant("c")),
     ))),
 }
 
@@ -243,28 +288,28 @@ def _check_fields(case: CaseId, params: CaseParams) -> None:
         raise ConstraintError(
             f"case {case} requires fields {sorted(required)}, "
             f"got {sorted(present)}")
-    for name in ("alpha", "beta", "delta", "c", "c1", "c2"):
-        if name in present and not cmath.isfinite(getattr(params, name)):
-            raise ConstraintError(f"{name} is not finite")
+    for const in spec.constants:
+        if not cmath.isfinite(getattr(params, const.name)):
+            raise ConstraintError(f"{const.name} is not finite")
 
 
 # ---------------------------------------------------------------------------
-# Assembly helpers working on both carrier backends.
+# Assembly helpers working on both carrier backends.  They hand FnTable
+# read-only arrays, which it keeps without a copy.
 # ---------------------------------------------------------------------------
 
 def _finite(S) -> bool:
     return isinstance(S, FiniteSemigroup)
 
 
-def _zero_fn(S) -> FnTable:
-    if _finite(S):
-        return FnTable(S, values=np.zeros(S.n))
-    return FnTable(S, formula=lambda x: 0j)
+def _frozen(v: np.ndarray) -> np.ndarray:
+    v.setflags(write=False)
+    return v
 
 
 def _scale(h: FnTable, coeff: complex) -> FnTable:
     if h.finite:
-        return FnTable(h.domain, values=complex(coeff) * h.values)
+        return FnTable(h.domain, values=_frozen(complex(coeff) * h.values))
     return FnTable(h.domain,
                    formula=lambda x, c=complex(coeff), f=h: c * f(x))
 
@@ -275,7 +320,7 @@ def _lin(S, *terms: tuple[complex, FnTable]) -> FnTable:
         vals = np.zeros(S.n, dtype=np.complex128)
         for coeff, t in terms:
             vals = vals + complex(coeff) * t.values
-        return FnTable(S, values=vals)
+        return FnTable(S, values=_frozen(vals))
     parts = tuple((complex(c), t) for c, t in terms)
     return FnTable(S, formula=lambda x: sum(c * t(x) for c, t in parts))
 
@@ -289,7 +334,7 @@ def _piece(S, chi, s_chi: complex, s_a: complex, A: AdditiveFn,
         P = sorted(chi.prime_part)
         if P:
             vals[P] = complex(s_rho) * rho.values[P]
-        return FnTable(S, values=vals)
+        return FnTable(S, values=_frozen(vals))
 
     def formula(x):
         if chi.in_prime_part(x):
@@ -305,7 +350,8 @@ def _fn_is_zero(h: FnTable, S) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Per-constraint validators, raising ConstraintError with the clause name.
+# Clauses: the record's (constants, characters, the free table) for every
+# case, then the builders' checks of what it does not state (A, rho, phi).
 # ---------------------------------------------------------------------------
 
 def _require(cond: bool, clause: str) -> None:
@@ -313,31 +359,33 @@ def _require(cond: bool, clause: str) -> None:
         raise ConstraintError(clause)
 
 
-def _check_even_char(chi, name: str = "chi") -> None:
-    _require(getattr(chi, "even", False), f"chi* = chi fails for {name}")
-
-
-def _check_noneven_char(chi) -> None:
-    _require(not getattr(chi, "even", True), "chi* != chi fails")
-
-
-def _check_distinct(S, chi1, chi2) -> None:
-    _require(any(abs(chi1(x) - chi2(x)) > EPS for x in S.window),
-             "chi1 = chi2")
-
-
-def _check_alpha(alpha) -> None:
-    _require(not _near(alpha, 0), "alpha = 0")
-
-
-def _free_vanishing_clauses(S, values: np.ndarray):
-    """Each free-vanishing clause with where it fails: a bool over the
-    leading axes of `values`, whose last axis runs over the elements."""
-    yield "free function is zero", np.all(np.abs(values) <= EPS, axis=-1)
-    sq = sorted(square_set(S))
-    if sq:
-        yield ("free function does not vanish on S^2",
-               ~(np.max(np.abs(values[..., sq]), axis=-1) <= EPS))
+def _clauses(case: CaseId, S, p: CaseParams, free):
+    """Each clause of the case's record, in construct's order, with where
+    it fails: a bool that broadcasts over the rows.  `p` holds one pair's
+    parameters or the rows (a constant is one number or a sequence over
+    the rows; chi is shared); `free` is the free table's values, one row
+    or a stack whose last axis runs over the elements."""
+    spec = _spec(case)
+    for const in spec.constants:
+        if const.values:
+            yield const.failure, _hits(getattr(p, const.name),
+                                       const.values) != const.inside
+    kind = spec.menu
+    if kind in ("even", "piecewise-even", "piecewise-odd"):
+        yield "chi* = chi fails for chi", not getattr(p.chi, "even", False)
+    elif kind == "even-pair":
+        yield "chi* = chi fails for chi1", not getattr(p.chi1, "even", False)
+        yield "chi* = chi fails for chi2", not getattr(p.chi2, "even", False)
+        yield "chi1 = chi2", not any(abs(p.chi1(x) - p.chi2(x)) > EPS
+                                     for x in S.window)
+    elif kind in ("noneven", "noneven-up-to-conj"):
+        yield "chi* != chi fails", getattr(p.chi, "even", True)
+    elif kind == "free-vanishing":
+        yield "free function is zero", np.all(np.abs(free) <= EPS, axis=-1)
+        sq = sorted(square_set(S))
+        if sq:
+            yield ("free function does not vanish on S^2",
+                   ~(np.max(np.abs(free[..., sq]), axis=-1) <= EPS))
 
 
 def _check_additive(S, chi, A: AdditiveFn, parity: str) -> None:
@@ -347,7 +395,7 @@ def _check_additive(S, chi, A: AdditiveFn, parity: str) -> None:
         D = sorted(set(range(S.n)) - chi.null_ideal)
         for x in D:
             for y in D:
-                _require(_near(A(S.mul(x, y)), A(x) + A(y)),
+                _require(abs(A(S.mul(x, y)) - (A(x) + A(y))) <= EPS,
                          "A is not additive")
         off = sorted(chi.null_ideal)
         if off and A.values is not None:
@@ -365,7 +413,6 @@ def _check_rho(S, chi, rho: RhoFn, parity: str) -> None:
 def _sine_piece(S, params: CaseParams, parity: str = "even") -> FnTable:
     """Validated chi A | 0 | rho table from either phi or (A, rho)."""
     chi = params.chi
-    _check_even_char(chi)
     if params.phi is not None:
         phi = params.phi
         _require(all(abs(phi(S.sig(x)) - phi(x)) <= EPS for x in S.window),
@@ -383,25 +430,17 @@ def _sine_piece(S, params: CaseParams, parity: str = "even") -> FnTable:
 
 
 # ---------------------------------------------------------------------------
-# Case builders.  Each returns the (f, g) pair of a case whose record has no
-# form and that is not a row case.
+# Case builders.  Each returns the (f, g) pair of a case that is not a row
+# case, from parameters that pass the record's clauses.
 # ---------------------------------------------------------------------------
 
 def _cos_sub(case: CaseId, p: CaseParams, S):
     k = case.case
     if k == 3:
-        _check_even_char(p.chi)
-        _require(not any(_near(p.alpha, v) for v in (1j, -1j)),
-                 "alpha in {i, -i}")
         s = 1 / (1 + complex(p.alpha) ** 2)
         cf = p.chi.fn
         return _scale(cf, complex(p.alpha) * s), _scale(cf, s)
     if k == 4:
-        _require(not any(_near(p.delta, v) for v in (0, 1j, -1j)),
-                 "delta in {0, i, -i}")
-        _check_even_char(p.chi1, "chi1")
-        _check_even_char(p.chi2, "chi2")
-        _check_distinct(S, p.chi1, p.chi2)
         d = complex(p.delta)
         den = 1 / d + d
         c1, c2 = p.chi1.fn, p.chi2.fn
@@ -416,7 +455,6 @@ def _cos_sub(case: CaseId, p: CaseParams, S):
         g = _lin(S, (1, p.chi.fn), (sign, f))
         return f, g
     # case 6: f = -i(chi - chi*)/2, g = (chi + chi*)/2 with chi* != chi.
-    _check_noneven_char(p.chi)
     cf, sf = p.chi.fn, p.chi.fn.star()
     f = _lin(S, (-0.5j, cf), (0.5j, sf))
     g = _lin(S, (0.5, cf), (0.5, sf))
@@ -426,15 +464,9 @@ def _cos_sub(case: CaseId, p: CaseParams, S):
 def _sine_add(case: CaseId, p: CaseParams, S):
     k = case.case
     if k == 3:
-        _check_even_char(p.chi)
-        _check_alpha(p.alpha)
         cf = p.chi.fn
         return _scale(cf, 1 / (2 * complex(p.alpha))), _scale(cf, 0.5)
     if k == 4:
-        _require(not _near(p.c, 0), "c = 0")
-        _check_even_char(p.chi1, "chi1")
-        _check_even_char(p.chi2, "chi2")
-        _check_distinct(S, p.chi1, p.chi2)
         c1, c2 = p.chi1.fn, p.chi2.fn
         f = _lin(S, (complex(p.c), c1), (-complex(p.c), c2))
         g = _lin(S, (0.5, c1), (0.5, c2))
@@ -446,18 +478,10 @@ def _sine_add(case: CaseId, p: CaseParams, S):
 def _cos_sine_g(case: CaseId, p: CaseParams, S):
     k = case.case
     if k == 4:
-        _check_even_char(p.chi)
-        _require(not any(_near(p.beta, v) for v in (0, 0.5)),
-                 "beta in {0, 1/2}")
         b = complex(p.beta)
         cf = p.chi.fn
         return _scale(cf, b * b / (2 * b - 1)), _scale(cf, b)
     if k == 5:
-        _require(not any(_near(p.c1, v) for v in (0, 1, -1)),
-                 "c1 in {0, 1, -1}")
-        _check_even_char(p.chi1, "chi1")
-        _check_even_char(p.chi2, "chi2")
-        _check_distinct(S, p.chi1, p.chi2)
         w = complex(p.c1)
         fc = (w * w + 1) / (2 * w)
         c1, c2 = p.chi1.fn, p.chi2.fn
@@ -473,7 +497,6 @@ def _cos_sine_g(case: CaseId, p: CaseParams, S):
         cf = p.chi.fn
         return _lin(S, (1, phi), (1, cf)), cf
     # case 8: f = (chi + chi*)/2, g one of chi, chi*.
-    _check_noneven_char(p.chi)
     cf, sf = p.chi.fn, p.chi.fn.star()
     f = _lin(S, (0.5, cf), (0.5, sf))
     g = cf if case.branch == "chi" else sf
@@ -481,18 +504,15 @@ def _cos_sine_g(case: CaseId, p: CaseParams, S):
 
 
 def _alpha_sym(case: CaseId, p: CaseParams, S):
-    _check_alpha(p.alpha)
     a = complex(p.alpha)
-    k = case.case
     # Cases 4..8 come from the cos-sine-g tables (fE, gE) of the same case
     # number through f = alpha (gE - 2 fE), g = gE.
-    fe, ge = _cos_sine_g(CaseId("cos-sine-g", k, case.branch), p, S)
+    fe, ge = _cos_sine_g(CaseId("cos-sine-g", case.case, case.branch), p, S)
     f = _lin(S, (a, ge), (-2 * a, fe))
     return f, ge
 
 
 def _alpha_skew(case: CaseId, p: CaseParams, S):
-    _check_alpha(p.alpha)
     a = complex(p.alpha)
     # case 6: f = alpha chi (1 + (1+c) A) | 0 | alpha (1+c) rho,
     #         g = chi (1 + c A) | 0 | c rho, with A and rho odd.
@@ -512,37 +532,21 @@ _BUILDERS = {"cos-sub": _cos_sub, "sine-add": _sine_add,
 # Row cases: built for a stack of parameter rows at once.  A row holds a
 # free table (a row of a (rows, |S|) array) and the case's constants (one
 # entry of a sequence per name, or one number for one pair); alpha and chi
-# are shared by all rows.  `construct` builds one row.  Each case has its
-# clauses, (clause, fails over the rows) in construct's order, and its
-# tables, (rows, |S|) stacks that are exact on the rows that pass every
-# clause.
+# are shared by all rows.  `construct` builds one row.  Each case's tables
+# are (rows, |S|) stacks that are exact on the rows that pass every clause.
 # ---------------------------------------------------------------------------
 
-def _near_rows(values, *targets) -> np.ndarray:
-    """_near(v, t) for some t in targets, for one value or each of a
-    sequence of values.  np.hypot is the C library hypot that Python's
-    complex abs calls, so a stack gets _near's floats."""
-    if np.ndim(values) == 0:
-        return np.bool_(any(_near(values, t) for t in targets))
-    v = np.asarray(values, dtype=np.complex128)
-    out = np.zeros(v.shape, dtype=bool)
-    for t in targets:
-        d = v - complex(t)
-        out |= np.hypot(d.real, d.imag) <= EPS
-    return out
-
-
-def _unit_c_clauses(p: CaseParams):
-    yield "c not in {i, -i}", ~_near_rows(p.c, 1j, -1j)
+def _factor_tables(form: tuple, S, p: CaseParams, free, ok):
+    """A case with a form: each table zero or a factor of the free table."""
+    return [np.zeros((len(ok), S.n), dtype=np.complex128) if u is None
+            else free if u == 1
+            else complex(p.alpha if u == "alpha" else u) * free
+            for u in form]
 
 
 def _unit_c_tables(S, p: CaseParams, free, ok):
     """cos-sub/2: f = c free, g = free."""
     return np.reshape(p.c, (-1, 1)).astype(np.complex128) * free, free
-
-
-def _skew_c_clauses(p: CaseParams):
-    yield "c in {0, -1}", _near_rows(p.c, 0, -1)
 
 
 def _skew_c_tables(S, p: CaseParams, free, ok):
@@ -551,11 +555,6 @@ def _skew_c_tables(S, p: CaseParams, free, ok):
     lam = [complex(c) / (a * (1 + complex(c))) if good else 0j
            for c, good in zip(np.atleast_1d(p.c).tolist(), ok)]
     return free, np.array(lam, dtype=np.complex128)[:, None] * free
-
-
-def _conj_pair_clauses(p: CaseParams):
-    yield "chi* != chi fails", np.bool_(getattr(p.chi, "even", True))
-    yield "c1 = 0", _near_rows(p.c1, 0)
 
 
 def _conj_rows(S, chi, coeffs):
@@ -578,92 +577,58 @@ def _conj_pair_tables(S, p: CaseParams, free, ok):
     return f, g
 
 
-#: (clauses, tables) of each row case.
+#: The tables of each row case: every case with a form, and the three
+#: ratio cases.
 _ROW_CASES = {
-    ("cos-sub", 2): (_unit_c_clauses, _unit_c_tables),
-    ("alpha-skew", 4): (_skew_c_clauses, _skew_c_tables),
-    ("alpha-skew", 5): (_conj_pair_clauses, _conj_pair_tables),
+    (eq, k): partial(_factor_tables, spec.form)
+    for eq, specs in CASES.items()
+    for k, spec in enumerate(specs, 1) if spec.form is not None
+} | {
+    ("cos-sub", 2): _unit_c_tables,
+    ("alpha-skew", 4): _skew_c_tables,
+    ("alpha-skew", 5): _conj_pair_tables,
 }
-
-
-def _clauses(case: CaseId, S, p: CaseParams, free):
-    """Each clause `construct` checks for a form or row case, in its order,
-    with where it fails: a bool that broadcasts over the rows.  `p` holds
-    one pair's parameters or the rows; `free` is the free table's values,
-    one row or a stack."""
-    spec = _spec(case)
-    if "alpha" in spec.fields:
-        yield "alpha = 0", np.bool_(_near(p.alpha, 0))
-    row_case = _ROW_CASES.get((case.equation, case.case))
-    if row_case is not None:
-        yield from row_case[0](p)
-    if spec.menu == "free-vanishing":
-        if not _finite(S):
-            yield "free-function cases need a finite carrier", np.True_
-            return
-        yield from _free_vanishing_clauses(S, free)
-
-
-def _form_table(S, factor, free: FnTable | None, alpha) -> FnTable:
-    if factor is None:
-        return _zero_fn(S)
-    if factor == 1:
-        return free
-    return _scale(free, alpha if factor == "alpha" else factor)
-
-
-def _form_rows(factor, free: np.ndarray | None, alpha, shape) -> np.ndarray:
-    if factor is None:
-        return np.zeros(shape, dtype=np.complex128)
-    if factor == 1:
-        return free
-    return complex(alpha if factor == "alpha" else factor) * free
 
 
 def construct(case: CaseId, params: CaseParams, S):
     """Build the (f, g) tables of one solution case.
 
     Raises :class:`ConstraintError` naming the violated clause when the
-    parameters do not satisfy the case's side constraints.  Where f or g
-    is the caller's own `free` or `phi` table, that table itself is handed
-    back; its values are read-only.
+    parameters do not satisfy the case's side constraints, and for a form
+    or ratio case on a carrier that is not finite.  Where f or g is the
+    caller's own `free` or `phi` table, that table itself is handed back;
+    its values are read-only.
     """
     _check_fields(case, params)
-    spec = _spec(case)
-    row_case = _ROW_CASES.get((case.equation, case.case))
-    if spec.form is None and row_case is None:
-        return _BUILDERS[case.equation](case, params, S)
+    tables = _ROW_CASES.get((case.equation, case.case))
+    if tables is not None and not _finite(S):
+        raise ConstraintError("form and ratio cases need a finite carrier")
     free = None if params.free is None else params.free.values
     for clause, fails in _clauses(case, S, params, free):
-        _require(not fails, clause)
-    if spec.form is not None:
-        return tuple(_form_table(S, u, params.free, params.alpha)
-                     for u in spec.form)
+        if fails:
+            raise ConstraintError(clause)
+    if tables is None:
+        return _BUILDERS[case.equation](case, params, S)
     rows = None if free is None else free[None]
-    return tuple(params.free if h is rows else FnTable(S, values=h[0])
-                 for h in row_case[1](S, params, rows, (True,)))
+    return tuple([params.free if h is rows else
+                  FnTable(S, values=_frozen(h)[0])
+                  for h in tables(S, params, rows, (True,))])
 
 
 def construct_rows(case: CaseId, S: FiniteSemigroup, params: CaseParams,
                    rows: int):
-    """`construct` of a form or row case for a stack of parameter rows.
+    """`construct` of a row case for a stack of parameter rows.
 
     `params` holds the rows: `free` as an array of shape (rows, |S|), the
     row case constants as sequences of length `rows`; alpha and chi are
     shared.  Returns (ok, f, g): the rows whose parameters pass every
-    check of :func:`construct`, and the (rows, |S|) value stacks it
+    clause of :func:`construct`, and the (rows, |S|) value stacks it
     builds, float for float on those rows.
     """
     ok = np.ones(rows, dtype=bool)
     for _, fails in _clauses(case, S, params, params.free):
-        ok &= ~fails
-    spec = _spec(case)
-    if spec.form is not None:
-        f, g = (_form_rows(u, params.free, params.alpha, (rows, S.n))
-                for u in spec.form)
-    else:
-        f, g = _ROW_CASES[case.equation, case.case][1](S, params,
-                                                       params.free, ok)
+        ok &= np.logical_not(fails)
+    f, g = _ROW_CASES[case.equation, case.case](S, params, params.free, ok)
     return ok, f, g
 
 
@@ -740,8 +705,8 @@ class ParamMenu:
     def _draw(self, rng) -> CaseParams:
         spec = _spec(self.case)
         out: dict = {}
-        for name, _, pool in spec.constants:
-            out[name] = _pick(rng, pool)
+        for const in spec.constants:
+            out[const.name] = _pick(rng, const.pool)
         if "chi" in spec.fields:
             idx = rng.randrange(len(self.chars))
             out["chi"] = self.chars[idx]
@@ -763,7 +728,7 @@ class ParamMenu:
         if not self.free_arbitrary and support and \
                 float(np.max(np.abs(vals))) <= EPS:
             vals[support[0]] = 1.0
-        return FnTable(self.S, values=vals)
+        return FnTable(self.S, values=_frozen(vals))
 
     def _draw_piece(self, rng, idx: int):
         basis = self.additive[idx]
@@ -828,5 +793,5 @@ def admissible_params(case: CaseId, S: FiniteSemigroup,
         menu.chars or menu.char_pairs or menu.free_support)
     if not menu.available:
         menu.notes.append(missing)
-    menu.constants = {name: clause for name, clause, _ in spec.constants}
+    menu.constants = {const.name: const.clause for const in spec.constants}
     return menu

@@ -100,7 +100,7 @@ def value_tuples(alphabet, n: int) -> np.ndarray:
     return table.reshape(len(values) ** n, n)
 
 
-def _check_alpha_finite(alpha) -> None:
+def _require_finite_alpha(alpha) -> None:
     a = complex(alpha)
     if not (math.isfinite(a.real) and math.isfinite(a.imag)):
         raise GridInputError("alpha must be finite")
@@ -117,7 +117,7 @@ def _check_scan(equation: str, S, alphabet, alpha, tol: float,
     validate_tolerance(tol, GridInputError)
     if equation in ALPHA_EQUATIONS:
         alpha = 1.0 + 0j if alpha is None else complex(alpha)
-        _check_alpha_finite(alpha)
+        _require_finite_alpha(alpha)
         if abs(alpha) <= tol:
             raise GridInputError("alpha must be non-zero")
     else:
@@ -239,7 +239,7 @@ def coverage_report(S: FiniteSemigroup, alphabet=DEFAULT_ALPHABET,
     and go through :func:`addlaws.classify.classify`, in their grid order.
     """
     values = validate_alphabet(alphabet)
-    _check_alpha_finite(alpha)
+    _require_finite_alpha(alpha)
     equations = list(equations or EQUATION_IDS)
     for eq in equations:
         _check_scan(eq, S, values, alpha if eq in ALPHA_EQUATIONS else None,

@@ -2,16 +2,25 @@
 
 import hashlib
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
-from addlaws.cli import EXIT_BUDGET, EXIT_FAIL, EXIT_OK, EXIT_USAGE, main
+from addlaws.cli import (EXIT_BUDGET, EXIT_FAIL, EXIT_OK, EXIT_USAGE,
+                         _build_parser, main)
 from addlaws.examples import m3
 
 #: SHA-256 of the exit codes and stdout of the report-examples runs in
 #: test_report_examples_byte_identical.
 REPORT_EXAMPLES_DIGEST = ("5f7c9998b644dad97d9890f3402b09e9"
                           "e00c538f9844ad7af2f46634a8f450f1")
+
+#: The arguments of every `$ addlaws ...` line of README.md.
+README_COMMANDS = [
+    line.removeprefix("$ addlaws ") for line in
+    (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    .splitlines() if line.startswith("$ addlaws ")]
 
 
 def run(capsys, *argv):
@@ -353,3 +362,13 @@ def test_report_examples_byte_identical(capsys):
         out = capsys.readouterr().out
         digest.update(f"{' '.join(argv)} -> {code}\n{out}".encode())
     assert digest.hexdigest() == REPORT_EXAMPLES_DIGEST
+
+
+@pytest.mark.parametrize("command", README_COMMANDS,
+                         ids=lambda command: command.split()[0])
+def test_readme_command_parses(command):
+    """The README's example commands parse; none is run."""
+    try:
+        _build_parser().parse_args(shlex.split(command, comments=True))
+    except SystemExit:
+        pytest.fail(f"README command does not parse: addlaws {command}")

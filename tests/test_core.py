@@ -143,6 +143,26 @@ def test_fn_table_json_errors():
         FnTable.from_json_dict(S, {"e": [1, 0]})
 
 
+
+@pytest.mark.parametrize("value", [[1], [1, 2, 3], "ab", None, [1, "x"]],
+                         ids=["short", "long", "string", "null", "text-im"])
+def test_fn_table_json_refuses_a_value_that_is_not_a_pair(value):
+    with pytest.raises(ValueError, match="value of 'e' is not a pair"):
+        FnTable.from_json_dict(z2(), {"e": value, "a": [0, 0]})
+
+
+def test_fn_table_keeps_its_own_copy_of_a_writable_array():
+    S = z2()
+    b = np.array([0, 1, 9], complex)
+    h = fn(S, b[:2])
+    b[1] = 7
+    assert h.values.tolist() == [0, 1]
+    assert not h.values.flags.writeable
+    a = np.zeros(2, complex)
+    fn(S, a)
+    a[0] = 1                         # the caller's array stays writable
+    assert fn(S, h.values).values is h.values
+
 def test_fn_table_star_and_zero():
     S = z3()                       # sigma is inversion: fixes e, swaps a, b
     f = fn(S, [1, 2, 3], "f")

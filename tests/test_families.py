@@ -10,9 +10,10 @@ import pytest
 
 from addlaws.core import cnum, fn, stable_json
 from addlaws.dsl import BUILTIN_EQUATIONS
-from addlaws.families import (BRANCHES, CASE_COUNTS, CaseId, CaseParams,
-                              ConstraintError, admissible_params, all_case_ids,
-                              combine_additive, construct)
+from addlaws.families import (BRANCHES, CASE_COUNTS, CASES, CaseId,
+                              CaseParams, ConstraintError, admissible_params,
+                              all_case_ids, combine_additive, construct,
+                              construct_rows)
 from addlaws.characters import AdditiveFn, RhoFn, enumerate_characters
 from addlaws.examples import m3, n3, z2, z2xz2
 from addlaws.oracle import fuzz_constructors
@@ -20,6 +21,13 @@ from addlaws.oracle import fuzz_constructors
 from helpers import TOL, equation_residual
 
 ALPHA_EQS = ("alpha-sym", "alpha-skew")
+
+#: Each case with a constant whose record names a set, with that constant.
+SET_CONSTANTS = [(case, const) for eq, specs in CASES.items()
+                 for case in all_case_ids(eq)
+                 for const in specs[case.case - 1].constants if const.values]
+
+RATIO_CASES = {("cos-sub", 2), ("alpha-skew", 4), ("alpha-skew", 5)}
 
 #: SHA-256 of every menu, seeded draw, constructed table and fuzz report
 #: below, recorded before the per-case tables were folded into one registry.
@@ -354,3 +362,37 @@ def test_construct_hands_back_the_callers_read_only_table():
                        S)
     assert g2 is h
     assert not h.values.flags.writeable
+
+
+@pytest.mark.parametrize(
+    "case,const", SET_CONSTANTS,
+    ids=[f"{case}-{const.name}" for case, const in SET_CONSTANTS])
+def test_record_clause_failure_text(case, const, carriers, chars):
+    """A constant outside its record's admissible set fails with the
+    record's own text, and a ratio case's rows mark that row not ok."""
+    draws = ((S, admissible_params(case, S, chars[name])
+              .sample(random.Random(0))) for name, S in carriers.items())
+    S, params = next((S, p) for S, p in draws if p is not None)
+    bad = (0, 1) if const.inside else const.values
+    for value in bad:
+        with pytest.raises(ConstraintError) as err:
+            construct(case, dataclasses.replace(params, **{const.name: value}),
+                      S)
+        assert str(err.value) == const.failure
+        if (case.equation, case.case) not in RATIO_CASES:
+            continue
+        rows = {name: (v, value if name == const.name else v)
+                for name in ("c", "c1", "c2")
+                if (v := getattr(params, name)) is not None}
+        if params.free is not None:
+            rows["free"] = np.stack([params.free.values] * 2)
+        if const.name == "alpha":
+            rows["alpha"] = value
+        ok, _, _ = construct_rows(case, S, dataclasses.replace(params, **rows),
+                                  2)
+        assert ok.tolist() == [const.name != "alpha", False]
+
+
+def test_form_cases_refuse_a_windowed_carrier(ex1):
+    with pytest.raises(ConstraintError, match="need a finite carrier"):
+        construct(CaseId("cos-sub", 1), CaseParams(), ex1)
