@@ -44,13 +44,17 @@ class MultChar:
     Caches the null ideal I, its square I^2, the prime part P, the
     composition with the automorphism, and the evenness flag; `in_ideal`
     and `in_prime_part` test membership as on a :class:`WindowedChar`.
-    Raises ValueError when the values are zero or not multiplicative.
+    Raises ValueError when the values are zero or not multiplicative.  As
+    in :class:`FnTable`, a writable array is copied, so the caller can
+    neither change the values through it nor find it frozen.
     """
 
     def __init__(self, S: FiniteSemigroup, values):
         self.semigroup = S
         v = np.asarray(values, dtype=np.complex128)
-        v.setflags(write=False)
+        if v.flags.writeable:       # the caller may still write to it
+            v = v.copy()
+            v.setflags(write=False)
         self.values = v
         self.conj = v[S.sigma]
         self.even = bool(np.all(np.abs(self.conj - v) <= EPS))
@@ -208,6 +212,7 @@ def enumerate_characters(S: FiniteSemigroup) -> list[MultChar]:
             x = values.index(None)
         except ValueError:
             table = np.array(values, dtype=np.complex128)
+            table.setflags(write=False)     # so MultChar keeps it uncopied
             if np.max(np.abs(table)) > EPS:
                 found.append(table)
             return
@@ -307,19 +312,15 @@ def real_kernel_basis(M: np.ndarray) -> list[np.ndarray]:
 def additive_basis(S, chi, parity: str = "even") -> list[AdditiveFn]:
     """Basis of {A on S \\ I : A(xy) = A(x) + A(y), A o sigma = +/-A}.
 
-    Finite semigroups are solved exactly as a homogeneous real linear
-    system (complex solutions are the complex span of the real ones);
-    windowed semigroups return the formula candidates registered by their
-    example builder.
+    Solved exactly on a finite S as a homogeneous real linear system
+    (complex solutions are the complex span of the real ones).  A windowed
+    carrier is refused: its formula candidates are in its
+    ``extras["additive_basis"]``.
     """
+    if not isinstance(S, FiniteSemigroup):
+        raise TypeError("additive_basis needs a finite semigroup")
     if parity not in ("even", "odd"):
         raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
-    if isinstance(S, WindowedSemigroup):
-        builder = S.extras.get("additive_basis")
-        if builder is None:
-            raise ValueError(
-                "no additive-function formulas registered for this carrier")
-        return builder(chi, parity)
 
     D = sorted(set(range(S.n)) - chi.null_ideal)
     if not D:

@@ -387,9 +387,8 @@ def _example1_report(args) -> dict:
     case = CaseId("cos-sub", 5, "+")
     params = CaseParams(chi=chi, A=A, rho=rho)
     f, g = construct(case, params, W)
-    sub = range(2, min(args.window, 60) + 1)
-    residual = evaluate_residual(builtin("cos-sub"), {"f": f, "g": g}, W,
-                                 window=sub)
+    sub = example1(window_max=min(args.window, 60))     # W itself if <= 60
+    residual = evaluate_residual(builtin("cos-sub"), {"f": f, "g": g}, sub)
     cond2 = check_condition_II(f, chi, W)
 
     ok = (chi_mult <= args.tol and chi_even <= args.tol
@@ -402,7 +401,8 @@ def _example1_report(args) -> dict:
         "additive": {"pairs": len(rng_pairs), "residual": a_res,
                      "even_residual": a_even},
         "rho_condition_I": cond1,
-        "end_to_end": {"case": str(case), "window": [sub[0], sub[-1]],
+        "end_to_end": {"case": str(case),
+                       "window": [sub.window[0], sub.window[-1]],
                        "residual": residual, "condition_II": cond2},
     }
 

@@ -15,15 +15,16 @@ no leading minus, '*' mandatory between factors):
 's(w)' applies the automorphism to the word w; 'a' is the one named
 constant an equation may carry.
 
-Residuals come from a kernel compiled once per AST and carrier: one array
-of point indices per function application over every variable assignment,
-so a residual is one numpy gather of the bound functions' values at the
-points, each term's factors multiplied and the terms summed in AST order.
-On a finite carrier the points are its elements, and a bound table is
-gathered as it stands.  On a windowed carrier the points are the distinct
-elements the applications reach over the window, each bound function is
-called once per point, and the gather and sum are the same code, so both
-carriers give the same floats for the same values.
+Residuals come from a kernel compiled once per AST and carrier, on one
+path for every carrier: each application's word is evaluated with
+`word_element` under every assignment of the variables from ``S.window``,
+which gives one array of point indices per application.  A residual is
+one numpy gather of the bound functions' values at the points, each
+term's factors multiplied and the terms summed in AST order.  A finite
+carrier's points are its element indices, and a bound table is gathered
+as it stands; a windowed carrier's points are the elements reached, and
+each bound function is called once per point.  Both kinds of carrier give
+the same floats for the same values.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
@@ -308,39 +308,21 @@ def word_element(word: Word, env: dict, mul, sig):
     return value
 
 
-def _word_indices(word: Word, env: dict, S: FiniteSemigroup) -> np.ndarray:
-    """Array form of `word_element`: element indices over all assignments."""
-    value = None
-    for atom in word.atoms:
-        v = env[atom.name] if isinstance(atom, Var) else \
-            S.sigma[_word_indices(atom.word, env, S)]
-        value = v if value is None else S.table[value, v]
-    return value
+def _bound_values(name: str, fn, points: tuple, finite: bool) -> np.ndarray:
+    """The value table of one bound function symbol at a kernel's points.
 
-
-def _window_indices(window: Iterable, n: int) -> np.ndarray:
-    domain = tuple(window)
-    for e in domain:
-        if e not in range(n):
-            raise ValueError(f"window element {e!r} is not an element "
-                             f"index of S (0..{n - 1})")
-    return np.array(domain, dtype=np.intp)
-
-
-def _bound_values(name: str, fn, n: int) -> np.ndarray:
-    """The value table of one bound function symbol on a carrier of size n.
-
-    An array's last axis runs over the elements; leading axes are rows.
+    On a finite carrier, whose points are its element indices, a table is
+    read as it stands: its last axis runs over the elements and its leading
+    axes are rows.  Anything else is called once per point.
     """
-    if isinstance(fn, FnTable) and fn.values is not None:
-        fn = fn.values
-    if isinstance(fn, np.ndarray):
-        if fn.shape[-1:] != (n,):
-            got = fn.shape[-1] if fn.ndim else 0
+    table = fn.values if finite and isinstance(fn, FnTable) else fn
+    if finite and isinstance(table, np.ndarray):
+        if table.shape[-1:] != (len(points),):
+            got = table.shape[-1] if table.ndim else 0
             raise ValueError(f"table bound to {name!r} has {got} values "
-                             f"but |S| = {n}")
-        return fn
-    return np.array([complex(fn(e)) for e in range(n)], dtype=np.complex128)
+                             f"but |S| = {len(points)}")
+        return table
+    return np.array([complex(fn(e)) for e in points], dtype=np.complex128)
 
 
 def _check_binding(funcs, uses_a: bool, binding: dict) -> None:
@@ -351,37 +333,25 @@ def _check_binding(funcs, uses_a: bool, binding: dict) -> None:
         raise KeyError("unbound constant 'a'")
 
 
-def _point_slots(apps: list, names: list, S,
-                 window: Iterable | None) -> tuple[list, tuple]:
-    """Each application's point slot over every assignment on a windowed
-    carrier, and the points: the distinct elements the applications reach,
-    in the order they are first reached."""
-    domain = S.window if window is None else tuple(window)
-    slot: dict = {}
-    cols = [[] for _ in apps]
-    for assignment in itertools.product(domain, repeat=len(names)):
-        env = dict(zip(names, assignment))
-        for col, app in zip(cols, apps):
-            elem = word_element(app.word, env, S.mul, S.sig)
-            col.append(slot.setdefault(elem, len(slot)))
-    return [np.array(col, dtype=np.intp) for col in cols], tuple(slot)
-
-
 class _Kernel:
-    """An equation compiled on one carrier and window.
+    """An equation compiled on one carrier.
 
-    Function symbol k's values sit at k*n .. k*n + n - 1 of the
-    concatenated value tables, n the number of points, so ``index[r]``
-    gathers application r (in AST order) over every variable assignment.
-    ``points`` is None on a finite carrier, whose points are its element
-    indices, and the windowed carrier's reached elements otherwise.  Each
-    term is (negated, coeff, rows): ``negated`` folds the term's sign with
-    its side of the equation, and ``rows`` lists the term's applications.
+    The points are a finite carrier's element indices, or the elements a
+    windowed carrier's applications reach over every assignment of the
+    variables from ``S.window``, in the order first reached.  Function
+    symbol k's values sit at k*n .. k*n + n - 1 of the concatenated value
+    tables, n the number of points, so ``index[r]`` gathers application r
+    (in AST order) over every assignment.  ``finite`` says the points are
+    a finite carrier's elements, so that bound tables are read as they
+    stand.  Each term is (negated, coeff, rows): ``negated`` folds the
+    term's sign with its side of the equation, and ``rows`` lists the
+    term's applications.
     """
 
-    __slots__ = ("ast", "n", "points", "fns", "uses_a", "index", "terms")
+    __slots__ = ("ast", "points", "finite", "fns", "uses_a", "index",
+                 "terms")
 
-    def __init__(self, ast: Equation, S, window: Iterable | None):
+    def __init__(self, ast: Equation, S):
         self.ast = ast
         funcs, varset, self.uses_a = equation_symbols(ast)
         self.fns = sorted(funcs)
@@ -393,33 +363,28 @@ class _Kernel:
                 apps.extend(term.apps)
                 self.terms.append((term.sign * orient < 0, term.coeff,
                                    range(first, len(apps))))
-        if isinstance(S, FiniteSemigroup):
-            self.points, self.n = None, S.n
-            domain = (np.arange(S.n) if window is None
-                      else _window_indices(window, S.n))
-            grids = np.meshgrid(*[domain] * len(names), indexing="ij")
-            env = {name: grid.ravel() for name, grid in zip(names, grids)}
-            cols = [_word_indices(app.word, env, S) for app in apps]
-        else:
-            cols, self.points = _point_slots(apps, names, S, window)
-            self.n = len(self.points)
-        self.index = np.array([self.fns.index(app.fn) * self.n + col
+        self.finite = isinstance(S, FiniteSemigroup)
+        # A finite carrier's slots start full: each element is its own slot.
+        slot = {e: e for e in S.window} if self.finite else {}
+        cols = [[] for _ in apps]
+        for assignment in itertools.product(S.window, repeat=len(names)):
+            env = dict(zip(names, assignment))
+            for col, app in zip(cols, apps):
+                elem = word_element(app.word, env, S.mul, S.sig)
+                col.append(slot.setdefault(elem, len(slot)))
+        self.points = tuple(slot)
+        n = len(self.points)
+        self.index = np.array([np.array(col) + self.fns.index(app.fn) * n
                                for app, col in zip(apps, cols)])
 
     def residuals(self, binding: dict) -> np.ndarray:
         """max |LHS - RHS| per row of the bound tables: each term's factors
         multiplied in AST order, the terms summed in AST order.  Stacked
         tables (equal leading axes) give one residual per row; plain
-        tables give one scalar.  A windowed carrier's functions are called
-        once per point."""
-        if self.points is None:
-            tables = np.concatenate([_bound_values(name, binding[name], self.n)
-                                     for name in self.fns], axis=-1)
-        else:
-            tables = np.array([complex(binding[name](e)) for name in self.fns
-                               for e in self.points], dtype=np.complex128)
-        if self.index.shape[1] == 0:
-            return np.zeros(tables.shape[:-1])
+        tables give one scalar."""
+        tables = np.concatenate([_bound_values(name, binding[name],
+                                               self.points, self.finite)
+                                 for name in self.fns], axis=-1)
         # With the element axis first (tables.T), gathered[r] is application
         # r over (assignment, rows...), and .T restores the rows' order.
         gathered = tables.T[self.index]
@@ -443,39 +408,34 @@ class _Kernel:
 KERNEL_MEMO_SIZE = 256
 
 
-def _kernel(ast: Equation, S, window: Iterable | None) -> _Kernel:
+def _kernel(ast: Equation, S) -> _Kernel:
     """The compiled kernel of `ast` on S, memoized per carrier.
 
     The memo is keyed by ``id(ast)``, so a lookup never hashes the AST.
     Each kernel holds its AST, which keeps the id from being reused while
-    the entry lives.  Kernels over an explicit window are not memoized.
+    the entry lives.
     """
-    if window is not None:
-        return _Kernel(ast, S, window)
     memo = S.kernels
     kernel = memo.get(id(ast))
     if kernel is None:
         if len(memo) >= KERNEL_MEMO_SIZE:
             memo.clear()
-        kernel = memo[id(ast)] = _Kernel(ast, S, None)
+        kernel = memo[id(ast)] = _Kernel(ast, S)
     return kernel
 
 
-def evaluate_residual(ast: Equation, binding: dict, S,
-                      window: Iterable | None = None) -> float:
-    """max |LHS - RHS| over all variable assignments from the window.
+def evaluate_residual(ast: Equation, binding: dict, S) -> float:
+    """max |LHS - RHS| over all variable assignments from ``S.window``.
 
     `binding` maps each function symbol used by the equation to a callable
     on elements and, if the equation uses it, the constant 'a' to a number.
-    The window defaults to ``S.window``.  On a finite semigroup it holds
-    element indices, and a bound table whose length is not |S| or a window
-    entry that is not an element index raises ValueError.
+    On a finite semigroup a symbol may also be bound to a value table, and
+    one whose length is not |S| raises ValueError.
     """
-    return float(residual_rows(ast, binding, S, window))
+    return float(residual_rows(ast, binding, S))
 
 
-def residual_rows(ast: Equation, binding: dict, S,
-                  window: Iterable | None = None) -> np.ndarray:
+def residual_rows(ast: Equation, binding: dict, S) -> np.ndarray:
     """`evaluate_residual` for stacks of tables.
 
     On a finite carrier each function symbol may be bound to an array
@@ -484,7 +444,7 @@ def residual_rows(ast: Equation, binding: dict, S,
     the ones `evaluate_residual` gives for that row's tables, which is this
     function on one row.
     """
-    kernel = _kernel(ast, S, window)
+    kernel = _kernel(ast, S)
     _check_binding(kernel.fns, kernel.uses_a, binding)
     return kernel.residuals(binding)
 

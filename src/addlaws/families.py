@@ -361,10 +361,19 @@ def _require(cond: bool, clause: str) -> None:
 
 def _clauses(case: CaseId, S, p: CaseParams, free):
     """Each clause of the case's record, in construct's order, with where
-    it fails: a bool that broadcasts over the rows.  `p` holds one pair's
-    parameters or the rows (a constant is one number or a sequence over
-    the rows; chi is shared); `free` is the free table's values, one row
-    or a stack whose last axis runs over the elements."""
+    it fails: a bool that broadcasts over the rows.  The first clauses ask
+    that each character be one of S (of S itself or of a finite carrier
+    with the same table and sigma).  `p` holds one pair's parameters or
+    the rows (a constant is one number or a sequence over the rows; chi is
+    shared); `free` is the free table's values, one row or a stack whose
+    last axis runs over the elements."""
+    for name in ("chi", "chi1", "chi2"):
+        T = getattr(getattr(p, name), "semigroup", S)     # S when unset
+        if T is not S:
+            yield f"{name} is a character of another carrier", not (
+                _finite(T) and _finite(S)
+                and np.array_equal(T.table, S.table)
+                and np.array_equal(T.sigma, S.sigma))
     spec = _spec(case)
     for const in spec.constants:
         if const.values:

@@ -1,6 +1,7 @@
 """Shared test utilities: independent oracles and pass/fail reporting."""
 
 import cmath
+import functools
 import itertools
 
 import numpy as np
@@ -208,11 +209,13 @@ def _relabel(table, sigma, p):
             tuple(p[sigma[inv[a]]] for a in range(n)))
 
 
-def census(n: int) -> list[tuple[tuple, tuple]]:
+@functools.lru_cache(maxsize=None)
+def census(n: int) -> tuple[tuple[tuple, tuple], ...]:
     """Every pair (S, sigma) of order n up to isomorphism, sorted: S an
     associative table and sigma an involutive automorphism of it, each pair
     in its canonical form, the least of its relabellings under every
-    permutation of range(n)."""
+    permutation of range(n).  Cached, so a tuple: each order is
+    enumerated once per test run."""
     perms = list(itertools.permutations(range(n)))
     elems = range(n)
     found = set()
@@ -224,4 +227,4 @@ def census(n: int) -> list[tuple[tuple, tuple]]:
                    for x in elems for y in elems):
                 continue
             found.add(min(_relabel(table, s, p) for p in perms))
-    return sorted(found)
+    return tuple(sorted(found))

@@ -19,8 +19,11 @@ def census_carriers():
 def test_census_counts():
     # Labelled semigroups (OEIS A023814), then pairs (S, sigma) up to
     # isomorphism.
-    assert [sum(1 for _ in semigroup_tables(n)) for n in ORDERS] == [1, 8, 113]
-    assert [len(census(n)) for n in ORDERS] == [1, 7, 33]
+    # Order 4 is pinned here only; its coverage run is not in this suite.
+    orders = (*ORDERS, 4)
+    assert [sum(1 for _ in semigroup_tables(n)) for n in orders] == \
+        [1, 8, 113, 3492]
+    assert [len(census(n)) for n in orders] == [1, 7, 33, 276]
 
 
 def test_census_leaves_nothing_unclassified():

@@ -169,6 +169,26 @@ def test_mult_char_conj_and_key(chars):
     assert len(keys) == 3
 
 
+def test_mult_char_copies_a_writable_array():
+    a = np.array([1, -1], complex)
+    MultChar(z2(), a)
+    a[0] = 5                        # the caller's array is not frozen
+    b = np.array([1, -1, 9], complex)
+    chi = MultChar(z2(), b[:2])
+    b[1] = 3                        # nor does the character share it
+    assert chi.values.tolist() == [1, -1]
+    assert not chi.values.flags.writeable
+    frozen = np.array([1, 1], complex)
+    frozen.setflags(write=False)
+    assert MultChar(z2(), frozen).values is frozen
+
+
+def test_additive_basis_refuses_a_windowed_carrier(ex1):
+    with pytest.raises(TypeError,
+                       match="additive_basis needs a finite semigroup"):
+        additive_basis(ex1, ex1.extras["chi"], "even")
+
+
 def test_windowed_character_on_prime_swap_carrier(ex1):
     chi = ex1.extras["chi"]
     assert chi.formula(35) == 1                  # coprime to 6

@@ -16,11 +16,12 @@ from addlaws.examples import m3
 REPORT_EXAMPLES_DIGEST = ("5f7c9998b644dad97d9890f3402b09e9"
                           "e00c538f9844ad7af2f46634a8f450f1")
 
+README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+
 #: The arguments of every `$ addlaws ...` line of README.md.
-README_COMMANDS = [
-    line.removeprefix("$ addlaws ") for line in
-    (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    .splitlines() if line.startswith("$ addlaws ")]
+README_COMMANDS = [line.removeprefix("$ addlaws ")
+                   for line in README.splitlines()
+                   if line.startswith("$ addlaws ")]
 
 
 def run(capsys, *argv):
@@ -372,3 +373,12 @@ def test_readme_command_parses(command):
         _build_parser().parse_args(shlex.split(command, comments=True))
     except SystemExit:
         pytest.fail(f"README command does not parse: addlaws {command}")
+
+
+def test_readme_python_example_prints_its_comment(capsys):
+    """The README's Python block runs and prints the line its closing
+    `# ` comment shows."""
+    block = README.split("```python\n", 1)[1].split("```", 1)[0]
+    code, comment = block.rstrip("\n").rsplit("\n", 1)
+    exec(code, {})
+    assert capsys.readouterr().out == comment.removeprefix("# ") + "\n"

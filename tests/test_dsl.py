@@ -17,7 +17,7 @@ from addlaws.dsl import (BUILTIN_EQUATIONS, KERNEL_MEMO_SIZE,
                          random_equation, resolve_equation)
 from addlaws.examples import example1, m3, n3, np4, z1, z2, z3, z2xz2
 
-from helpers import TOL
+from helpers import TOL, census
 
 EXPECTED_BUILTINS = {
     "cos-sub": "g(x s(y)) = g(x)*g(y) + f(x)*f(y)",
@@ -146,29 +146,22 @@ def test_finite_residual_rejects_a_table_of_the_wrong_size(
     assert str(err.value) == fragment
 
 
-def test_finite_residual_rejects_a_window_outside_the_carrier():
-    S = z3()
-    one = fn(S, np.ones(3), "g")
-    with pytest.raises(ValueError, match="window element 5 is not an "
-                       r"element index of S \(0\.\.2\)"):
-        evaluate_residual(builtin("cos-sub"), {"f": one, "g": one}, S,
-                          window=[0, 5])
-
-
 AGREEMENT_CARRIERS = (z1, z2, z3, n3, m3, np4, z2xz2)
 
 
 def _interpreted_twin(S):
     """The same table and sigma as a windowed carrier over all elements,
-    so `evaluate_residual` compiles it as a windowed carrier."""
+    so `evaluate_residual` compiles it as a windowed carrier.  It samples
+    no triples: S was built only after its associativity was checked."""
     return WindowedSemigroup(f"{S.name}-interpreted",
                              lambda x, y: int(S.table[x, y]),
-                             lambda x: int(S.sigma[x]), range(S.n))
+                             lambda x: int(S.sigma[x]), range(S.n),
+                             triple_samples=0)
 
 
-def _assert_agree(ast, binding, S, W, window=None):
-    finite = evaluate_residual(ast, binding, S, window=window)
-    windowed = evaluate_residual(ast, binding, W, window=window)
+def _assert_agree(ast, binding, S, W):
+    finite = evaluate_residual(ast, binding, S)
+    windowed = evaluate_residual(ast, binding, W)
     assert finite == windowed or (np.isnan(finite) and np.isnan(windowed))
 
 
@@ -187,17 +180,10 @@ def test_nan_values_give_a_nan_residual_on_both_paths():
                                           carrier)), carrier.name
 
 
-def test_an_empty_window_gives_zero_on_both_paths():
-    S = z2()
-    binding = {"f": fn(S, [1, 2], "f"), "g": fn(S, [3, 4], "g")}
-    for carrier in (S, _interpreted_twin(S)):
-        assert evaluate_residual(builtin("sine-add"), binding, carrier,
-                                 window=[]) == 0.0, carrier.name
-
-
 def test_finite_kernel_agrees_with_the_interpreter():
     """A finite carrier and its windowed twin give the same residual,
-    bit for bit: both gather the same values into the same term sum."""
+    bit for bit: both gather the same values into the same term sum.  The
+    census carriers of order 4 add the built-ins, one binding each."""
     rng = np.random.default_rng(5)
     for make in AGREEMENT_CARRIERS:
         S = make()
@@ -212,30 +198,26 @@ def test_finite_kernel_agrees_with_the_interpreter():
             for f, g in pairs[::max(1, len(pairs) // 8)]:
                 _assert_agree(builtin(eq_id), {"f": f, "g": g, "a": 1.0},
                               S, W)
-
-
-def test_finite_kernel_agrees_on_a_window_subset():
-    rng = np.random.default_rng(6)
-    for make in (z3, m3, z2xz2):
-        S = make()
+    for k, (table, sigma) in enumerate(census(4)):
+        S = FiniteSemigroup(f"C4.{k}", "0123", table, sigma)
         W = _interpreted_twin(S)
-        window = [S.n - 1, 0, S.n - 1]
-        for seed in range(12):
-            binding = _random_binding(S, rng)
-            for ast in (builtin("alpha-skew"),
-                        random_equation(random.Random(100 + seed))):
-                _assert_agree(ast, binding, S, W, window=window)
+        binding = _random_binding(S, rng)
+        for ast in map(builtin, BUILTIN_EQUATIONS):
+            _assert_agree(ast, binding, S, W)
 
 
-def test_finite_carriers_never_reach_the_interpreter(monkeypatch):
+def test_a_compiled_finite_kernel_evaluates_no_word(monkeypatch):
+    """Once a finite carrier's kernels are compiled, no residual on it
+    evaluates a word: only a fresh carrier's first residual does."""
     S, T = z2xz2(), z2()
     f, g = oracle.grid_solutions("sine-add", S)[100]
     before = classify("sine-add", f, g, S).to_json_dict()
     report = stable_json(oracle.coverage_report(T))
 
-    def no_interpreter(*args):
-        raise AssertionError("word_element ran on a finite carrier")
-    monkeypatch.setattr(dsl, "word_element", no_interpreter)
+    def no_words(*args):
+        raise AssertionError("word_element ran after the kernel was "
+                             "compiled")
+    monkeypatch.setattr(dsl, "word_element", no_words)
     assert classify("sine-add", f, g, S).to_json_dict() == before
     with pytest.raises(NotASolutionError):
         classify("sine-add", g, f, S)

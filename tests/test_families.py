@@ -8,13 +8,14 @@ import random
 import numpy as np
 import pytest
 
-from addlaws.core import cnum, fn, stable_json
+from addlaws.core import FiniteSemigroup, cnum, fn, stable_json
 from addlaws.dsl import BUILTIN_EQUATIONS
 from addlaws.families import (BRANCHES, CASE_COUNTS, CASES, CaseId,
                               CaseParams, ConstraintError, admissible_params,
                               all_case_ids, combine_additive, construct,
                               construct_rows)
-from addlaws.characters import AdditiveFn, RhoFn, enumerate_characters
+from addlaws.characters import (AdditiveFn, MultChar, RhoFn,
+                                enumerate_characters)
 from addlaws.examples import m3, n3, z2, z2xz2
 from addlaws.oracle import fuzz_constructors
 
@@ -396,3 +397,19 @@ def test_record_clause_failure_text(case, const, carriers, chars):
 def test_form_cases_refuse_a_windowed_carrier(ex1):
     with pytest.raises(ConstraintError, match="need a finite carrier"):
         construct(CaseId("cos-sub", 1), CaseParams(), ex1)
+
+
+def test_construct_refuses_a_character_of_another_carrier():
+    # Without the clause the pair is built on T2 and fails its own law
+    # there (cos-sub residual 0.4), with no error.
+    T2 = FiniteSemigroup("T2", ["e", "a"], [[0, 0], [0, 0]], [0, 1])
+    chi = MultChar(z2(), [1, -1])
+    case, params = CaseId("cos-sub", 3), CaseParams(chi=chi, alpha=2)
+    with pytest.raises(ConstraintError,
+                       match="^chi is a character of another carrier$"):
+        construct(case, params, T2)
+    # An equal carrier built again is the same carrier.
+    Z = z2()
+    again = FiniteSemigroup(Z.name, Z.elements, Z.table, Z.sigma)
+    f, g = construct(case, params, again)
+    assert equation_residual("cos-sub", f, g, again) <= TOL
