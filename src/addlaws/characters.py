@@ -1,9 +1,9 @@
 """Multiplicative functions and their companion data.
 
 Provides complete enumeration of the non-zero multiplicative functions on a
-finite semigroup, their null-ideal structure, solvers for additive functions
-and for admissible rho functions on the prime part, plus the two side
-conditions that piecewise solution families carry.
+finite semigroup, their null-ideal structure, the (zero) additive functions
+and a solver for the admissible rho functions on the prime part, plus the
+two side conditions that piecewise solution families carry.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .core import EPS, FiniteSemigroup, FnTable, WindowedSemigroup
+from .core import EPS, FiniteSemigroup, FnTable, WindowedSemigroup, read_only
 
 #: Tolerance for snapping a propagated character value onto its candidate
 #: set.  Products of exact roots of unity carry only ~1e-15 of float noise,
@@ -51,11 +51,7 @@ class MultChar:
 
     def __init__(self, S: FiniteSemigroup, values):
         self.semigroup = S
-        v = np.asarray(values, dtype=np.complex128)
-        if v.flags.writeable:       # the caller may still write to it
-            v = v.copy()
-            v.setflags(write=False)
-        self.values = v
+        self.values = v = read_only(np.asarray(values, dtype=np.complex128))
         self.conj = v[S.sigma]
         self.even = bool(np.all(np.abs(self.conj - v) <= EPS))
         self.null_ideal, self.null_square, self.prime_part = \
@@ -276,85 +272,24 @@ class AdditiveFn:
 RhoFn = AdditiveFn
 
 
-def real_kernel_basis(M: np.ndarray) -> list[np.ndarray]:
-    """Kernel basis of a real matrix by elimination with pivot tolerance
-    EPS."""
-    M = np.array(M, dtype=float)
-    if M.size == 0:
-        return [np.eye(M.shape[1])[k] for k in range(M.shape[1])]
-    rows, cols = M.shape
-    pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        if r >= rows:
-            break
-        piv = r + int(np.argmax(np.abs(M[r:, c])))
-        if abs(M[piv, c]) <= EPS:
-            continue
-        M[[r, piv]] = M[[piv, r]]
-        M[r] = M[r] / M[r, c]
-        for rr in range(rows):
-            if rr != r and abs(M[rr, c]) > EPS:
-                M[rr] = M[rr] - M[rr, c] * M[r]
-        pivots.append(c)
-        r += 1
-    free = [c for c in range(cols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = np.zeros(cols)
-        v[fc] = 1.0
-        for r_i, c_i in enumerate(pivots):
-            v[c_i] = -M[r_i, fc]
-        basis.append(v)
-    return basis
-
-
 def additive_basis(S, chi, parity: str = "even") -> list[AdditiveFn]:
-    """Basis of {A on S \\ I : A(xy) = A(x) + A(y), A o sigma = +/-A}.
+    """Basis of {A on S \\ I : A(xy) = A(x) + A(y), A o sigma = +/-A}: empty
+    on every finite S.
 
-    Solved exactly on a finite S as a homogeneous real linear system
-    (complex solutions are the complex span of the real ones).  A windowed
-    carrier is refused: its formula candidates are in its
-    ``extras["additive_basis"]``.
+    Proof: S \\ I is closed under products, and each x in it has x^m =
+    x^(m+p) for some m, p >= 1, so additivity gives m A(x) = (m+p) A(x),
+    hence A(x) = 0.  Raises TypeError on a windowed carrier, ValueError on
+    a parity other than even or odd, and ValueError when sigma maps a
+    point of S \\ I into I, where A o sigma is not defined.
     """
     if not isinstance(S, FiniteSemigroup):
         raise TypeError("additive_basis needs a finite semigroup")
     if parity not in ("even", "odd"):
         raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
-
-    D = sorted(set(range(S.n)) - chi.null_ideal)
-    if not D:
-        return []
-    pos = {x: k for k, x in enumerate(D)}
-    in_D = set(D)
-    rows = []
-    for x in D:
-        for y in D:
-            z = S.mul(x, y)
-            row = np.zeros(len(D))
-            row[pos[z]] += 1.0
-            row[pos[x]] -= 1.0
-            row[pos[y]] -= 1.0
-            rows.append(row)
-    sign = 1.0 if parity == "even" else -1.0
-    for x in D:
-        sx = S.sig(x)
-        if sx not in in_D:
-            raise ValueError(
-                "automorphism does not preserve S \\ I; "
-                "parity constraint needs an even character")
-        row = np.zeros(len(D))
-        row[pos[sx]] += 1.0
-        row[pos[x]] -= sign
-        rows.append(row)
-    basis = real_kernel_basis(np.array(rows)) if rows else []
-    out = []
-    for vec in basis:
-        full = np.zeros(S.n, dtype=np.complex128)
-        for x in D:
-            full[x] = vec[pos[x]]
-        out.append(AdditiveFn(domain=frozenset(D), values=full, parity=parity))
-    return out
+    if any(chi.in_ideal(S.sig(x)) for x in S.window if not chi.in_ideal(x)):
+        raise ValueError("automorphism does not preserve S \\ I; "
+                         "parity constraint needs an even character")
+    return []
 
 
 def _worst(diffs: Iterable[float]) -> float:

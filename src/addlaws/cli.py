@@ -195,11 +195,18 @@ def _cmd_chars(args) -> int:
     return EXIT_OK
 
 
+def _additive_basis(S: FiniteSemigroup, chi, parity: str) -> list:
+    try:
+        return additive_basis(S, chi, parity)
+    except ValueError as exc:       # sigma maps S \ I into I
+        raise CliError(str(exc)) from exc
+
+
 def _cmd_additive(args) -> int:
     S = _finite(_resolve_semigroup(args.semigroup))
     chars = enumerate_characters(S)
     chi = _pick_char(S, chars, args.char)
-    basis = additive_basis(S, chi, args.parity)
+    basis = _additive_basis(S, chi, args.parity)
     names = S.elements
     payload = {
         "semigroup": S.name, "character": args.char, "parity": args.parity,
@@ -265,7 +272,7 @@ def _params_from_file(S: FiniteSemigroup, case: CaseId, path: str,
             raise CliError("A/rho need the supporting character index 'chi'")
         chi = fields["chi"]
         from .families import combine_additive
-        basis = additive_basis(S, chi, parity)
+        basis = _additive_basis(S, chi, parity)
         A = _typed(path, "A", data.get("A", {}), dict)
         coeffs = [_as_complex(v, "A.coeffs") for v in
                   _typed(path, "A.coeffs", A.get("coeffs", []), list)]

@@ -11,10 +11,11 @@ y)`` and ``S.sig(x)``.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 import random
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -38,6 +39,16 @@ def validate_tolerance(tol: float, error: type = ValueError) -> None:
     """Raise `error` unless a tolerance is finite and at least 0."""
     if not (math.isfinite(tol) and tol >= 0):
         raise error(f"tolerance must be finite and at least 0, got {tol!r}")
+
+
+def read_only(a: np.ndarray) -> np.ndarray:
+    """`a` itself if it is read-only, else a read-only copy: the holder of
+    a writable array can neither change a stored table through it nor find
+    it frozen."""
+    if a.flags.writeable:
+        a = a.copy()
+        a.setflags(write=False)
+    return a
 
 
 class SemigroupError(ValueError):
@@ -198,8 +209,9 @@ class WindowedSemigroup:
     ``mul`` (the product) and ``sig`` (the automorphism) must be total
     computable maps on the carrier, whose elements are hashable.
     Construction validates sig's involutivity and multiplicativity on all
-    window pairs and associativity on a sample of triples drawn with seed 0
-    (a full triple check would be cubic in the window size for no gain).
+    window pairs, and associativity on every window triple when there are
+    at most `triple_samples` of them, else on `triple_samples` triples
+    drawn with seed 0 (a full check would be cubic in the window size).
     ``kernels`` memoizes the equations compiled on this carrier by
     :func:`addlaws.dsl.evaluate_residual`, as on a finite one.
     """
@@ -230,10 +242,14 @@ class WindowedSemigroup:
                 if sig(mul(x, y)) != mul(sig(x), sig(y)):
                     raise SemigroupError(
                         f"sigma is not multiplicative at ({x!r}, {y!r})")
-        rng = random.Random(0)
         w = self.window
-        for _ in range(self.triple_samples):
-            x, y, z = rng.choice(w), rng.choice(w), rng.choice(w)
+        if len(w) ** 3 <= self.triple_samples:
+            triples = itertools.product(w, repeat=3)
+        else:
+            rng = random.Random(0)
+            triples = ((rng.choice(w), rng.choice(w), rng.choice(w))
+                       for _ in range(self.triple_samples))
+        for x, y, z in triples:
             if mul(mul(x, y), z) != mul(x, mul(y, z)):
                 raise SemigroupError(
                     f"non-associative at ({x!r}, {y!r}, {z!r})")
@@ -264,10 +280,7 @@ class FnTable:
             if isinstance(domain, FiniteSemigroup) and v.shape != (domain.n,):
                 raise ValueError(
                     f"value table length {v.shape} != |S| = {domain.n}")
-            if v.flags.writeable:       # the caller may still write to it
-                v = v.copy()
-                v.setflags(write=False)
-            self.values = v
+            self.values = read_only(v)
             self.formula = None
         else:
             self.values = None

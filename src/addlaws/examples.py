@@ -21,7 +21,7 @@ import random
 import numpy as np
 
 from .characters import AdditiveFn, RhoFn, WindowedChar
-from .core import FiniteSemigroup, FnTable, WindowedSemigroup
+from .core import FiniteSemigroup, WindowedSemigroup
 
 
 def z1() -> FiniteSemigroup:
@@ -112,7 +112,6 @@ def example1(window_max: int = 200) -> WindowedSemigroup:
 
     extras:
       chi             the indicator of the complement of pN u qN
-      additive_basis  (chi, parity) -> list of prime-multiplicity functions
       additive_family coeffs dict {prime: coefficient} -> AdditiveFn
       rho_family      (c, parity) -> RhoFn constant on each of the two rays
       primes          the primes in the window other than p and q
@@ -152,14 +151,6 @@ def example1(window_max: int = 200) -> WindowedSemigroup:
         return AdditiveFn(domain=lambda n: not in_ideal(n),
                           formula=formula, parity="even")
 
-    def additive_basis(char, parity: str) -> list[AdditiveFn]:
-        if char is not chi:
-            raise ValueError("unknown character for this carrier")
-        if parity == "odd":
-            # sigma fixes the domain pointwise, so odd forces A = 0.
-            return []
-        return [additive_family({r: 1}) for r in free_primes]
-
     def rho_family(c: complex, parity: str = "even") -> RhoFn:
         sign = 1 if parity == "even" else -1
 
@@ -171,7 +162,6 @@ def example1(window_max: int = 200) -> WindowedSemigroup:
 
     W.extras.update({
         "chi": chi,
-        "additive_basis": additive_basis,
         "additive_family": additive_family,
         "rho_family": rho_family,
         "primes": free_primes,

@@ -32,10 +32,9 @@ from functools import cached_property, partial
 
 import numpy as np
 
-from .characters import (AdditiveFn, RhoFn, additive_basis,
-                         check_condition_I, check_condition_II,
-                         conjugate_representatives, parity_residual,
-                         rho_space)
+from .characters import (AdditiveFn, RhoFn, check_condition_I,
+                         check_condition_II, conjugate_representatives,
+                         parity_residual, rho_space)
 from .core import EPS, FiniteSemigroup, FnTable, square_set
 from .dsl import evaluate_residual, parse_equation
 
@@ -669,7 +668,6 @@ class ParamMenu:
     char_pairs: list = field(default_factory=list)
     free_support: tuple[int, ...] = ()
     free_arbitrary: bool = False
-    additive: dict = field(default_factory=dict)
     rho_spaces: dict = field(default_factory=dict)
     constants: dict = field(default_factory=dict)
 
@@ -685,8 +683,8 @@ class ParamMenu:
                            for chi in self.chars],
             "character_pairs": len(self.char_pairs),
             "free_support": [names[i] for i in self.free_support],
-            "additive_dims": {str(k): len(v) for k, v in
-                              self.additive.items()},
+            # A finite carrier's additive space is {0}: see additive_basis.
+            "additive_dims": {str(k): 0 for k in self.rho_spaces},
             "rho_dims": {str(k): sp.dimension for k, sp in
                          self.rho_spaces.items()},
             "constants": dict(self.constants),
@@ -740,18 +738,15 @@ class ParamMenu:
         return FnTable(self.S, values=_frozen(vals))
 
     def _draw_piece(self, rng, idx: int):
-        basis = self.additive[idx]
         space = self.rho_spaces[idx]          # of the menu's parity
         small = (0j, 1 + 0j, -1 + 0j, 2 + 0j, 1j)
         for _ in range(40):
-            coeffs = [_pick(rng, small) for _ in basis]
             frees = [_pick(rng, small) for _ in range(space.dimension)]
-            if any(abs(v) > 0 for v in coeffs + frees):
+            if any(abs(v) > 0 for v in frees):
                 break
         else:
-            coeffs, frees = [1] * len(basis), [1] * space.dimension
-        A = combine_additive(self.S, basis, coeffs, self.chars[idx],
-                             space.parity)
+            frees = [1] * space.dimension
+        A = combine_additive(self.S, [], [], self.chars[idx], space.parity)
         return A, space.instance(frees, self.S.n)
 
 
@@ -786,14 +781,11 @@ def admissible_params(case: CaseId, S: FiniteSemigroup,
         missing = "no character with chi* != chi"
     elif kind.startswith("piecewise-"):
         parity = kind.removeprefix("piecewise-")
-        for chi in evens:
-            basis = additive_basis(S, chi, parity)
+        for chi in evens:       # A is 0 on a finite carrier (additive_basis)
             space = rho_space(chi, S, parity)
-            if len(basis) + space.dimension > 0:
-                idx = len(menu.chars)
+            if space.dimension > 0:
+                menu.rho_spaces[len(menu.chars)] = space
                 menu.chars.append(chi)
-                menu.additive[idx] = basis
-                menu.rho_spaces[idx] = space
         missing = f"no even character carries a non-zero {parity} A or rho"
     else:                                   # "none" or "free-arbitrary"
         menu.free_arbitrary = kind == "free-arbitrary"

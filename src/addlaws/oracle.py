@@ -40,7 +40,8 @@ import numpy as np
 
 from .characters import enumerate_characters
 from .classify import Unclassified, classify, classify_rows
-from .core import EPS, FiniteSemigroup, FnTable, cnum, validate_tolerance
+from .core import (EPS, FiniteSemigroup, FnTable, cnum, read_only,
+                   validate_tolerance)
 from .dsl import builtin, evaluate_residual
 from .examples import bundled_finite
 from .families import (ALPHA_EQUATIONS, EQUATION_IDS, CaseId,
@@ -151,15 +152,14 @@ class GridSolutions(Sequence):
 
     ``f`` and ``g`` have shape (k, |S|): row i holds the values of the i-th
     solution.  Item i is that pair as two FnTables, built when it is read;
-    a slice is a GridSolutions over those rows.
+    a slice is a GridSolutions over those rows.  As in :class:`FnTable`, a
+    writable array is copied and a read-only one kept.
     """
 
     __slots__ = ("S", "f", "g")
 
     def __init__(self, S: FiniteSemigroup, f: np.ndarray, g: np.ndarray):
-        f.setflags(write=False)
-        g.setflags(write=False)
-        self.S, self.f, self.g = S, f, g
+        self.S, self.f, self.g = S, read_only(f), read_only(g)
 
     def __len__(self) -> int:
         return len(self.f)
@@ -217,7 +217,10 @@ def grid_solutions(equation: str, S: FiniteSemigroup,
         Fd, Gd = np.concatenate(grown_f), np.concatenate(grown_g)
     # Lexicographic digit order, element 0 first, f before g.
     order = np.lexsort(np.hstack([Fd, Gd])[:, ::-1].T)
-    return GridSolutions(S, vals[Fd[order]], vals[Gd[order]])
+    f, g = vals[Fd[order]], vals[Gd[order]]
+    f.setflags(write=False)         # so GridSolutions keeps them uncopied
+    g.setflags(write=False)
+    return GridSolutions(S, f, g)
 
 
 def coverage_report(S: FiniteSemigroup, alphabet=DEFAULT_ALPHABET,

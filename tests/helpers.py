@@ -228,3 +228,14 @@ def census(n: int) -> tuple[tuple[tuple, tuple], ...]:
                 continue
             found.add(min(_relabel(table, s, p) for p in perms))
     return tuple(sorted(found))
+
+
+def swapped_semilattice():
+    """The semilattice {1, e, f, 0} with ef = 0 and sigma swapping e and f.
+
+    Its characters 1 and 2 are not even: sigma maps their S \\ I = {1, e}
+    or {1, f} into the null ideal."""
+    from addlaws.core import FiniteSemigroup
+    return FiniteSemigroup("SL4", ["1", "e", "f", "0"],
+                           [[0, 1, 2, 3], [1, 1, 3, 3], [2, 3, 2, 3],
+                            [3, 3, 3, 3]], [0, 2, 1, 3])

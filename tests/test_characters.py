@@ -8,10 +8,11 @@ from addlaws.characters import (AdditiveFn, MultChar, RhoFn, additive_basis,
                                 additive_residual, check_condition_I,
                                 check_condition_II, element_periods,
                                 enumerate_characters, ideal_sets,
-                                parity_residual, real_kernel_basis, rho_space)
+                                parity_residual, rho_space)
 from addlaws.examples import m3, n3, np4, z2, z3
 
-from helpers import TOL, brute_force_characters, match_tables
+from helpers import (TOL, brute_force_characters, match_tables,
+                     swapped_semilattice)
 
 
 def test_enumeration_matches_brute_force(carriers, chars):
@@ -93,6 +94,18 @@ def test_additive_parity_argument_checked(chars):
         additive_basis(z2(), chars["Z2"][0], "sideways")
 
 
+def test_additive_basis_refuses_sigma_leaving_the_domain():
+    S = swapped_semilattice()
+    chars = enumerate_characters(S)
+    assert [chi.even for chi in chars] == [True, False, False, True]
+    for chi in chars[1:3]:
+        for parity in ("even", "odd"):
+            with pytest.raises(ValueError,
+                               match=r"does not preserve S \\ I"):
+                additive_basis(S, chi, parity)
+    assert additive_basis(S, chars[0], "odd") == []
+
+
 def test_rho_space_m3():
     S = m3()
     chi = enumerate_characters(S)[0]
@@ -150,16 +163,6 @@ def test_element_periods():
     assert element_periods(z2()) == [1, 2]
     assert element_periods(z3()) == [1, 3, 3]
     assert element_periods(n3()) == [1, 1, 1]
-
-
-def test_real_kernel_basis():
-    basis = real_kernel_basis(np.array([[1.0, 1.0]]))
-    assert len(basis) == 1
-    v = basis[0]
-    assert abs(v[0] + v[1]) <= TOL and np.max(np.abs(v)) > TOL
-    assert real_kernel_basis(np.eye(2)) == []
-    full = real_kernel_basis(np.zeros((0, 3)))
-    assert len(full) == 3
 
 
 def test_mult_char_conj_and_key(chars):

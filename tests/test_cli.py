@@ -11,6 +11,8 @@ from addlaws.cli import (EXIT_BUDGET, EXIT_FAIL, EXIT_OK, EXIT_USAGE,
                          _build_parser, main)
 from addlaws.examples import m3
 
+from helpers import swapped_semilattice
+
 #: SHA-256 of the exit codes and stdout of the report-examples runs in
 #: test_report_examples_byte_identical.
 REPORT_EXAMPLES_DIGEST = ("5f7c9998b644dad97d9890f3402b09e9"
@@ -84,6 +86,40 @@ def test_additive_dimension_zero_on_finite(capsys):
     code, payload, _ = run(capsys, "additive", "-s", "Z2", "--char", "0")
     assert code == EXIT_OK
     assert payload["dimension"] == 0
+
+
+def test_sigma_leaving_the_domain_is_an_error_line(capsys, tmp_path):
+    path = tmp_path / "sl4.json"
+    path.write_text(swapped_semilattice().to_json())
+    params = tmp_path / "p.json"
+    params.write_text(json.dumps({"chi": 2, "A": {"coeffs": []},
+                                  "rho": {"free": []}}))
+    message = ("error: automorphism does not preserve S \\ I; "
+               "parity constraint needs an even character\n")
+    for argv in (["additive", "-s", str(path), "--char", "1"],
+                 ["construct", "-s", str(path), "-e", "sine-add",
+                  "--case", "5", "--params", str(params)]):
+        code = main(argv)
+        out = capsys.readouterr()
+        assert code == EXIT_FAIL and out.err == message, argv
+
+
+def test_construct_piecewise_case_from_a_params_file(capsys, tmp_path):
+    path = tmp_path / "m3.json"
+    path.write_text(m3().to_json())
+    params = tmp_path / "p.json"
+    argv = ["construct", "-s", str(path), "-e", "sine-add", "--case", "5",
+            "--params", str(params)]
+    params.write_text(json.dumps({"chi": 0, "A": {"coeffs": []},
+                                  "rho": {"free": [1]}}))
+    code, payload, _ = run(capsys, *argv)
+    assert code == EXIT_OK and payload["residual"] == 0
+    params.write_text(json.dumps({"chi": 0, "A": {"coeffs": []},
+                                  "rho": {"free": []}}))
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == EXIT_FAIL
+    assert "rho.free must give 1 value(s)" in err
 
 
 def test_rho_space_via_semigroup_file(capsys, tmp_path):

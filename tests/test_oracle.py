@@ -11,7 +11,7 @@ from addlaws.core import stable_json
 from addlaws.dsl import BUILTIN_EQUATIONS
 from addlaws.families import CaseId, admissible_params, all_case_ids, construct
 from addlaws.oracle import (DEFAULT_ALPHABET, PAIR_BUDGET, BudgetError,
-                            GridInputError, coverage_report,
+                            GridInputError, GridSolutions, coverage_report,
                             fuzz_constructors, grid_solutions,
                             validate_alphabet, value_tuples)
 from addlaws.examples import m3, n3, np4, z1, z2, z3, z2xz2
@@ -51,6 +51,18 @@ def test_value_tuples_count_in_base_order():
     assert rows.shape == (9, 2)
     assert [tuple(r) for r in rows[:4]] == [
         (0, 0), (0, 1), (0, -1), (1, 0)]
+
+
+def test_grid_solutions_copies_a_writable_array():
+    a, b = np.zeros((1, 2), complex), np.ones((1, 2), complex)
+    sols = GridSolutions(z2(), a, b)
+    a[0, 0] = 1                     # the caller's arrays are not frozen
+    b[0, 1] = 5                     # nor do the solutions share them
+    assert sols.f.tolist() == [[0, 0]] and sols.g.tolist() == [[1, 1]]
+    assert not (sols.f.flags.writeable or sols.g.flags.writeable)
+    frozen = grid_solutions("cos-sub", z2())
+    assert GridSolutions(z2(), frozen.f, frozen.g).f is frozen.f
+    assert frozen[1:].f.base is frozen.f
 
 
 def test_point_carrier_scans():
