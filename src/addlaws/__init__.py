@@ -28,7 +28,7 @@ from .examples import (bundled_finite, example1, example2,
                        example_semigroups)
 from .families import (CASE_COUNTS, EQUATION_IDS, CaseId, CaseParams,
                        ConstraintError, admissible_params, all_case_ids,
-                       combine_additive, construct)
+                       construct, zero_additive)
 from .oracle import (DEFAULT_ALPHABET, BudgetError, GridInputError,
                      coverage_report, fuzz_constructors, grid_solutions,
                      validate_alphabet)
@@ -45,11 +45,11 @@ __all__ = [
     "additive_basis", "additive_residual", "admissible_params",
     "alias_equivalent", "all_case_ids", "builtin", "bundled_finite",
     "check_condition_I", "check_condition_II", "classify",
-    "combine_additive", "construct", "coverage_report",
+    "construct", "coverage_report",
     "enumerate_characters", "evaluate_residual", "even_odd_parts",
     "example1", "example2", "example_semigroups", "fn",
     "fuzz_constructors", "grid_solutions", "ideal_sets", "linear_dependence",
     "load_semigroup", "parity_residual", "parse_equation", "print_equation",
     "reduce_alpha_sym", "resolve_equation", "rho_space", "square_set",
-    "stable_json", "validate_alphabet",
+    "stable_json", "validate_alphabet", "zero_additive",
 ]

@@ -35,7 +35,7 @@ batched construct-and-compare per case that gives the floats and checks of
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -234,8 +234,9 @@ def _match_char(chars, values: np.ndarray, tol: float) -> MultChar | None:
 
 
 def _extract_piece(S: FiniteSemigroup, chi: MultChar, piece: np.ndarray,
-                   parity: str, tol: float):
-    """Read (A, rho) off a chi A | 0 | rho shaped table, or None."""
+                   parity: str, tol: float) -> CaseParams | None:
+    """The parameters (chi, A, rho) of a chi A | 0 | rho shaped table, or
+    None when the table does not vanish on I \\ P."""
     edge = sorted(chi.null_ideal - chi.prime_part)
     if not _vanishes_on(piece, edge, tol):
         return None
@@ -246,11 +247,10 @@ def _extract_piece(S: FiniteSemigroup, chi: MultChar, piece: np.ndarray,
         A_vals[x] = piece[x] / chi.values[x]
     rho_vals = np.zeros(n, dtype=np.complex128)
     P = sorted(chi.prime_part)
-    for p in P:
-        rho_vals[p] = piece[p]
+    rho_vals[P] = piece[P]
     A = AdditiveFn(domain=frozenset(D), values=A_vals, parity=parity)
     rho = RhoFn(domain=frozenset(P), values=rho_vals, parity=parity)
-    return A, rho
+    return CaseParams(chi=chi, A=A, rho=rho)
 
 
 @dataclass(frozen=True)
@@ -533,14 +533,12 @@ def _classify_cos_sub(s: _Session):
             if np.max(np.abs(gv - 0.5 * (chi.values + conj))) <= tol:
                 yield CaseId("cos-sub", 6), CaseParams(chi=chi)
     for chi in s.evens:
-        piece = _extract_piece(S, chi, 1j * fv, "even", tol)
-        if piece is None:
+        p = _extract_piece(S, chi, 1j * fv, "even", tol)
+        if p is None:
             continue
-        A, rho = piece
         for branch, sign in (("+", 1j), ("-", -1j)):
             if np.max(np.abs(gv - (chi.values + sign * fv))) <= tol:
-                yield (CaseId("cos-sub", 5, branch),
-                       CaseParams(chi=chi, A=A, rho=rho))
+                yield CaseId("cos-sub", 5, branch), p
 
 
 def _classify_sine_add(s: _Session):
@@ -566,10 +564,9 @@ def _classify_sine_add(s: _Session):
     for chi in s.evens:
         if np.max(np.abs(gv - chi.values)) > tol:
             continue
-        piece = _extract_piece(S, chi, fv, "even", tol)
-        if piece is not None:
-            A, rho = piece
-            yield CaseId("sine-add", 5), CaseParams(chi=chi, A=A, rho=rho)
+        p = _extract_piece(S, chi, fv, "even", tol)
+        if p is not None:
+            yield CaseId("sine-add", 5), p
 
 
 def _classify_cos_sine_g(s: _Session):
@@ -599,22 +596,20 @@ def _classify_cos_sine_g(s: _Session):
     for chi in s.nonevens:
         if np.max(np.abs(gv - chi.values)) <= tol:
             yield CaseId("cos-sine-g", 8, "chi"), CaseParams(chi=chi)
-    # case 7: g itself is an even character, f = phi + chi.
+    # case 7: g itself is an even character, f = (chi A | 0 | rho) + chi.
     for chi in s.evens:
         if np.max(np.abs(gv - chi.values)) > tol:
             continue
-        piece = _extract_piece(S, chi, fv - chi.values, "even", tol)
-        if piece is not None:
-            A, rho = piece
-            yield CaseId("cos-sine-g", 7), CaseParams(chi=chi, A=A, rho=rho)
-    # case 6: 2f - g is an even character, g = phi + chi.
+        p = _extract_piece(S, chi, fv - chi.values, "even", tol)
+        if p is not None:
+            yield CaseId("cos-sine-g", 7), p
+    # case 6: 2f - g is an even character, g = (chi A | 0 | rho) + chi.
     for chi in s.evens:
         if np.max(np.abs(2 * fv - gv - chi.values)) > tol:
             continue
-        piece = _extract_piece(S, chi, gv - chi.values, "even", tol)
-        if piece is not None:
-            A, rho = piece
-            yield CaseId("cos-sine-g", 6), CaseParams(chi=chi, A=A, rho=rho)
+        p = _extract_piece(S, chi, gv - chi.values, "even", tol)
+        if p is not None:
+            yield CaseId("cos-sine-g", 6), p
 
 
 def _classify_alpha_sym(s: _Session):
@@ -631,9 +626,7 @@ def _classify_alpha_sym(s: _Session):
     if CASES["alpha-sym"][case.case - 1].form is not None:
         yield case, _form_params(case, f, g, alpha)
     else:
-        yield case, CaseParams(alpha=alpha, chi=p.chi, chi1=p.chi1,
-                               chi2=p.chi2, A=p.A, rho=p.rho, beta=p.beta,
-                               c1=p.c1)
+        yield case, replace(p, alpha=alpha)
 
 
 def _classify_alpha_skew(s: _Session):
@@ -654,14 +647,12 @@ def _classify_alpha_skew(s: _Session):
                    CaseParams(alpha=alpha, chi=chi, c1=c1, c2=c2))
     # case 6: F = chi A | 0 | rho with odd A, rho; g = chi + c F.
     for chi in s.evens:
-        piece = _extract_piece(S, chi, Fv, "odd", tol)
-        if piece is None:
+        p = _extract_piece(S, chi, Fv, "odd", tol)
+        if p is None:
             continue
-        A, rho = piece
         (c,) = _ratio((gv - chi.values)[None], Fv[None], tol)
         if c is not None:
-            yield (CaseId("alpha-skew", 6),
-                   CaseParams(alpha=alpha, chi=chi, A=A, rho=rho, c=c))
+            yield CaseId("alpha-skew", 6), replace(p, alpha=alpha, c=c)
 
 
 #: The walk of each equation, by equation id.

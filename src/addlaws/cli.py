@@ -33,8 +33,8 @@ from .core import (EPS, FiniteSemigroup, FnTable, SemigroupError, cnum,
                    load_semigroup, stable_json, validate_tolerance)
 from .dsl import (EquationSyntaxError, builtin, equation_symbols,
                   evaluate_residual, print_equation, resolve_equation)
-from .families import (ALPHA_EQUATIONS, CASE_COUNTS, CaseId, CaseParams,
-                       ConstraintError, construct)
+from .families import (ALPHA_EQUATIONS, CASE_COUNTS, CASES, CaseId,
+                       CaseParams, ConstraintError, construct, zero_additive)
 from .oracle import (DEFAULT_ALPHABET, BudgetError, GridInputError,
                      PAIR_BUDGET, coverage_report)
 
@@ -170,10 +170,14 @@ def _cmd_check(args) -> int:
     if not isinstance(S, FiniteSemigroup):
         raise CliError("check reads dense tables; windowed carriers are "
                        "exercised through report-examples")
+    funcs, _, uses_a = equation_symbols(ast)
+    unbound = sorted(funcs - {"f", "g"})
+    if unbound:
+        raise CliError(f"--fn binds only f and g; the equation also uses "
+                       f"{', '.join(unbound)}")
     f, g = _read_pair(S, args.fn)
     alpha = _as_complex(1.0 if args.alpha is None else args.alpha, "alpha")
     binding = {"f": f, "g": g}
-    _, _, uses_a = equation_symbols(ast)
     if uses_a:
         binding["a"] = alpha
     residual = evaluate_residual(ast, binding, S)
@@ -265,13 +269,12 @@ def _params_from_file(S: FiniteSemigroup, case: CaseId, path: str,
             fields["free"] = FnTable.from_json_dict(S, values)
         except ValueError as exc:
             raise CliError(f"free: {exc}") from exc
-    parity = ("odd" if (case.equation, case.case) == ("alpha-skew", 6)
-              else "even")
+    parity = ("odd" if CASES[case.equation][case.case - 1].menu
+              == "piecewise-odd" else "even")
     if "A" in data or "rho" in data:
         if "chi" not in fields:
             raise CliError("A/rho need the supporting character index 'chi'")
         chi = fields["chi"]
-        from .families import combine_additive
         basis = _additive_basis(S, chi, parity)
         A = _typed(path, "A", data.get("A", {}), dict)
         coeffs = [_as_complex(v, "A.coeffs") for v in
@@ -279,7 +282,7 @@ def _params_from_file(S: FiniteSemigroup, case: CaseId, path: str,
         if len(coeffs) != len(basis):
             raise CliError(f"A.coeffs must give {len(basis)} value(s) for "
                            "this character's additive basis")
-        fields["A"] = combine_additive(S, basis, coeffs, chi, parity)
+        fields["A"] = zero_additive(S, chi, parity)
         space = rho_space(chi, S, parity)
         rho = _typed(path, "rho", data.get("rho", {}), dict)
         free = [_as_complex(v, "rho.free") for v in

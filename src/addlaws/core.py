@@ -55,6 +55,17 @@ class SemigroupError(ValueError):
     """Raised for malformed or invalid semigroup input."""
 
 
+def _indices(entries, what: str) -> np.ndarray:
+    """`entries` as a read-only index array; an entry that is not an
+    integer (a float, a bool, a string) is refused, not truncated."""
+    a = np.asarray(entries)
+    if a.size and a.dtype.kind not in "iu":
+        raise SemigroupError(f"{what} entries must be integers")
+    a = a.astype(np.intp, copy=False)
+    a.setflags(write=False)
+    return a
+
+
 class FiniteSemigroup:
     """A finite semigroup together with an involutive automorphism.
 
@@ -72,10 +83,8 @@ class FiniteSemigroup:
         self.elements = tuple(str(e) for e in elements)
         self.index = {e: k for k, e in enumerate(self.elements)}
         self.window = range(len(self.elements))
-        self.table = np.asarray(table, dtype=np.intp)
-        self.sigma = np.asarray(sigma, dtype=np.intp)
-        self.table.setflags(write=False)
-        self.sigma.setflags(write=False)
+        self.table = _indices(table, "table")
+        self.sigma = _indices(sigma, "sigma")
         self.kernels: dict = {}
         self.validate()
 

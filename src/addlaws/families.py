@@ -5,22 +5,24 @@ an involutive automorphism: the zero pair, pairs supported off the square
 S^2, scalar multiples of one multiplicative function, mixtures of two
 multiplicative functions, and piecewise families assembled from a
 multiplicative function chi, an additive function A off chi's null ideal,
-and a rho function on the prime part.
+and a rho function on the prime part: the table chi A | 0 | rho, built
+from (chi, A, rho) alone.
 
 :data:`CASES` holds one :class:`CaseSpec` record per published case: its
-required parameter fields, its branches, whether a phi table may replace
-(A, rho), the kind of parameter menu it draws from (which is also the
-condition on its characters), each constant's admissible set in draw order,
-and, for the zero pair and the cases built from one free table alone, the
-pair's form.  ``EQUATION_IDS``, ``CASE_COUNTS``, ``BRANCHES`` and
-``ALPHA_EQUATIONS`` are derived from it.  The form cases and the three
-ratio cases (cos-sub/2, alpha-skew/4, alpha-skew/5) are row cases: their
-tables are written once for a stack of parameter rows.  The other formulas
-stay in one builder per equation.  :func:`construct` checks the record's
-fields and clauses and builds the (f, g) pair of one case (a row case as
-one row), and :func:`construct_rows` builds a row case for a whole stack
-of rows at once; :func:`admissible_params` reports which cases a concrete
-finite carrier supports and draws random admissible parameters for them.
+required parameter fields, its branches, the kind of parameter menu it
+draws from (which is also the condition on its characters), each constant's
+admissible set in draw order, and, for the zero pair and the cases built
+from one free table alone, the pair's form.  ``EQUATION_IDS``,
+``CASE_COUNTS``, ``BRANCHES`` and ``ALPHA_EQUATIONS`` are derived from it.
+The form cases and the three ratio cases (cos-sub/2, alpha-skew/4,
+alpha-skew/5) are row cases: their tables are written once for a stack of
+parameter rows.  The other formulas stay in one builder per equation.
+:func:`construct` checks the record's fields and clauses and builds the
+(f, g) pair of one case (a row case as one row), and :func:`construct_rows`
+builds a row case for a whole stack of rows at once;
+:func:`admissible_params` reports which cases a concrete finite carrier
+supports and draws random admissible parameters for them, with
+:func:`zero_additive` as the A of every finite carrier.
 """
 
 from __future__ import annotations
@@ -36,7 +38,6 @@ from .characters import (AdditiveFn, RhoFn, check_condition_I,
                          check_condition_II, conjugate_representatives,
                          parity_residual, rho_space)
 from .core import EPS, FiniteSemigroup, FnTable, square_set
-from .dsl import evaluate_residual, parse_equation
 
 #: Exactly representable scalars for random parameter draws.
 SAMPLE_POOL = (1 + 0j, -1 + 0j, 2 + 0j, -2 + 0j, 0.5 + 0j, -0.5 + 0j,
@@ -45,11 +46,6 @@ SAMPLE_POOL = (1 + 0j, -1 + 0j, 2 + 0j, -2 + 0j, 0.5 + 0j, -0.5 + 0j,
 #: Value pool for random free-function draws (the default oracle alphabet).
 FREE_VALUE_POOL = (0j, 1 + 0j, -1 + 0j, 1j, -1j, 0.5 + 0j, -0.5 + 0j,
                    2 + 0j, -2 + 0j)
-
-#: The sigma = id sine addition law that the phi component of the
-#: "chi + chi A" families satisfies together with chi.
-PHI_LAW = parse_equation("f(x y) = f(x)*g(y) + f(y)*g(x)")
-
 
 #: How a constant's set is written in clauses.
 _SHOWN = {0.5: "1/2", 1j: "i", -1j: "-i"}
@@ -113,17 +109,13 @@ class CaseSpec:
     menu: str
     constants: tuple
     branches: tuple
-    phi: bool
     form: tuple | None
 
 
 def _case(fields: str, menu: str = "none", *constants,
-          branches: tuple = (), phi: bool = False,
-          form: tuple | None = None) -> CaseSpec:
-    """A record whose required CaseParams fields are named in `fields`;
-    `phi` lets a phi table replace the (A, rho) pair."""
-    return CaseSpec(frozenset(fields.split()), menu, constants, branches, phi,
-                    form)
+          branches: tuple = (), form: tuple | None = None) -> CaseSpec:
+    """A record whose required CaseParams fields are named in `fields`."""
+    return CaseSpec(frozenset(fields.split()), menu, constants, branches, form)
 
 
 def _hits(values, targets):
@@ -156,8 +148,8 @@ _COS_SINE_G = (
     _case("free", "free-vanishing", form=(1, 2)),
     _case("chi beta", "even", _Constant("beta", (0, 0.5))),
     _case("chi1 chi2 c1", "even-pair", _Constant("c1", (0, 1, -1))),
-    _case("chi A rho", "piecewise-even", phi=True),
-    _case("chi A rho", "piecewise-even", phi=True),
+    _case("chi A rho", "piecewise-even"),
+    _case("chi A rho", "piecewise-even"),
     _case("chi", "noneven", branches=("chi", "conj")),
 )
 
@@ -266,7 +258,6 @@ class CaseParams:
     c1: complex | None = None
     c2: complex | None = None
     free: FnTable | None = None
-    phi: FnTable | None = None
 
     def present(self) -> frozenset[str]:
         return frozenset(name for name, value in self.__dict__.items()
@@ -279,13 +270,10 @@ def _spec(case: CaseId) -> CaseSpec:
 
 def _check_fields(case: CaseId, params: CaseParams) -> None:
     spec = _spec(case)
-    required = spec.fields
     present = params.present()
-    if spec.phi and "phi" in present:
-        required = (required - {"A", "rho"}) | {"phi"}
-    if present != required:
+    if present != spec.fields:
         raise ConstraintError(
-            f"case {case} requires fields {sorted(required)}, "
+            f"case {case} requires fields {sorted(spec.fields)}, "
             f"got {sorted(present)}")
     for const in spec.constants:
         if not cmath.isfinite(getattr(params, const.name)):
@@ -344,13 +332,9 @@ def _piece(S, chi, s_chi: complex, s_a: complex, A: AdditiveFn,
     return FnTable(S, formula=formula)
 
 
-def _fn_is_zero(h: FnTable, S) -> bool:
-    return all(abs(h(x)) <= EPS for x in S.window)
-
-
 # ---------------------------------------------------------------------------
 # Clauses: the record's (constants, characters, the free table) for every
-# case, then the builders' checks of what it does not state (A, rho, phi).
+# case, then the builders' checks of what it does not state (A and rho).
 # ---------------------------------------------------------------------------
 
 def _require(cond: bool, clause: str) -> None:
@@ -361,18 +345,22 @@ def _require(cond: bool, clause: str) -> None:
 def _clauses(case: CaseId, S, p: CaseParams, free):
     """Each clause of the case's record, in construct's order, with where
     it fails: a bool that broadcasts over the rows.  The first clauses ask
-    that each character be one of S (of S itself or of a finite carrier
-    with the same table and sigma).  `p` holds one pair's parameters or
-    the rows (a constant is one number or a sequence over the rows; chi is
-    shared); `free` is the free table's values, one row or a stack whose
-    last axis runs over the elements."""
-    for name in ("chi", "chi1", "chi2"):
-        T = getattr(getattr(p, name), "semigroup", S)     # S when unset
+    that each character and the free table be one of S (of S itself or of
+    a finite carrier with the same table and sigma).  `p` holds one pair's
+    parameters or the rows (a constant is one number or a sequence over
+    the rows; chi is shared; a stack of free rows has no carrier of its
+    own); `free` is the free table's values, one row or a stack whose last
+    axis runs over the elements."""
+    homes = [(f"{name} is a character of another carrier",
+              getattr(getattr(p, name), "semigroup", S))   # S when unset
+             for name in ("chi", "chi1", "chi2")]
+    homes.append(("free is a table of another carrier",
+                  getattr(p.free, "domain", S)))
+    for clause, T in homes:
         if T is not S:
-            yield f"{name} is a character of another carrier", not (
-                _finite(T) and _finite(S)
-                and np.array_equal(T.table, S.table)
-                and np.array_equal(T.sigma, S.sigma))
+            yield clause, not (_finite(T) and _finite(S)
+                               and np.array_equal(T.table, S.table)
+                               and np.array_equal(T.sigma, S.sigma))
     spec = _spec(case)
     for const in spec.constants:
         if const.values:
@@ -419,20 +407,13 @@ def _check_rho(S, chi, rho: RhoFn, parity: str) -> None:
 
 
 def _sine_piece(S, params: CaseParams, parity: str = "even") -> FnTable:
-    """Validated chi A | 0 | rho table from either phi or (A, rho)."""
+    """Validated chi A | 0 | rho table from (A, rho)."""
     chi = params.chi
-    if params.phi is not None:
-        phi = params.phi
-        _require(all(abs(phi(S.sig(x)) - phi(x)) <= EPS for x in S.window),
-                 "phi is not even")
-        _require(not _fn_is_zero(phi, S), "phi = 0")
-        res = evaluate_residual(PHI_LAW, {"f": phi, "g": chi.fn}, S)
-        _require(res <= EPS, "phi does not solve its sine law")
-        return phi
     _check_additive(S, chi, params.A, parity)
     _check_rho(S, chi, params.rho, parity)
     piece = _piece(S, chi, 0, 1, params.A, 1, params.rho)
-    _require(not _fn_is_zero(piece, S), "A and rho both vanish")
+    _require(not all(abs(piece(x)) <= EPS for x in S.window),
+             "A and rho both vanish")
     _require(check_condition_II(piece, chi, S), "condition (II) fails")
     return piece
 
@@ -497,13 +478,13 @@ def _cos_sine_g(case: CaseId, p: CaseParams, S):
         g = _lin(S, ((1 + w) / 2, c1), ((1 - w) / 2, c2))
         return f, g
     if k == 6:
-        phi = _sine_piece(S, p)
+        piece = _sine_piece(S, p)
         cf = p.chi.fn
-        return _lin(S, (0.5, phi), (1, cf)), _lin(S, (1, phi), (1, cf))
+        return _lin(S, (0.5, piece), (1, cf)), _lin(S, (1, piece), (1, cf))
     if k == 7:
-        phi = _sine_piece(S, p)
+        piece = _sine_piece(S, p)
         cf = p.chi.fn
-        return _lin(S, (1, phi), (1, cf)), cf
+        return _lin(S, (1, piece), (1, cf)), cf
     # case 8: f = (chi + chi*)/2, g one of chi, chi*.
     cf, sf = p.chi.fn, p.chi.fn.star()
     f = _lin(S, (0.5, cf), (0.5, sf))
@@ -604,7 +585,7 @@ def construct(case: CaseId, params: CaseParams, S):
     Raises :class:`ConstraintError` naming the violated clause when the
     parameters do not satisfy the case's side constraints, and for a form
     or ratio case on a carrier that is not finite.  Where f or g is the
-    caller's own `free` or `phi` table, that table itself is handed back;
+    caller's own `free` table, that table itself is handed back;
     its values are read-only.
     """
     _check_fields(case, params)
@@ -640,16 +621,13 @@ def construct_rows(case: CaseId, S: FiniteSemigroup, params: CaseParams,
     return ok, f, g
 
 
-def combine_additive(S: FiniteSemigroup, basis: list[AdditiveFn],
-                     coeffs, chi, parity: str = "even") -> AdditiveFn:
-    """Linear combination of basis additive functions (empty = zero)."""
-    vals = np.zeros(S.n, dtype=np.complex128)
-    for c, b in zip(coeffs, basis):
-        vals = vals + complex(c) * b.values
-    if basis:
-        return AdditiveFn(domain=basis[0].domain, values=vals, parity=parity)
+def zero_additive(S: FiniteSemigroup, chi,
+                  parity: str = "even") -> AdditiveFn:
+    """The additive function A of chi on a finite carrier: 0 on S \\ I
+    (see :func:`addlaws.characters.additive_basis`)."""
     return AdditiveFn(domain=frozenset(set(range(S.n)) - chi.null_ideal),
-                      values=vals, parity=parity)
+                      values=np.zeros(S.n, dtype=np.complex128),
+                      parity=parity)
 
 
 # ---------------------------------------------------------------------------
@@ -746,8 +724,8 @@ class ParamMenu:
                 break
         else:
             frees = [1] * space.dimension
-        A = combine_additive(self.S, [], [], self.chars[idx], space.parity)
-        return A, space.instance(frees, self.S.n)
+        return (zero_additive(self.S, self.chars[idx], space.parity),
+                space.instance(frees, self.S.n))
 
 
 def _pick(rng, pool):

@@ -9,7 +9,7 @@ import pytest
 
 from addlaws.cli import (EXIT_BUDGET, EXIT_FAIL, EXIT_OK, EXIT_USAGE,
                          _build_parser, main)
-from addlaws.examples import m3
+from addlaws.examples import m3, np4
 
 from helpers import swapped_semilattice
 
@@ -75,6 +75,17 @@ def test_check_accepts_literal_equations(capsys, tmp_path):
     assert code == EXIT_OK and payload["ok"] is True
 
 
+def test_check_refuses_a_function_the_pair_file_does_not_bind(capsys,
+                                                              tmp_path):
+    fg = write_pair(tmp_path, "fg.json",
+                    {"e": [0, 0], "a": [0, 0]}, {"e": [1, 0], "a": [1, 0]})
+    code = main(["check", "-s", "Z2", "-e", "h(x) = f(x)", "--fn", fg])
+    out = capsys.readouterr()
+    assert code == EXIT_FAIL and out.out == ""
+    assert out.err == ("error: --fn binds only f and g; the equation also "
+                       "uses h\n")
+
+
 def test_chars_lists_both_z2_characters(capsys):
     code, payload, out = run(capsys, "chars", "-s", "Z2")
     assert code == EXIT_OK
@@ -120,6 +131,23 @@ def test_construct_piecewise_case_from_a_params_file(capsys, tmp_path):
     err = capsys.readouterr().err
     assert code == EXIT_FAIL
     assert "rho.free must give 1 value(s)" in err
+
+
+def test_construct_odd_piecewise_case_from_a_params_file(capsys, tmp_path):
+    """alpha-skew/6 takes odd A and rho: its record's menu kind, not the
+    even default, sets the parity the params file is read with."""
+    path = tmp_path / "np4.json"
+    path.write_text(np4().to_json())
+    params = tmp_path / "p.json"
+    params.write_text(json.dumps({"alpha": 1, "c": 2, "chi": 0,
+                                  "A": {"coeffs": []},
+                                  "rho": {"free": [1]}}))
+    code, payload, _ = run(capsys, "construct", "-s", str(path), "-e",
+                           "alpha-skew", "--case", "6", "--params",
+                           str(params))
+    assert code == EXIT_OK and payload["residual"] == 0
+    f = payload["f"]
+    assert f["p"] == [3.0, 0.0] and f["q"] == [-3.0, 0.0]
 
 
 def test_rho_space_via_semigroup_file(capsys, tmp_path):

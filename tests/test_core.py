@@ -71,6 +71,24 @@ def test_duplicate_names_rejected():
         FiniteSemigroup("bad", ("e", "e"), [[0, 1], [1, 0]], [0, 1])
 
 
+@pytest.mark.parametrize("table,sigma,what", [
+    ([[0, 1.7], [1, 0]], [0, 1], "table"),
+    ([[0, 1], [1, 0]], [0.0, 1], "sigma"),
+    ([[0, 1], [1, 0]], [False, True], "sigma"),
+    ([[0, "1"], [1, 0]], [0, 1], "table"),
+], ids=["float-table", "float-sigma", "bool-sigma", "string-table"])
+def test_non_integer_entries_rejected(table, sigma, what):
+    # A float entry used to be truncated to an index without a word.
+    with pytest.raises(SemigroupError, match=f"^{what} entries must be "
+                                             "integers$"):
+        FiniteSemigroup("bad", ("e", "a"), table, sigma)
+
+
+def test_empty_carrier_rejected():
+    with pytest.raises(SemigroupError, match="^empty element list$"):
+        FiniteSemigroup("empty", (), [], [])
+
+
 def test_load_semigroup_round_trip():
     S = load_semigroup(Z2_TEXT)
     assert S.name == "Z2"

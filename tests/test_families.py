@@ -12,11 +12,11 @@ from addlaws.core import FiniteSemigroup, cnum, fn, stable_json
 from addlaws.dsl import BUILTIN_EQUATIONS
 from addlaws.families import (BRANCHES, CASE_COUNTS, CASES, CaseId,
                               CaseParams, ConstraintError, admissible_params,
-                              all_case_ids, combine_additive, construct,
-                              construct_rows)
+                              all_case_ids, construct, construct_rows,
+                              zero_additive)
 from addlaws.characters import (AdditiveFn, MultChar, RhoFn,
                                 enumerate_characters)
-from addlaws.examples import m3, n3, z2, z2xz2
+from addlaws.examples import example1, m3, n3, z2, z3, z2xz2
 from addlaws.oracle import fuzz_constructors
 
 from helpers import TOL, equation_residual
@@ -333,24 +333,46 @@ def test_character_built_cases_are_abelian(carriers, chars):
 def test_additive_helpers(chars):
     S = z2()
     chi = chars["Z2"][1]
-    both = combine_additive(S, [], [], chi)
+    both = zero_additive(S, chi)
     assert all(both(x) == 0 for x in range(S.n))
+    assert both.parity == "even" and both.domain == frozenset({0, 1})
 
 
-def test_phi_route_matches_additive_route(ex1):
-    """The chi + chi A family accepts either (A, rho) data or a ready-made
-    sine-law component phi; both must produce the same tables."""
+def test_cos_sine_g_piecewise_cases_on_a_windowed_carrier(ex1):
+    """cos-sine-g/6 and /7 built from (A, rho) on example 1 are the sine-add/5
+    piece phi = chi A | 0 | rho combined with chi, and solve cos-sine-g."""
     chi = ex1.extras["chi"]
     A = ex1.extras["additive_family"]({5: 1.0, 7: -0.5})
     rho = ex1.extras["rho_family"](1.0, "even")
     params = CaseParams(chi=chi, A=A, rho=rho)
     phi, _ = construct(CaseId("sine-add", 5), params, ex1)
-    f1, g1 = construct(CaseId("cos-sine-g", 6), params, ex1)
-    f2, g2 = construct(CaseId("cos-sine-g", 6),
-                       CaseParams(chi=chi, phi=phi), ex1)
-    for x in list(ex1.window)[::7]:
-        assert abs(f1(x) - f2(x)) <= TOL
-        assert abs(g1(x) - g2(x)) <= TOL
+    sub = example1(window_max=30)
+    for case, f_of, g_of in (
+            (6, lambda p, c: p / 2 + c, lambda p, c: p + c),
+            (7, lambda p, c: p + c, lambda p, c: c)):
+        f, g = construct(CaseId("cos-sine-g", case), params, ex1)
+        for x in list(ex1.window)[::7]:
+            assert abs(f(x) - f_of(phi(x), chi(x))) <= TOL, (case, x)
+            assert abs(g(x) - g_of(phi(x), chi(x))) <= TOL, (case, x)
+        assert equation_residual("cos-sine-g", f, g, sub) <= TOL, case
+    assert any(abs(phi(x)) > TOL for x in ex1.window)
+
+
+@pytest.mark.parametrize("case", ["sine-add/1", "sine-add/2", "alpha-skew/1",
+                                  "cos-sine-g/3"])
+def test_construct_refuses_a_free_table_of_another_carrier(case):
+    eq, k = case.split("/")
+    params = dict(alpha=1) if eq in ALPHA_EQS else {}
+    S = n3()
+    for h in (fn(z3(), [0, 1, -1]), fn(z2(), [0, 1])):
+        with pytest.raises(ConstraintError,
+                           match="^free is a table of another carrier$"):
+            construct(CaseId(eq, int(k)), CaseParams(free=h, **params), S)
+    # A free table of an equal carrier built again is accepted.
+    again = FiniteSemigroup(S.name, S.elements, S.table, S.sigma)
+    f, g = construct(CaseId(eq, int(k)),
+                     CaseParams(free=fn(again, [0, 1, -1]), **params), S)
+    assert equation_residual(eq, f, g, S, params.get("alpha")) <= TOL
 
 
 def test_construct_hands_back_the_callers_read_only_table():
