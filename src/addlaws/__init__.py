@@ -28,7 +28,7 @@ from .examples import (bundled_finite, example1, example2,
                        example_semigroups)
 from .families import (CASE_COUNTS, EQUATION_IDS, CaseId, CaseParams,
                        ConstraintError, admissible_params, all_case_ids,
-                       construct, zero_additive)
+                       construct)
 from .oracle import (DEFAULT_ALPHABET, BudgetError, GridInputError,
                      coverage_report, fuzz_constructors, grid_solutions,
                      validate_alphabet)
@@ -51,5 +51,5 @@ __all__ = [
     "fuzz_constructors", "grid_solutions", "ideal_sets", "linear_dependence",
     "load_semigroup", "parity_residual", "parse_equation", "print_equation",
     "reduce_alpha_sym", "resolve_equation", "rho_space", "square_set",
-    "stable_json", "validate_alphabet", "zero_additive",
+    "stable_json", "validate_alphabet",
 ]

@@ -1,9 +1,10 @@
 """Multiplicative functions and their companion data.
 
 Provides complete enumeration of the non-zero multiplicative functions on a
-finite semigroup, their null-ideal structure, the (zero) additive functions
-and a solver for the admissible rho functions on the prime part, plus the
-two side conditions that piecewise solution families carry.
+finite semigroup, their null-ideal structure, the additive functions (zero
+on every finite carrier, so a finite piecewise family is built from chi and
+rho alone) and a solver for the admissible rho functions on the prime
+part, plus the two side conditions that piecewise solution families carry.
 """
 
 from __future__ import annotations

@@ -39,8 +39,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .characters import (AdditiveFn, MultChar, RhoFn,
-                         conjugate_representatives, enumerate_characters)
+from .characters import (MultChar, RhoFn, conjugate_representatives,
+                         enumerate_characters)
 from .core import (EPS, FiniteSemigroup, FnTable, cnum, square_set,
                    validate_tolerance)
 from .dsl import builtin, evaluate_residual, residual_rows
@@ -235,22 +235,19 @@ def _match_char(chars, values: np.ndarray, tol: float) -> MultChar | None:
 
 def _extract_piece(S: FiniteSemigroup, chi: MultChar, piece: np.ndarray,
                    parity: str, tol: float) -> CaseParams | None:
-    """The parameters (chi, A, rho) of a chi A | 0 | rho shaped table, or
-    None when the table does not vanish on I \\ P."""
+    """The parameters (chi, rho) of a table chi A | 0 | rho (on S \\ I,
+    I \\ P and P) with A = 0, as on every finite carrier, or None unless
+    the table vanishes on I \\ P within tol and on S \\ I within EPS: A = 0
+    is exact there, so tol does not widen it."""
     edge = sorted(chi.null_ideal - chi.prime_part)
-    if not _vanishes_on(piece, edge, tol):
+    off = set(range(S.n)) - chi.null_ideal
+    if not (_vanishes_on(piece, edge, tol) and _vanishes_on(piece, off, EPS)):
         return None
-    n = S.n
-    A_vals = np.zeros(n, dtype=np.complex128)
-    D = sorted(set(range(n)) - chi.null_ideal)
-    for x in D:
-        A_vals[x] = piece[x] / chi.values[x]
-    rho_vals = np.zeros(n, dtype=np.complex128)
+    rho_vals = np.zeros(S.n, dtype=np.complex128)
     P = sorted(chi.prime_part)
     rho_vals[P] = piece[P]
-    A = AdditiveFn(domain=frozenset(D), values=A_vals, parity=parity)
     rho = RhoFn(domain=frozenset(P), values=rho_vals, parity=parity)
-    return CaseParams(chi=chi, A=A, rho=rho)
+    return CaseParams(chi=chi, rho=rho)
 
 
 @dataclass(frozen=True)
@@ -596,14 +593,14 @@ def _classify_cos_sine_g(s: _Session):
     for chi in s.nonevens:
         if np.max(np.abs(gv - chi.values)) <= tol:
             yield CaseId("cos-sine-g", 8, "chi"), CaseParams(chi=chi)
-    # case 7: g itself is an even character, f = (chi A | 0 | rho) + chi.
+    # case 7: g itself is an even character, f = chi + (0 | 0 | rho).
     for chi in s.evens:
         if np.max(np.abs(gv - chi.values)) > tol:
             continue
         p = _extract_piece(S, chi, fv - chi.values, "even", tol)
         if p is not None:
             yield CaseId("cos-sine-g", 7), p
-    # case 6: 2f - g is an even character, g = (chi A | 0 | rho) + chi.
+    # case 6: 2f - g is an even character, g = chi + (0 | 0 | rho).
     for chi in s.evens:
         if np.max(np.abs(2 * fv - gv - chi.values)) > tol:
             continue
@@ -645,7 +642,7 @@ def _classify_alpha_skew(s: _Session):
             c1, c2 = cs[0]
             yield (CaseId("alpha-skew", 5),
                    CaseParams(alpha=alpha, chi=chi, c1=c1, c2=c2))
-    # case 6: F = chi A | 0 | rho with odd A, rho; g = chi + c F.
+    # case 6: F = 0 | 0 | rho with odd rho; g = chi + c F.
     for chi in s.evens:
         p = _extract_piece(S, chi, Fv, "odd", tol)
         if p is None:

@@ -34,7 +34,7 @@ from .core import (EPS, FiniteSemigroup, FnTable, SemigroupError, cnum,
 from .dsl import (EquationSyntaxError, builtin, equation_symbols,
                   evaluate_residual, print_equation, resolve_equation)
 from .families import (ALPHA_EQUATIONS, CASE_COUNTS, CASES, CaseId,
-                       CaseParams, ConstraintError, construct, zero_additive)
+                       CaseParams, ConstraintError, construct)
 from .oracle import (DEFAULT_ALPHABET, BudgetError, GridInputError,
                      PAIR_BUDGET, coverage_report)
 
@@ -199,18 +199,14 @@ def _cmd_chars(args) -> int:
     return EXIT_OK
 
 
-def _additive_basis(S: FiniteSemigroup, chi, parity: str) -> list:
-    try:
-        return additive_basis(S, chi, parity)
-    except ValueError as exc:       # sigma maps S \ I into I
-        raise CliError(str(exc)) from exc
-
-
 def _cmd_additive(args) -> int:
     S = _finite(_resolve_semigroup(args.semigroup))
     chars = enumerate_characters(S)
     chi = _pick_char(S, chars, args.char)
-    basis = _additive_basis(S, chi, args.parity)
+    try:
+        basis = additive_basis(S, chi, args.parity)
+    except ValueError as exc:       # sigma maps S \ I into I
+        raise CliError(str(exc)) from exc
     names = S.elements
     payload = {
         "semigroup": S.name, "character": args.char, "parity": args.parity,
@@ -274,16 +270,13 @@ def _params_from_file(S: FiniteSemigroup, case: CaseId, path: str,
     if "A" in data or "rho" in data:
         if "chi" not in fields:
             raise CliError("A/rho need the supporting character index 'chi'")
-        chi = fields["chi"]
-        basis = _additive_basis(S, chi, parity)
         A = _typed(path, "A", data.get("A", {}), dict)
         coeffs = [_as_complex(v, "A.coeffs") for v in
                   _typed(path, "A.coeffs", A.get("coeffs", []), list)]
-        if len(coeffs) != len(basis):
-            raise CliError(f"A.coeffs must give {len(basis)} value(s) for "
+        if coeffs:          # A is 0 on a finite carrier: no basis to weigh
+            raise CliError("A.coeffs must give 0 value(s) for "
                            "this character's additive basis")
-        fields["A"] = zero_additive(S, chi, parity)
-        space = rho_space(chi, S, parity)
+        space = rho_space(fields["chi"], S, parity)
         rho = _typed(path, "rho", data.get("rho", {}), dict)
         free = [_as_complex(v, "rho.free") for v in
                 _typed(path, "rho.free", rho.get("free", []), list)]

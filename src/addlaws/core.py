@@ -57,8 +57,13 @@ class SemigroupError(ValueError):
 
 def _indices(entries, what: str) -> np.ndarray:
     """`entries` as a read-only index array; an entry that is not an
-    integer (a float, a bool, a string) is refused, not truncated."""
-    a = np.asarray(entries)
+    integer (a float, a bool, a string) is refused, not truncated, and so
+    are rows of different lengths (a ragged table)."""
+    try:
+        a = np.asarray(entries)
+    except ValueError as exc:           # numpy's inhomogeneous-shape error
+        raise SemigroupError(f"{what} is ragged: its entries do not form "
+                             "a rectangular array") from exc
     if a.size and a.dtype.kind not in "iu":
         raise SemigroupError(f"{what} entries must be integers")
     a = a.astype(np.intp, copy=False)

@@ -5,8 +5,10 @@ an involutive automorphism: the zero pair, pairs supported off the square
 S^2, scalar multiples of one multiplicative function, mixtures of two
 multiplicative functions, and piecewise families assembled from a
 multiplicative function chi, an additive function A off chi's null ideal,
-and a rho function on the prime part: the table chi A | 0 | rho, built
-from (chi, A, rho) alone.
+and a rho function on the prime part: the table chi A | 0 | rho.  A is 0
+on every finite carrier (see :func:`addlaws.characters.additive_basis`),
+so a piecewise case takes (chi, rho) there and (chi, A, rho) on a windowed
+carrier.
 
 :data:`CASES` holds one :class:`CaseSpec` record per published case: its
 required parameter fields, its branches, the kind of parameter menu it
@@ -21,8 +23,7 @@ parameter rows.  The other formulas stay in one builder per equation.
 (f, g) pair of one case (a row case as one row), and :func:`construct_rows`
 builds a row case for a whole stack of rows at once;
 :func:`admissible_params` reports which cases a concrete finite carrier
-supports and draws random admissible parameters for them, with
-:func:`zero_additive` as the A of every finite carrier.
+supports and draws random admissible parameters for them.
 """
 
 from __future__ import annotations
@@ -98,11 +99,11 @@ class CaseSpec:
     "free-arbitrary", "even" (one even character), "even-pair" (two
     distinct even characters), "noneven", "noneven-up-to-conj" (one of
     each chi, chi* pair), "piecewise-even" or "piecewise-odd" (an even chi
-    with A and rho of that parity); construct checks the kind's condition
-    on the characters.  `constants` lists each constant's admissible set
-    in draw order.  `form`, when set, is the pair (f, g) as two factors of
-    the free table: None is the zero table, 1 the free table itself, and a
-    number or "alpha" that multiple of it.
+    with rho, and on a windowed carrier A, of that parity); construct
+    checks the kind's condition on the characters.  `constants` lists each
+    constant's admissible set in draw order.  `form`, when set, is the pair
+    (f, g) as two factors of the free table: None is the zero table, 1 the
+    free table itself, and a number or "alpha" that multiple of it.
     """
 
     fields: frozenset
@@ -148,8 +149,8 @@ _COS_SINE_G = (
     _case("free", "free-vanishing", form=(1, 2)),
     _case("chi beta", "even", _Constant("beta", (0, 0.5))),
     _case("chi1 chi2 c1", "even-pair", _Constant("c1", (0, 1, -1))),
-    _case("chi A rho", "piecewise-even"),
-    _case("chi A rho", "piecewise-even"),
+    _case("chi rho", "piecewise-even"),
+    _case("chi rho", "piecewise-even"),
     _case("chi", "noneven", branches=("chi", "conj")),
 )
 
@@ -164,7 +165,7 @@ CASES = {
               _Constant("alpha", (1j, -1j), note="alpha = 0 gives f = 0")),
         _case("chi1 chi2 delta", "even-pair",
               _Constant("delta", (0, 1j, -1j))),
-        _case("chi A rho", "piecewise-even", branches=("+", "-")),
+        _case("chi rho", "piecewise-even", branches=("+", "-")),
         _case("chi", "noneven"),
     ),
     "sine-add": (
@@ -172,7 +173,7 @@ CASES = {
         _case("free", "free-vanishing", form=(1, None)),
         _case("chi alpha", "even", _Constant("alpha", (0,))),
         _case("chi1 chi2 c", "even-pair", _Constant("c", (0,))),
-        _case("chi A rho", "piecewise-even"),
+        _case("chi rho", "piecewise-even"),
     ),
     "cos-sine-g": _COS_SINE_G,
     # Case 3 keeps g as its free table where cos-sine-g builds (f, 2f).
@@ -185,7 +186,7 @@ CASES = {
         _case("free c", "free-vanishing", _Constant("c", (0, -1))),
         _case("chi c1 c2", "noneven-up-to-conj",
               _Constant("c1", (0,)), _Constant("c2")),
-        _case("chi A rho c", "piecewise-odd", _Constant("c")),
+        _case("chi rho c", "piecewise-odd", _Constant("c")),
     ))),
 }
 
@@ -268,12 +269,15 @@ def _spec(case: CaseId) -> CaseSpec:
     return CASES[case.equation][case.case - 1]
 
 
-def _check_fields(case: CaseId, params: CaseParams) -> None:
+def _check_fields(case: CaseId, params: CaseParams, S) -> None:
     spec = _spec(case)
+    # A is 0 on a finite carrier, so only a windowed piecewise case takes it.
+    fields = spec.fields | ({"A"} if "rho" in spec.fields and not _finite(S)
+                            else set())
     present = params.present()
-    if present != spec.fields:
+    if present != fields:
         raise ConstraintError(
-            f"case {case} requires fields {sorted(spec.fields)}, "
+            f"case {case} requires fields {sorted(fields)}, "
             f"got {sorted(present)}")
     for const in spec.constants:
         if not cmath.isfinite(getattr(params, const.name)):
@@ -312,12 +316,12 @@ def _lin(S, *terms: tuple[complex, FnTable]) -> FnTable:
     return FnTable(S, formula=lambda x: sum(c * t(x) for c, t in parts))
 
 
-def _piece(S, chi, s_chi: complex, s_a: complex, A: AdditiveFn,
+def _piece(S, chi, s_chi: complex, s_a: complex, A: AdditiveFn | None,
            s_rho: complex, rho: RhoFn) -> FnTable:
-    """chi * (s_chi + s_a A) off the ideal, 0 on I \\ P, s_rho rho on P."""
+    """chi * (s_chi + s_a A) off the ideal, 0 on I \\ P, s_rho rho on P;
+    a finite carrier's A is 0 and is not read."""
     if _finite(S):
-        vals = np.array(chi.values * (complex(s_chi) + complex(s_a) * A.values),
-                        dtype=np.complex128)
+        vals = chi.values * complex(s_chi)
         P = sorted(chi.prime_part)
         if P:
             vals[P] = complex(s_rho) * rho.values[P]
@@ -333,8 +337,9 @@ def _piece(S, chi, s_chi: complex, s_a: complex, A: AdditiveFn,
 
 
 # ---------------------------------------------------------------------------
-# Clauses: the record's (constants, characters, the free table) for every
-# case, then the builders' checks of what it does not state (A and rho).
+# Clauses: the record's (constants, characters, the free table, rho's
+# carrier) for every case, then the builders' checks of what it does not
+# state (A and rho).
 # ---------------------------------------------------------------------------
 
 def _require(cond: bool, clause: str) -> None:
@@ -361,6 +366,11 @@ def _clauses(case: CaseId, S, p: CaseParams, free):
             yield clause, not (_finite(T) and _finite(S)
                                and np.array_equal(T.table, S.table)
                                and np.array_equal(T.sigma, S.sigma))
+    rho = p.rho
+    if rho is not None and _finite(S):
+        yield "rho is not a function on the prime part of chi", not (
+            rho.values is not None and len(rho.values) == S.n
+            and rho.domain == p.chi.prime_part)
     spec = _spec(case)
     for const in spec.constants:
         if const.values:
@@ -384,33 +394,19 @@ def _clauses(case: CaseId, S, p: CaseParams, free):
                    ~(np.max(np.abs(free[..., sq]), axis=-1) <= EPS))
 
 
-def _check_additive(S, chi, A: AdditiveFn, parity: str) -> None:
-    _require(A.parity == parity, f"A parity must be {parity}")
-    _require(parity_residual(A, S) <= EPS, f"A parity must be {parity}")
-    if _finite(S):
-        D = sorted(set(range(S.n)) - chi.null_ideal)
-        for x in D:
-            for y in D:
-                _require(abs(A(S.mul(x, y)) - (A(x) + A(y))) <= EPS,
-                         "A is not additive")
-        off = sorted(chi.null_ideal)
-        if off and A.values is not None:
-            _require(float(np.max(np.abs(A.values[off]))) <= EPS,
-                     "A is not supported on S \\ I")
-
-
-def _check_rho(S, chi, rho: RhoFn, parity: str) -> None:
-    _require(rho.parity == parity, f"rho parity must be {parity}")
-    _require(parity_residual(rho, S) <= EPS,
-             f"rho parity must be {parity}")
-    _require(check_condition_I(rho, chi, S), "condition (I) fails")
+def _check_parity(S, fn: AdditiveFn, name: str, parity: str) -> None:
+    _require(fn.parity == parity and parity_residual(fn, S) <= EPS,
+             f"{name} parity must be {parity}")
 
 
 def _sine_piece(S, params: CaseParams, parity: str = "even") -> FnTable:
-    """Validated chi A | 0 | rho table from (A, rho)."""
+    """Validated chi A | 0 | rho table from rho, and A on a windowed
+    carrier."""
     chi = params.chi
-    _check_additive(S, chi, params.A, parity)
-    _check_rho(S, chi, params.rho, parity)
+    if params.A is not None:
+        _check_parity(S, params.A, "A", parity)
+    _check_parity(S, params.rho, "rho", parity)
+    _require(check_condition_I(params.rho, chi, S), "condition (I) fails")
     piece = _piece(S, chi, 0, 1, params.A, 1, params.rho)
     _require(not all(abs(piece(x)) <= EPS for x in S.window),
              "A and rho both vanish")
@@ -588,7 +584,7 @@ def construct(case: CaseId, params: CaseParams, S):
     caller's own `free` table, that table itself is handed back;
     its values are read-only.
     """
-    _check_fields(case, params)
+    _check_fields(case, params, S)
     tables = _ROW_CASES.get((case.equation, case.case))
     if tables is not None and not _finite(S):
         raise ConstraintError("form and ratio cases need a finite carrier")
@@ -619,15 +615,6 @@ def construct_rows(case: CaseId, S: FiniteSemigroup, params: CaseParams,
         ok &= np.logical_not(fails)
     f, g = _ROW_CASES[case.equation, case.case](S, params, params.free, ok)
     return ok, f, g
-
-
-def zero_additive(S: FiniteSemigroup, chi,
-                  parity: str = "even") -> AdditiveFn:
-    """The additive function A of chi on a finite carrier: 0 on S \\ I
-    (see :func:`addlaws.characters.additive_basis`)."""
-    return AdditiveFn(domain=frozenset(set(range(S.n)) - chi.null_ideal),
-                      values=np.zeros(S.n, dtype=np.complex128),
-                      parity=parity)
 
 
 # ---------------------------------------------------------------------------
@@ -695,8 +682,8 @@ class ParamMenu:
         if "chi" in spec.fields:
             idx = rng.randrange(len(self.chars))
             out["chi"] = self.chars[idx]
-            if "A" in spec.fields:
-                out["A"], out["rho"] = self._draw_piece(rng, idx)
+            if "rho" in spec.fields:
+                out["rho"] = self._draw_piece(rng, idx)
         if "chi1" in spec.fields:
             out["chi1"], out["chi2"] = self.char_pairs[
                 rng.randrange(len(self.char_pairs))]
@@ -715,7 +702,7 @@ class ParamMenu:
             vals[support[0]] = 1.0
         return FnTable(self.S, values=_frozen(vals))
 
-    def _draw_piece(self, rng, idx: int):
+    def _draw_piece(self, rng, idx: int) -> RhoFn:
         space = self.rho_spaces[idx]          # of the menu's parity
         small = (0j, 1 + 0j, -1 + 0j, 2 + 0j, 1j)
         for _ in range(40):
@@ -724,8 +711,7 @@ class ParamMenu:
                 break
         else:
             frees = [1] * space.dimension
-        return (zero_additive(self.S, self.chars[idx], space.parity),
-                space.instance(frees, self.S.n))
+        return space.instance(frees, self.S.n)
 
 
 def _pick(rng, pool):
@@ -764,7 +750,7 @@ def admissible_params(case: CaseId, S: FiniteSemigroup,
             if space.dimension > 0:
                 menu.rho_spaces[len(menu.chars)] = space
                 menu.chars.append(chi)
-        missing = f"no even character carries a non-zero {parity} A or rho"
+        missing = f"no even character carries a non-zero {parity} rho"
     else:                                   # "none" or "free-arbitrary"
         menu.free_arbitrary = kind == "free-arbitrary"
         missing = None

@@ -16,7 +16,7 @@ from addlaws.core import FiniteSemigroup, FnTable, cnum, fn, stable_json
 from addlaws.dsl import BUILTIN_EQUATIONS
 from addlaws.families import CaseId, CaseParams, admissible_params, \
     all_case_ids, construct
-from addlaws.examples import n3, z2, z2xz2, z3
+from addlaws.examples import m3, n3, z2, z2xz2, z3
 from addlaws.oracle import grid_solutions
 
 from helpers import TOL
@@ -29,9 +29,12 @@ ALPHA_EQS = ("alpha-sym", "alpha-skew")
 
 #: SHA-256 of the per-pair classify outcomes of
 #: test_classify_outcomes_byte_identical, recorded before the walks'
-#: character check moved into the classification session.
-CLASSIFY_OUTCOME_DIGEST = ("c425532ee0edc37dbf44d54cf4e1af62"
-                           "7503bc0f0a1dd2d087be16ed40413877")
+#: character check moved into the classification session and pinned again
+#: when finite piecewise hits stopped carrying A: each hit lost its A and
+#: each log its "rejected (A ...)" lines, and nothing else moved
+#: (CHANGES.md gives the per-record proof).
+CLASSIFY_OUTCOME_DIGEST = ("ea28a21686256f1f617976b5adb8c785"
+                           "04a8ad3d48eec0646eae7a6c64b54c7a")
 
 
 def test_linear_dependence_prefers_f_of_g():
@@ -199,6 +202,19 @@ def test_unclassified_diagnostics_have_full_dump(chars):
     assert set(d) >= {"equation", "reason", "f", "g", "equation_residual",
                       "attempts"}
     assert d["equation_residual"] <= TOL
+
+
+def test_piece_off_the_ideal_is_held_to_eps():
+    """A piecewise piece must vanish on S \\ I within EPS whatever tol is.
+    On M3 (chi = [1, 0, 0], P = {p}), f = rho + 1e-4 at the identity is a
+    solution of sine-add within tol 1e-3, but not sine-add/5: holding
+    S \\ I to tol would build it from rho alone and accept it."""
+    S = m3()
+    g = fn(S, [1, 0, 0], "g")
+    hit = classify("sine-add", fn(S, [0, 1, 0], "f"), g, S, tol=1e-3)
+    assert str(hit.case) == "sine-add/5"
+    out = classify("sine-add", fn(S, [1e-4, 1, 0], "f"), g, S, tol=1e-3)
+    assert isinstance(out, Unclassified)
 
 
 def test_sigma_override_rebuilds_the_carrier(chars):

@@ -105,11 +105,15 @@ def test_sigma_leaving_the_domain_is_an_error_line(capsys, tmp_path):
     params = tmp_path / "p.json"
     params.write_text(json.dumps({"chi": 2, "A": {"coeffs": []},
                                   "rho": {"free": []}}))
-    message = ("error: automorphism does not preserve S \\ I; "
-               "parity constraint needs an even character\n")
-    for argv in (["additive", "-s", str(path), "--char", "1"],
-                 ["construct", "-s", str(path), "-e", "sine-add",
-                  "--case", "5", "--params", str(params)]):
+    # A chi that sigma moves off S \ I is never even, so construct, which
+    # builds no A on a finite carrier, refuses it by the record's clause.
+    for argv, message in (
+            (["additive", "-s", str(path), "--char", "1"],
+             "error: automorphism does not preserve S \\ I; "
+             "parity constraint needs an even character\n"),
+            (["construct", "-s", str(path), "-e", "sine-add", "--case", "5",
+              "--params", str(params)],
+             "error: sine-add/5: chi* = chi fails for chi\n")):
         code = main(argv)
         out = capsys.readouterr()
         assert code == EXIT_FAIL and out.err == message, argv
@@ -131,6 +135,13 @@ def test_construct_piecewise_case_from_a_params_file(capsys, tmp_path):
     err = capsys.readouterr().err
     assert code == EXIT_FAIL
     assert "rho.free must give 1 value(s)" in err
+    # A is 0 on a finite carrier: no A coefficient is taken.
+    params.write_text(json.dumps({"chi": 0, "A": {"coeffs": [1]},
+                                  "rho": {"free": [1]}}))
+    code = main(argv)
+    assert code == EXIT_FAIL and capsys.readouterr().err == (
+        "error: A.coeffs must give 0 value(s) for this character's "
+        "additive basis\n")
 
 
 def test_construct_odd_piecewise_case_from_a_params_file(capsys, tmp_path):

@@ -84,6 +84,12 @@ def test_non_integer_entries_rejected(table, sigma, what):
         FiniteSemigroup("bad", ("e", "a"), table, sigma)
 
 
+def test_ragged_table_rejected():
+    # numpy's plain ValueError (an inhomogeneous shape) used to escape here.
+    with pytest.raises(SemigroupError, match="^table is ragged: "):
+        FiniteSemigroup("x", ["a", "b"], [[0, 1], [1]], [0, 1])
+
+
 def test_empty_carrier_rejected():
     with pytest.raises(SemigroupError, match="^empty element list$"):
         FiniteSemigroup("empty", (), [], [])

@@ -4,6 +4,7 @@ enforcement, parameter menus, and structural properties."""
 import dataclasses
 import hashlib
 import random
+import re
 
 import numpy as np
 import pytest
@@ -12,11 +13,10 @@ from addlaws.core import FiniteSemigroup, cnum, fn, stable_json
 from addlaws.dsl import BUILTIN_EQUATIONS
 from addlaws.families import (BRANCHES, CASE_COUNTS, CASES, CaseId,
                               CaseParams, ConstraintError, admissible_params,
-                              all_case_ids, construct, construct_rows,
-                              zero_additive)
+                              all_case_ids, construct, construct_rows)
 from addlaws.characters import (AdditiveFn, MultChar, RhoFn,
-                                enumerate_characters)
-from addlaws.examples import example1, m3, n3, z2, z3, z2xz2
+                                enumerate_characters, rho_space)
+from addlaws.examples import example1, m3, n3, np4, z2, z3, z2xz2
 from addlaws.oracle import fuzz_constructors
 
 from helpers import TOL, equation_residual
@@ -31,9 +31,12 @@ SET_CONSTANTS = [(case, const) for eq, specs in CASES.items()
 RATIO_CASES = {("cos-sub", 2), ("alpha-skew", 4), ("alpha-skew", 5)}
 
 #: SHA-256 of every menu, seeded draw, constructed table and fuzz report
-#: below, recorded before the per-case tables were folded into one registry.
-CASE_OUTPUT_DIGEST = ("84ebcb54cc3d6a9ffdf236e3c994411a"
-                      "41499cc2617bb69f1a4b0acd081b3efc")
+#: below, recorded before the per-case tables were folded into one registry
+#: and pinned again when finite piecewise cases stopped taking A: each
+#: record lost A's keys and the unavailable note its "A or ", and nothing
+#: else moved (CHANGES.md gives the per-record proof).
+CASE_OUTPUT_DIGEST = ("12145c7d5befedb29984aed3165ba145"
+                      "4ea103f034042d5e2e7b07a6da5705f5")
 
 
 def _param_record(params: CaseParams) -> dict:
@@ -224,10 +227,9 @@ def test_non_finite_constants_are_refused(case, name, params_fn, value,
 def test_nan_rho_is_refused():
     S = m3()
     chi = enumerate_characters(S)[0]            # [1, 0, 0], P = {p}
-    A = AdditiveFn(domain=frozenset({0}), values=np.zeros(3))
     rho = RhoFn(domain=frozenset({1}), values=np.array([0, np.nan, 0]))
     with pytest.raises(ConstraintError):
-        construct(CaseId("sine-add", 5), CaseParams(chi=chi, A=A, rho=rho), S)
+        construct(CaseId("sine-add", 5), CaseParams(chi=chi, rho=rho), S)
 
 
 def test_menu_availability(carriers, chars):
@@ -246,8 +248,8 @@ def test_menu_availability(carriers, chars):
     assert menu(CaseId("cos-sub", 6), "Z2xZ2").available
     assert not menu(CaseId("cos-sub", 6), "N3").available
 
-    # Piecewise families need a non-zero A or rho, which no bundled finite
-    # carrier supplies.
+    # Piecewise families need a non-zero rho (A is 0 on a finite carrier),
+    # which no bundled finite carrier supplies.
     for name in carriers:
         if name in ("M3", "NP4"):
             continue
@@ -328,14 +330,6 @@ def test_character_built_cases_are_abelian(carriers, chars):
                                 a = v[S.mul(S.mul(x, y), z)]
                                 b = v[S.mul(S.mul(x, z), y)]
                                 assert abs(a - b) <= TOL
-
-
-def test_additive_helpers(chars):
-    S = z2()
-    chi = chars["Z2"][1]
-    both = zero_additive(S, chi)
-    assert all(both(x) == 0 for x in range(S.n))
-    assert both.parity == "even" and both.domain == frozenset({0, 1})
 
 
 def test_cos_sine_g_piecewise_cases_on_a_windowed_carrier(ex1):
@@ -435,3 +429,38 @@ def test_construct_refuses_a_character_of_another_carrier():
     again = FiniteSemigroup(Z.name, Z.elements, Z.table, Z.sigma)
     f, g = construct(case, params, again)
     assert equation_residual("cos-sub", f, g, again) <= TOL
+
+
+def test_piecewise_fields_follow_the_carrier(ex1):
+    """A finite piecewise case takes (chi, rho), since A is 0 there; a
+    windowed one takes (chi, A, rho)."""
+    S = m3()
+    chi = enumerate_characters(S)[0]            # [1, 0, 0], P = {p}
+    rho = rho_space(chi, S).instance([1], S.n)
+    A = AdditiveFn(domain=frozenset({0}), values=np.zeros(3))
+    case = CaseId("sine-add", 5)
+    with pytest.raises(ConstraintError, match=re.escape(
+            "case sine-add/5 requires fields ['chi', 'rho'], "
+            "got ['A', 'chi', 'rho']")):
+        construct(case, CaseParams(chi=chi, A=A, rho=rho), S)
+    f, g = construct(case, CaseParams(chi=chi, rho=rho), S)
+    assert f.values.tolist() == [0, 1, 0] and g.values.tolist() == [1, 0, 0]
+    wrho = ex1.extras["rho_family"](1.0, "even")
+    with pytest.raises(ConstraintError, match=re.escape(
+            "case sine-add/5 requires fields ['A', 'chi', 'rho'], "
+            "got ['chi', 'rho']")):
+        construct(case, CaseParams(chi=ex1.extras["chi"], rho=wrho), ex1)
+
+
+@pytest.mark.parametrize("rho", [
+    # NP4's even rho (P = {p, q}) with free value 5: 4 entries on M3.
+    rho_space(enumerate_characters(np4())[0], np4()).instance([5], 4),
+    RhoFn(domain=frozenset({0, 1}), values=np.array([0, 5, 0])),
+], ids=["np4-rho", "domain-off-P"])
+def test_construct_refuses_a_rho_off_the_prime_part(rho):
+    # Without the clause the NP4 rho builds f = [0, 5, 0] on M3.
+    S = m3()
+    chi = enumerate_characters(S)[0]            # [1, 0, 0], P = {p}
+    with pytest.raises(ConstraintError, match=(
+            "^rho is not a function on the prime part of chi$")):
+        construct(CaseId("sine-add", 5), CaseParams(chi=chi, rho=rho), S)
