@@ -430,12 +430,9 @@ def check_condition_I(rho, chi, S) -> bool:
     for p in P:
         rp = rho(p)
         for u in non_ideal:
-            x = mul(u, p)
-            if not (in_P(x) and abs(rho(x) - rp * chi(u)) <= EPS):
-                return False
-            x = mul(p, u)
-            if not (in_P(x) and abs(rho(x) - rp * chi(u)) <= EPS):
-                return False
+            for x in (mul(u, p), mul(p, u)):
+                if not (in_P(x) and abs(rho(x) - rp * chi(u)) <= EPS):
+                    return False
         for u in non_ideal:
             for v in non_ideal:
                 x = mul(u, mul(p, v))

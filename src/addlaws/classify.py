@@ -226,6 +226,17 @@ def _dependence(f: np.ndarray, g: np.ndarray,
     return [v or DependenceVerdict("independent") for v in out]
 
 
+def _ratio_of(verdict: DependenceVerdict, kind: str,
+              tol: float) -> complex | None:
+    """lambda with f = lambda g (kind "f-of-g") or g = lambda f ("g-of-f"):
+    the verdict's coefficient c when it is of that kind, 1/c when it goes
+    the other way with |c| > tol, and None otherwise."""
+    c = verdict.coefficient
+    if verdict.kind != kind and c is not None:      # the other way round
+        return 1 / c if abs(c) > tol else None
+    return c
+
+
 def _match_char(chars, values: np.ndarray, tol: float) -> MultChar | None:
     for chi in chars:
         if float(np.max(np.abs(chi.values - values))) <= tol:
@@ -362,11 +373,7 @@ def _unit_c_rows(f, g, sq, tol):
 
 def _skew_c(verdict: DependenceVerdict, alpha: complex,
             tol: float) -> complex | None:
-    lam = None                               # g = lam f
-    if verdict.kind == "g-of-f":
-        lam = verdict.coefficient
-    elif verdict.kind == "f-of-g" and abs(verdict.coefficient) > tol:
-        lam = 1 / verdict.coefficient
+    lam = _ratio_of(verdict, "g-of-f", tol)
     if lam is not None and abs(lam) > tol and abs(1 - lam * alpha) > tol:
         return lam * alpha / (1 - lam * alpha)
     return None
@@ -418,23 +425,15 @@ class _Session:
                 yield c1, c2, fc, gc
 
     def character(self, h: np.ndarray, beta: complex) -> MultChar | None:
-        """The enumerated character equal to chi = beta h, when h satisfies
-        h(x sigma(y)) = beta h(x) h(y) and chi is non-zero, multiplicative
-        and even; None otherwise."""
-        S, tol, b = self.S, self.tol, complex(beta)
+        """The first enumerated even character within tol of beta h, or None
+        when beta h is zero within tol or matches none of them.  The
+        enumeration is the only character test: each candidate built from
+        the match is proved by rebuilding the pair (:meth:`attempt`)."""
+        tol, b = self.tol, complex(beta)
         if abs(b) <= tol:
             raise ValueError("beta must be non-zero")
-        lhs = h[S.table[:, S.sigma]]
-        if float(np.max(np.abs(lhs - b * np.outer(h, h)))) > tol:
-            return None
         v = b * h
-        if np.all(np.abs(v) <= tol):
-            return None
-        if float(np.max(np.abs(v[S.table] - np.outer(v, v)))) > tol:
-            return None
-        if not np.all(np.abs(v[S.sigma] - v) <= tol):
-            return None
-        return _match_char(self.chars, v, tol)
+        return None if _is_zero(v, tol) else _match_char(self.evens, v, tol)
 
     def candidates(self, walk):
         """The walk's candidate stream: the leading steps of
@@ -501,11 +500,7 @@ def _classify_cos_sub(s: _Session):
     if cs:
         yield CaseId("cos-sub", 2), CaseParams(free=g, c=cs[0])
     verdict = linear_dependence(f, g, tol)
-    lam = None                               # f = lam g
-    if verdict.kind == "f-of-g":
-        lam = verdict.coefficient
-    elif verdict.kind == "g-of-f" and abs(verdict.coefficient) > tol:
-        lam = 1 / verdict.coefficient
+    lam = _ratio_of(verdict, "f-of-g", tol)
     if lam is not None and min(abs(lam - 1j), abs(lam + 1j)) > tol:
         chi = s.character(gv, 1 + lam * lam)
         if chi is not None:
@@ -542,12 +537,8 @@ def _classify_sine_add(s: _Session):
     f, g, S, tol = s.f, s.g, s.S, s.tol
     fv, gv = f.values, g.values
     verdict = linear_dependence(f, g, tol)
-    lam = None
-    if verdict.kind == "f-of-g" and abs(verdict.coefficient) > tol:
-        lam = verdict.coefficient            # f = lam g
-    elif verdict.kind == "g-of-f" and abs(verdict.coefficient) > tol:
-        lam = 1 / verdict.coefficient
-    if lam is not None:
+    lam = _ratio_of(verdict, "f-of-g", tol)
+    if lam is not None and abs(verdict.coefficient) > tol:
         chi = s.character(gv, 2)
         if chi is not None:
             yield CaseId("sine-add", 3), CaseParams(chi=chi, alpha=1 / lam)
@@ -570,11 +561,7 @@ def _classify_cos_sine_g(s: _Session):
     f, g, S, tol = s.f, s.g, s.S, s.tol
     fv, gv = f.values, g.values
     verdict = linear_dependence(f, g, tol)
-    lam = None
-    if verdict.kind == "f-of-g":
-        lam = verdict.coefficient            # f = lam g, g != 0
-    elif verdict.kind == "g-of-f" and abs(verdict.coefficient) > tol:
-        lam = 1 / verdict.coefficient
+    lam = _ratio_of(verdict, "f-of-g", tol)
     if lam is not None and abs(2 * lam - 1) > tol:
         beta = lam / (2 * lam - 1)
         if abs(beta) > tol:

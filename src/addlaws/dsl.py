@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import unicodedata
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +39,8 @@ import numpy as np
 from .core import FiniteSemigroup, FnTable
 
 MAX_RATIONAL = 10 ** 6
+#: The deepest nesting of s(...) that a word may have.
+MAX_NESTING = 100
 
 FUNCTIONS = ("f", "g", "h")
 VARIABLES = ("x", "y", "z")
@@ -109,9 +112,9 @@ def _lex(text: str) -> list[tuple[str, str, int]]:
         if ch.isspace():
             k += 1
             continue
-        if ch.isdigit():
+        if ch.isdecimal():
             start = k
-            while k < len(text) and text[k].isdigit():
+            while k < len(text) and text[k].isdecimal():
                 k += 1
             tokens.append(("NUM", text[start:k], start))
             continue
@@ -126,6 +129,15 @@ def _lex(text: str) -> list[tuple[str, str, int]]:
         raise EquationSyntaxError(f"unexpected character {ch!r}", k)
     tokens.append(("END", "", len(text)))
     return tokens
+
+
+def _numeral(digits: str, pos: int) -> int:
+    """A run of decimal digits as an int, refused as out of range before
+    int() reads more digits than MAX_RATIONAL has (leading zeros aside)."""
+    digits = "".join(str(unicodedata.decimal(d)) for d in digits).lstrip("0")
+    if len(digits) > len(str(MAX_RATIONAL)):
+        raise EquationSyntaxError("rational out of range", pos)
+    return int(digits or "0")
 
 
 class _Parser:
@@ -169,12 +181,12 @@ class _Parser:
         kind, value, pos = self.peek()
         if kind == "NUM":
             self.advance()
-            num = int(value)
+            num = _numeral(value, pos)
             den = 1
             if self.peek()[0] == "/":
                 self.advance()
                 dtok = self.expect("NUM", "denominator")
-                den = int(dtok[1])
+                den = _numeral(dtok[1], pos)
                 if den == 0:
                     raise EquationSyntaxError("zero denominator", dtok[2])
             if num > MAX_RATIONAL or den > MAX_RATIONAL:
@@ -201,7 +213,7 @@ class _Parser:
         self.expect(")", "')'")
         return App(value, word)
 
-    def parse_word(self) -> Word:
+    def parse_word(self, depth: int = 0) -> Word:
         atoms = []
         while True:
             kind, value, pos = self.peek()
@@ -209,9 +221,11 @@ class _Parser:
                 self.advance()
                 atoms.append(Var(value))
             elif kind == "LETTER" and value == "s":
+                if depth == MAX_NESTING:
+                    raise EquationSyntaxError("s(...) nested too deep", pos)
                 self.advance()
                 self.expect("(", "'(' after s")
-                inner = self.parse_word()
+                inner = self.parse_word(depth + 1)
                 self.expect(")", "')'")
                 atoms.append(Sig(inner))
             else:

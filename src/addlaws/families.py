@@ -409,7 +409,7 @@ def _sine_piece(S, params: CaseParams, parity: str = "even") -> FnTable:
     _require(check_condition_I(params.rho, chi, S), "condition (I) fails")
     piece = _piece(S, chi, 0, 1, params.A, 1, params.rho)
     _require(not all(abs(piece(x)) <= EPS for x in S.window),
-             "A and rho both vanish")
+             "rho vanishes" if params.A is None else "A and rho both vanish")
     _require(check_condition_II(piece, chi, S), "condition (II) fails")
     return piece
 

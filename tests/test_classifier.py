@@ -147,6 +147,19 @@ def test_a_hit_ends_the_candidate_stream(chars, monkeypatch):
     assert calls == {"construct": 1, "_extract_piece": 0}
 
 
+@pytest.mark.parametrize("beta", [1, 2, 1 + 1j])
+def test_character_looks_only_among_even_characters(chars, beta):
+    """_Session.character(chi / beta, beta) gives back each even character
+    of Z2xZ2 and None for each of its two non-even ones."""
+    S = z2xz2()
+    zero = fn(S, [0, 0, 0, 0], "f")
+    session = classify_mod._Session("cos-sub", zero, zero, S, chars["Z2xZ2"],
+                                    TOL)
+    for chi in chars["Z2xZ2"]:
+        found = session.character(chi.values / beta, beta)
+        assert found is (chi if chi.even else None)
+
+
 def test_classify_rejects_non_solutions():
     S = z2()
     with pytest.raises(NotASolutionError, match="does not solve"):

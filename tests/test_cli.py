@@ -86,6 +86,16 @@ def test_check_refuses_a_function_the_pair_file_does_not_bind(capsys,
                        "uses h\n")
 
 
+def test_check_reports_a_non_decimal_digit_at_its_position(capsys,
+                                                          tmp_path):
+    fg = write_pair(tmp_path, "fg.json",
+                    {"e": [0, 0], "a": [0, 0]}, {"e": [1, 0], "a": [1, 0]})
+    code = main(["check", "-s", "Z2", "-e", "f(x) = ²*f(x)", "--fn", fg])
+    out = capsys.readouterr()
+    assert code == EXIT_FAIL and out.out == ""
+    assert out.err == "error: unexpected character '²' (at position 7)\n"
+
+
 def test_chars_lists_both_z2_characters(capsys):
     code, payload, out = run(capsys, "chars", "-s", "Z2")
     assert code == EXIT_OK

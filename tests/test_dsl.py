@@ -66,6 +66,15 @@ def test_fuzzed_round_trips():
     ("f(x) = g(x) extra", "unexpected character", 12),
     ("2000000/3*f(x) = g(x)", "rational out of range", 0),
     ("", "expected function symbol", 0),
+    # '²' is a digit to str.isdigit but not a decimal that int() reads.
+    pytest.param("f(x) = ²*f(x)", "unexpected character '²'", 7,
+                 id="superscript-digit"),
+    # Past Python's int-string limit, and past the parser's recursion.
+    pytest.param("1" * 5000 + "*f(x) = f(x)", "rational out of range", 0,
+                 id="5000-digit-numeral"),
+    pytest.param("f(" + "s(" * 2000 + "x" + ")" * 2001 + " = f(x)",
+                 "s(...) nested too deep", 2 + 2 * dsl.MAX_NESTING,
+                 id="s-nested-2000-deep"),
 ])
 def test_malformed_input_reports_position(text, fragment, position):
     with pytest.raises(EquationSyntaxError) as err:
@@ -73,6 +82,15 @@ def test_malformed_input_reports_position(text, fragment, position):
     assert fragment in str(err.value)
     assert err.value.position == position
     assert f"position {position}" in str(err.value)
+
+
+def test_numerals_read_any_decimal_script_and_leading_zeros():
+    three = parse_equation("3*f(x) = f(x)")
+    assert parse_equation("٣*f(x) = f(x)") == three
+    assert parse_equation("0" * 5000 + "3*f(x) = f(x)") == three
+    deepest = ("f(" + "s(" * dsl.MAX_NESTING + "x" + ")" * dsl.MAX_NESTING
+               + ") = f(x)")
+    assert print_equation(parse_equation(deepest)) == deepest
 
 
 def test_nested_sigma_and_coefficients_round_trip():

@@ -452,6 +452,22 @@ def test_piecewise_fields_follow_the_carrier(ex1):
         construct(case, CaseParams(chi=ex1.extras["chi"], rho=wrho), ex1)
 
 
+def test_a_zero_piece_names_the_carrier_fields():
+    """A finite piecewise case takes no A, so its zero piece is a zero rho;
+    a windowed one still names both."""
+    S = m3()
+    chi = enumerate_characters(S)[0]            # [1, 0, 0], P = {p}
+    zero = rho_space(chi, S).instance([0], S.n)
+    with pytest.raises(ConstraintError, match="^rho vanishes$"):
+        construct(CaseId("sine-add", 5), CaseParams(chi=chi, rho=zero), S)
+    W = example1(window_max=30)
+    params = CaseParams(chi=W.extras["chi"],
+                        A=W.extras["additive_family"]({}),
+                        rho=W.extras["rho_family"](0.0))
+    with pytest.raises(ConstraintError, match="^A and rho both vanish$"):
+        construct(CaseId("sine-add", 5), params, W)
+
+
 @pytest.mark.parametrize("rho", [
     # NP4's even rho (P = {p, q}) with free value 5: 4 entries on M3.
     rho_space(enumerate_characters(np4())[0], np4()).instance([5], 4),
