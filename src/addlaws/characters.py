@@ -313,6 +313,14 @@ def additive_residual(A: AdditiveFn, S, pairs: Iterable) -> float:
                   if in_domain(x) and in_domain(y))
 
 
+def character_residuals(chi, S, pairs: Iterable) -> tuple[float, float]:
+    """max |chi(xy) - chi(x) chi(y)| over the given pairs and max
+    |chi(sigma x) - chi(x)| over the window; each NaN if any term is NaN."""
+    mul, sig = S.mul, S.sig
+    return (_worst(abs(chi(mul(x, y)) - chi(x) * chi(y)) for x, y in pairs),
+            _worst(abs(chi(sig(x)) - chi(x)) for x in S.window))
+
+
 @dataclass
 class RhoOrbit:
     """One orbit of P under translations and the automorphism.

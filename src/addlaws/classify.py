@@ -44,8 +44,8 @@ from .characters import (MultChar, RhoFn, conjugate_representatives,
 from .core import (EPS, FiniteSemigroup, FnTable, cnum, square_set,
                    validate_tolerance)
 from .dsl import builtin, evaluate_residual, residual_rows
-from .families import (CASES, CaseId, CaseParams, ConstraintError, construct,
-                       construct_rows)
+from .families import (ALPHA_EQUATIONS, CASES, CaseId, CaseParams,
+                       ConstraintError, construct, construct_rows)
 
 
 class NotASolutionError(ValueError):
@@ -237,13 +237,6 @@ def _ratio_of(verdict: DependenceVerdict, kind: str,
     return c
 
 
-def _match_char(chars, values: np.ndarray, tol: float) -> MultChar | None:
-    for chi in chars:
-        if float(np.max(np.abs(chi.values - values))) <= tol:
-            return chi
-    return None
-
-
 def _extract_piece(S: FiniteSemigroup, chi: MultChar, piece: np.ndarray,
                    parity: str, tol: float) -> CaseParams | None:
     """The parameters (chi, rho) of a table chi A | 0 | rho (on S \\ I,
@@ -424,16 +417,24 @@ class _Session:
             if fc is not None and gc is not None:
                 yield c1, c2, fc, gc
 
+    def matching(self, chars, v: np.ndarray):
+        """The characters of `chars` within tol of the table v, in order.
+        This is the walks' only character test: each candidate built from
+        a match is proved by rebuilding the pair (:meth:`attempt`)."""
+        for chi in chars:
+            if float(np.max(np.abs(v - chi.values))) <= self.tol:
+                yield chi
+
     def character(self, h: np.ndarray, beta: complex) -> MultChar | None:
         """The first enumerated even character within tol of beta h, or None
-        when beta h is zero within tol or matches none of them.  The
-        enumeration is the only character test: each candidate built from
-        the match is proved by rebuilding the pair (:meth:`attempt`)."""
+        when beta h is zero within tol or matches none of them."""
         tol, b = self.tol, complex(beta)
         if abs(b) <= tol:
             raise ValueError("beta must be non-zero")
         v = b * h
-        return None if _is_zero(v, tol) else _match_char(self.evens, v, tol)
+        if _is_zero(v, tol):
+            return None
+        return next(self.matching(self.evens, v), None)
 
     def candidates(self, walk):
         """The walk's candidate stream: the leading steps of
@@ -549,9 +550,7 @@ def _classify_sine_add(s: _Session):
             c = fc[0]
             if abs(c) > tol and abs(fc[1] + c) <= tol:
                 yield CaseId("sine-add", 4), CaseParams(chi1=c1, chi2=c2, c=c)
-    for chi in s.evens:
-        if np.max(np.abs(gv - chi.values)) > tol:
-            continue
+    for chi in s.matching(s.evens, gv):
         p = _extract_piece(S, chi, fv, "even", tol)
         if p is not None:
             yield CaseId("sine-add", 5), p
@@ -577,20 +576,15 @@ def _classify_cos_sine_g(s: _Session):
                 yield (CaseId("cos-sine-g", 5),
                        CaseParams(chi1=c1, chi2=c2, c1=w))
     # case 8: g is a non-even character and f averages it with its dual.
-    for chi in s.nonevens:
-        if np.max(np.abs(gv - chi.values)) <= tol:
-            yield CaseId("cos-sine-g", 8, "chi"), CaseParams(chi=chi)
+    for chi in s.matching(s.nonevens, gv):
+        yield CaseId("cos-sine-g", 8, "chi"), CaseParams(chi=chi)
     # case 7: g itself is an even character, f = chi + (0 | 0 | rho).
-    for chi in s.evens:
-        if np.max(np.abs(gv - chi.values)) > tol:
-            continue
+    for chi in s.matching(s.evens, gv):
         p = _extract_piece(S, chi, fv - chi.values, "even", tol)
         if p is not None:
             yield CaseId("cos-sine-g", 7), p
     # case 6: 2f - g is an even character, g = chi + (0 | 0 | rho).
-    for chi in s.evens:
-        if np.max(np.abs(2 * fv - gv - chi.values)) > tol:
-            continue
+    for chi in s.matching(s.evens, 2 * fv - gv):
         p = _extract_piece(S, chi, gv - chi.values, "even", tol)
         if p is not None:
             yield CaseId("cos-sine-g", 6), p
@@ -663,6 +657,30 @@ def _extract_alpha(equation: str, f: FnTable, g: FnTable,
     return complex(np.vdot(gxy, target) / den)
 
 
+def _checked_binding(equation: str, f, g, S, tol: float, alpha,
+                     fit: bool = False) -> dict:
+    """The residual binding of (f, g), after refusing what :func:`classify`
+    refuses, in its order: a carrier that is not finite (TypeError), an
+    unknown equation id (KeyError), a tolerance that is negative or not
+    finite, and an alpha within tol of 0 (ValueError).  With `fit`, an
+    alpha equation's missing alpha is recovered by :func:`_extract_alpha`.
+    The binding holds alpha as "a" for the alpha equations only."""
+    if not isinstance(S, FiniteSemigroup):
+        raise TypeError("classification runs on finite semigroups only; "
+                        "windowed carriers use construct-then-compare")
+    if equation not in _WALKS:
+        raise KeyError(f"unknown equation id {equation!r}")
+    validate_tolerance(tol)
+    binding = {"f": f, "g": g}
+    if equation in ALPHA_EQUATIONS and (alpha is not None or fit):
+        if alpha is None:
+            alpha = _extract_alpha(equation, f, g, S, tol)
+        if abs(complex(alpha)) <= tol:
+            raise ValueError("alpha must be non-zero")
+        binding["a"] = complex(alpha)
+    return binding
+
+
 def _attempt_rows(case: CaseId, F: np.ndarray, G: np.ndarray,
                   S: FiniteSemigroup, params: CaseParams,
                   tol: float) -> np.ndarray:
@@ -692,13 +710,11 @@ def classify_rows(equation: str, F: np.ndarray, G: np.ndarray,
     `classify`: no mask applies, or one applies and its attempt misses,
     which the walk logs.  The alpha equations need `alpha`; `chars` is the
     enumerate_characters list, worked out here when alpha-skew needs it
-    and it is not given.  Raises ValueError for a tolerance that is
-    negative or not finite.
+    and it is not given.  Input that `classify` refuses is refused here
+    with the same error.
     """
-    validate_tolerance(tol)
-    binding = {"f": F, "g": G}
-    if alpha is not None:
-        binding["a"] = complex(alpha)
+    binding = _checked_binding(equation, F, G, S, tol, alpha)
+    alpha = binding.get("a")
     residual = residual_rows(builtin(equation), binding, S)
     bad = np.flatnonzero(~(residual <= tol))
     if bad.size:
@@ -706,7 +722,7 @@ def classify_rows(equation: str, F: np.ndarray, G: np.ndarray,
     sq = sorted(square_set(S))
     walk, Fw = equation, F
     if equation == "alpha-sym":            # the walk of reduce_alpha_sym
-        walk, Fw = "cos-sine-g", (G - F / complex(alpha)) / 2
+        walk, Fw = "cos-sine-g", (G - F / alpha) / 2
     case = np.zeros(len(F), dtype=np.intp)
     open_rows = np.ones(len(F), dtype=bool)
 
@@ -740,12 +756,11 @@ def classify_rows(equation: str, F: np.ndarray, G: np.ndarray,
         settle(CaseId("cos-sub", 2), at[rows],
                CaseParams(free=G[at[rows]], c=cs))
     elif walk == "alpha-skew":
-        a = complex(alpha)
         at = np.flatnonzero(open_rows)
-        rows, cs = _skew_c_rows(F[at], G[at], a, tol)
+        rows, cs = _skew_c_rows(F[at], G[at], alpha, tol)
         settle(CaseId("alpha-skew", 4), at[rows],
-               CaseParams(alpha=a, free=F[at[rows]], c=cs))
-        Fs = F / a - G
+               CaseParams(alpha=alpha, free=F[at[rows]], c=cs))
+        Fs = F / alpha - G
         if chars is None:
             chars = enumerate_characters(S)
         for chi in conjugate_representatives(tuple(chars)):
@@ -754,7 +769,7 @@ def classify_rows(equation: str, F: np.ndarray, G: np.ndarray,
             if cs:
                 c1, c2 = zip(*cs)
                 settle(CaseId("alpha-skew", 5), at[rows],
-                       CaseParams(alpha=a, chi=chi, c1=c1, c2=c2))
+                       CaseParams(alpha=alpha, chi=chi, c1=c1, c2=c2))
     return case
 
 
@@ -767,24 +782,10 @@ def classify(equation: str, f: FnTable, g: FnTable, S: FiniteSemigroup,
     precomputed enumerate_characters list to share across many calls.
     Raises ValueError for a tolerance that is negative or not finite.
     """
-    if not isinstance(S, FiniteSemigroup):
-        raise TypeError("classification runs on finite semigroups only; "
-                        "windowed carriers use construct-then-compare")
-    if equation not in _WALKS:
-        raise KeyError(f"unknown equation id {equation!r}")
-    validate_tolerance(tol)
-
-    binding = {"f": f, "g": g}
-    if equation in ("alpha-sym", "alpha-skew"):
-        if alpha is None:
-            alpha = _extract_alpha(equation, f, g, S, tol)
-        if abs(complex(alpha)) <= tol:
-            raise ValueError("alpha must be non-zero")
-        binding["a"] = complex(alpha)
+    binding = _checked_binding(equation, f, g, S, tol, alpha, fit=True)
     residual = evaluate_residual(builtin(equation), binding, S)
     if not residual <= tol:                 # a NaN residual is no solution
         raise _not_a_solution(equation, residual)
-
     if chars is None:
         chars = enumerate_characters(S)
     session = _Session(equation, f, g, S, chars, tol, binding.get("a"))

@@ -26,8 +26,9 @@ import sys
 from pathlib import Path
 
 from .characters import (additive_basis, additive_residual,
-                         check_condition_I, check_condition_II,
-                         enumerate_characters, parity_residual, rho_space)
+                         character_residuals, check_condition_I,
+                         check_condition_II, enumerate_characters,
+                         parity_residual, rho_space)
 from .classify import (NotASolutionError, Unclassified, classify)
 from .core import (EPS, FiniteSemigroup, FnTable, SemigroupError, cnum,
                    load_semigroup, stable_json, validate_tolerance)
@@ -127,13 +128,18 @@ def _emit(args, payload: dict, lines) -> None:
     text = stable_json(payload)
     if args.output:
         Path(args.output).write_text(text + "\n", encoding="utf-8")
-        for line in lines:
-            print(line)
-        print(f"wrote {args.output}")
-    else:
-        for line in lines:
-            print(line)
-        print(text)
+    for line in lines:
+        print(line)
+    print(f"wrote {args.output}" if args.output else text)
+
+
+def _builtin_id(equation: str, refusal: str) -> str:
+    """`equation` if it is a built-in id; else a CliError that reads
+    "<refusal> (<the ids>), got <equation>"."""
+    if equation not in CASE_COUNTS:
+        known = ", ".join(sorted(CASE_COUNTS))
+        raise CliError(f"{refusal} ({known}), got {equation!r}")
+    return equation
 
 
 def _char_payload(S: FiniteSemigroup, chars) -> list[dict]:
@@ -289,10 +295,7 @@ def _params_from_file(S: FiniteSemigroup, case: CaseId, path: str,
 
 def _cmd_construct(args) -> int:
     S = _finite(_resolve_semigroup(args.semigroup))
-    if args.equation not in CASE_COUNTS:
-        known = ", ".join(sorted(CASE_COUNTS))
-        raise CliError(f"construct needs a built-in equation id "
-                       f"({known}), got {args.equation!r}")
+    _builtin_id(args.equation, "construct needs a built-in equation id")
     try:
         case = CaseId(args.equation, args.case, args.branch)
     except ValueError as exc:
@@ -316,10 +319,7 @@ def _cmd_construct(args) -> int:
 
 def _cmd_classify(args) -> int:
     S = _finite(_resolve_semigroup(args.semigroup))
-    if args.equation not in CASE_COUNTS:
-        known = ", ".join(sorted(CASE_COUNTS))
-        raise CliError(f"classification covers the built-in ids ({known}), "
-                       f"got {args.equation!r}")
+    _builtin_id(args.equation, "classification covers the built-in ids")
     f, g = _read_pair(S, args.fn)
     alpha = None if args.alpha is None else _as_complex(args.alpha, "alpha")
     try:
@@ -346,11 +346,10 @@ def _parse_alphabet(text: str | None):
 
 def _cmd_oracle(args) -> int:
     S = _finite(_resolve_semigroup(args.semigroup))
-    equations = [args.equation] if args.equation else None
-    if args.equation and args.equation not in CASE_COUNTS:
-        known = ", ".join(sorted(CASE_COUNTS))
-        raise CliError(f"oracle scans the built-in ids ({known}), "
-                       f"got {args.equation!r}")
+    equations = None
+    if args.equation:
+        equations = [_builtin_id(args.equation,
+                                 "oracle scans the built-in ids")]
     alpha = 1.0 if args.alpha is None else _as_complex(args.alpha, "alpha")
     report = coverage_report(
         S, alphabet=_parse_alphabet(args.alphabet), alpha=alpha,
@@ -372,15 +371,11 @@ def _example1_report(args) -> dict:
     from .examples import example1
     W = example1(window_max=args.window)
     chi = W.extras["chi"]
-    mul, sig, win = W.mul, W.sig, W.window
-
-    chi_mult = max(abs(chi(mul(x, y)) - chi(x) * chi(y))
-                   for x in win for y in win)
-    chi_even = max(abs(chi(sig(x)) - chi(x)) for x in win)
+    rng_pairs = [(x, y) for x in W.window for y in W.window]
+    chi_mult, chi_even = character_residuals(chi, W, rng_pairs)
 
     primes = W.extras["primes"]
     A = W.extras["additive_family"]({r: 1 for r in primes[:4]})
-    rng_pairs = [(x, y) for x in win for y in win]
     a_res = additive_residual(A, W, rng_pairs)
     a_even = parity_residual(A, W)
 
@@ -415,14 +410,11 @@ def _example2_report(args) -> dict:
     W = example2()
     chars = W.extras["chars"]
     pairs = W.extras["sample_pairs"](args.pairs, args.seed)
-    mul, sig = W.mul, W.sig
 
     char_block = {}
     chars_ok = True
     for name, chi in chars.items():
-        mult = max(abs(chi(mul(u, v)) - chi(u) * chi(v))
-                   for u, v in pairs)
-        even = max(abs(chi(sig(u)) - chi(u)) for u in W.window)
+        mult, even = character_residuals(chi, W, pairs)
         chars_ok = chars_ok and mult <= args.tol and even <= args.tol
         char_block[name] = {"multiplicative_residual": mult,
                             "even_residual": even}

@@ -23,6 +23,10 @@ import numpy as np
 #: complex values in this package uses it.
 EPS = 1e-9
 
+#: Associativity triples a windowed carrier checks when its window has more
+#: triples than this (fewer are all checked).
+TRIPLE_SAMPLES = 10_000
+
 
 def stable_json(obj) -> str:
     """Serialize deterministically (sorted keys, no whitespace jitter)."""
@@ -224,19 +228,18 @@ class WindowedSemigroup:
     computable maps on the carrier, whose elements are hashable.
     Construction validates sig's involutivity and multiplicativity on all
     window pairs, and associativity on every window triple when there are
-    at most `triple_samples` of them, else on `triple_samples` triples
-    drawn with seed 0 (a full check would be cubic in the window size).
+    at most :data:`TRIPLE_SAMPLES` of them, else on that many triples drawn
+    with seed 0 (a full check would be cubic in the window size).
     ``kernels`` memoizes the equations compiled on this carrier by
     :func:`addlaws.dsl.evaluate_residual`, as on a finite one.
     """
 
     def __init__(self, name: str, mul: Callable, sig: Callable,
-                 window: Sequence, triple_samples: int = 10_000):
+                 window: Sequence):
         self.name = name
         self.mul = mul
         self.sig = sig
         self.window = tuple(window)
-        self.triple_samples = triple_samples
         self.extras: dict = {}
         self.kernels: dict = {}
         self.validate()
@@ -257,12 +260,12 @@ class WindowedSemigroup:
                     raise SemigroupError(
                         f"sigma is not multiplicative at ({x!r}, {y!r})")
         w = self.window
-        if len(w) ** 3 <= self.triple_samples:
+        if len(w) ** 3 <= TRIPLE_SAMPLES:
             triples = itertools.product(w, repeat=3)
         else:
             rng = random.Random(0)
             triples = ((rng.choice(w), rng.choice(w), rng.choice(w))
-                       for _ in range(self.triple_samples))
+                       for _ in range(TRIPLE_SAMPLES))
         for x, y, z in triples:
             if mul(mul(x, y), z) != mul(x, mul(y, z)):
                 raise SemigroupError(
@@ -354,11 +357,11 @@ class FnTable:
         return cls(S, values=values)
 
 
-def fn(S, values_or_formula, label: str = "") -> FnTable:
+def fn(S, values_or_formula) -> FnTable:
     """Wrap raw values (finite) or a callable (windowed) as an FnTable."""
     if callable(values_or_formula):
-        return FnTable(S, formula=values_or_formula, label=label)
-    return FnTable(S, values=values_or_formula, label=label)
+        return FnTable(S, formula=values_or_formula)
+    return FnTable(S, values=values_or_formula)
 
 
 def even_odd_parts(f: FnTable) -> tuple[FnTable, FnTable]:

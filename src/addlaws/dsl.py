@@ -300,15 +300,12 @@ def equation_symbols(ast: Equation) -> tuple[set, set, bool]:
     return funcs, varset, uses_a
 
 
-def coeff_value(coeff: Coeff | None, binding: dict) -> complex:
-    if coeff is None:
-        return 1.0 + 0j
+def coeff_value(coeff: Coeff, binding: dict) -> complex:
+    """A term's coefficient; :func:`_check_binding` has made sure of 'a'."""
     if coeff.kind == "rational":
         return complex(coeff.num / coeff.den)
     if coeff.kind == "i":
         return 1j
-    if "a" not in binding:
-        raise KeyError("unbound constant 'a'")
     return complex(binding["a"])
 
 

@@ -201,8 +201,7 @@ def example2() -> WindowedSemigroup:
     def sig(u):
         return (u[1], u[0])
 
-    W = WindowedSemigroup("Example2", mul=mul, sig=sig,
-                          window=window, triple_samples=2000)
+    W = WindowedSemigroup("Example2", mul=mul, sig=sig, window=window)
 
     def on_axes(u) -> bool:
         return u[0] == 0.0 or u[1] == 0.0

@@ -44,9 +44,10 @@ from .core import EPS, FiniteSemigroup, FnTable, square_set
 SAMPLE_POOL = (1 + 0j, -1 + 0j, 2 + 0j, -2 + 0j, 0.5 + 0j, -0.5 + 0j,
                1j, -1j, 1 + 1j, 1 - 1j)
 
-#: Value pool for random free-function draws (the default oracle alphabet).
-FREE_VALUE_POOL = (0j, 1 + 0j, -1 + 0j, 1j, -1j, 0.5 + 0j, -0.5 + 0j,
-                   2 + 0j, -2 + 0j)
+#: Grid alphabet of the oracle's acceptance runs (zero, the units, the
+#: square roots of -1, and the half/double ring), and the value pool of
+#: random free-function draws.
+DEFAULT_ALPHABET = (0, 1, -1, 1j, -1j, 0.5, -0.5, 2, -2)
 
 #: How a constant's set is written in clauses.
 _SHOWN = {0.5: "1/2", 1j: "i", -1j: "-i"}
@@ -696,7 +697,7 @@ class ParamMenu:
         support = (tuple(range(self.S.n)) if self.free_arbitrary
                    else self.free_support)
         for i in support:
-            vals[i] = _pick(rng, FREE_VALUE_POOL)
+            vals[i] = _pick(rng, DEFAULT_ALPHABET)
         if not self.free_arbitrary and support and \
                 float(np.max(np.abs(vals))) <= EPS:
             vals[support[0]] = 1.0

@@ -44,12 +44,8 @@ from .core import (EPS, FiniteSemigroup, FnTable, cnum, read_only,
                    validate_tolerance)
 from .dsl import builtin, evaluate_residual
 from .examples import bundled_finite
-from .families import (ALPHA_EQUATIONS, EQUATION_IDS, CaseId,
-                       admissible_params, all_case_ids, construct)
-
-#: Grid alphabet used throughout the acceptance runs: zero, the units,
-#: the square roots of -1, and the half/double ring.
-DEFAULT_ALPHABET = (0, 1, -1, 1j, -1j, 0.5, -0.5, 2, -2)
+from .families import (ALPHA_EQUATIONS, DEFAULT_ALPHABET, EQUATION_IDS,
+                       CaseId, admissible_params, all_case_ids, construct)
 
 PAIR_BUDGET = 10 ** 8
 

@@ -39,11 +39,11 @@ CLASSIFY_OUTCOME_DIGEST = ("ea28a21686256f1f617976b5adb8c785"
 
 def test_linear_dependence_prefers_f_of_g():
     S = z2()
-    v = linear_dependence(fn(S, [2, 4], "f"), fn(S, [1, 2], "g"))
+    v = linear_dependence(fn(S, [2, 4]), fn(S, [1, 2]))
     assert v.kind == "f-of-g" and abs(v.coefficient - 2) <= TOL
-    v = linear_dependence(fn(S, [0, 2], "f"), fn(S, [1, 0], "g"))
+    v = linear_dependence(fn(S, [0, 2]), fn(S, [1, 0]))
     assert v.kind == "independent" and v.coefficient is None
-    v = linear_dependence(fn(S, [0, 0], "f"), fn(S, [0, 0], "g"))
+    v = linear_dependence(fn(S, [0, 0]), fn(S, [0, 0]))
     assert v.kind == "both-zero"
 
 
@@ -97,7 +97,7 @@ def test_stacked_dependence_equals_linear_dependence_row_by_row():
     f[2::7] = 0
     f[3::11] = g[3::11] = 0
     got = classify_mod._dependence(f, g, TOL)
-    want = [linear_dependence(fn(S, a, "f"), fn(S, b, "g"))
+    want = [linear_dependence(fn(S, a), fn(S, b))
             for a, b in zip(f, g)]
     assert got == want
     assert {v.kind for v in got} == {"both-zero", "f-of-g", "g-of-f",
@@ -106,8 +106,8 @@ def test_stacked_dependence_equals_linear_dependence_row_by_row():
 
 def test_classify_degenerate_pair_on_null_carrier():
     S = n3()
-    g = fn(S, [0, 1, 1], "g")
-    f = fn(S, [0, 1j, 1j], "f")
+    g = fn(S, [0, 1, 1])
+    f = fn(S, [0, 1j, 1j])
     hit = classify("cos-sub", f, g, S)
     assert isinstance(hit, ClassifiedSolution)
     assert hit.case == CaseId("cos-sub", 2)
@@ -118,10 +118,10 @@ def test_classify_degenerate_pair_on_null_carrier():
 def test_classify_single_character_scalings(chars):
     S = z2()
     one = chars["Z2"][1]
-    hit = classify("cos-sine-g", fn(S, [1, 1], "f"), fn(S, [1, 1], "g"), S)
+    hit = classify("cos-sine-g", fn(S, [1, 1]), fn(S, [1, 1]), S)
     assert hit.case == CaseId("cos-sine-g", 4)
     assert abs(hit.params.beta - 1.0) <= TOL
-    hit = classify("alpha-skew", fn(S, [1, -1], "f"), fn(S, [1, -1], "g"), S,
+    hit = classify("alpha-skew", fn(S, [1, -1]), fn(S, [1, -1]), S,
                    alpha=1.0)
     assert hit.case == CaseId("alpha-skew", 1)
 
@@ -152,7 +152,7 @@ def test_character_looks_only_among_even_characters(chars, beta):
     """_Session.character(chi / beta, beta) gives back each even character
     of Z2xZ2 and None for each of its two non-even ones."""
     S = z2xz2()
-    zero = fn(S, [0, 0, 0, 0], "f")
+    zero = fn(S, [0, 0, 0, 0])
     session = classify_mod._Session("cos-sub", zero, zero, S, chars["Z2xZ2"],
                                     TOL)
     for chi in chars["Z2xZ2"]:
@@ -163,7 +163,7 @@ def test_character_looks_only_among_even_characters(chars, beta):
 def test_classify_rejects_non_solutions():
     S = z2()
     with pytest.raises(NotASolutionError, match="does not solve"):
-        classify("cos-sub", fn(S, [1, 1], "f"), fn(S, [1, 1], "g"), S)
+        classify("cos-sub", fn(S, [1, 1]), fn(S, [1, 1]), S)
 
 
 def test_classify_rejects_a_nan_residual():
@@ -171,18 +171,25 @@ def test_classify_rejects_a_nan_residual():
     # so it must be refused rather than passed on to the case walk.
     S = z2()
     with pytest.raises(NotASolutionError, match="residual nan"):
-        classify("sine-add", fn(S, [np.nan, 0], "f"), fn(S, [1, 1], "g"), S)
+        classify("sine-add", fn(S, [np.nan, 0]), fn(S, [1, 1]), S)
 
 
 def test_classify_argument_errors(ex1):
     S = z2()
-    f = fn(S, [0, 0], "f")
+    f = fn(S, [0, 0])
+    rows = f.values[None]
     with pytest.raises(KeyError):
         classify("tan-add", f, f, S)
+    with pytest.raises(KeyError):
+        classify_mod.classify_rows("tan-add", rows, rows, S)
     with pytest.raises(ValueError, match="alpha"):
         classify("alpha-sym", f, f, S, alpha=0.0)
+    with pytest.raises(ValueError, match="alpha"):
+        classify_mod.classify_rows("alpha-sym", rows, rows, S, alpha=0.0)
     with pytest.raises(TypeError, match="windowed"):
         classify("cos-sub", lambda x: 0, lambda x: 0, ex1)
+    with pytest.raises(TypeError, match="windowed"):
+        classify_mod.classify_rows("cos-sub", rows, rows, ex1)
 
 
 @pytest.mark.parametrize("tol", [-1.0, float("inf"), float("nan")],
@@ -223,10 +230,10 @@ def test_piece_off_the_ideal_is_held_to_eps():
     solution of sine-add within tol 1e-3, but not sine-add/5: holding
     S \\ I to tol would build it from rho alone and accept it."""
     S = m3()
-    g = fn(S, [1, 0, 0], "g")
-    hit = classify("sine-add", fn(S, [0, 1, 0], "f"), g, S, tol=1e-3)
+    g = fn(S, [1, 0, 0])
+    hit = classify("sine-add", fn(S, [0, 1, 0]), g, S, tol=1e-3)
     assert str(hit.case) == "sine-add/5"
-    out = classify("sine-add", fn(S, [1e-4, 1, 0], "f"), g, S, tol=1e-3)
+    out = classify("sine-add", fn(S, [1e-4, 1, 0]), g, S, tol=1e-3)
     assert isinstance(out, Unclassified)
 
 
@@ -236,12 +243,10 @@ def test_sigma_override_rebuilds_the_carrier(chars):
     S = z2xz2()
     T = FiniteSemigroup("Z2xZ2-id", S.elements, S.table, np.arange(4))
     chi = chars["Z2xZ2"][1]
-    hit = classify("cos-sub", fn(T, [0, 0, 0, 0], "f"),
-                   fn(T, chi.values, "g"), T)
+    hit = classify("cos-sub", fn(T, [0, 0, 0, 0]), fn(T, chi.values), T)
     assert hit.case == CaseId("cos-sub", 3)
     with pytest.raises(NotASolutionError):
-        classify("cos-sub", fn(S, [0, 0, 0, 0], "f"), fn(S, chi.values, "g"),
-                 S)
+        classify("cos-sub", fn(S, [0, 0, 0, 0]), fn(S, chi.values), S)
 
 
 def test_alias_alpha_zero_folds_into_scaled_character(chars):
@@ -309,9 +314,9 @@ def test_reduce_alpha_sym(chars):
     chi = chars["Z2xZ2"][2]
     # reduce_alpha_sym hands back -F/2 for F = f/alpha - g, which is the
     # cos-sine-g partner of the pair.
-    F = reduce_alpha_sym(fn(S, -chi.conj, "f"), fn(S, chi.values, "g"), 1.0)
+    F = reduce_alpha_sym(fn(S, -chi.conj), fn(S, chi.values), 1.0)
     assert np.allclose(F.values, (chi.values + chi.conj) / 2, atol=TOL)
-    zero = fn(S, np.zeros(4), "f")
+    zero = fn(S, np.zeros(4))
     assert reduce_alpha_sym(zero, zero, 2.0).is_zero()
 
 

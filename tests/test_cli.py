@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import shlex
 from pathlib import Path
 
@@ -9,7 +10,8 @@ import pytest
 
 from addlaws.cli import (EXIT_BUDGET, EXIT_FAIL, EXIT_OK, EXIT_USAGE,
                          _build_parser, main)
-from addlaws.examples import m3, np4
+from addlaws.characters import WindowedChar
+from addlaws.examples import example2, m3, np4
 
 from helpers import swapped_semilattice
 
@@ -94,6 +96,16 @@ def test_check_reports_a_non_decimal_digit_at_its_position(capsys,
     out = capsys.readouterr()
     assert code == EXIT_FAIL and out.out == ""
     assert out.err == "error: unexpected character '²' (at position 7)\n"
+
+
+@pytest.mark.parametrize("alpha,residual", [(["--alpha", "2"], 3.0),
+                                             ([], 2.0)], ids=["2", "default"])
+def test_check_binds_alpha(capsys, tmp_path, alpha, residual):
+    fg = write_pair(tmp_path, "fg.json", {"e": 1, "a": 0}, {"e": 1, "a": 1})
+    code, payload, out = run(capsys, "check", "-s", "Z2", "-e", "alpha-sym",
+                             "--fn", fg, *alpha)
+    assert code == EXIT_FAIL and payload["residual"] == residual
+    assert out.out.startswith(f"residual {residual:g} (too large)\n")
 
 
 def test_chars_lists_both_z2_characters(capsys):
@@ -182,6 +194,18 @@ def test_rho_space_via_semigroup_file(capsys, tmp_path):
     assert code == EXIT_OK and odd["dimension"] == 0
 
 
+def test_construct_reads_a_free_table(capsys, tmp_path):
+    params = tmp_path / "p.json"
+    params.write_text(json.dumps({"free": {"0": 0, "a": 1, "b": [0, 1]}}))
+    code, payload, out = run(capsys, "construct", "-s", "N3", "-e",
+                             "sine-add", "--case", "2", "--params",
+                             str(params))
+    assert code == EXIT_OK
+    assert out.out.startswith("sine-add/2: residual 0\n")
+    assert payload["f"] == {"0": [0, 0], "a": [1, 0], "b": [0, 1]}
+    assert payload["g"] == {"0": [0, 0], "a": [0, 0], "b": [0, 0]}
+
+
 def test_construct_two_character_mixture(capsys, tmp_path):
     params = tmp_path / "p.json"
     params.write_text(json.dumps({"delta": 2, "chi1": 1, "chi2": 0}))
@@ -212,6 +236,34 @@ def test_classify_round_trips_from_files(capsys, tmp_path):
     assert code == EXIT_OK
     assert payload["case"] == 2
     assert payload["constants"]["c"] == [0.0, 1.0]
+
+
+def test_classify_prints_an_unclassified_pair(capsys, tmp_path):
+    path = tmp_path / "m3.json"
+    path.write_text(m3().to_json())
+    fg = write_pair(tmp_path, "fg.json", {"1": 1e-4, "p": 1, "0": 0},
+                    {"1": 1, "p": 0, "0": 0})
+    code, payload, out = run(capsys, "classify", "-s", str(path), "-e",
+                             "sine-add", "--fn", fg, "--tol", "1e-3")
+    assert code == EXIT_FAIL
+    assert out.out.splitlines()[0] == (
+        "unclassified: no case of the classification matched")
+    assert payload["unclassified"] is True
+
+
+@pytest.mark.parametrize("argv,refusal", [
+    (["construct", "--case", "1", "--params", "p.json"],
+     "construct needs a built-in equation id"),
+    (["classify", "--fn", "fg.json"],
+     "classification covers the built-in ids"),
+    (["oracle"], "oracle scans the built-in ids"),
+], ids=["construct", "classify", "oracle"])
+def test_commands_refuse_a_literal_equation(capsys, argv, refusal):
+    code = main([*argv, "-s", "Z2", "-e", "f(x) = g(x)"])
+    out = capsys.readouterr()
+    assert code == EXIT_FAIL and out.out == ""
+    assert out.err == (f"error: {refusal} (alpha-skew, alpha-sym, "
+                       "cos-sine-g, cos-sub, sine-add), got 'f(x) = g(x)'\n")
 
 
 @pytest.mark.parametrize("equation,alpha", [
@@ -429,6 +481,21 @@ def test_report_example_1(capsys):
     assert code == EXIT_OK
     assert payload["ok"] is True
     assert payload["end_to_end"]["residual"] <= 1e-9
+
+
+def test_report_example_2_keeps_a_nan_character(capsys, monkeypatch):
+    # A plain max dropped a NaN that was not the first value, so this
+    # character passed with both residuals 0.0.
+    W = example2()
+    chi = W.extras["chars"]["chi_sgn"]
+    bad = W.window[500]
+    monkeypatch.setitem(W.extras["chars"], "chi_sgn", WindowedChar(
+        W, lambda u: math.nan if u == bad else chi(u), chi.in_ideal,
+        chi.in_ideal_square, chi.in_prime_part))
+    code, payload, _ = run(capsys, "report-examples", "--example", "2",
+                           "--pairs", "200")
+    assert code == EXIT_FAIL and payload["ok"] is False
+    assert math.isnan(payload["characters"]["chi_sgn"]["even_residual"])
 
 
 def test_report_examples_byte_identical(capsys):

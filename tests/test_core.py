@@ -134,7 +134,7 @@ def test_square_set():
 
 def test_even_odd_split_on_coordinate_swap():
     S = z2xz2()
-    f = fn(S, [1, 1, -1, -1], "f")       # sign of the first coordinate
+    f = fn(S, [1, 1, -1, -1])        # sign of the first coordinate
     fe, fo = even_odd_parts(f)
     assert np.allclose(fe.values, [1, 0, 0, -1], atol=TOL)
     assert np.allclose(fo.values, [0, 1, -1, 0], atol=TOL)
@@ -143,7 +143,7 @@ def test_even_odd_split_on_coordinate_swap():
 def test_even_odd_split_reconstructs_and_has_parity(carriers):
     rng = np.random.default_rng(11)
     for S in carriers.values():
-        f = fn(S, rng.normal(size=S.n) + 1j * rng.normal(size=S.n), "f")
+        f = fn(S, rng.normal(size=S.n) + 1j * rng.normal(size=S.n))
         fe, fo = even_odd_parts(f)
         assert np.max(np.abs(fe.values + fo.values - f.values)) <= TOL
         assert np.max(np.abs(fe.values[S.sigma] - fe.values)) <= TOL
@@ -152,7 +152,7 @@ def test_even_odd_split_reconstructs_and_has_parity(carriers):
 
 def test_fn_table_json_round_trip():
     S = z2()
-    f = fn(S, [0.5, -0.25j], "f")
+    f = fn(S, [0.5, -0.25j])
     data = f.to_json_dict()
     assert data == {"e": [0.5, 0.0], "a": [0.0, -0.25]}
     back = FnTable.from_json_dict(S, data)
@@ -189,7 +189,7 @@ def test_fn_table_keeps_its_own_copy_of_a_writable_array():
 
 def test_fn_table_star_and_zero():
     S = z3()                       # sigma is inversion: fixes e, swaps a, b
-    f = fn(S, [1, 2, 3], "f")
+    f = fn(S, [1, 2, 3])
     assert np.allclose(f.star().values, [1, 3, 2])
     assert not f.is_zero()
     assert fn(S, [0, 0, 0]).is_zero()

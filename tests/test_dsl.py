@@ -112,18 +112,18 @@ def test_equation_symbols():
 
 def test_residual_known_values():
     S = z2()
-    half = fn(S, [0.5, 0.5], "f")
-    one = fn(S, [1.0, 1.0], "g")
+    half = fn(S, [0.5, 0.5])
+    one = fn(S, [1.0, 1.0])
     ast = builtin("cos-sub")
     assert evaluate_residual(ast, {"f": half, "g": half}, S) <= TOL
     assert evaluate_residual(ast, {"f": one, "g": one}, S) == 1.0
-    zero = fn(S, [0.0, 0.0], "f")
+    zero = fn(S, [0.0, 0.0])
     assert evaluate_residual(builtin("sine-add"), {"f": zero, "g": one}, S) == 0
 
 
 def test_residual_requires_bindings():
     S = z2()
-    one = fn(S, [1.0, 1.0], "g")
+    one = fn(S, [1.0, 1.0])
     with pytest.raises(KeyError, match="unbound symbol"):
         evaluate_residual(builtin("cos-sub"), {"g": one}, S)
     with pytest.raises(KeyError, match="unbound constant 'a'"):
@@ -136,9 +136,9 @@ def test_residual_invariant_under_variable_swap():
     rng = random.Random(17)
     for S in (z2(), z3()):
         f = fn(S, [complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
-                   for _ in range(S.n)], "f")
+                   for _ in range(S.n)])
         g = fn(S, [complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
-                   for _ in range(S.n)], "g")
+                   for _ in range(S.n)])
         for eq_id, text in BUILTIN_EQUATIONS.items():
             swapped = (text.replace("x", "@").replace("y", "x")
                        .replace("@", "y"))
@@ -157,8 +157,8 @@ def test_finite_residual_rejects_a_table_of_the_wrong_size(
     # Without the check a longer table is read through its first |S|
     # values, a wrong answer with no error.
     T, S = table_on(), carrier()
-    f = fn(T, np.ones(T.n), "f")
-    g = fn(S, np.ones(S.n), "g")
+    f = fn(T, np.ones(T.n))
+    g = fn(S, np.ones(S.n))
     with pytest.raises(ValueError) as err:
         evaluate_residual(builtin("sine-add"), {"f": f, "g": g}, S)
     assert str(err.value) == fragment
@@ -169,12 +169,11 @@ AGREEMENT_CARRIERS = (z1, z2, z3, n3, m3, np4, z2xz2)
 
 def _interpreted_twin(S):
     """The same table and sigma as a windowed carrier over all elements,
-    so `evaluate_residual` compiles it as a windowed carrier.  It samples
-    no triples: S was built only after its associativity was checked."""
+    so `evaluate_residual` compiles it as a windowed carrier.  Its at most
+    4^3 = 64 triples are all checked for associativity."""
     return WindowedSemigroup(f"{S.name}-interpreted",
                              lambda x, y: int(S.table[x, y]),
-                             lambda x: int(S.sigma[x]), range(S.n),
-                             triple_samples=0)
+                             lambda x: int(S.sigma[x]), range(S.n))
 
 
 def _assert_agree(ast, binding, S, W):
@@ -184,15 +183,15 @@ def _assert_agree(ast, binding, S, W):
 
 
 def _random_binding(S, rng):
-    def table(label):
-        return fn(S, rng.normal(size=S.n) + 1j * rng.normal(size=S.n), label)
-    return {"f": table("f"), "g": table("g"), "h": table("h"),
+    def table():
+        return fn(S, rng.normal(size=S.n) + 1j * rng.normal(size=S.n))
+    return {"f": table(), "g": table(), "h": table(),
             "a": complex(rng.normal(), rng.normal())}
 
 
 def test_nan_values_give_a_nan_residual_on_both_paths():
     S = z2()
-    binding = {"f": fn(S, [np.nan, 0], "f"), "g": fn(S, [1, 1], "g")}
+    binding = {"f": fn(S, [np.nan, 0]), "g": fn(S, [1, 1])}
     for carrier in (S, _interpreted_twin(S)):
         assert np.isnan(evaluate_residual(builtin("sine-add"), binding,
                                           carrier)), carrier.name

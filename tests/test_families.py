@@ -192,13 +192,13 @@ def test_constraint_violations_elsewhere(chars):
     N = n3()
     with pytest.raises(ConstraintError, match=r"c not in \{i, -i\}"):
         construct(CaseId("cos-sub", 2),
-                  CaseParams(free=fn(N, [0, 1, 1], "g"), c=1.0), N)
+                  CaseParams(free=fn(N, [0, 1, 1]), c=1.0), N)
     with pytest.raises(ConstraintError, match="does not vanish"):
         construct(CaseId("cos-sub", 2),
-                  CaseParams(free=fn(N, [1, 0, 0], "g"), c=1j), N)
+                  CaseParams(free=fn(N, [1, 0, 0]), c=1j), N)
     with pytest.raises(ConstraintError, match="alpha = 0"):
         construct(CaseId("alpha-skew", 1),
-                  CaseParams(free=fn(z2(), [1, 0], "g"), alpha=0.0), z2())
+                  CaseParams(free=fn(z2(), [1, 0]), alpha=0.0), z2())
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, complex(0, np.nan)],
