@@ -19,21 +19,25 @@ A stream opens with leading steps whose cases are built from one free table
 alone: both tables zero, f = 0, F = f/alpha - g = 0, and g = 0 or f
 vanishing on S^2; a final step that applies ends the stream after its
 candidate.  :data:`LEADING_STEPS` holds them once, for the per-pair walks
-and for :func:`classify_rows`, which runs them as masks over a whole stack
-of pairs.  Then comes the ratio stage: cos-sub/2 (f = +-i g), alpha-skew/4
-(g = lambda f) and alpha-skew/5 (F a multiple of (chi - chi*)/2), whose
-tests read a least-squares ratio or the rank decision of [f g].  Those tests
-are row tests too, shared by the walks (which run them on a one-row stack)
-and by :func:`classify_rows`, and the ratio and rank decision are computed
-once, for stacks, with np.vecdot, which gives np.vdot's floats row by row.
-A mask takes a row only where no earlier step applied and no earlier case
-was attempted, and the walk would answer there with a hit, checked by one
-batched construct-and-compare per case that gives the floats and checks of
+and for :func:`classify_rows`, which runs each walk as masks over a whole
+stack of pairs.  Then come the ratio stage (cos-sub/2, alpha-skew/4 and
+alpha-skew/5), the dependent-character cases (f = lambda g and a multiple
+of g a character), the two-character cases (f and g in the span of two
+even characters), the non-even cases and the piecewise cases chi A | 0 |
+rho.  Each of their rules is one function, which the walks call on one
+pair (or a one-row stack) and :func:`classify_rows` on each open row (or
+the stack of them); :data:`_RULES` lists those after the ratio stage in
+walk order.  The ratio and rank decision are computed once, for stacks, with
+np.vecdot, which gives np.vdot's floats row by row.  A mask takes a row
+only where no earlier case was attempted, and settles it only where the
+walk would answer there with a hit, checked by one batched
+construct-and-compare per case that gives the floats and checks of
 :meth:`_Session.attempt`; every other row is left for :func:`classify`.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, replace
 
@@ -45,7 +49,8 @@ from .core import (EPS, FiniteSemigroup, FnTable, cnum, square_set,
                    validate_tolerance)
 from .dsl import builtin, evaluate_residual, residual_rows
 from .families import (ALPHA_EQUATIONS, CASES, CaseId, CaseParams,
-                       ConstraintError, construct, construct_rows)
+                       ConstraintError, all_case_ids, construct,
+                       construct_rows)
 
 
 class NotASolutionError(ValueError):
@@ -162,8 +167,8 @@ def alias_equivalent(constructed: CaseId, classified: CaseId) -> bool:
 # ---------------------------------------------------------------------------
 
 # _is_zero and _vanishes_on test one table, or each row of a stack of tables
-# whose last axis runs over the elements.  _ratio and _dependence take
-# stacks and return one answer per row, with the floats of one table.
+# whose last axis runs over the elements.  The other helpers take stacks and
+# return one answer per row, with the floats of one table.
 
 def _is_zero(v: np.ndarray, tol: float) -> np.ndarray:
     return (np.abs(v) <= tol).all(axis=-1)
@@ -176,14 +181,43 @@ def _vanishes_on(v: np.ndarray, idx, tol: float) -> np.ndarray:
     return np.abs(v[..., idx]).max(axis=-1) <= tol
 
 
-def _coords2(h: np.ndarray, u: np.ndarray, v: np.ndarray,
-             tol: float) -> tuple[complex, complex] | None:
-    """Coordinates of h in span{u, v} if h lies there within tol."""
+#: Most rows one np.linalg.lstsq call solves.  Over up to 2,048 grid rows
+#: each row's coordinates came out bit for bit as from a call of its own
+#: (numpy 2.4, x86-64); over 4,096 Z2xZ2 sine-add rows the last bit of 751
+#: of them moved, as BLAS changes kernel.
+_LSTSQ_ROWS = 256
+
+
+def _coords(H: np.ndarray, u: np.ndarray, v: np.ndarray, tol: float):
+    """The coordinates (a, b) of each row h of H in span{u, v}, from
+    np.linalg.lstsq(M, H.T) with M = [u v], and whether h lies in the span
+    within tol: the max norm of a u + b v - h is not above it."""
     M = np.stack([u, v], axis=1)
-    sol, *_ = np.linalg.lstsq(M, h, rcond=None)
-    if float(np.max(np.abs(M @ sol - h))) > tol:
-        return None
-    return complex(sol[0]), complex(sol[1])
+    a, b = np.concatenate(
+        [np.linalg.lstsq(M, H[r:r + _LSTSQ_ROWS].T, rcond=None)[0]
+         for r in range(0, len(H), _LSTSQ_ROWS)], axis=1)
+    fit = ~(np.abs(a[:, None] * u + b[:, None] * v - H).max(axis=-1) > tol)
+    return list(zip(a.tolist(), b.tolist())), fit
+
+
+def _near(V: np.ndarray, C: np.ndarray, tol: float) -> np.ndarray:
+    """Whether each row of V lies within tol of each row of C (character
+    values), in the max norm: a (rows, len(C)) table.  This is the walks'
+    character test (cos-sub/5 and /6 keep their own, whose expressions
+    would round differently written this way): each candidate built from
+    a match is proved by rebuilding the pair (:meth:`_Session.attempt`)."""
+    return np.abs(V[:, None, :] - C[None]).max(axis=-1) <= tol
+
+
+def _character_rows(H: np.ndarray, beta: np.ndarray, evens: np.ndarray,
+                    tol: float) -> np.ndarray:
+    """The character test of each row h of H with its factor beta: the
+    index of the first even character (row of `evens`) within tol of
+    beta h, or -1 where beta h is zero within tol or matches none."""
+    V = beta[:, None] * H
+    near = _near(V, evens, tol)
+    first = near.argmax(axis=1) if len(evens) else np.zeros(len(V), int)
+    return np.where(near.any(axis=1) & ~_is_zero(V, tol), first, -1)
 
 
 def _fit(num: np.ndarray, den: np.ndarray, rows: list):
@@ -237,21 +271,19 @@ def _ratio_of(verdict: DependenceVerdict, kind: str,
     return c
 
 
-def _extract_piece(S: FiniteSemigroup, chi: MultChar, piece: np.ndarray,
-                   parity: str, tol: float) -> CaseParams | None:
-    """The parameters (chi, rho) of a table chi A | 0 | rho (on S \\ I,
-    I \\ P and P) with A = 0, as on every finite carrier, or None unless
-    the table vanishes on I \\ P within tol and on S \\ I within EPS: A = 0
-    is exact there, so tol does not widen it."""
-    edge = sorted(chi.null_ideal - chi.prime_part)
+def _extract_piece(S: FiniteSemigroup, chi: MultChar, H: np.ndarray,
+                   tol: float):
+    """For each row of H, a table chi A | 0 | rho (on S \\ I, I \\ P and
+    P) with A = 0, as on every finite carrier: whether the row vanishes on
+    I \\ P within tol and on S \\ I within EPS (A = 0 is exact there, so
+    tol does not widen it), and its rho values (the row on P, 0 off P)."""
+    edge = chi.null_ideal - chi.prime_part
     off = set(range(S.n)) - chi.null_ideal
-    if not (_vanishes_on(piece, edge, tol) and _vanishes_on(piece, off, EPS)):
-        return None
-    rho_vals = np.zeros(S.n, dtype=np.complex128)
+    ok = _vanishes_on(H, edge, tol) & _vanishes_on(H, off, EPS)
+    rho = np.zeros(H.shape, dtype=np.complex128)
     P = sorted(chi.prime_part)
-    rho_vals[P] = piece[P]
-    rho = RhoFn(domain=frozenset(P), values=rho_vals, parity=parity)
-    return CaseParams(chi=chi, rho=rho)
+    rho[:, P] = H[:, P]
+    return ok, rho
 
 
 @dataclass(frozen=True)
@@ -327,18 +359,29 @@ def _form_free(case: CaseId, f, g):
     return f if form[0] == 1 else g if form[1] == 1 else None
 
 
-def _form_params(case: CaseId, f: FnTable, g: FnTable,
-                 alpha) -> CaseParams:
+def _form_params(case: CaseId, f, g, alpha) -> CaseParams:
     """The parameters that rebuild (f, g) as the form case `case`."""
     spec = CASES[case.equation][case.case - 1]
     return CaseParams(alpha=alpha if "alpha" in spec.fields else None,
                       free=_form_free(case, f, g))
 
 
-# The ratio stage: the cases that the walks try next, cos-sub/2, then
-# alpha-skew/4 and alpha-skew/5, as row tests shared by the per-pair walks
-# (on a one-row stack) and by classify_rows.  Each returns the rows where
-# the walk attempts the case, and the constants it attempts them with.
+def _alpha_sym_params(case: CaseId, f, g, params: CaseParams,
+                      alpha) -> CaseParams:
+    """The alpha-sym parameters of a hit `params` of cos-sine-g's walk on
+    the reduced pair, for (f, g) (one pair or rows)."""
+    if CASES["alpha-sym"][case.case - 1].form is not None:
+        return _form_params(case, f, g, alpha)
+    return replace(params, alpha=alpha)
+
+
+# The walks' rules after the leading steps, each one function that the
+# per-pair walks (on one pair, or a one-row stack) and classify_rows' stages
+# (on the open rows) both call.
+
+# The ratio stage: cos-sub/2, then alpha-skew/4 and alpha-skew/5.  Each
+# returns the rows where the walk attempts the case, and the constants it
+# attempts them with.
 
 def _keep(rows: np.ndarray, values: list):
     """The rows whose value is not None, and those values."""
@@ -393,6 +436,167 @@ def _conj_pair_rows(F, g, chi, tol):
                   for i, w2 in zip(rows, c2)])
 
 
+# The dependent-character cases, cos-sub/3, sine-add/3 and cos-sine-g/4:
+# from the rank decision of [f g], the factor beta of the character test
+# chi = beta g and the case's constants, or None where the walk tests no
+# character.
+
+def _cos_sub_dependent(verdict: DependenceVerdict, tol: float):
+    """f = lambda g with lambda != +-i; chi = (1 + lambda^2) g."""
+    lam = _ratio_of(verdict, "f-of-g", tol)
+    if lam is not None and min(abs(lam - 1j), abs(lam + 1j)) > tol:
+        return 1 + lam * lam, {"alpha": lam}
+    return None
+
+
+def _sine_add_dependent(verdict: DependenceVerdict, tol: float):
+    """f = lambda g with lambda != 0; chi = 2 g, alpha = 1/lambda."""
+    lam = _ratio_of(verdict, "f-of-g", tol)
+    if lam is not None and abs(verdict.coefficient) > tol:
+        return 2, {"alpha": 1 / lam}
+    return None
+
+
+def _cos_sine_g_dependent(verdict: DependenceVerdict, tol: float):
+    """f = lambda g with beta = lambda / (2 lambda - 1) != 0; chi = g /
+    beta."""
+    lam = _ratio_of(verdict, "f-of-g", tol)
+    if lam is not None and abs(2 * lam - 1) > tol:
+        beta = lam / (2 * lam - 1)
+        if abs(beta) > tol:
+            return 1 / beta, {"beta": beta}
+    return None
+
+
+# The two-character cases, cos-sub/4, sine-add/4 and cos-sine-g/5: from the
+# coordinates of f and g in span{chi1, chi2}, the case's constants or None.
+
+def _cos_sub_pair(fc, gc, tol: float):
+    """f = (chi2 - chi1) t with t = 1/(1/delta + delta)."""
+    t = fc[1]
+    if abs(fc[0] + t) > tol or abs(t) <= tol:
+        return None
+    delta = gc[1] / t
+    if any(abs(delta - b) <= tol for b in (0, 1j, -1j)):
+        return None
+    return {"delta": delta}
+
+
+def _sine_add_pair(fc, gc, tol: float):
+    """g = (chi1 + chi2)/2, f = c (chi1 - chi2) with c != 0."""
+    if abs(gc[0] - 0.5) > tol or abs(gc[1] - 0.5) > tol:
+        return None
+    c = fc[0]
+    if abs(c) > tol and abs(fc[1] + c) <= tol:
+        return {"c": c}
+    return None
+
+
+def _cos_sine_g_pair(fc, gc, tol: float):
+    """g = ((1 + w) chi1 + (1 - w) chi2)/2 with w not in {0, 1, -1}."""
+    if abs(gc[0] + gc[1] - 1) > tol:
+        return None
+    w = gc[0] - gc[1]
+    if any(abs(w - b) <= tol for b in (0, 1, -1)):
+        return None
+    return {"c1": w}
+
+
+def _conj_halves(chi: MultChar, f, g, tol: float) -> np.ndarray:
+    """cos-sub/6: f = -i(chi - chi*)/2 and g = (chi + chi*)/2."""
+    conj = chi.conj
+    return (~(np.abs(f + 0.5j * (chi.values - conj)).max(axis=-1) > tol)
+            & (np.abs(g - 0.5 * (chi.values + conj)).max(axis=-1) <= tol))
+
+
+# The piecewise cases: for one even chi, each branch's rows where the walk
+# attempts the case, with the rho values and the constants of each row.
+
+def _cos_sub_piece(S, chi, f, g, alpha, tol):
+    """cos-sub/5: i f = chi A | 0 | rho and g = chi +- i f."""
+    ok, rho = _extract_piece(S, chi, 1j * f, tol)
+    return [(branch, ok & (np.abs(g - (chi.values + sign * f)).max(axis=-1)
+                           <= tol), rho, {})
+            for branch, sign in (("+", 1j), ("-", -1j))]
+
+
+def _matched_piece(S, chi, v, piece, tol):
+    """The rows where v matches chi and piece is chi A | 0 | rho, and rho's
+    values; nothing where no row matches."""
+    hit = _near(v, chi.values[None], tol)[:, 0]
+    if not hit.any():
+        return []
+    ok, rho = _extract_piece(S, chi, piece, tol)
+    return [(None, hit & ok, rho, {})]
+
+
+def _sine_add_piece(S, chi, f, g, alpha, tol):
+    """sine-add/5: g = chi and f = chi A | 0 | rho."""
+    return _matched_piece(S, chi, g, f, tol)
+
+
+def _cos_sine_g_7(S, chi, f, g, alpha, tol):
+    """cos-sine-g/7: g = chi and f = chi + (0 | 0 | rho)."""
+    return _matched_piece(S, chi, g, f - chi.values, tol)
+
+
+def _cos_sine_g_6(S, chi, f, g, alpha, tol):
+    """cos-sine-g/6: 2f - g = chi and g = chi + (0 | 0 | rho)."""
+    return _matched_piece(S, chi, 2 * f - g, g - chi.values, tol)
+
+
+def _alpha_skew_piece(S, chi, f, g, alpha, tol):
+    """alpha-skew/6: F = f/alpha - g = 0 | 0 | rho with odd rho, and
+    g = chi + c F."""
+    F = f / alpha - g
+    ok, rho = _extract_piece(S, chi, F, tol)
+    rows = np.flatnonzero(ok).tolist()
+    cs = [None] * len(f)
+    for i, c in zip(rows, _ratio(g - chi.values, F, tol, rows)):
+        cs[i] = c
+    return [(None, np.array([c is not None for c in cs], dtype=bool), rho,
+             {"c": cs})]
+
+
+#: The rules of each walk after its ratio stage: (case, dependent rule);
+#: (case, two-character rule); the non-even case; then each piecewise
+#: (case, rule), in walk order.  alpha-skew has only its piecewise case.
+_RULES = {
+    "cos-sub": ((3, _cos_sub_dependent), (4, _cos_sub_pair), 6,
+                ((5, _cos_sub_piece),)),
+    "sine-add": ((3, _sine_add_dependent), (4, _sine_add_pair), None,
+                 ((5, _sine_add_piece),)),
+    "cos-sine-g": ((4, _cos_sine_g_dependent), (5, _cos_sine_g_pair), 8,
+                   ((7, _cos_sine_g_7), (6, _cos_sine_g_6))),
+    "alpha-skew": (None, None, None, ((6, _alpha_skew_piece),)),
+}
+
+
+def _piece_params(walk: str, k: int, chi: MultChar, rho: np.ndarray,
+                  consts: dict, alpha) -> CaseParams:
+    """The parameters of the piecewise case k with chi, rho's values (one
+    row, or a stack) and the case's constants."""
+    spec = CASES[walk][k - 1]
+    extra = {"alpha": alpha} if "alpha" in spec.fields else {}
+    return CaseParams(chi=chi, rho=RhoFn(
+        domain=frozenset(chi.prime_part), values=rho,
+        parity=spec.menu.removeprefix("piecewise-")), **consts, **extra)
+
+
+@functools.lru_cache(maxsize=32)
+def _by_parity(chars: tuple, n: int) -> tuple:
+    """The even characters of `chars` and their values as the rows of a
+    (k, n) array, then the same for the non-even ones.  `chars` is a tuple
+    so that this is worked out once per tuple of character objects, as
+    :func:`addlaws.characters.conjugate_representatives` is."""
+    out = ()
+    for even in (True, False):
+        group = [chi for chi in chars if chi.even == even]
+        out += (group, np.array([chi.values for chi in group],
+                                dtype=np.complex128).reshape(len(group), n))
+    return out
+
+
 class _Session:
     """One classification run; collects failed attempts for diagnostics."""
 
@@ -404,37 +608,71 @@ class _Session:
         self.tol = tol
         self.alpha = alpha
         self.attempts: list[str] = []
-        self.evens = [c for c in chars if c.even]
-        self.nonevens = [c for c in chars if not c.even]
+        (self.evens, self.even_values, self.nonevens,
+         self.noneven_values) = _by_parity(tuple(chars), S.n)
         self.sq = sorted(square_set(S))
 
     def even_pairs(self):
         """(chi1, chi2, f coords, g coords) for each pair of even
         characters whose span holds both f and g, in walk order."""
+        H = np.stack([self.f.values, self.g.values])
         for c1, c2 in itertools.combinations(self.evens, 2):
-            fc = _coords2(self.f.values, c1.values, c2.values, self.tol)
-            gc = _coords2(self.g.values, c1.values, c2.values, self.tol)
-            if fc is not None and gc is not None:
+            (fc, gc), fit = _coords(H, c1.values, c2.values, self.tol)
+            if fit.all():
                 yield c1, c2, fc, gc
-
-    def matching(self, chars, v: np.ndarray):
-        """The characters of `chars` within tol of the table v, in order.
-        This is the walks' only character test: each candidate built from
-        a match is proved by rebuilding the pair (:meth:`attempt`)."""
-        for chi in chars:
-            if float(np.max(np.abs(v - chi.values))) <= self.tol:
-                yield chi
 
     def character(self, h: np.ndarray, beta: complex) -> MultChar | None:
         """The first enumerated even character within tol of beta h, or None
         when beta h is zero within tol or matches none of them."""
-        tol, b = self.tol, complex(beta)
-        if abs(b) <= tol:
+        b = complex(beta)
+        if abs(b) <= self.tol:
             raise ValueError("beta must be non-zero")
         v = b * h
-        if _is_zero(v, tol):
+        if _is_zero(v, self.tol):
             return None
-        return next(self.matching(self.evens, v), None)
+        near = _near(v[None], self.even_values, self.tol)[0]
+        return next(itertools.compress(self.evens, near), None)
+
+    def later(self, walk: str):
+        """The candidates of the walk's rules after its ratio stage, in
+        walk order: the dependent character, the two-character and the
+        non-even cases, then the piecewise ones."""
+        dependent, pair, noneven, pieces = _RULES[walk]
+        f, g, tol = self.f.values, self.g.values, self.tol
+        if dependent is not None:
+            verdict = linear_dependence(self.f, self.g, tol)
+            k, rule = dependent
+            guard = rule(verdict, tol)
+            if guard is not None:
+                chi = self.character(g, guard[0])
+                if chi is not None:
+                    yield CaseId(walk, k), CaseParams(chi=chi, **guard[1])
+            if verdict.kind == "independent":
+                k, rule = pair
+                for c1, c2, fc, gc in self.even_pairs():
+                    consts = rule(fc, gc, tol)
+                    if consts is not None:
+                        yield CaseId(walk, k), CaseParams(chi1=c1, chi2=c2,
+                                                          **consts)
+        if noneven == 6 and verdict.kind == "independent":
+            # Looping over every chi with chi* != chi covers both signs of
+            # f, since swapping chi for chi* negates it.
+            for chi in self.nonevens:
+                if _conj_halves(chi, f, g, tol):
+                    yield CaseId(walk, 6), CaseParams(chi=chi)
+        elif noneven == 8:
+            # g is a non-even character and f averages it with its dual.
+            near = _near(g[None], self.noneven_values, tol)[0]
+            for chi in itertools.compress(self.nonevens, near):
+                yield CaseId(walk, 8, "chi"), CaseParams(chi=chi)
+        for k, rule in pieces:
+            for chi in self.evens:
+                for branch, ok, rho, consts in rule(self.S, chi, f[None],
+                                                    g[None], self.alpha, tol):
+                    if ok[0]:
+                        yield CaseId(walk, k, branch), _piece_params(
+                            walk, k, chi, rho[0],
+                            {n: v[0] for n, v in consts.items()}, self.alpha)
 
     def candidates(self, walk):
         """The walk's candidate stream: the leading steps of
@@ -494,100 +732,19 @@ class _Session:
 # ---------------------------------------------------------------------------
 
 def _classify_cos_sub(s: _Session):
-    f, g, S, tol = s.f, s.g, s.S, s.tol
-    fv, gv = f.values, g.values
     # g non-zero but vanishing on the square: f = c g with c^2 = -1.
-    _, cs = _unit_c_rows(fv[None], gv[None], s.sq, tol)
+    _, cs = _unit_c_rows(s.f.values[None], s.g.values[None], s.sq, s.tol)
     if cs:
-        yield CaseId("cos-sub", 2), CaseParams(free=g, c=cs[0])
-    verdict = linear_dependence(f, g, tol)
-    lam = _ratio_of(verdict, "f-of-g", tol)
-    if lam is not None and min(abs(lam - 1j), abs(lam + 1j)) > tol:
-        chi = s.character(gv, 1 + lam * lam)
-        if chi is not None:
-            yield CaseId("cos-sub", 3), CaseParams(chi=chi, alpha=lam)
-    if verdict.kind == "independent":
-        for c1, c2, fc, gc in s.even_pairs():
-            # f = (chi2 - chi1) t with t = 1/(1/delta + delta).
-            t = fc[1]
-            if abs(fc[0] + t) > tol or abs(t) <= tol:
-                continue
-            delta = gc[1] / t
-            if not any(abs(delta - b) <= tol for b in (0, 1j, -1j)):
-                yield CaseId("cos-sub", 4), CaseParams(chi1=c1, chi2=c2,
-                                                       delta=delta)
-        # Conjugate pair: f = -i(chi - chi*)/2, g = (chi + chi*)/2.
-        # Looping over every chi with chi* != chi covers both signs of f,
-        # since swapping chi for chi* negates it.
-        for chi in s.nonevens:
-            conj = chi.conj
-            if np.max(np.abs(fv + 0.5j * (chi.values - conj))) > tol:
-                continue
-            if np.max(np.abs(gv - 0.5 * (chi.values + conj))) <= tol:
-                yield CaseId("cos-sub", 6), CaseParams(chi=chi)
-    for chi in s.evens:
-        p = _extract_piece(S, chi, 1j * fv, "even", tol)
-        if p is None:
-            continue
-        for branch, sign in (("+", 1j), ("-", -1j)):
-            if np.max(np.abs(gv - (chi.values + sign * fv))) <= tol:
-                yield CaseId("cos-sub", 5, branch), p
+        yield CaseId("cos-sub", 2), CaseParams(free=s.g, c=cs[0])
+    yield from s.later("cos-sub")
 
 
 def _classify_sine_add(s: _Session):
-    f, g, S, tol = s.f, s.g, s.S, s.tol
-    fv, gv = f.values, g.values
-    verdict = linear_dependence(f, g, tol)
-    lam = _ratio_of(verdict, "f-of-g", tol)
-    if lam is not None and abs(verdict.coefficient) > tol:
-        chi = s.character(gv, 2)
-        if chi is not None:
-            yield CaseId("sine-add", 3), CaseParams(chi=chi, alpha=1 / lam)
-    if verdict.kind == "independent":
-        for c1, c2, fc, gc in s.even_pairs():
-            if abs(gc[0] - 0.5) > tol or abs(gc[1] - 0.5) > tol:
-                continue
-            c = fc[0]
-            if abs(c) > tol and abs(fc[1] + c) <= tol:
-                yield CaseId("sine-add", 4), CaseParams(chi1=c1, chi2=c2, c=c)
-    for chi in s.matching(s.evens, gv):
-        p = _extract_piece(S, chi, fv, "even", tol)
-        if p is not None:
-            yield CaseId("sine-add", 5), p
+    yield from s.later("sine-add")
 
 
 def _classify_cos_sine_g(s: _Session):
-    f, g, S, tol = s.f, s.g, s.S, s.tol
-    fv, gv = f.values, g.values
-    verdict = linear_dependence(f, g, tol)
-    lam = _ratio_of(verdict, "f-of-g", tol)
-    if lam is not None and abs(2 * lam - 1) > tol:
-        beta = lam / (2 * lam - 1)
-        if abs(beta) > tol:
-            chi = s.character(gv, 1 / beta)
-            if chi is not None:
-                yield CaseId("cos-sine-g", 4), CaseParams(chi=chi, beta=beta)
-    if verdict.kind == "independent":
-        for c1, c2, _, gc in s.even_pairs():
-            if abs(gc[0] + gc[1] - 1) > tol:
-                continue
-            w = gc[0] - gc[1]
-            if not any(abs(w - b) <= tol for b in (0, 1, -1)):
-                yield (CaseId("cos-sine-g", 5),
-                       CaseParams(chi1=c1, chi2=c2, c1=w))
-    # case 8: g is a non-even character and f averages it with its dual.
-    for chi in s.matching(s.nonevens, gv):
-        yield CaseId("cos-sine-g", 8, "chi"), CaseParams(chi=chi)
-    # case 7: g itself is an even character, f = chi + (0 | 0 | rho).
-    for chi in s.matching(s.evens, gv):
-        p = _extract_piece(S, chi, fv - chi.values, "even", tol)
-        if p is not None:
-            yield CaseId("cos-sine-g", 7), p
-    # case 6: 2f - g is an even character, g = chi + (0 | 0 | rho).
-    for chi in s.matching(s.evens, 2 * fv - gv):
-        p = _extract_piece(S, chi, gv - chi.values, "even", tol)
-        if p is not None:
-            yield CaseId("cos-sine-g", 6), p
+    yield from s.later("cos-sine-g")
 
 
 def _classify_alpha_sym(s: _Session):
@@ -600,20 +757,16 @@ def _classify_alpha_sym(s: _Session):
     s.attempts.extend(f"via cos-sine-g: {a}" for a in inner.attempts)
     if hit is None:
         return
-    case, p = CaseId("alpha-sym", hit.case.case, hit.case.branch), hit.params
-    if CASES["alpha-sym"][case.case - 1].form is not None:
-        yield case, _form_params(case, f, g, alpha)
-    else:
-        yield case, replace(p, alpha=alpha)
+    case = CaseId("alpha-sym", hit.case.case, hit.case.branch)
+    yield case, _alpha_sym_params(case, f, g, hit.params, alpha)
 
 
 def _classify_alpha_skew(s: _Session):
-    f, g, S, tol, alpha = s.f, s.g, s.S, s.tol, s.alpha
-    fv, gv = f.values, g.values
+    fv, gv, tol, alpha = s.f.values, s.g.values, s.tol, s.alpha
     _, cs = _skew_c_rows(fv[None], gv[None], alpha, tol)
     if cs:
         yield (CaseId("alpha-skew", 4),
-               CaseParams(alpha=alpha, free=f, c=cs[0]))
+               CaseParams(alpha=alpha, free=s.f, c=cs[0]))
     # case 5: F is proportional to (chi - chi*)/2 for a non-even character,
     # one of each conjugate pair.
     Fv = fv / alpha - gv
@@ -623,14 +776,7 @@ def _classify_alpha_skew(s: _Session):
             c1, c2 = cs[0]
             yield (CaseId("alpha-skew", 5),
                    CaseParams(alpha=alpha, chi=chi, c1=c1, c2=c2))
-    # case 6: F = 0 | 0 | rho with odd rho; g = chi + c F.
-    for chi in s.evens:
-        p = _extract_piece(S, chi, Fv, "odd", tol)
-        if p is None:
-            continue
-        (c,) = _ratio((gv - chi.values)[None], Fv[None], tol)
-        if c is not None:
-            yield CaseId("alpha-skew", 6), replace(p, alpha=alpha, c=c)
+    yield from s.later("alpha-skew")
 
 
 #: The walk of each equation, by equation id.
@@ -663,8 +809,9 @@ def _checked_binding(equation: str, f, g, S, tol: float, alpha,
     refuses, in its order: a carrier that is not finite (TypeError), an
     unknown equation id (KeyError), a tolerance that is negative or not
     finite, and an alpha within tol of 0 (ValueError).  With `fit`, an
-    alpha equation's missing alpha is recovered by :func:`_extract_alpha`.
-    The binding holds alpha as "a" for the alpha equations only."""
+    alpha equation's missing alpha is recovered by :func:`_extract_alpha`;
+    without it, a missing alpha is a TypeError.  The binding holds alpha
+    as "a" for the alpha equations only."""
     if not isinstance(S, FiniteSemigroup):
         raise TypeError("classification runs on finite semigroups only; "
                         "windowed carriers use construct-then-compare")
@@ -672,7 +819,10 @@ def _checked_binding(equation: str, f, g, S, tol: float, alpha,
         raise KeyError(f"unknown equation id {equation!r}")
     validate_tolerance(tol)
     binding = {"f": f, "g": g}
-    if equation in ALPHA_EQUATIONS and (alpha is not None or fit):
+    if equation in ALPHA_EQUATIONS:
+        if alpha is None and not fit:
+            raise TypeError(f"classify_rows needs the argument alpha for "
+                            f"{equation}")
         if alpha is None:
             alpha = _extract_alpha(equation, f, g, S, tol)
         if abs(complex(alpha)) <= tol:
@@ -693,84 +843,240 @@ def _attempt_rows(case: CaseId, F: np.ndarray, G: np.ndarray,
     return ok & ~(dev > tol)
 
 
+def _stacked(consts: list) -> dict:
+    """Per-row constant dicts as one sequence per name."""
+    return {name: [c[name] for c in consts] for name in consts[0]} \
+        if consts else {}
+
+
+class _Batch:
+    """The walk of one equation run as masks over a stack of pairs.
+
+    Each stage makes offers in walk order: a case, the rows where the walk
+    would attempt it, and the parameters of a selection of those rows.
+    :meth:`run` gives each row to the first offer that takes it and
+    attempts the case there with one batched construct-and-compare; the
+    hits are settled.  An offer of no case takes rows where the walk
+    raises, for :func:`classify` to raise there.  A stage reads the rows
+    still open when it starts, and no stage skips a candidate that the
+    per-pair walk would attempt before its own.
+    """
+
+    def __init__(self, equation: str, F: np.ndarray, G: np.ndarray,
+                 S: FiniteSemigroup, alpha, tol: float, chars):
+        self.equation, self.F, self.G, self.S = equation, F, G, S
+        self.alpha, self.tol, self._chars = alpha, tol, chars
+        self.walk, self.Fw = equation, F
+        if equation == "alpha-sym":        # the walk of reduce_alpha_sym
+            self.walk, self.Fw = "cos-sine-g", (G - F / alpha) / 2
+        self.labels = {c: k for k, c in enumerate(all_case_ids(equation), 1)}
+        self.case = np.zeros(len(F), dtype=np.intp)
+        self.taken = np.zeros(len(F), dtype=bool)
+        self.independent = np.zeros(len(F), dtype=bool)
+        self.sq = sorted(square_set(S))
+
+    @functools.cached_property
+    def chars(self):
+        return (enumerate_characters(self.S) if self._chars is None
+                else self._chars)
+
+    @functools.cached_property
+    def by_parity(self):
+        return _by_parity(tuple(self.chars), self.S.n)
+
+    @property
+    def evens(self):
+        return self.by_parity[0]
+
+    def run(self) -> np.ndarray:
+        # Each offer's parameters are read before the next offer is made.
+        for case, rows, params in filter(None, self.offers()):
+            rows = rows[~self.taken[rows]]
+            if rows.size:
+                self.taken[rows] = True
+                if case is not None:
+                    self.settle(case, rows, params(rows))
+        return self.case
+
+    def settle(self, case: CaseId, rows: np.ndarray,
+               params: CaseParams) -> None:
+        """Attempt `case` on the rows; label the hits."""
+        F, G = self.F[rows], self.G[rows]
+        hit = _attempt_rows(case, self.Fw[rows], G, self.S, params, self.tol)
+        if self.walk != self.equation:
+            case = CaseId(self.equation, case.case, case.branch)
+            hit &= _attempt_rows(case, F, G, self.S, _alpha_sym_params(
+                case, F, G, params, self.alpha), self.tol)
+        self.case[rows[hit]] = self.labels[case]
+
+    def open_rows(self) -> np.ndarray:
+        return np.flatnonzero(~self.taken)
+
+    def offer(self, case: CaseId | None, rows: np.ndarray, values, make):
+        """An offer of `case` on `rows` (None when there are none), one
+        value each; its parameters are make(selection, their values)."""
+        if not rows.size:
+            return None
+        table = dict(zip(rows.tolist(), values))
+        return case, rows, lambda r: make(r, [table[i] for i in r.tolist()])
+
+    def offers(self):
+        walk = self.walk
+        at = self.open_rows()
+        Fw, G = self.Fw[at], self.G[at]
+        for step in LEADING_STEPS[walk]:
+            mask = np.ones(len(at), dtype=bool)
+            for test in step.tests:
+                mask &= test(Fw, G, self.alpha, self.sq, self.tol)
+            yield self.offer(step.case, at[mask], at[mask], lambda r, _, c=(
+                step.case): _form_params(c, self.Fw[r], self.G[r],
+                                         self.alpha))
+        if walk == "cos-sub":
+            yield from self.unit_c()
+        elif walk == "alpha-skew":
+            yield from self.ratios()
+        dependent, pair, noneven, pieces = _RULES[walk]
+        if dependent is not None:
+            yield from self.dependent(*dependent)
+            yield from self.pairs(*pair)
+        if noneven is not None:
+            yield from self.noneven(noneven)
+        for k, rule in pieces:
+            yield from self.pieces(k, rule)
+
+    def unit_c(self):
+        at = self.open_rows()
+        if at.size:
+            rows, cs = _unit_c_rows(self.F[at], self.G[at], self.sq, self.tol)
+            yield self.offer(CaseId("cos-sub", 2), at[rows], cs, lambda r, c:
+                             CaseParams(free=self.G[r], c=c))
+
+    def ratios(self):
+        """alpha-skew/4, then alpha-skew/5 for each representative of a
+        conjugate pair."""
+        at = self.open_rows()
+        if not at.size:
+            return
+        alpha = self.alpha
+        rows, cs = _skew_c_rows(self.F[at], self.G[at], alpha, self.tol)
+        yield self.offer(CaseId("alpha-skew", 4), at[rows], cs, lambda r, c:
+                         CaseParams(alpha=alpha, free=self.F[r], c=c))
+        Fs = self.F / alpha - self.G
+        for chi in conjugate_representatives(tuple(self.chars)):
+            at = self.open_rows()
+            rows, cs = _conj_pair_rows(Fs[at], self.G[at], chi, self.tol)
+            yield self.offer(CaseId("alpha-skew", 5), at[rows], cs,
+                             lambda r, c: CaseParams(
+                                 alpha=alpha, chi=chi, c1=[w for w, _ in c],
+                                 c2=[w for _, w in c]))
+
+    def dependent(self, k: int, rule):
+        at = self.open_rows()
+        if not at.size:
+            return
+        verdicts = _dependence(self.Fw[at], self.G[at], self.tol)
+        self.independent[at] = [v.kind == "independent" for v in verdicts]
+        guards = [rule(v, self.tol) for v in verdicts]
+        tested = [i for i, guard in enumerate(guards) if guard is not None]
+        if not tested:
+            return
+        rows = at[tested]
+        beta = np.array([guards[i][0] for i in tested], dtype=np.complex128)
+        consts = [guards[i][1] for i in tested]
+        # The character test refuses beta within tol of 0, so that classify
+        # raises there: those rows are left to it.
+        yield self.offer(None, rows[np.abs(beta) <= self.tol], (), None)
+        found = _character_rows(self.G[rows], beta, self.by_parity[1],
+                                self.tol)
+        for j, chi in enumerate(self.evens):
+            sel = found == j
+            yield self.offer(CaseId(self.walk, k), rows[sel],
+                             itertools.compress(consts, sel), lambda r, c:
+                             CaseParams(chi=chi, **_stacked(c)))
+
+    def pairs(self, k: int, rule):
+        for c1, c2 in itertools.combinations(self.evens, 2):
+            at = np.flatnonzero(~self.taken & self.independent)
+            if not at.size:
+                return
+            m = len(at)
+            coords, fit = _coords(np.concatenate([self.Fw[at], self.G[at]]),
+                                  c1.values, c2.values, self.tol)
+            found = {}
+            for i in np.flatnonzero(fit[:m] & fit[m:]).tolist():
+                consts = rule(coords[i], coords[m + i], self.tol)
+                if consts is not None:
+                    found[int(at[i])] = consts
+            yield self.offer(CaseId(self.walk, k), np.array(
+                list(found), dtype=np.intp), found.values(), lambda r, c:
+                CaseParams(chi1=c1, chi2=c2, **_stacked(c)))
+
+    def noneven(self, k: int):
+        """cos-sub/6 on the independent rows, or cos-sine-g/8chi."""
+        at = self.open_rows()
+        if not at.size:
+            return
+        _, _, nonevens, values = self.by_parity
+        Fw, G = self.Fw[at], self.G[at]
+        near = _near(G, values, self.tol)
+        case = CaseId(self.walk, k, "chi" if k == 8 else None)
+        for j, chi in enumerate(nonevens):
+            hit = (self.independent[at] & _conj_halves(chi, Fw, G, self.tol)
+                   if k == 6 else near[:, j])
+            yield self.offer(case, at[hit], at[hit], lambda r, _:
+                             CaseParams(chi=chi))
+
+    def pieces(self, k: int, rule):
+        at = self.open_rows()
+        if not at.size:
+            return
+        Fw, G = self.Fw[at], self.G[at]
+        for chi in self.evens:
+            for branch, ok, rho, consts in rule(self.S, chi, Fw, G,
+                                                self.alpha, self.tol):
+                yield self.offer(
+                    CaseId(self.walk, k, branch), at[ok], np.flatnonzero(ok),
+                    lambda r, i: _piece_params(
+                        self.walk, k, chi, rho[i],
+                        {n: [v[j] for j in i] for n, v in consts.items()},
+                        self.alpha))
+
+
 def classify_rows(equation: str, F: np.ndarray, G: np.ndarray,
                   S: FiniteSemigroup, alpha: complex | None = None,
                   tol: float = EPS, chars=None) -> np.ndarray:
-    """The front of :func:`classify` for a stack of pairs (rows of F, G).
+    """The outcome of :func:`classify` for each pair of a stack (rows of F,
+    G), where masks can settle it.
 
     Every row's residual is checked as `classify` checks it, and the first
     row that fails raises the same :class:`NotASolutionError`.  Then the
-    leading steps of the equation's walk, and after them its ratio stage
-    (cos-sub/2; alpha-skew/4, then alpha-skew/5 for each representative of
-    a conjugate pair), run as masks over the rows.  A mask settles a row
-    only where the walk would answer there with a hit: no earlier step
-    applied and no earlier case was attempted, the mask's test holds, and
-    the case's batched construct-and-compare accepts the row.  Returns the
-    settled case number of each row, or 0 where the row is left to
-    `classify`: no mask applies, or one applies and its attempt misses,
-    which the walk logs.  The alpha equations need `alpha`; `chars` is the
-    enumerate_characters list, worked out here when alpha-skew needs it
-    and it is not given.  Input that `classify` refuses is refused here
-    with the same error.
+    equation's walk runs as masks over the rows, in walk order (alpha-sym
+    walks cos-sine-g's on the reduced pair): the leading steps; the ratio
+    stage (cos-sub/2; alpha-skew/4, then alpha-skew/5 for each
+    representative of a conjugate pair); the dependent-character cases
+    (cos-sub/3, sine-add/3, cos-sine-g/4); the two-character cases
+    (cos-sub/4, sine-add/4, cos-sine-g/5); the non-even cases (cos-sub/6,
+    cos-sine-g/8chi); and the piecewise cases (cos-sub/5+-, sine-add/5,
+    cos-sine-g/7 then /6, alpha-skew/6).  A row is settled only where the
+    walk would answer there with a hit: no earlier case was attempted, the
+    stage's test puts the case first, and the case's batched
+    construct-and-compare accepts the row.
+
+    Returns, for each row, 1 + the index of its case in
+    :func:`addlaws.families.all_case_ids` (branch included), or 0 where
+    the row is left to `classify`: no case applies, or the first one that
+    applies misses, which the walk logs.  The alpha equations need
+    `alpha` (a TypeError names it when it is missing); `chars` is the
+    enumerate_characters list, worked out here when a stage needs it and
+    it is not given.  Input that `classify` refuses is refused here with
+    the same error.
     """
     binding = _checked_binding(equation, F, G, S, tol, alpha)
-    alpha = binding.get("a")
     residual = residual_rows(builtin(equation), binding, S)
     bad = np.flatnonzero(~(residual <= tol))
     if bad.size:
         raise _not_a_solution(equation, float(residual[bad[0]]))
-    sq = sorted(square_set(S))
-    walk, Fw = equation, F
-    if equation == "alpha-sym":            # the walk of reduce_alpha_sym
-        walk, Fw = "cos-sine-g", (G - F / alpha) / 2
-    case = np.zeros(len(F), dtype=np.intp)
-    open_rows = np.ones(len(F), dtype=bool)
-
-    for step in LEADING_STEPS[walk]:
-        applies = open_rows.copy()
-        for test in step.tests:
-            applies &= test(Fw, G, alpha, sq, tol)
-        rows = np.flatnonzero(applies)
-        if not rows.size:
-            continue
-        open_rows[rows] = False
-        hit = _attempt_rows(step.case, Fw[rows], G[rows], S, _form_params(
-            step.case, Fw[rows], G[rows], alpha), tol)
-        if walk != equation:
-            bound = CaseId(equation, step.case.case)
-            hit &= _attempt_rows(bound, F[rows], G[rows], S, _form_params(
-                bound, F[rows], G[rows], alpha), tol)
-        case[rows[hit]] = step.case.case
-
-    def settle(cid: CaseId, rows: np.ndarray, params: CaseParams) -> None:
-        """Close the rows the walk attempts `cid` on; mark the hits."""
-        if not rows.size:
-            return
-        open_rows[rows] = False
-        hit = _attempt_rows(cid, F[rows], G[rows], S, params, tol)
-        case[rows[hit]] = cid.case
-
-    if walk == "cos-sub":
-        at = np.flatnonzero(open_rows)
-        rows, cs = _unit_c_rows(F[at], G[at], sq, tol)
-        settle(CaseId("cos-sub", 2), at[rows],
-               CaseParams(free=G[at[rows]], c=cs))
-    elif walk == "alpha-skew":
-        at = np.flatnonzero(open_rows)
-        rows, cs = _skew_c_rows(F[at], G[at], alpha, tol)
-        settle(CaseId("alpha-skew", 4), at[rows],
-               CaseParams(alpha=alpha, free=F[at[rows]], c=cs))
-        Fs = F / alpha - G
-        if chars is None:
-            chars = enumerate_characters(S)
-        for chi in conjugate_representatives(tuple(chars)):
-            at = np.flatnonzero(open_rows)
-            rows, cs = _conj_pair_rows(Fs[at], G[at], chi, tol)
-            if cs:
-                c1, c2 = zip(*cs)
-                settle(CaseId("alpha-skew", 5), at[rows],
-                       CaseParams(alpha=alpha, chi=chi, c1=c1, c2=c2))
-    return case
+    return _Batch(equation, F, G, S, binding.get("a"), tol, chars).run()
 
 
 def classify(equation: str, f: FnTable, g: FnTable, S: FiniteSemigroup,

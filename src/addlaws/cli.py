@@ -47,13 +47,12 @@ class CliError(Exception):
 
 
 def _resolve_semigroup(value: str):
-    from .examples import example_semigroups
-    named = example_semigroups()
-    if value in named:
-        return named[value]
+    from .examples import BUNDLED
+    if value in BUNDLED:
+        return BUNDLED[value]()             # only the carrier named
     path = Path(value)
     if not path.is_file():
-        known = ", ".join(sorted(named))
+        known = ", ".join(sorted(BUNDLED))
         raise CliError(f"no bundled semigroup or file {value!r} "
                        f"(bundled: {known})")
     try:

@@ -328,7 +328,7 @@ class FnTable:
     def max_abs_diff(self, other: "FnTable") -> float:
         if self.values is None or other.values is None:
             raise ValueError("max_abs_diff needs finite value tables")
-        return float(np.max(np.abs(self.values - other.values)))
+        return float(np.abs(self.values - other.values).max())
 
     def to_json_dict(self) -> dict:
         if self.values is None:

@@ -254,6 +254,12 @@ def example2() -> WindowedSemigroup:
     return W
 
 
+#: The builder of each bundled instance, keyed by its name in
+#: :func:`example_semigroups`, so that one instance can be built alone.
+BUNDLED = {"Z1": z1, "Z2": z2, "Z3": z3, "Z2xZ2": z2xz2, "N3": n3,
+           "Example1": example1, "Example2": example2}
+
+
 def example_semigroups() -> dict:
     """The bundled instances, keyed by name."""
     out = {S.name: S for S in bundled_finite()}

@@ -16,22 +16,25 @@ draws from (which is also the condition on its characters), each constant's
 admissible set in draw order, and, for the zero pair and the cases built
 from one free table alone, the pair's form.  ``EQUATION_IDS``,
 ``CASE_COUNTS``, ``BRANCHES`` and ``ALPHA_EQUATIONS`` are derived from it.
-The form cases and the three ratio cases (cos-sub/2, alpha-skew/4,
-alpha-skew/5) are row cases: their tables are written once for a stack of
-parameter rows.  The other formulas stay in one builder per equation.
-:func:`construct` checks the record's fields and clauses and builds the
-(f, g) pair of one case (a row case as one row), and :func:`construct_rows`
-builds a row case for a whole stack of rows at once;
-:func:`admissible_params` reports which cases a concrete finite carrier
-supports and draws random admissible parameters for them.
+On a finite carrier every case is a row case: its tables are written once
+for a stack of parameter rows, and its side conditions (the piecewise
+cases' parity, conditions (I) and (II) and a non-zero rho included) are
+row checks.  A windowed carrier takes the cases that have neither a form
+nor a ratio, through one formula builder per equation.  :func:`construct`
+checks the record's fields and clauses and builds the (f, g) pair of one
+case (on a finite carrier as one row), and :func:`construct_rows` builds a
+case for a whole stack of rows at once; :func:`admissible_params` reports
+which cases a concrete finite carrier supports and draws random admissible
+parameters for them.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import itertools
 from dataclasses import dataclass, field, replace
-from functools import cached_property, partial
+from functools import cached_property
 
 import numpy as np
 
@@ -285,11 +288,6 @@ def _check_fields(case: CaseId, params: CaseParams, S) -> None:
             raise ConstraintError(f"{const.name} is not finite")
 
 
-# ---------------------------------------------------------------------------
-# Assembly helpers working on both carrier backends.  They hand FnTable
-# read-only arrays, which it keeps without a copy.
-# ---------------------------------------------------------------------------
-
 def _finite(S) -> bool:
     return isinstance(S, FiniteSemigroup)
 
@@ -299,48 +297,10 @@ def _frozen(v: np.ndarray) -> np.ndarray:
     return v
 
 
-def _scale(h: FnTable, coeff: complex) -> FnTable:
-    if h.finite:
-        return FnTable(h.domain, values=_frozen(complex(coeff) * h.values))
-    return FnTable(h.domain,
-                   formula=lambda x, c=complex(coeff), f=h: c * f(x))
-
-
-def _lin(S, *terms: tuple[complex, FnTable]) -> FnTable:
-    """Linear combination sum(coeff * table)."""
-    if _finite(S) and all(t.finite for _, t in terms):
-        vals = np.zeros(S.n, dtype=np.complex128)
-        for coeff, t in terms:
-            vals = vals + complex(coeff) * t.values
-        return FnTable(S, values=_frozen(vals))
-    parts = tuple((complex(c), t) for c, t in terms)
-    return FnTable(S, formula=lambda x: sum(c * t(x) for c, t in parts))
-
-
-def _piece(S, chi, s_chi: complex, s_a: complex, A: AdditiveFn | None,
-           s_rho: complex, rho: RhoFn) -> FnTable:
-    """chi * (s_chi + s_a A) off the ideal, 0 on I \\ P, s_rho rho on P;
-    a finite carrier's A is 0 and is not read."""
-    if _finite(S):
-        vals = chi.values * complex(s_chi)
-        P = sorted(chi.prime_part)
-        if P:
-            vals[P] = complex(s_rho) * rho.values[P]
-        return FnTable(S, values=_frozen(vals))
-
-    def formula(x):
-        if chi.in_prime_part(x):
-            return complex(s_rho) * rho(x)
-        if chi.in_ideal(x):
-            return 0j
-        return chi(x) * (complex(s_chi) + complex(s_a) * A(x))
-    return FnTable(S, formula=formula)
-
-
 # ---------------------------------------------------------------------------
 # Clauses: the record's (constants, characters, the free table, rho's
-# carrier) for every case, then the builders' checks of what it does not
-# state (A and rho).
+# carrier, and on a finite carrier the piecewise side conditions) for every
+# case.  On a windowed carrier the piecewise builder checks A and rho.
 # ---------------------------------------------------------------------------
 
 def _require(cond: bool, clause: str) -> None:
@@ -354,9 +314,10 @@ def _clauses(case: CaseId, S, p: CaseParams, free):
     that each character and the free table be one of S (of S itself or of
     a finite carrier with the same table and sigma).  `p` holds one pair's
     parameters or the rows (a constant is one number or a sequence over
-    the rows; chi is shared; a stack of free rows has no carrier of its
-    own); `free` is the free table's values, one row or a stack whose last
-    axis runs over the elements."""
+    the rows; the characters are shared; rho's values and a stack of free
+    rows have one row per pair, and the stack no carrier of its own);
+    `free` is the free table's values, one row or a stack whose last axis
+    runs over the elements."""
     homes = [(f"{name} is a character of another carrier",
               getattr(getattr(p, name), "semigroup", S))   # S when unset
              for name in ("chi", "chi1", "chi2")]
@@ -370,7 +331,7 @@ def _clauses(case: CaseId, S, p: CaseParams, free):
     rho = p.rho
     if rho is not None and _finite(S):
         yield "rho is not a function on the prime part of chi", not (
-            rho.values is not None and len(rho.values) == S.n
+            rho.values is not None and np.shape(rho.values)[-1:] == (S.n,)
             and rho.domain == p.chi.prime_part)
     spec = _spec(case)
     for const in spec.constants:
@@ -393,6 +354,125 @@ def _clauses(case: CaseId, S, p: CaseParams, free):
         if sq:
             yield ("free function does not vanish on S^2",
                    ~(np.max(np.abs(free[..., sq]), axis=-1) <= EPS))
+    if rho is not None and _finite(S):
+        yield from _piece_clauses(S, p.chi, rho, kind.removeprefix(
+            "piecewise-"))
+
+
+def _rho_rows(S, rho: RhoFn) -> np.ndarray:
+    """rho's values, one row per pair."""
+    return np.asarray(rho.values).reshape(-1, S.n)
+
+
+def _every_row(v: np.ndarray, rows: int) -> np.ndarray:
+    """The table v once for each row: a (rows, |S|) stack, v itself as
+    the one row of one pair."""
+    return v[None] if rows == 1 else v[None].repeat(rows, axis=0)
+
+
+@functools.lru_cache(maxsize=64)
+def _piece_sites(chi, parity: str) -> tuple:
+    """Where a finite chi's piecewise conditions look, for rho of a parity,
+    as (target, source, factor) triples that ask |rho(target) -
+    rho(source) factor| <= EPS, in four runs: the parity on the prime part
+    P (rho(sigma p) against +-rho(p)); condition (I), in the order of
+    :func:`addlaws.characters.check_condition_I`; rho itself on P (factor
+    0); and rho on the mixed products in P that condition (II) asks the
+    piece, rho on P and 0 elsewhere, to vanish on.  Returns the triples,
+    where each run ends, and whether every target of (I) lies in P, as
+    (I) also asks."""
+    S = chi.semigroup
+    P = sorted(chi.prime_part)
+    off = [x for x in S.window if not chi.in_ideal(x)]
+    edge = [x for x in S.window
+            if chi.in_ideal(x) and not chi.in_prime_part(x)]
+    sign = 1.0 if parity == "even" else -1.0
+    runs = [[(S.sig(p), p, sign) for p in P], [], [(p, p, 0) for p in P]]
+    for p in P:
+        runs[1] += [(x, p, chi.values[u]) for u in off
+                    for x in (S.mul(u, p), S.mul(p, u))]
+        runs[1] += [(S.mul(u, S.mul(p, v)), p, chi.values[S.mul(u, v)])
+                    for u in off for v in off]
+    runs.append([(z, z, 0) for x in edge for y in off
+                 for z in (S.mul(x, y), S.mul(y, x)) if z in chi.prime_part])
+    triples = [t for run in runs for t in run]
+    target, source, factor = zip(*triples) if triples else ((), (), ())
+    ends = list(itertools.accumulate(len(run) for run in runs))
+    return (np.array(target, dtype=np.intp), np.array(source, dtype=np.intp),
+            np.array(factor, dtype=np.complex128), ends,
+            {x for x, _, _ in runs[1]} <= chi.prime_part)
+
+
+def _piece_rows(chi, R: np.ndarray, s_chi, s_rho) -> np.ndarray:
+    """chi s_chi off the prime part P and s_rho rho on P, for each row of
+    rho's values R: a finite carrier's chi A | 0 | rho, whose A is 0.
+    s_rho is one number or a (rows, 1) column."""
+    vals = _every_row(chi.values * complex(s_chi), len(R))
+    P = sorted(chi.prime_part)
+    if P:
+        vals[:, P] = (s_rho if isinstance(s_rho, np.ndarray)
+                      else complex(s_rho)) * R[:, P]
+    return vals
+
+
+def _piece_clauses(S, chi, rho, parity: str):
+    """The piecewise side conditions on a finite carrier, row by row: rho
+    has the case's parity, conditions (I) and (II) hold, and rho is not
+    zero (nor then is the piece chi A | 0 | rho, A = 0)."""
+    R = _rho_rows(S, rho)
+    target, source, factor, (a, b, c, d), closed = _piece_sites(chi, parity)
+    good = np.abs(R[:, target] - R[:, source] * factor) <= EPS
+    yield (f"rho parity must be {parity}",
+           (rho.parity != parity) | ~good[:, :a].all(axis=-1))
+    yield "condition (I) fails", (not closed) | ~good[:, a:b].all(axis=-1)
+    yield "rho vanishes", good[:, b:c].all(axis=-1)
+    yield "condition (II) fails", ~good[:, c:d].all(axis=-1)
+
+
+# ---------------------------------------------------------------------------
+# Windowed carriers: one formula builder per equation, for the cases with
+# even characters that have neither a form nor a ratio.
+# ---------------------------------------------------------------------------
+
+# The coefficients of the character cases, from their constants, in Python
+# complex arithmetic: one rule per case for both kinds of carrier.
+
+def _cos_sub_3(a):
+    s = 1 / (1 + a ** 2)
+    return a * s, s
+
+
+def _cos_sub_4(d):
+    den = 1 / d + d
+    return -1 / den, 1 / den, 1 / (d * den), d / den
+
+
+def _cos_sine_g_5(w):
+    fc = (w * w + 1) / (2 * w)
+    return (1 + fc) / 2, (1 - fc) / 2, (1 + w) / 2, (1 - w) / 2
+
+
+def _scale(h: FnTable, coeff: complex) -> FnTable:
+    return FnTable(h.domain,
+                   formula=lambda x, c=complex(coeff), f=h: c * f(x))
+
+
+def _lin(S, *terms: tuple[complex, FnTable]) -> FnTable:
+    """Linear combination sum(coeff * table)."""
+    parts = tuple((complex(c), t) for c, t in terms)
+    return FnTable(S, formula=lambda x: sum(c * t(x) for c, t in parts))
+
+
+def _piece(S, chi, s_chi: complex, s_a: complex, A: AdditiveFn,
+           s_rho: complex, rho: RhoFn) -> FnTable:
+    """chi * (s_chi + s_a A) off the ideal, 0 on I \\ P, s_rho rho on P."""
+    def formula(x):
+        if chi.in_prime_part(x):
+            return complex(s_rho) * rho(x)
+        if chi.in_ideal(x):
+            return 0j
+        return chi(x) * (complex(s_chi) + complex(s_a) * A(x))
+    return FnTable(S, formula=formula)
 
 
 def _check_parity(S, fn: AdditiveFn, name: str, parity: str) -> None:
@@ -401,49 +481,32 @@ def _check_parity(S, fn: AdditiveFn, name: str, parity: str) -> None:
 
 
 def _sine_piece(S, params: CaseParams, parity: str = "even") -> FnTable:
-    """Validated chi A | 0 | rho table from rho, and A on a windowed
-    carrier."""
+    """Validated chi A | 0 | rho table from A and rho."""
     chi = params.chi
-    if params.A is not None:
-        _check_parity(S, params.A, "A", parity)
+    _check_parity(S, params.A, "A", parity)
     _check_parity(S, params.rho, "rho", parity)
     _require(check_condition_I(params.rho, chi, S), "condition (I) fails")
     piece = _piece(S, chi, 0, 1, params.A, 1, params.rho)
     _require(not all(abs(piece(x)) <= EPS for x in S.window),
-             "rho vanishes" if params.A is None else "A and rho both vanish")
+             "A and rho both vanish")
     _require(check_condition_II(piece, chi, S), "condition (II) fails")
     return piece
 
 
-# ---------------------------------------------------------------------------
-# Case builders.  Each returns the (f, g) pair of a case that is not a row
-# case, from parameters that pass the record's clauses.
-# ---------------------------------------------------------------------------
-
 def _cos_sub(case: CaseId, p: CaseParams, S):
     k = case.case
     if k == 3:
-        s = 1 / (1 + complex(p.alpha) ** 2)
-        cf = p.chi.fn
-        return _scale(cf, complex(p.alpha) * s), _scale(cf, s)
+        u, v = _cos_sub_3(complex(p.alpha))
+        return _scale(p.chi.fn, u), _scale(p.chi.fn, v)
     if k == 4:
-        d = complex(p.delta)
-        den = 1 / d + d
+        u, v, w, z = _cos_sub_4(complex(p.delta))
         c1, c2 = p.chi1.fn, p.chi2.fn
-        f = _lin(S, (-1 / den, c1), (1 / den, c2))
-        g = _lin(S, (1 / (d * den), c1), (d / den, c2))
-        return f, g
-    if k == 5:
-        # f = -i(chi A | 0 | rho), g = chi + (branch) i f.
-        piece = _sine_piece(S, p)
-        f = _scale(piece, -1j)
-        sign = 1j if case.branch == "+" else -1j
-        g = _lin(S, (1, p.chi.fn), (sign, f))
-        return f, g
-    # case 6: f = -i(chi - chi*)/2, g = (chi + chi*)/2 with chi* != chi.
-    cf, sf = p.chi.fn, p.chi.fn.star()
-    f = _lin(S, (-0.5j, cf), (0.5j, sf))
-    g = _lin(S, (0.5, cf), (0.5, sf))
+        return _lin(S, (u, c1), (v, c2)), _lin(S, (w, c1), (z, c2))
+    # case 5: f = -i(chi A | 0 | rho), g = chi + (branch) i f.
+    piece = _sine_piece(S, p)
+    f = _scale(piece, -1j)
+    sign = 1j if case.branch == "+" else -1j
+    g = _lin(S, (1, p.chi.fn), (sign, f))
     return f, g
 
 
@@ -468,32 +531,21 @@ def _cos_sine_g(case: CaseId, p: CaseParams, S):
         cf = p.chi.fn
         return _scale(cf, b * b / (2 * b - 1)), _scale(cf, b)
     if k == 5:
-        w = complex(p.c1)
-        fc = (w * w + 1) / (2 * w)
+        u, v, w, z = _cos_sine_g_5(complex(p.c1))
         c1, c2 = p.chi1.fn, p.chi2.fn
-        f = _lin(S, ((1 + fc) / 2, c1), ((1 - fc) / 2, c2))
-        g = _lin(S, ((1 + w) / 2, c1), ((1 - w) / 2, c2))
-        return f, g
+        return _lin(S, (u, c1), (v, c2)), _lin(S, (w, c1), (z, c2))
+    piece = _sine_piece(S, p)
+    cf = p.chi.fn
     if k == 6:
-        piece = _sine_piece(S, p)
-        cf = p.chi.fn
         return _lin(S, (0.5, piece), (1, cf)), _lin(S, (1, piece), (1, cf))
-    if k == 7:
-        piece = _sine_piece(S, p)
-        cf = p.chi.fn
-        return _lin(S, (1, piece), (1, cf)), cf
-    # case 8: f = (chi + chi*)/2, g one of chi, chi*.
-    cf, sf = p.chi.fn, p.chi.fn.star()
-    f = _lin(S, (0.5, cf), (0.5, sf))
-    g = cf if case.branch == "chi" else sf
-    return f, g
+    return _lin(S, (1, piece), (1, cf)), cf             # case 7
 
 
 def _alpha_sym(case: CaseId, p: CaseParams, S):
     a = complex(p.alpha)
-    # Cases 4..8 come from the cos-sine-g tables (fE, gE) of the same case
+    # Cases 4..7 come from the cos-sine-g tables (fE, gE) of the same case
     # number through f = alpha (gE - 2 fE), g = gE.
-    fe, ge = _cos_sine_g(CaseId("cos-sine-g", case.case, case.branch), p, S)
+    fe, ge = _cos_sine_g(CaseId("cos-sine-g", case.case), p, S)
     f = _lin(S, (a, ge), (-2 * a, fe))
     return f, ge
 
@@ -515,12 +567,48 @@ _BUILDERS = {"cos-sub": _cos_sub, "sine-add": _sine_add,
 
 
 # ---------------------------------------------------------------------------
-# Row cases: built for a stack of parameter rows at once.  A row holds a
-# free table (a row of a (rows, |S|) array) and the case's constants (one
-# entry of a sequence per name, or one number for one pair); alpha and chi
-# are shared by all rows.  `construct` builds one row.  Each case's tables
-# are (rows, |S|) stacks that are exact on the rows that pass every clause.
+# Row tables: every case on a finite carrier, built for a stack of
+# parameter rows at once.  A row holds a free table (a row of a (rows, |S|)
+# array), rho (a row of a (rows, |S|) stack of values) and the case's
+# constants (one entry of a sequence per name, or one number shared by all
+# rows); the characters are shared.  `construct` builds one row.  Each
+# table is a (rows, |S|) stack (for construct's one pair, that stack or
+# its one row), exact on the rows that pass every clause: each row's
+# coefficients are worked out in Python complex arithmetic and its tables
+# with numpy, as the windowed builders' are, so that one pair gets the
+# floats of a row.
 # ---------------------------------------------------------------------------
+
+#: The `ok` of :func:`construct`'s one pair, which passed every clause and
+#: whose constants are numbers.
+_ONE_PAIR = (True,)
+
+
+def _columns(rule, k: int, ok, *constants):
+    """The k coefficients rule(*constants): k numbers for the one pair of
+    `construct`, else k (rows, 1) columns, worked out on the rows that
+    pass every clause and 0 on the others, whose constants may divide by
+    zero."""
+    if ok is _ONE_PAIR:
+        return rule(*map(complex, constants))
+    rows = len(ok)
+    per = [v if isinstance(v, (list, tuple, np.ndarray)) and np.ndim(v)
+           else (v,) * rows for v in constants]
+    got = [rule(*map(complex, row)) if good else (0j,) * k
+           for row, good in zip(zip(*per), ok)]
+    return np.array(got, dtype=np.complex128).reshape(rows, k).T[..., None]
+
+
+def _mix(shape: tuple, *terms) -> np.ndarray:
+    """sum(coeff * table) over (coeff, table) terms, from a zero stack of
+    the given shape, in the windowed builders' order: a coefficient is one
+    number or a (rows, 1) column, a table one row or a (rows, |S|) stack."""
+    out = np.zeros(shape, dtype=np.complex128)
+    for coeff, t in terms:
+        out = out + (coeff if isinstance(coeff, np.ndarray)
+                     else complex(coeff)) * t
+    return out
+
 
 def _factor_tables(form: tuple, S, p: CaseParams, free, ok):
     """A case with a form: each table zero or a factor of the free table."""
@@ -530,50 +618,115 @@ def _factor_tables(form: tuple, S, p: CaseParams, free, ok):
             for u in form]
 
 
-def _unit_c_tables(S, p: CaseParams, free, ok):
-    """cos-sub/2: f = c free, g = free."""
-    return np.reshape(p.c, (-1, 1)).astype(np.complex128) * free, free
+
+def _cos_sub_rows(case: CaseId, S, p: CaseParams, free, ok):
+    k, shape = case.case, (len(ok), S.n)
+    if k == 2:                                  # f = c free, g = free
+        return np.reshape(p.c, (-1, 1)).astype(np.complex128) * free, free
+    if k == 3:
+        u, v = _columns(_cos_sub_3, 2, ok, p.alpha)
+        return u * p.chi.values, v * p.chi.values
+    if k == 4:
+        u, v, w, z = _columns(_cos_sub_4, 4, ok, p.delta)
+        c1, c2 = p.chi1.values, p.chi2.values
+        return _mix(shape, (u, c1), (v, c2)), _mix(shape, (w, c1), (z, c2))
+    chi = p.chi.values
+    if k == 5:
+        # f = -i(chi A | 0 | rho), g = chi + (branch) i f.
+        f = complex(-1j) * _piece_rows(p.chi, _rho_rows(S, p.rho), 0, 1)
+        sign = 1j if case.branch == "+" else -1j
+        return f, _mix(shape, (1, chi), (sign, f))
+    # case 6: f = -i(chi - chi*)/2, g = (chi + chi*)/2 with chi* != chi.
+    conj = p.chi.conj
+    return (_mix(shape, (-0.5j, chi), (0.5j, conj)),
+            _mix(shape, (0.5, chi), (0.5, conj)))
 
 
-def _skew_c_tables(S, p: CaseParams, free, ok):
-    """alpha-skew/4: f = free, g = c / (alpha (1 + c)) free."""
+def _sine_add_rows(case: CaseId, S, p: CaseParams, free, ok):
+    k, shape = case.case, (len(ok), S.n)
+    if k == 3:
+        (u,) = _columns(lambda a: (1 / (2 * a),), 1, ok, p.alpha)
+        return (u * p.chi.values,
+                _every_row(complex(0.5) * p.chi.values, len(ok)))
+    if k == 4:
+        u, v = _columns(lambda c: (c, -c), 2, ok, p.c)
+        c1, c2 = p.chi1.values, p.chi2.values
+        return (_mix(shape, (u, c1), (v, c2)),
+                _mix(shape, (0.5, c1), (0.5, c2)))
+    piece = _piece_rows(p.chi, _rho_rows(S, p.rho), 0, 1)
+    return piece, _every_row(p.chi.values, len(ok))
+
+
+def _cos_sine_g_rows(case: CaseId, S, p: CaseParams, free, ok):
+    k, shape = case.case, (len(ok), S.n)
+    if k == 4:
+        u, v = _columns(lambda b: (b * b / (2 * b - 1), b), 2, ok, p.beta)
+        return u * p.chi.values, v * p.chi.values
+    if k == 5:
+        u, v, w, z = _columns(_cos_sine_g_5, 4, ok, p.c1)
+        c1, c2 = p.chi1.values, p.chi2.values
+        return _mix(shape, (u, c1), (v, c2)), _mix(shape, (w, c1), (z, c2))
+    chi = p.chi.values
+    if k == 8:
+        # f = (chi + chi*)/2, g one of chi, chi*.
+        conj = p.chi.conj
+        return (_mix(shape, (0.5, chi), (0.5, conj)),
+                _every_row(chi if case.branch == "chi" else conj, len(ok)))
+    piece = _piece_rows(p.chi, _rho_rows(S, p.rho), 0, 1)
+    if k == 6:
+        return (_mix(shape, (0.5, piece), (1, chi)),
+                _mix(shape, (1, piece), (1, chi)))
+    return _mix(shape, (1, piece), (1, chi)), _every_row(chi, len(ok))
+
+
+def _alpha_sym_rows(case: CaseId, S, p: CaseParams, free, ok):
     a = complex(p.alpha)
-    lam = [complex(c) / (a * (1 + complex(c))) if good else 0j
-           for c, good in zip(np.atleast_1d(p.c).tolist(), ok)]
-    return free, np.array(lam, dtype=np.complex128)[:, None] * free
+    # Cases 4..8 come from the cos-sine-g tables (fE, gE) of the same case
+    # through f = alpha (gE - 2 fE), g = gE.
+    fe, ge = _cos_sine_g_rows(CaseId("cos-sine-g", case.case, case.branch),
+                              S, p, free, ok)
+    return _mix((len(ok), S.n), (a, ge), (-2 * a, fe)), ge
 
 
-def _conj_rows(S, chi, coeffs):
-    """u chi + v chi* for each row (u, v) of coeffs, float for float as
-    _lin builds it: a (rows, |S|) stack."""
-    u, v = np.array(coeffs, dtype=np.complex128).reshape(-1, 2).T
-    zero = np.zeros((len(u), S.n), dtype=np.complex128)
-    return (zero + u[:, None] * chi.values) + v[:, None] * chi.conj
+def _alpha_skew_rows(case: CaseId, S, p: CaseParams, free, ok):
+    a, k = complex(p.alpha), case.case
+    if k == 4:
+        # f = free, g = c / (alpha (1 + c)) free.
+        (u,) = _columns(lambda c: (c / (a * (1 + c)),), 1, ok, p.c)
+        return free, u * free
+    if k == 5:
+        # f = alpha ((1 + c1 + c2) chi + (1 - c1 - c2) chi*)/2,
+        # g = ((1 + c2) chi + (1 - c2) chi*)/2.
+        u, v, w, z = _columns(lambda c1, c2: (
+            a * (1 + c1 + c2) / 2, a * (1 - c1 - c2) / 2,
+            (1 + c2) / 2, (1 - c2) / 2), 4, ok, p.c1, p.c2)
+        chi, conj, shape = p.chi.values, p.chi.conj, (len(ok), S.n)
+        return _mix(shape, (u, chi), (v, conj)), _mix(shape, (w, chi),
+                                                      (z, conj))
+    # case 6: f = alpha chi (1 + (1+c) A) | 0 | alpha (1+c) rho,
+    #         g = chi (1 + c A) | 0 | c rho, with A = 0 and rho odd.
+    u, w = _columns(lambda c: (a * (1 + c), c), 2, ok, p.c)
+    R = _rho_rows(S, p.rho)
+    return _piece_rows(p.chi, R, a, u), _piece_rows(p.chi, R, 1, w)
 
 
-def _conj_pair_tables(S, p: CaseParams, free, ok):
-    """alpha-skew/5: f = alpha ((1 + c1 + c2) chi + (1 - c1 - c2) chi*)/2,
-    g = ((1 + c2) chi + (1 - c2) chi*)/2."""
-    a = complex(p.alpha)
-    w = [(complex(w1), complex(w2))
-         for w1, w2 in zip(np.atleast_1d(p.c1), np.atleast_1d(p.c2))]
-    f = _conj_rows(S, p.chi, [(a * (1 + w1 + w2) / 2, a * (1 - w1 - w2) / 2)
-                              for w1, w2 in w])
-    g = _conj_rows(S, p.chi, [((1 + w2) / 2, (1 - w2) / 2) for _, w2 in w])
-    return f, g
+_ROW_BUILDERS = {"cos-sub": _cos_sub_rows, "sine-add": _sine_add_rows,
+                 "cos-sine-g": _cos_sine_g_rows,
+                 "alpha-sym": _alpha_sym_rows,
+                 "alpha-skew": _alpha_skew_rows}
+
+#: The cases that only a finite carrier takes: those with a form and the
+#: three ratio cases.
+_FINITE_ONLY = {(eq, k) for eq, specs in CASES.items()
+                for k, spec in enumerate(specs, 1) if spec.form is not None
+                } | {("cos-sub", 2), ("alpha-skew", 4), ("alpha-skew", 5)}
 
 
-#: The tables of each row case: every case with a form, and the three
-#: ratio cases.
-_ROW_CASES = {
-    (eq, k): partial(_factor_tables, spec.form)
-    for eq, specs in CASES.items()
-    for k, spec in enumerate(specs, 1) if spec.form is not None
-} | {
-    ("cos-sub", 2): _unit_c_tables,
-    ("alpha-skew", 4): _skew_c_tables,
-    ("alpha-skew", 5): _conj_pair_tables,
-}
+def _tables(case: CaseId, S, p: CaseParams, free, ok):
+    form = _spec(case).form
+    if form is not None:
+        return _factor_tables(form, S, p, free, ok)
+    return _ROW_BUILDERS[case.equation](case, S, p, free, ok)
 
 
 def construct(case: CaseId, params: CaseParams, S):
@@ -581,40 +734,42 @@ def construct(case: CaseId, params: CaseParams, S):
 
     Raises :class:`ConstraintError` naming the violated clause when the
     parameters do not satisfy the case's side constraints, and for a form
-    or ratio case on a carrier that is not finite.  Where f or g is the
-    caller's own `free` table, that table itself is handed back;
-    its values are read-only.
+    or ratio case on a carrier that is not finite.  On a finite carrier
+    the pair is one row of the case's row tables (see
+    :func:`construct_rows`).  Where f or g is the caller's own `free`
+    table, that table itself is handed back; its values are read-only.
     """
     _check_fields(case, params, S)
-    tables = _ROW_CASES.get((case.equation, case.case))
-    if tables is not None and not _finite(S):
+    finite = _finite(S)
+    if not finite and (case.equation, case.case) in _FINITE_ONLY:
         raise ConstraintError("form and ratio cases need a finite carrier")
     free = None if params.free is None else params.free.values
     for clause, fails in _clauses(case, S, params, free):
         if fails:
             raise ConstraintError(clause)
-    if tables is None:
+    if not finite:
         return _BUILDERS[case.equation](case, params, S)
     rows = None if free is None else free[None]
     return tuple([params.free if h is rows else
-                  FnTable(S, values=_frozen(h)[0])
-                  for h in tables(S, params, rows, (True,))])
+                  FnTable(S, values=_frozen(h).reshape(S.n))
+                  for h in _tables(case, S, params, rows, _ONE_PAIR)])
 
 
 def construct_rows(case: CaseId, S: FiniteSemigroup, params: CaseParams,
                    rows: int):
-    """`construct` of a row case for a stack of parameter rows.
+    """`construct` of one case for a stack of parameter rows.
 
-    `params` holds the rows: `free` as an array of shape (rows, |S|), the
-    row case constants as sequences of length `rows`; alpha and chi are
-    shared.  Returns (ok, f, g): the rows whose parameters pass every
-    clause of :func:`construct`, and the (rows, |S|) value stacks it
-    builds, float for float on those rows.
+    `params` holds the rows: `free` as an array of shape (rows, |S|), rho
+    as a RhoFn whose values have that shape, the case's constants as
+    sequences of length `rows`; alpha and the characters are shared (a
+    constant may be one number for all rows).  Returns (ok, f, g): the
+    rows whose parameters pass every clause of :func:`construct`, and the
+    (rows, |S|) value stacks it builds, float for float on those rows.
     """
     ok = np.ones(rows, dtype=bool)
     for _, fails in _clauses(case, S, params, params.free):
         ok &= np.logical_not(fails)
-    f, g = _ROW_CASES[case.equation, case.case](S, params, params.free, ok)
+    f, g = _tables(case, S, params, params.free, ok)
     return ok, f, g
 
 

@@ -19,12 +19,12 @@ classifier, so it stays an independent check of it.
 
 A coverage report classifies each equation's stacks in chunks of rows.
 :func:`addlaws.classify.classify_rows` re-checks every row's residual and
-settles, with vectorised masks, the rows that the leading steps of the
-classification walk answer with a hit (the zero pair, f = 0, F = f/alpha -
-g = 0, and the free tables vanishing on S^2), then those of its ratio
-stage (cos-sub/2, alpha-skew/4, alpha-skew/5).  Only the rows it leaves
-become FnTables and go through :func:`addlaws.classify.classify`, in grid
-order, so the report is byte-identical to classifying every pair.  A scan
+runs the whole classification walk as vectorised masks: it settles each
+row whose first attempted case (a free family, a ratio case, a character
+or two-character case, a non-even or a piecewise case) hits, and labels
+it with that case, branch included.  Only the rows it leaves become
+FnTables and go through :func:`addlaws.classify.classify`, in grid order,
+so the report is byte-identical to classifying every pair.  A scan
 refuses a tolerance that is negative or not finite, and an alpha that is
 not finite.
 """
@@ -45,7 +45,7 @@ from .core import (EPS, FiniteSemigroup, FnTable, cnum, read_only,
 from .dsl import builtin, evaluate_residual
 from .examples import bundled_finite
 from .families import (ALPHA_EQUATIONS, DEFAULT_ALPHABET, EQUATION_IDS,
-                       CaseId, admissible_params, all_case_ids, construct)
+                       admissible_params, all_case_ids, construct)
 
 PAIR_BUDGET = 10 ** 8
 
@@ -233,9 +233,9 @@ def coverage_report(S: FiniteSemigroup, alphabet=DEFAULT_ALPHABET,
 
     Each equation's solutions are classified as whole stacks, in chunks of
     rows: :func:`addlaws.classify.classify_rows` re-checks their residuals
-    and settles the rows that the leading steps and the ratio stage of the
-    walk answer with a hit, and only the rows left over become FnTables
-    and go through :func:`addlaws.classify.classify`, in their grid order.
+    and settles the rows whose first attempted case hits, and only the
+    rows left over become FnTables and go through
+    :func:`addlaws.classify.classify`, in their grid order.
     """
     values = validate_alphabet(alphabet)
     _require_finite_alpha(alpha)
@@ -260,7 +260,8 @@ def coverage_report(S: FiniteSemigroup, alphabet=DEFAULT_ALPHABET,
             [classify_rows(eq, pairs.f[r:r + chunk], pairs.g[r:r + chunk],
                            S, alpha=a, tol=tol, chars=chars)
              for r in range(0, len(pairs), chunk)])
-        cases = {str(CaseId(eq, int(k))): int(count) for k, count in
+        ids = all_case_ids(eq)
+        cases = {str(ids[k - 1]): int(count) for k, count in
                  zip(*np.unique(settled[settled > 0], return_counts=True))}
         dumps = []
         for i in np.flatnonzero(settled == 0):

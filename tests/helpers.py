@@ -59,6 +59,14 @@ def brute_force_characters(S, tol: float = TOL) -> list[np.ndarray]:
     return found
 
 
+def spread(rows, k: int) -> list:
+    """At most k of the rows, evenly spaced, first and last included."""
+    rows = np.asarray(rows)
+    if len(rows) <= k:
+        return rows.tolist()
+    return rows[np.linspace(0, len(rows) - 1, k).round().astype(int)].tolist()
+
+
 def match_tables(xs, ys, tol: float = TOL) -> bool:
     """True when two collections of value tables agree up to reordering."""
     if len(xs) != len(ys):

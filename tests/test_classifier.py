@@ -19,7 +19,7 @@ from addlaws.families import CaseId, CaseParams, admissible_params, \
 from addlaws.examples import m3, n3, z2, z2xz2, z3
 from addlaws.oracle import grid_solutions
 
-from helpers import TOL
+from helpers import TOL, spread
 
 # import_module, because the package re-exports a function named classify
 # that shadows the submodule attribute of the same name.
@@ -31,10 +31,12 @@ ALPHA_EQS = ("alpha-sym", "alpha-skew")
 #: test_classify_outcomes_byte_identical, recorded before the walks'
 #: character check moved into the classification session and pinned again
 #: when finite piecewise hits stopped carrying A: each hit lost its A and
-#: each log its "rejected (A ...)" lines, and nothing else moved
-#: (CHANGES.md gives the per-record proof).
-CLASSIFY_OUTCOME_DIGEST = ("ea28a21686256f1f617976b5adb8c785"
-                           "04a8ad3d48eec0646eae7a6c64b54c7a")
+#: each log its "rejected (A ...)" lines, and nothing else moved; pinned
+#: once more when the pairs came to be picked per case label instead of
+#: from the rows classify_rows leaves, whose set moves with every new mask
+#: stage (CHANGES.md gives the per-record proofs).
+CLASSIFY_OUTCOME_DIGEST = ("d805ed54372e607468c139a042c5a54b"
+                           "a2aa255b0fcc5a0b9d3915dcfbdde92b")
 
 
 def test_linear_dependence_prefers_f_of_g():
@@ -210,6 +212,21 @@ def test_library_refuses_a_bad_tolerance(tol):
         assert err.type is ValueError and str(err.value) == shown
 
 
+@pytest.mark.parametrize("eq", ALPHA_EQS)
+def test_rows_of_an_alpha_equation_need_alpha(monkeypatch, eq):
+    """classify fits a missing alpha by least squares; classify_rows names
+    the missing argument before its residual kernel runs (it failed there
+    with KeyError: "unbound constant 'a'")."""
+    S = z2()
+    zeros = np.zeros((3, S.n), dtype=complex)
+    monkeypatch.setattr(classify_mod, "residual_rows", None)
+    with pytest.raises(TypeError) as err:
+        classify_mod.classify_rows(eq, zeros, zeros, S)
+    assert str(err.value) == f"classify_rows needs the argument alpha for {eq}"
+    assert classify(eq, fn(S, [0, 0]), fn(S, [0, 0]), S).case == \
+        CaseId(eq, 1)
+
+
 def test_unclassified_diagnostics_have_full_dump(chars):
     # Starving the classifier of characters forces the diagnostic path.
     S = z2()
@@ -374,23 +391,16 @@ def _outcome(eq, f, g, S, alpha, chars, tol) -> list:
     return ["hit", hit.to_json_dict(), params]
 
 
-def _spread(rows, k: int) -> list:
-    """At most k of the rows, evenly spaced, first and last included."""
-    rows = np.asarray(rows)
-    if len(rows) <= k:
-        return rows.tolist()
-    return rows[np.linspace(0, len(rows) - 1, k).round().astype(int)].tolist()
-
-
 def test_classify_outcomes_byte_identical(carriers, chars):
     """Per-pair classify answers, logs and errors hash to a pinned digest.
 
     Coverage reports settle most rows in classify_rows, so they say little
     about classify's own answers.  Here every carrier and equation gives
-    evenly spaced grid solutions plus those classify_rows leaves to
-    classify; each pair is classified as it is, swapped, with f and with g
-    perturbed at one element, and (alpha equations) with alpha recovered
-    by least squares, each at three tolerances.
+    evenly spaced grid solutions of each case label that classify_rows
+    settles, and of the rows it leaves to classify; each pair is
+    classified as it is, swapped, with f and with g perturbed at one
+    element, and (alpha equations) with alpha recovered by least squares,
+    each at three tolerances.
     """
     digest = hashlib.sha256()
     for name in ("Z1", "Z2", "Z3", "N3", "M3", "NP4", "Z2xZ2"):
@@ -398,10 +408,12 @@ def test_classify_outcomes_byte_identical(carriers, chars):
         for eq in BUILTIN_EQUATIONS:
             alpha = 1.0 if eq in ALPHA_EQS else None
             sols = grid_solutions(eq, S, alpha=alpha)
-            left = np.flatnonzero(classify_mod.classify_rows(
-                eq, sols.f, sols.g, S, alpha=alpha, chars=cs) == 0)
-            for i in sorted(set(_spread(range(len(sols)), 16))
-                            | set(_spread(left, 16))):
+            labels = classify_mod.classify_rows(eq, sols.f, sols.g, S,
+                                                alpha=alpha, chars=cs)
+            picked = set()
+            for label in np.unique(labels).tolist():
+                picked |= set(spread(np.flatnonzero(labels == label), 8))
+            for i in sorted(picked):
                 fv, gv = sols.f[i], sols.g[i]
                 bump = np.zeros(S.n)
                 bump[i % S.n] = 1e-4

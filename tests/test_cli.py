@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from addlaws import examples
 from addlaws.cli import (EXIT_BUDGET, EXIT_FAIL, EXIT_OK, EXIT_USAGE,
                          _build_parser, main)
 from addlaws.characters import WindowedChar
@@ -373,6 +374,22 @@ def test_classify_unknown_semigroup(capsys, tmp_path):
     code = main(["classify", "-s", "Q8", "-e", "cos-sub", "--fn", fg])
     err = capsys.readouterr().err
     assert code == EXIT_FAIL and "error:" in err
+
+
+def test_a_bundled_name_builds_only_its_carrier(capsys):
+    """Resolving Z2 builds Z2 alone: the windowed example 2, a ~0.4 s
+    build, stays unbuilt.  The refusal of an unknown name still lists
+    every bundled name, the keys of example_semigroups()."""
+    examples.example2.cache_clear()
+    code, _, _ = run(capsys, "chars", "-s", "Z2")
+    assert code == EXIT_OK
+    assert examples.example2.cache_info().currsize == 0
+    assert list(examples.BUNDLED) == list(examples.example_semigroups())
+    code = main(["chars", "-s", "Q8"])
+    assert code == EXIT_FAIL
+    assert capsys.readouterr().err == (
+        "error: no bundled semigroup or file 'Q8' (bundled: Example1, "
+        "Example2, N3, Z1, Z2, Z2xZ2, Z3)\n")
 
 
 def test_usage_errors_exit_2(capsys):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from addlaws import families, oracle
+from addlaws.characters import enumerate_characters
 from addlaws.classify import NotASolutionError
 from addlaws.core import FiniteSemigroup, stable_json
 from addlaws.dsl import BUILTIN_EQUATIONS
@@ -13,7 +14,8 @@ from addlaws.examples import m3, n3, np4, z1, z2, z3, z2xz2
 from addlaws.oracle import (DEFAULT_ALPHABET, coverage_report, grid_solutions,
                             value_tuples)
 
-from helpers import reference_coverage_report, reference_grid_pairs
+from helpers import reference_coverage_report, reference_grid_pairs, spread
+from test_census import census_carriers
 from test_oracle import THIRDS_ALPHABET
 
 # import_module, because the package re-exports a function named classify
@@ -127,14 +129,16 @@ def test_coverage_report_classifies_only_the_rows_the_masks_leave(
 
     A Z2xZ2 report has 13,247 solutions, and the per-pair loop made a
     classify call and two FnTables for each.  The leading-step masks left
-    122 (Z2xZ2) and 413 (N3) rows; the ratio stage takes the 72
+    122 (Z2xZ2) and 413 (N3) rows; the ratio stage took the 72
     alpha-skew/5 rows of Z2xZ2 and the 48 cos-sub/2 and 352 alpha-skew/4
-    rows of N3.
+    rows of N3, which left 50 and 13 (and 80 on M3).  The character and
+    piecewise stages settle those, and on these carriers every case's
+    first candidate hits, so no row is left.
     """
     classified = _count_calls(monkeypatch, oracle, "classify")
     searched = _count_calls(monkeypatch, oracle, "grid_solutions")
     read = _count_calls(monkeypatch, oracle.GridSolutions, "__getitem__")
-    for make, left in ((z2xz2, 50), (n3, 13)):
+    for make, left in ((z2xz2, 0), (n3, 0), (m3, 0)):
         for counter in (classified, searched, read):
             counter.clear()
         report = coverage_report(make())
@@ -143,6 +147,48 @@ def test_coverage_report_classifies_only_the_rows_the_masks_leave(
         assert len(searched) == len(BUILTIN_EQUATIONS)
         for block in report["equations"].values():
             assert sum(block["cases"].values()) == block["solutions"]
+
+
+#: Most rows per settled case label that
+#: test_settled_rows_are_classify_outcomes sends through classify.
+ROWS_PER_LABEL = 4
+
+
+def test_settled_rows_are_classify_outcomes():
+    """Every row classify_rows settles is a row on which classify answers
+    the same case, branch included: a spread of the rows of each label on
+    the bundled carriers and the census with n <= 3 at the default
+    tolerance, and on the bundled carriers with SMALL_ALPHABET at 0.3.
+    (Per-case tallies would not see two labels swapped.)"""
+    bundled = [make() for make in (z1, z2, z3, n3, m3, z2xz2, np4)]
+    runs = [(S, DEFAULT_ALPHABET, 1e-9) for S in (*bundled,
+                                                 *census_carriers())]
+    runs += [(S, SMALL_ALPHABET, 0.3) for S in bundled]
+    seen = set()
+    for S, alphabet, tol in runs:
+        chars = enumerate_characters(S)
+        for eq in BUILTIN_EQUATIONS:
+            alpha = 1.0 if eq in ALPHA_EQS else None
+            sols = grid_solutions(eq, S, alphabet, alpha=alpha, tol=tol)
+            labels = classify_mod.classify_rows(eq, sols.f, sols.g, S,
+                                                alpha=alpha, tol=tol,
+                                                chars=chars)
+            ids = families.all_case_ids(eq)
+            for label in np.unique(labels[labels > 0]).tolist():
+                for i in spread(np.flatnonzero(labels == label),
+                                 ROWS_PER_LABEL):
+                    f, g = sols[i]
+                    hit = classify_mod.classify(eq, f, g, S, alpha=alpha,
+                                                chars=chars, tol=tol)
+                    assert getattr(hit, "case", None) == ids[label - 1], \
+                        (S.name, eq, tol, i)
+                seen.add(str(ids[label - 1]))
+    # Every case that a grid solution here reaches has been compared.
+    assert seen >= {"cos-sub/3", "cos-sub/4", "cos-sub/5+", "cos-sub/5-",
+                    "cos-sub/6", "sine-add/3", "sine-add/4", "sine-add/5",
+                    "cos-sine-g/4", "cos-sine-g/5", "cos-sine-g/6",
+                    "cos-sine-g/7", "cos-sine-g/8chi", "alpha-sym/8chi",
+                    "alpha-skew/5", "alpha-skew/6"}
 
 
 def test_grid_solutions_never_touch_the_classifier(monkeypatch):
