@@ -2,21 +2,24 @@
 enforcement, parameter menus, and structural properties."""
 
 import dataclasses
+import functools
 import hashlib
+import itertools
 import random
 import re
 
 import numpy as np
 import pytest
 
-from addlaws.core import FiniteSemigroup, cnum, fn, stable_json
+from addlaws.core import (FiniteSemigroup, WindowedSemigroup, cnum, fn,
+                          stable_json)
 from addlaws.dsl import BUILTIN_EQUATIONS
 from addlaws.families import (BRANCHES, CASE_COUNTS, CASES, CaseId,
                               CaseParams, ConstraintError, admissible_params,
                               all_case_ids, construct, construct_rows)
-from addlaws.characters import (AdditiveFn, MultChar, RhoFn,
+from addlaws.characters import (AdditiveFn, MultChar, RhoFn, WindowedChar,
                                 enumerate_characters, rho_space)
-from addlaws.examples import example1, m3, n3, np4, z2, z3, z2xz2
+from addlaws.examples import example1, example2, m3, n3, np4, z2, z3, z2xz2
 from addlaws.oracle import fuzz_constructors
 
 from helpers import TOL, equation_residual
@@ -480,3 +483,171 @@ def test_construct_refuses_a_rho_off_the_prime_part(rho):
     with pytest.raises(ConstraintError, match=(
             "^rho is not a function on the prime part of chi$")):
         construct(CaseId("sine-add", 5), CaseParams(chi=chi, rho=rho), S)
+
+
+# ---------------------------------------------------------------------------
+# Every case a windowed carrier takes: the character cases on a small copy
+# of example 2, the piecewise cases on example 1.
+# ---------------------------------------------------------------------------
+
+#: SHA-256 of the (f, g) values that every windowed case id builds at each
+#: of WINDOWED_SETTINGS, at every window point and at products x s(y) off
+#: the window (see _windowed_points), recorded before the windowed tables
+#: were built through the row tables.
+WINDOWED_CASE_DIGEST = ("2287629751646c17365c53934cf8b291"
+                        "de095058259564abf8cd06049843fce6")
+
+#: The constants of the windowed cases, each admissible for every case
+#: (none is 0, 1/2, +-1 or +-i).
+WINDOWED_SETTINGS = (2.0, -1.5 + 0.5j, 0.25 + 3j)
+
+WINDOWED_CASES = ["cos-sub/3", "cos-sub/4", "cos-sub/5+", "cos-sub/5-",
+                  "sine-add/3", "sine-add/4", "sine-add/5",
+                  "cos-sine-g/4", "cos-sine-g/5", "cos-sine-g/6",
+                  "cos-sine-g/7", "alpha-sym/4", "alpha-sym/5",
+                  "alpha-sym/6", "alpha-sym/7", "alpha-skew/6"]
+
+
+def _case_id(text: str) -> CaseId:
+    eq, k = text.split("/")
+    return CaseId(eq, int(k[0]), k[1:] or None)
+
+
+@functools.lru_cache(maxsize=None)
+def _small_example2():
+    """Example 2 on the 7 x 7 grid of quarters, with its characters."""
+    W = example2()
+    coords = [k / 4 for k in range(-3, 4)]
+    S = WindowedSemigroup("Example2-small", W.mul, W.sig,
+                          [(x, y) for x in coords for y in coords])
+    S.extras["chars"] = {
+        name: WindowedChar(S, c.formula, c.in_ideal, c.in_ideal_square,
+                           c.in_prime_part)
+        for name, c in W.extras["chars"].items()}
+    return S
+
+
+def _windowed_points(S) -> list:
+    """Every window point, and products x s(y) that leave the window."""
+    if S.name == "Example2-small":
+        pairs = example2().extras["sample_pairs"](6, 0)
+    else:
+        pairs = itertools.product((5, 6, 12, 35), (2, 7, 18, 25))
+    return list(S.window) + [S.mul(x, S.sig(y)) for x, y in pairs]
+
+
+def _windowed_params(case: CaseId, z: complex):
+    """The carrier and parameters of one windowed case at the constant z."""
+    names = CASES[case.equation][case.case - 1].fields
+    consts = {name: z for name in ("alpha", "beta", "delta", "c", "c1")
+              if name in names}
+    if "rho" not in names:
+        S = _small_example2()
+        chars = S.extras["chars"]
+        if "chi" in names:
+            consts["chi"] = chars["chi_sgn"]
+        else:
+            consts["chi1"], consts["chi2"] = chars["chi_abs"], chars["chi_sgn"]
+        return S, CaseParams(**consts)
+    S = example1(window_max=30)
+    if case.equation == "alpha-skew":     # an odd zero A and an odd rho
+        A = dataclasses.replace(S.extras["additive_family"]({}),
+                                parity="odd")
+        rho = S.extras["rho_family"](z, "odd")
+    else:
+        A = S.extras["additive_family"]({5: 1.0, 7: -0.5})
+        rho = S.extras["rho_family"](z)
+    return S, CaseParams(chi=S.extras["chi"], A=A, rho=rho, **consts)
+
+
+@pytest.mark.parametrize("text", WINDOWED_CASES)
+def test_windowed_cases_solve_their_equation(text):
+    case = _case_id(text)
+    for z in WINDOWED_SETTINGS:
+        S, params = _windowed_params(case, z)
+        f, g = construct(case, params, S)
+        r = equation_residual(case.equation, f, g, S, alpha=params.alpha)
+        assert r <= TOL, (text, z, r)
+
+
+def test_windowed_case_values_are_pinned():
+    """The windowed tables, float for float, at fixed points."""
+    digest = hashlib.sha256()
+    for text in WINDOWED_CASES:
+        case = _case_id(text)
+        for z in WINDOWED_SETTINGS:
+            S, params = _windowed_params(case, z)
+            f, g = construct(case, params, S)
+            points = _windowed_points(S)
+            digest.update(stable_json(
+                [text, cnum(z), [cnum(f(x)) for x in points],
+                 [cnum(g(x)) for x in points]]).encode())
+    assert digest.hexdigest() == WINDOWED_CASE_DIGEST
+
+
+def _p5():
+    """{y, w, x, p, 0}: y and w a left-zero band (uv = u), x y = p, x w = 0,
+    y x = w x = x, and every other product 0 or fixed by the band, with
+    sigma the identity.  For chi = 1 on {y, w}, P = {p} and x lies in
+    I \\ P, so x y = p puts a non-zero rho into condition (II)."""
+    y, w, x, p, o = range(5)
+    table = [[y, y, x, p, o], [w, w, x, p, o], [p, o, o, o, o],
+             [p, p, o, o, o], [o] * 5]
+    return FiniteSemigroup("P5", ["y", "w", "x", "p", "0"], table, range(5))
+
+
+def _windowed_twin(S, chi):
+    """S as a windowed carrier over its element indices, with chi."""
+    W = WindowedSemigroup(f"{S.name}-windowed", S.mul, S.sig, S.window)
+    return W, WindowedChar(W, chi, chi.in_ideal, chi.null_square.__contains__,
+                           chi.in_prime_part)
+
+
+def _odd(fn: AdditiveFn) -> AdditiveFn:
+    return dataclasses.replace(fn, parity="odd")
+
+
+@pytest.mark.parametrize("text,change,clause", [
+    ("sine-add/5", lambda E: dict(A=_odd(E["additive_family"]({5: 1.0}))),
+     "A parity must be even"),
+    ("cos-sub/5+", lambda E: dict(rho=E["rho_family"](1.0, "odd")),
+     "rho parity must be even"),
+    ("alpha-skew/6", lambda E: dict(A=E["additive_family"]({})),
+     "A parity must be odd"),
+    ("alpha-skew/6", lambda E: dict(rho=E["rho_family"](1.0)),
+     "rho parity must be odd"),
+    # rho = 1 at 2 and 3 only is even, but rho(2 * 5) = 0 != rho(2) chi(5).
+    ("cos-sine-g/6", lambda E: dict(rho=RhoFn(
+        domain=E["chi"].in_prime_part,
+        formula=lambda n: 1.0 if n in (2, 3) else 0.0)),
+     "condition (I) fails"),
+    ("alpha-sym/7", lambda E: dict(A=E["additive_family"]({}),
+                                   rho=E["rho_family"](0.0)),
+     "A and rho both vanish"),
+], ids=["A-parity", "rho-parity", "A-parity-odd", "rho-parity-odd",
+        "condition-I", "vanish"])
+def test_windowed_piecewise_refusals(text, change, clause):
+    """Example 1's piecewise cases of test_windowed_cases_solve_their_equation
+    with one of A and rho changed: each change fails its own clause."""
+    case = _case_id(text)
+    S, params = _windowed_params(case, 1.0)
+    with pytest.raises(ConstraintError) as err:
+        construct(case, dataclasses.replace(params, **change(S.extras)), S)
+    assert str(err.value) == clause
+
+
+def test_windowed_condition_II_refusal():
+    """P5's x y = p refuses a non-zero rho on either kind of carrier."""
+    S = _p5()
+    chi = MultChar(S, [1, 1, 0, 0, 0])
+    assert chi.prime_part == {3} and chi.null_ideal == {2, 3, 4}
+    rho = rho_space(chi, S).instance([1], S.n)
+    with pytest.raises(ConstraintError, match="^condition \\(II\\) fails$"):
+        construct(CaseId("sine-add", 5), CaseParams(chi=chi, rho=rho), S)
+    W, wchi = _windowed_twin(S, chi)
+    params = CaseParams(chi=wchi, rho=RhoFn(domain=chi.in_prime_part,
+                                            formula=rho),
+                        A=AdditiveFn(domain=lambda i: not chi.in_ideal(i),
+                                     formula=lambda i: 0j))
+    with pytest.raises(ConstraintError, match="^condition \\(II\\) fails$"):
+        construct(CaseId("sine-add", 5), params, W)
