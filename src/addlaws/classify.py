@@ -37,6 +37,7 @@ construct-and-compare per case that gives the floats and checks of
 
 from __future__ import annotations
 
+import cmath
 import functools
 import itertools
 from dataclasses import dataclass, replace
@@ -808,10 +809,11 @@ def _checked_binding(equation: str, f, g, S, tol: float, alpha,
     """The residual binding of (f, g), after refusing what :func:`classify`
     refuses, in its order: a carrier that is not finite (TypeError), an
     unknown equation id (KeyError), a tolerance that is negative or not
-    finite, and an alpha within tol of 0 (ValueError).  With `fit`, an
-    alpha equation's missing alpha is recovered by :func:`_extract_alpha`;
-    without it, a missing alpha is a TypeError.  The binding holds alpha
-    as "a" for the alpha equations only."""
+    finite, and a given alpha that is not finite or an alpha within tol of
+    0 (ValueError).  With `fit`, an alpha equation's missing alpha is
+    recovered by :func:`_extract_alpha`; without it, a missing alpha is a
+    TypeError.  The binding holds alpha as "a" for the alpha equations
+    only."""
     if not isinstance(S, FiniteSemigroup):
         raise TypeError("classification runs on finite semigroups only; "
                         "windowed carriers use construct-then-compare")
@@ -825,6 +827,8 @@ def _checked_binding(equation: str, f, g, S, tol: float, alpha,
                             f"{equation}")
         if alpha is None:
             alpha = _extract_alpha(equation, f, g, S, tol)
+        elif not cmath.isfinite(complex(alpha)):
+            raise ValueError("alpha must be finite")
         if abs(complex(alpha)) <= tol:
             raise ValueError("alpha must be non-zero")
         binding["a"] = complex(alpha)
@@ -1069,9 +1073,14 @@ def classify_rows(equation: str, F: np.ndarray, G: np.ndarray,
     `alpha` (a TypeError names it when it is missing); `chars` is the
     enumerate_characters list, worked out here when a stage needs it and
     it is not given.  Input that `classify` refuses is refused here with
-    the same error.
+    the same error, and F and G that are not (rows, |S|) arrays of one
+    shape with a ValueError.
     """
     binding = _checked_binding(equation, F, G, S, tol, alpha)
+    if not (np.ndim(F) == 2 and np.shape(F) == np.shape(G)
+            and np.shape(F)[1] == S.n):
+        raise ValueError(f"F and G must be (rows, {S.n}) stacks of one "
+                         f"shape, got {np.shape(F)} and {np.shape(G)}")
     residual = residual_rows(builtin(equation), binding, S)
     bad = np.flatnonzero(~(residual <= tol))
     if bad.size:

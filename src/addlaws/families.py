@@ -16,13 +16,14 @@ draws from (which is also the condition on its characters), each constant's
 admissible set in draw order, and, for the zero pair and the cases built
 from one free table alone, the pair's form.  ``EQUATION_IDS``,
 ``CASE_COUNTS``, ``BRANCHES`` and ``ALPHA_EQUATIONS`` are derived from it.
-On a finite carrier every case is a row case: its tables are written once
-for a stack of parameter rows, and its side conditions (the piecewise
-cases' parity, conditions (I) and (II) and a non-zero rho included) are
-row checks.  A windowed carrier takes the cases that have neither a form
-nor a ratio, through one formula builder per equation.  :func:`construct`
-checks the record's fields and clauses and builds the (f, g) pair of one
-case (on a finite carrier as one row), and :func:`construct_rows` builds a
+Each case's tables are written once, in its row builder: on a finite
+carrier for a stack of parameter rows, whose side conditions (the
+piecewise cases' parity, conditions (I) and (II) and a non-zero rho
+included) are row checks; on a windowed carrier, which takes the cases
+that have neither a form nor a ratio, as formula tables, whose piecewise
+side conditions are checked over the window.  :func:`construct` checks
+the record's fields and clauses and builds the (f, g) pair of one case
+(on a finite carrier as one row), and :func:`construct_rows` builds a
 case for a whole stack of rows at once; :func:`admissible_params` reports
 which cases a concrete finite carrier supports and draws random admissible
 parameters for them.
@@ -38,9 +39,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .characters import (AdditiveFn, RhoFn, check_condition_I,
-                         check_condition_II, conjugate_representatives,
-                         parity_residual, rho_space)
+from .characters import (AdditiveFn, RhoFn, WindowedChar,
+                         check_condition_I, check_condition_II,
+                         conjugate_representatives, parity_residual,
+                         rho_space)
 from .core import EPS, FiniteSemigroup, FnTable, square_set
 
 #: Exactly representable scalars for random parameter draws.
@@ -298,15 +300,10 @@ def _frozen(v: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Clauses: the record's (constants, characters, the free table, rho's
-# carrier, and on a finite carrier the piecewise side conditions) for every
-# case.  On a windowed carrier the piecewise builder checks A and rho.
+# Clauses: the record's (constants, characters, the free table and rho's
+# carrier) and the piecewise side conditions, for every case on either
+# kind of carrier.
 # ---------------------------------------------------------------------------
-
-def _require(cond: bool, clause: str) -> None:
-    if not cond:
-        raise ConstraintError(clause)
-
 
 def _clauses(case: CaseId, S, p: CaseParams, free):
     """Each clause of the case's record, in construct's order, with where
@@ -354,9 +351,10 @@ def _clauses(case: CaseId, S, p: CaseParams, free):
         if sq:
             yield ("free function does not vanish on S^2",
                    ~(np.max(np.abs(free[..., sq]), axis=-1) <= EPS))
-    if rho is not None and _finite(S):
-        yield from _piece_clauses(S, p.chi, rho, kind.removeprefix(
-            "piecewise-"))
+    if rho is not None:
+        parity = kind.removeprefix("piecewise-")
+        yield from (_piece_clauses(S, p.chi, rho, parity) if _finite(S)
+                    else _formula_piece_clauses(S, p, parity))
 
 
 def _rho_rows(S, rho: RhoFn) -> np.ndarray:
@@ -364,9 +362,11 @@ def _rho_rows(S, rho: RhoFn) -> np.ndarray:
     return np.asarray(rho.values).reshape(-1, S.n)
 
 
-def _every_row(v: np.ndarray, rows: int) -> np.ndarray:
+def _every_row(v, rows: int):
     """The table v once for each row: a (rows, |S|) stack, v itself as
-    the one row of one pair."""
+    the one row of one pair; a formula table as it is."""
+    if isinstance(v, FnTable):
+        return v
     return v[None] if rows == 1 else v[None].repeat(rows, axis=0)
 
 
@@ -403,15 +403,27 @@ def _piece_sites(chi, parity: str) -> tuple:
             {x for x, _, _ in runs[1]} <= chi.prime_part)
 
 
-def _piece_rows(chi, R: np.ndarray, s_chi, s_rho) -> np.ndarray:
-    """chi s_chi off the prime part P and s_rho rho on P, for each row of
-    rho's values R: a finite carrier's chi A | 0 | rho, whose A is 0.
-    s_rho is one number or a (rows, 1) column."""
+def _piece_rows(S, p: CaseParams, s_chi, s):
+    """chi (s_chi + s A) off chi's null ideal I, 0 on I \\ P and s rho on
+    the prime part P.  On a finite carrier A is 0, and the table has one
+    row for each row of rho's values (s is one number or a (rows, 1)
+    column); on a windowed carrier it is a formula table."""
+    chi = p.chi
+    if not _finite(S):
+        A, rho, s_chi, s = p.A, p.rho, complex(s_chi), complex(s)
+
+        def formula(x):
+            if chi.in_prime_part(x):
+                return s * rho(x)
+            if chi.in_ideal(x):
+                return 0j
+            return chi(x) * (s_chi + s * A(x))
+        return FnTable(S, formula=formula)
+    R = _rho_rows(S, p.rho)
     vals = _every_row(chi.values * complex(s_chi), len(R))
     P = sorted(chi.prime_part)
     if P:
-        vals[:, P] = (s_rho if isinstance(s_rho, np.ndarray)
-                      else complex(s_rho)) * R[:, P]
+        vals[:, P] = _times(s, R[:, P])
     return vals
 
 
@@ -429,13 +441,37 @@ def _piece_clauses(S, chi, rho, parity: str):
     yield "condition (II) fails", ~good[:, c:d].all(axis=-1)
 
 
+def _formula_piece_clauses(S, p: CaseParams, parity: str):
+    """The piecewise side conditions on a windowed carrier, over its
+    window: A and rho have the case's parity, condition (I) holds, the
+    piece chi A | 0 | rho is not zero, and condition (II) holds for it."""
+    for name in ("A", "rho"):
+        h = getattr(p, name)
+        yield f"{name} parity must be {parity}", not (
+            h.parity == parity and parity_residual(h, S) <= EPS)
+    yield "condition (I) fails", not check_condition_I(p.rho, p.chi, S)
+    piece = _piece_rows(S, p, 0, 1)
+    yield "A and rho both vanish", all(abs(piece(x)) <= EPS
+                                       for x in S.window)
+    yield "condition (II) fails", not check_condition_II(piece, p.chi, S)
+
+
 # ---------------------------------------------------------------------------
-# Windowed carriers: one formula builder per equation, for the cases with
-# even characters that have neither a form nor a ratio.
+# Row tables: every case, built for a stack of parameter rows at once on a
+# finite carrier and as formula tables on a windowed one.  A row holds a
+# free table (a row of a (rows, |S|) array), rho (a row of a (rows, |S|)
+# stack of values) and the case's constants (one entry of a sequence per
+# name, or one number shared by all rows); the characters are shared.
+# `construct` builds one row.  On a finite carrier each table is a (rows,
+# |S|) stack (for construct's one pair, that stack or its one row), exact
+# on the rows that pass every clause: each row's coefficients are worked
+# out in Python complex arithmetic and its tables with numpy, so that one
+# pair gets the floats of a row.  Of the builders and their helpers, only
+# the leaf helpers (_shape, _table, _times, _mix, _every_row, _piece_rows
+# and _pair_table) tell the two kinds of carrier apart.
 # ---------------------------------------------------------------------------
 
-# The coefficients of the character cases, from their constants, in Python
-# complex arithmetic: one rule per case for both kinds of carrier.
+# The coefficients of the character cases, from their constants.
 
 def _cos_sub_3(a):
     s = 1 / (1 + a ** 2)
@@ -451,133 +487,6 @@ def _cos_sine_g_5(w):
     fc = (w * w + 1) / (2 * w)
     return (1 + fc) / 2, (1 - fc) / 2, (1 + w) / 2, (1 - w) / 2
 
-
-def _scale(h: FnTable, coeff: complex) -> FnTable:
-    return FnTable(h.domain,
-                   formula=lambda x, c=complex(coeff), f=h: c * f(x))
-
-
-def _lin(S, *terms: tuple[complex, FnTable]) -> FnTable:
-    """Linear combination sum(coeff * table)."""
-    parts = tuple((complex(c), t) for c, t in terms)
-    return FnTable(S, formula=lambda x: sum(c * t(x) for c, t in parts))
-
-
-def _piece(S, chi, s_chi: complex, s_a: complex, A: AdditiveFn,
-           s_rho: complex, rho: RhoFn) -> FnTable:
-    """chi * (s_chi + s_a A) off the ideal, 0 on I \\ P, s_rho rho on P."""
-    def formula(x):
-        if chi.in_prime_part(x):
-            return complex(s_rho) * rho(x)
-        if chi.in_ideal(x):
-            return 0j
-        return chi(x) * (complex(s_chi) + complex(s_a) * A(x))
-    return FnTable(S, formula=formula)
-
-
-def _check_parity(S, fn: AdditiveFn, name: str, parity: str) -> None:
-    _require(fn.parity == parity and parity_residual(fn, S) <= EPS,
-             f"{name} parity must be {parity}")
-
-
-def _sine_piece(S, params: CaseParams, parity: str = "even") -> FnTable:
-    """Validated chi A | 0 | rho table from A and rho."""
-    chi = params.chi
-    _check_parity(S, params.A, "A", parity)
-    _check_parity(S, params.rho, "rho", parity)
-    _require(check_condition_I(params.rho, chi, S), "condition (I) fails")
-    piece = _piece(S, chi, 0, 1, params.A, 1, params.rho)
-    _require(not all(abs(piece(x)) <= EPS for x in S.window),
-             "A and rho both vanish")
-    _require(check_condition_II(piece, chi, S), "condition (II) fails")
-    return piece
-
-
-def _cos_sub(case: CaseId, p: CaseParams, S):
-    k = case.case
-    if k == 3:
-        u, v = _cos_sub_3(complex(p.alpha))
-        return _scale(p.chi.fn, u), _scale(p.chi.fn, v)
-    if k == 4:
-        u, v, w, z = _cos_sub_4(complex(p.delta))
-        c1, c2 = p.chi1.fn, p.chi2.fn
-        return _lin(S, (u, c1), (v, c2)), _lin(S, (w, c1), (z, c2))
-    # case 5: f = -i(chi A | 0 | rho), g = chi + (branch) i f.
-    piece = _sine_piece(S, p)
-    f = _scale(piece, -1j)
-    sign = 1j if case.branch == "+" else -1j
-    g = _lin(S, (1, p.chi.fn), (sign, f))
-    return f, g
-
-
-def _sine_add(case: CaseId, p: CaseParams, S):
-    k = case.case
-    if k == 3:
-        cf = p.chi.fn
-        return _scale(cf, 1 / (2 * complex(p.alpha))), _scale(cf, 0.5)
-    if k == 4:
-        c1, c2 = p.chi1.fn, p.chi2.fn
-        f = _lin(S, (complex(p.c), c1), (-complex(p.c), c2))
-        g = _lin(S, (0.5, c1), (0.5, c2))
-        return f, g
-    piece = _sine_piece(S, p)
-    return piece, p.chi.fn
-
-
-def _cos_sine_g(case: CaseId, p: CaseParams, S):
-    k = case.case
-    if k == 4:
-        b = complex(p.beta)
-        cf = p.chi.fn
-        return _scale(cf, b * b / (2 * b - 1)), _scale(cf, b)
-    if k == 5:
-        u, v, w, z = _cos_sine_g_5(complex(p.c1))
-        c1, c2 = p.chi1.fn, p.chi2.fn
-        return _lin(S, (u, c1), (v, c2)), _lin(S, (w, c1), (z, c2))
-    piece = _sine_piece(S, p)
-    cf = p.chi.fn
-    if k == 6:
-        return _lin(S, (0.5, piece), (1, cf)), _lin(S, (1, piece), (1, cf))
-    return _lin(S, (1, piece), (1, cf)), cf             # case 7
-
-
-def _alpha_sym(case: CaseId, p: CaseParams, S):
-    a = complex(p.alpha)
-    # Cases 4..7 come from the cos-sine-g tables (fE, gE) of the same case
-    # number through f = alpha (gE - 2 fE), g = gE.
-    fe, ge = _cos_sine_g(CaseId("cos-sine-g", case.case), p, S)
-    f = _lin(S, (a, ge), (-2 * a, fe))
-    return f, ge
-
-
-def _alpha_skew(case: CaseId, p: CaseParams, S):
-    a = complex(p.alpha)
-    # case 6: f = alpha chi (1 + (1+c) A) | 0 | alpha (1+c) rho,
-    #         g = chi (1 + c A) | 0 | c rho, with A and rho odd.
-    _sine_piece(S, p, "odd")
-    w = complex(p.c)
-    f = _piece(S, p.chi, a, a * (1 + w), p.A, a * (1 + w), p.rho)
-    g = _piece(S, p.chi, 1, w, p.A, w, p.rho)
-    return f, g
-
-
-_BUILDERS = {"cos-sub": _cos_sub, "sine-add": _sine_add,
-             "cos-sine-g": _cos_sine_g, "alpha-sym": _alpha_sym,
-             "alpha-skew": _alpha_skew}
-
-
-# ---------------------------------------------------------------------------
-# Row tables: every case on a finite carrier, built for a stack of
-# parameter rows at once.  A row holds a free table (a row of a (rows, |S|)
-# array), rho (a row of a (rows, |S|) stack of values) and the case's
-# constants (one entry of a sequence per name, or one number shared by all
-# rows); the characters are shared.  `construct` builds one row.  Each
-# table is a (rows, |S|) stack (for construct's one pair, that stack or
-# its one row), exact on the rows that pass every clause: each row's
-# coefficients are worked out in Python complex arithmetic and its tables
-# with numpy, as the windowed builders' are, so that one pair gets the
-# floats of a row.
-# ---------------------------------------------------------------------------
 
 #: The `ok` of :func:`construct`'s one pair, which passed every clause and
 #: whose constants are numbers.
@@ -599,14 +508,37 @@ def _columns(rule, k: int, ok, *constants):
     return np.array(got, dtype=np.complex128).reshape(rows, k).T[..., None]
 
 
-def _mix(shape: tuple, *terms) -> np.ndarray:
-    """sum(coeff * table) over (coeff, table) terms, from a zero stack of
-    the given shape, in the windowed builders' order: a coefficient is one
-    number or a (rows, 1) column, a table one row or a (rows, |S|) stack."""
+def _shape(S, ok):
+    """The (rows, |S|) shape of a finite carrier's stacks; None on a
+    windowed carrier, whose tables are formulas."""
+    return (len(ok), S.n) if _finite(S) else None
+
+
+def _table(chi):
+    """A character's table: a finite one's values, a windowed one's
+    formula table."""
+    return chi.fn if isinstance(chi, WindowedChar) else chi.values
+
+
+def _times(coeff, t):
+    """coeff * t for a coefficient (one number or a (rows, 1) column) and
+    a table (one row, a (rows, |S|) stack or a formula table)."""
+    if isinstance(t, FnTable):
+        return FnTable(t.domain, formula=lambda x, c=complex(coeff): c * t(x))
+    return (coeff if isinstance(coeff, np.ndarray) else complex(coeff)) * t
+
+
+def _mix(shape, *terms):
+    """sum(coeff * table) over (coeff, table) terms, summed from 0 in
+    order: a stack of the given shape, or a formula table where there is
+    no shape."""
+    scaled = [_times(coeff, t) for coeff, t in terms]
+    if shape is None:
+        return FnTable(scaled[0].domain,
+                       formula=lambda x: sum(t(x) for t in scaled))
     out = np.zeros(shape, dtype=np.complex128)
-    for coeff, t in terms:
-        out = out + (coeff if isinstance(coeff, np.ndarray)
-                     else complex(coeff)) * t
+    for t in scaled:
+        out = out + t
     return out
 
 
@@ -618,22 +550,21 @@ def _factor_tables(form: tuple, S, p: CaseParams, free, ok):
             for u in form]
 
 
-
 def _cos_sub_rows(case: CaseId, S, p: CaseParams, free, ok):
-    k, shape = case.case, (len(ok), S.n)
+    k, shape = case.case, _shape(S, ok)
     if k == 2:                                  # f = c free, g = free
         return np.reshape(p.c, (-1, 1)).astype(np.complex128) * free, free
     if k == 3:
         u, v = _columns(_cos_sub_3, 2, ok, p.alpha)
-        return u * p.chi.values, v * p.chi.values
+        return _times(u, _table(p.chi)), _times(v, _table(p.chi))
     if k == 4:
         u, v, w, z = _columns(_cos_sub_4, 4, ok, p.delta)
-        c1, c2 = p.chi1.values, p.chi2.values
+        c1, c2 = _table(p.chi1), _table(p.chi2)
         return _mix(shape, (u, c1), (v, c2)), _mix(shape, (w, c1), (z, c2))
-    chi = p.chi.values
+    chi = _table(p.chi)
     if k == 5:
         # f = -i(chi A | 0 | rho), g = chi + (branch) i f.
-        f = complex(-1j) * _piece_rows(p.chi, _rho_rows(S, p.rho), 0, 1)
+        f = _times(-1j, _piece_rows(S, p, 0, 1))
         sign = 1j if case.branch == "+" else -1j
         return f, _mix(shape, (1, chi), (sign, f))
     # case 6: f = -i(chi - chi*)/2, g = (chi + chi*)/2 with chi* != chi.
@@ -643,36 +574,35 @@ def _cos_sub_rows(case: CaseId, S, p: CaseParams, free, ok):
 
 
 def _sine_add_rows(case: CaseId, S, p: CaseParams, free, ok):
-    k, shape = case.case, (len(ok), S.n)
-    if k == 3:
-        (u,) = _columns(lambda a: (1 / (2 * a),), 1, ok, p.alpha)
-        return (u * p.chi.values,
-                _every_row(complex(0.5) * p.chi.values, len(ok)))
+    k, shape = case.case, _shape(S, ok)
     if k == 4:
         u, v = _columns(lambda c: (c, -c), 2, ok, p.c)
-        c1, c2 = p.chi1.values, p.chi2.values
+        c1, c2 = _table(p.chi1), _table(p.chi2)
         return (_mix(shape, (u, c1), (v, c2)),
                 _mix(shape, (0.5, c1), (0.5, c2)))
-    piece = _piece_rows(p.chi, _rho_rows(S, p.rho), 0, 1)
-    return piece, _every_row(p.chi.values, len(ok))
+    chi = _table(p.chi)
+    if k == 3:
+        (u,) = _columns(lambda a: (1 / (2 * a),), 1, ok, p.alpha)
+        return _times(u, chi), _every_row(_times(0.5, chi), len(ok))
+    return _piece_rows(S, p, 0, 1), _every_row(chi, len(ok))
 
 
 def _cos_sine_g_rows(case: CaseId, S, p: CaseParams, free, ok):
-    k, shape = case.case, (len(ok), S.n)
+    k, shape = case.case, _shape(S, ok)
     if k == 4:
         u, v = _columns(lambda b: (b * b / (2 * b - 1), b), 2, ok, p.beta)
-        return u * p.chi.values, v * p.chi.values
+        return _times(u, _table(p.chi)), _times(v, _table(p.chi))
     if k == 5:
         u, v, w, z = _columns(_cos_sine_g_5, 4, ok, p.c1)
-        c1, c2 = p.chi1.values, p.chi2.values
+        c1, c2 = _table(p.chi1), _table(p.chi2)
         return _mix(shape, (u, c1), (v, c2)), _mix(shape, (w, c1), (z, c2))
-    chi = p.chi.values
+    chi = _table(p.chi)
     if k == 8:
         # f = (chi + chi*)/2, g one of chi, chi*.
         conj = p.chi.conj
         return (_mix(shape, (0.5, chi), (0.5, conj)),
                 _every_row(chi if case.branch == "chi" else conj, len(ok)))
-    piece = _piece_rows(p.chi, _rho_rows(S, p.rho), 0, 1)
+    piece = _piece_rows(S, p, 0, 1)
     if k == 6:
         return (_mix(shape, (0.5, piece), (1, chi)),
                 _mix(shape, (1, piece), (1, chi)))
@@ -685,7 +615,7 @@ def _alpha_sym_rows(case: CaseId, S, p: CaseParams, free, ok):
     # through f = alpha (gE - 2 fE), g = gE.
     fe, ge = _cos_sine_g_rows(CaseId("cos-sine-g", case.case, case.branch),
                               S, p, free, ok)
-    return _mix((len(ok), S.n), (a, ge), (-2 * a, fe)), ge
+    return _mix(_shape(S, ok), (a, ge), (-2 * a, fe)), ge
 
 
 def _alpha_skew_rows(case: CaseId, S, p: CaseParams, free, ok):
@@ -700,14 +630,13 @@ def _alpha_skew_rows(case: CaseId, S, p: CaseParams, free, ok):
         u, v, w, z = _columns(lambda c1, c2: (
             a * (1 + c1 + c2) / 2, a * (1 - c1 - c2) / 2,
             (1 + c2) / 2, (1 - c2) / 2), 4, ok, p.c1, p.c2)
-        chi, conj, shape = p.chi.values, p.chi.conj, (len(ok), S.n)
+        chi, conj, shape = p.chi.values, p.chi.conj, _shape(S, ok)
         return _mix(shape, (u, chi), (v, conj)), _mix(shape, (w, chi),
                                                       (z, conj))
     # case 6: f = alpha chi (1 + (1+c) A) | 0 | alpha (1+c) rho,
-    #         g = chi (1 + c A) | 0 | c rho, with A = 0 and rho odd.
+    #         g = chi (1 + c A) | 0 | c rho, with A and rho odd.
     u, w = _columns(lambda c: (a * (1 + c), c), 2, ok, p.c)
-    R = _rho_rows(S, p.rho)
-    return _piece_rows(p.chi, R, a, u), _piece_rows(p.chi, R, 1, w)
+    return _piece_rows(S, p, a, u), _piece_rows(S, p, 1, w)
 
 
 _ROW_BUILDERS = {"cos-sub": _cos_sub_rows, "sine-add": _sine_add_rows,
@@ -720,6 +649,14 @@ _ROW_BUILDERS = {"cos-sub": _cos_sub_rows, "sine-add": _sine_add_rows,
 _FINITE_ONLY = {(eq, k) for eq, specs in CASES.items()
                 for k, spec in enumerate(specs, 1) if spec.form is not None
                 } | {("cos-sub", 2), ("alpha-skew", 4), ("alpha-skew", 5)}
+
+
+def _pair_table(S, h) -> FnTable:
+    """One pair's table: a formula table as it is, or the one row of a
+    stack, read-only."""
+    if isinstance(h, FnTable):
+        return h
+    return FnTable(S, values=_frozen(h).reshape(S.n))
 
 
 def _tables(case: CaseId, S, p: CaseParams, free, ok):
@@ -736,22 +673,19 @@ def construct(case: CaseId, params: CaseParams, S):
     parameters do not satisfy the case's side constraints, and for a form
     or ratio case on a carrier that is not finite.  On a finite carrier
     the pair is one row of the case's row tables (see
-    :func:`construct_rows`).  Where f or g is the caller's own `free`
+    :func:`construct_rows`); on a windowed one the same row builder makes
+    formula tables.  Where f or g is the caller's own `free`
     table, that table itself is handed back; its values are read-only.
     """
     _check_fields(case, params, S)
-    finite = _finite(S)
-    if not finite and (case.equation, case.case) in _FINITE_ONLY:
+    if not _finite(S) and (case.equation, case.case) in _FINITE_ONLY:
         raise ConstraintError("form and ratio cases need a finite carrier")
     free = None if params.free is None else params.free.values
     for clause, fails in _clauses(case, S, params, free):
         if fails:
             raise ConstraintError(clause)
-    if not finite:
-        return _BUILDERS[case.equation](case, params, S)
     rows = None if free is None else free[None]
-    return tuple([params.free if h is rows else
-                  FnTable(S, values=_frozen(h).reshape(S.n))
+    return tuple([params.free if h is rows else _pair_table(S, h)
                   for h in _tables(case, S, params, rows, _ONE_PAIR)])
 
 
@@ -766,6 +700,8 @@ def construct_rows(case: CaseId, S: FiniteSemigroup, params: CaseParams,
     rows whose parameters pass every clause of :func:`construct`, and the
     (rows, |S|) value stacks it builds, float for float on those rows.
     """
+    if not _finite(S):
+        raise TypeError("construct_rows needs a finite semigroup")
     ok = np.ones(rows, dtype=bool)
     for _, fails in _clauses(case, S, params, params.free):
         ok &= np.logical_not(fails)

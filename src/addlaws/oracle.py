@@ -25,12 +25,13 @@ or two-character case, a non-even or a piecewise case) hits, and labels
 it with that case, branch included.  Only the rows it leaves become
 FnTables and go through :func:`addlaws.classify.classify`, in grid order,
 so the report is byte-identical to classifying every pair.  A scan
-refuses a tolerance that is negative or not finite, and an alpha that is
-not finite.
+refuses a tolerance that is negative or not finite, an alpha that is not
+finite, and an alphabet entry that is not finite.
 """
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 import random
@@ -70,7 +71,8 @@ class GridInputError(ValueError):
 
 
 def validate_alphabet(alphabet) -> tuple[complex, ...]:
-    """Check the grid alphabet contract: contains 0, closed under negation."""
+    """Check the grid alphabet contract: contains 0, finite entries,
+    closed under negation."""
     values = tuple(complex(a) for a in alphabet)
     if not values:
         raise GridInputError("alphabet must not be empty")
@@ -78,6 +80,8 @@ def validate_alphabet(alphabet) -> tuple[complex, ...]:
         raise GridInputError("alphabet entries must be distinct")
     if not any(abs(v) <= EPS for v in values):
         raise GridInputError("alphabet must contain 0")
+    if not all(cmath.isfinite(v) for v in values):
+        raise GridInputError("alphabet entries must be finite")
     for v in values:
         if not any(abs(v + w) <= EPS for w in values):
             raise GridInputError(f"alphabet is not closed under negation: "

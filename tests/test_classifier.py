@@ -227,6 +227,37 @@ def test_rows_of_an_alpha_equation_need_alpha(monkeypatch, eq):
         CaseId(eq, 1)
 
 
+@pytest.mark.parametrize("eq", ["sine-add", "cos-sub"])
+@pytest.mark.parametrize("F,G", [
+    (np.zeros(3), np.ones(3)),
+    (np.zeros((2, 3)), np.ones((3, 3))),
+    (np.zeros((2, 2)), np.ones((2, 2))),
+    (np.zeros((1, 2, 3)), np.ones((1, 2, 3))),
+], ids=["one-dimensional", "row-counts", "element-count", "three-axes"])
+def test_rows_must_be_stacks_of_one_shape(eq, F, G):
+    """A 1-D pair came back as three labels (sine-add) or failed inside
+    the walk (cos-sub); mismatched row counts failed in numpy."""
+    with pytest.raises(ValueError) as err:
+        classify_mod.classify_rows(eq, F, G, z3())
+    assert str(err.value) == (f"F and G must be (rows, 3) stacks of one "
+                              f"shape, got {F.shape} and {G.shape}")
+
+
+@pytest.mark.parametrize("eq", ALPHA_EQS)
+@pytest.mark.parametrize("alpha", [np.inf, np.nan, complex(1, np.inf)],
+                         ids=["inf", "nan", "inf-imaginary"])
+def test_a_given_alpha_must_be_finite(eq, alpha):
+    """It was bound as given, and the residual came back nan."""
+    S = z2()
+    f = fn(S, [0, 0])
+    for call in (lambda: classify(eq, f, f, S, alpha=alpha),
+                 lambda: classify_mod.classify_rows(
+                     eq, f.values[None], f.values[None], S, alpha=alpha)):
+        with pytest.raises(ValueError) as err:
+            call()
+        assert str(err.value) == "alpha must be finite"
+
+
 def test_unclassified_diagnostics_have_full_dump(chars):
     # Starving the classifier of characters forces the diagnostic path.
     S = z2()

@@ -570,6 +570,14 @@ def test_windowed_cases_solve_their_equation(text):
         assert r <= TOL, (text, z, r)
 
 
+def test_construct_rows_refuses_a_windowed_carrier():
+    """Its builders would hand back formula tables, not row stacks."""
+    S, params = _windowed_params(CaseId("sine-add", 5), 1.0)
+    with pytest.raises(TypeError, match="^construct_rows needs a finite "
+                                        "semigroup$"):
+        construct_rows(CaseId("sine-add", 5), S, params, 2)
+
+
 def test_windowed_case_values_are_pinned():
     """The windowed tables, float for float, at fixed points."""
     digest = hashlib.sha256()
@@ -585,30 +593,9 @@ def test_windowed_case_values_are_pinned():
     assert digest.hexdigest() == WINDOWED_CASE_DIGEST
 
 
-def _p5():
-    """{y, w, x, p, 0}: y and w a left-zero band (uv = u), x y = p, x w = 0,
-    y x = w x = x, and every other product 0 or fixed by the band, with
-    sigma the identity.  For chi = 1 on {y, w}, P = {p} and x lies in
-    I \\ P, so x y = p puts a non-zero rho into condition (II)."""
-    y, w, x, p, o = range(5)
-    table = [[y, y, x, p, o], [w, w, x, p, o], [p, o, o, o, o],
-             [p, p, o, o, o], [o] * 5]
-    return FiniteSemigroup("P5", ["y", "w", "x", "p", "0"], table, range(5))
-
-
-def _windowed_twin(S, chi):
-    """S as a windowed carrier over its element indices, with chi."""
-    W = WindowedSemigroup(f"{S.name}-windowed", S.mul, S.sig, S.window)
-    return W, WindowedChar(W, chi, chi.in_ideal, chi.null_square.__contains__,
-                           chi.in_prime_part)
-
-
-def _odd(fn: AdditiveFn) -> AdditiveFn:
-    return dataclasses.replace(fn, parity="odd")
-
-
 @pytest.mark.parametrize("text,change,clause", [
-    ("sine-add/5", lambda E: dict(A=_odd(E["additive_family"]({5: 1.0}))),
+    ("sine-add/5", lambda E: dict(A=dataclasses.replace(
+        E["additive_family"]({5: 1.0}), parity="odd")),
      "A parity must be even"),
     ("cos-sub/5+", lambda E: dict(rho=E["rho_family"](1.0, "odd")),
      "rho parity must be even"),
@@ -637,17 +624,27 @@ def test_windowed_piecewise_refusals(text, change, clause):
 
 
 def test_windowed_condition_II_refusal():
-    """P5's x y = p refuses a non-zero rho on either kind of carrier."""
-    S = _p5()
+    """P5 = {y, w, x, p, 0}: y and w a left-zero band (uv = u), y x = w x =
+    x, x y = p, x w = 0, p is fixed by the band on either side, every other
+    product is 0, and sigma is the identity.  For chi = 1 on {y, w}, P =
+    {p} and x lies in I \\ P, so x y = p puts a non-zero rho into
+    condition (II), on either kind of carrier."""
+    y, w, x, p, o = range(5)
+    S = FiniteSemigroup("P5", ["y", "w", "x", "p", "0"],
+                        [[y, y, x, p, o], [w, w, x, p, o], [p, o, o, o, o],
+                         [p, p, o, o, o], [o] * 5], range(5))
     chi = MultChar(S, [1, 1, 0, 0, 0])
-    assert chi.prime_part == {3} and chi.null_ideal == {2, 3, 4}
+    assert chi.prime_part == {p} and chi.null_ideal == {x, p, o}
     rho = rho_space(chi, S).instance([1], S.n)
+    case = CaseId("sine-add", 5)
     with pytest.raises(ConstraintError, match="^condition \\(II\\) fails$"):
-        construct(CaseId("sine-add", 5), CaseParams(chi=chi, rho=rho), S)
-    W, wchi = _windowed_twin(S, chi)
-    params = CaseParams(chi=wchi, rho=RhoFn(domain=chi.in_prime_part,
-                                            formula=rho),
-                        A=AdditiveFn(domain=lambda i: not chi.in_ideal(i),
-                                     formula=lambda i: 0j))
+        construct(case, CaseParams(chi=chi, rho=rho), S)
+    W = WindowedSemigroup("P5-windowed", S.mul, S.sig, S.window)
+    params = CaseParams(
+        chi=WindowedChar(W, chi, chi.in_ideal, chi.null_square.__contains__,
+                         chi.in_prime_part),
+        A=AdditiveFn(domain=lambda i: not chi.in_ideal(i),
+                     formula=lambda i: 0j),
+        rho=RhoFn(domain=chi.in_prime_part, formula=rho))
     with pytest.raises(ConstraintError, match="^condition \\(II\\) fails$"):
-        construct(CaseId("sine-add", 5), params, W)
+        construct(case, params, W)

@@ -46,6 +46,18 @@ def test_alphabet_validation(alphabet, fragment):
         validate_alphabet(alphabet)
 
 
+@pytest.mark.parametrize("alphabet", [(0, np.inf, -np.inf),
+                                      (0, 1, -1, np.nan),
+                                      (0, complex(1, np.inf),
+                                       complex(-1, -np.inf))],
+                         ids=["inf", "nan", "inf-imaginary"])
+def test_alphabet_entries_must_be_finite(alphabet):
+    """(0, inf, -inf) was reported as missing -inf."""
+    with pytest.raises(GridInputError) as err:
+        validate_alphabet(alphabet)
+    assert str(err.value) == "alphabet entries must be finite"
+
+
 def test_value_tuples_count_in_base_order():
     rows = value_tuples((0, 1, -1), 2)
     assert rows.shape == (9, 2)
