@@ -916,11 +916,15 @@ class _Batch:
     def open_rows(self) -> np.ndarray:
         return np.flatnonzero(~self.taken)
 
-    def offer(self, case: CaseId | None, rows: np.ndarray, values, make):
-        """An offer of `case` on `rows` (None when there are none), one
-        value each; its parameters are make(selection, their values)."""
+    def offer(self, case: CaseId | None, rows: np.ndarray, make,
+              values=None):
+        """An offer of `case` on `rows` (None when there are none); its
+        parameters are make(selection), or make(selection, their values)
+        when each row has a value."""
         if not rows.size:
             return None
+        if values is None:
+            return case, rows, make
         table = dict(zip(rows.tolist(), values))
         return case, rows, lambda r: make(r, [table[i] for i in r.tolist()])
 
@@ -932,9 +936,9 @@ class _Batch:
             mask = np.ones(len(at), dtype=bool)
             for test in step.tests:
                 mask &= test(Fw, G, self.alpha, self.sq, self.tol)
-            yield self.offer(step.case, at[mask], at[mask], lambda r, _, c=(
-                step.case): _form_params(c, self.Fw[r], self.G[r],
-                                         self.alpha))
+            yield self.offer(step.case, at[mask], lambda r, c=step.case:
+                             _form_params(c, self.Fw[r], self.G[r],
+                                          self.alpha))
         if walk == "cos-sub":
             yield from self.unit_c()
         elif walk == "alpha-skew":
@@ -952,8 +956,8 @@ class _Batch:
         at = self.open_rows()
         if at.size:
             rows, cs = _unit_c_rows(self.F[at], self.G[at], self.sq, self.tol)
-            yield self.offer(CaseId("cos-sub", 2), at[rows], cs, lambda r, c:
-                             CaseParams(free=self.G[r], c=c))
+            yield self.offer(CaseId("cos-sub", 2), at[rows], lambda r, c:
+                             CaseParams(free=self.G[r], c=c), cs)
 
     def ratios(self):
         """alpha-skew/4, then alpha-skew/5 for each representative of a
@@ -963,16 +967,16 @@ class _Batch:
             return
         alpha = self.alpha
         rows, cs = _skew_c_rows(self.F[at], self.G[at], alpha, self.tol)
-        yield self.offer(CaseId("alpha-skew", 4), at[rows], cs, lambda r, c:
-                         CaseParams(alpha=alpha, free=self.F[r], c=c))
+        yield self.offer(CaseId("alpha-skew", 4), at[rows], lambda r, c:
+                         CaseParams(alpha=alpha, free=self.F[r], c=c), cs)
         Fs = self.F / alpha - self.G
         for chi in conjugate_representatives(tuple(self.chars)):
             at = self.open_rows()
             rows, cs = _conj_pair_rows(Fs[at], self.G[at], chi, self.tol)
-            yield self.offer(CaseId("alpha-skew", 5), at[rows], cs,
+            yield self.offer(CaseId("alpha-skew", 5), at[rows],
                              lambda r, c: CaseParams(
                                  alpha=alpha, chi=chi, c1=[w for w, _ in c],
-                                 c2=[w for _, w in c]))
+                                 c2=[w for _, w in c]), cs)
 
     def dependent(self, k: int, rule):
         at = self.open_rows()
@@ -989,14 +993,14 @@ class _Batch:
         consts = [guards[i][1] for i in tested]
         # The character test refuses beta within tol of 0, so that classify
         # raises there: those rows are left to it.
-        yield self.offer(None, rows[np.abs(beta) <= self.tol], (), None)
+        yield self.offer(None, rows[np.abs(beta) <= self.tol], None)
         found = _character_rows(self.G[rows], beta, self.by_parity[1],
                                 self.tol)
         for j, chi in enumerate(self.evens):
             sel = found == j
-            yield self.offer(CaseId(self.walk, k), rows[sel],
-                             itertools.compress(consts, sel), lambda r, c:
-                             CaseParams(chi=chi, **_stacked(c)))
+            yield self.offer(CaseId(self.walk, k), rows[sel], lambda r, c:
+                             CaseParams(chi=chi, **_stacked(c)),
+                             itertools.compress(consts, sel))
 
     def pairs(self, k: int, rule):
         for c1, c2 in itertools.combinations(self.evens, 2):
@@ -1012,8 +1016,8 @@ class _Batch:
                 if consts is not None:
                     found[int(at[i])] = consts
             yield self.offer(CaseId(self.walk, k), np.array(
-                list(found), dtype=np.intp), found.values(), lambda r, c:
-                CaseParams(chi1=c1, chi2=c2, **_stacked(c)))
+                list(found), dtype=np.intp), lambda r, c:
+                CaseParams(chi1=c1, chi2=c2, **_stacked(c)), found.values())
 
     def noneven(self, k: int):
         """cos-sub/6 on the independent rows, or cos-sine-g/8chi."""
@@ -1027,8 +1031,7 @@ class _Batch:
         for j, chi in enumerate(nonevens):
             hit = (self.independent[at] & _conj_halves(chi, Fw, G, self.tol)
                    if k == 6 else near[:, j])
-            yield self.offer(case, at[hit], at[hit], lambda r, _:
-                             CaseParams(chi=chi))
+            yield self.offer(case, at[hit], lambda r: CaseParams(chi=chi))
 
     def pieces(self, k: int, rule):
         at = self.open_rows()
@@ -1039,11 +1042,11 @@ class _Batch:
             for branch, ok, rho, consts in rule(self.S, chi, Fw, G,
                                                 self.alpha, self.tol):
                 yield self.offer(
-                    CaseId(self.walk, k, branch), at[ok], np.flatnonzero(ok),
+                    CaseId(self.walk, k, branch), at[ok],
                     lambda r, i: _piece_params(
                         self.walk, k, chi, rho[i],
                         {n: [v[j] for j in i] for n, v in consts.items()},
-                        self.alpha))
+                        self.alpha), np.flatnonzero(ok))
 
 
 def classify_rows(equation: str, F: np.ndarray, G: np.ndarray,

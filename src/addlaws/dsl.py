@@ -396,9 +396,10 @@ class _Kernel:
         tables = np.concatenate([_bound_values(name, binding[name],
                                                self.points, self.finite)
                                  for name in self.fns], axis=-1)
-        # With the element axis first (tables.T), gathered[r] is application
-        # r over (assignment, rows...), and .T restores the rows' order.
-        gathered = tables.T[self.index]
+        # With the element axis first (tables.T, copied element-major so
+        # the gather reads contiguous rows), gathered[r] is application r
+        # over (assignment, rows...), and .T restores the rows' order.
+        gathered = np.ascontiguousarray(tables.T)[self.index]
         total = None
         for negated, coeff, rows in self.terms:
             value = gathered[rows[0]]

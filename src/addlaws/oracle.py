@@ -17,6 +17,20 @@ site already rules out.  Survivors are sorted into canonical
 value stacks hold one row per solution.  The search never calls the
 classifier, so it stays an independent check of it.
 
+A site's verdict depends only on f and g at the new element and at its k
+<= 2 earlier elements, so each site is checked by a gather from a verdict
+table: for each key, the (f, g) values at the earlier elements, the
+packed bits of `_site_residual` within tol over every (f, g) value at
+the new element.  A table is filled on demand, once per key, over the
+distinct keys a block of the frontier meets that it does not yet know,
+so its verdicts are the floats of the same expression.  Tables are kept
+across scans in `_TABLES`, keyed by `_site_residual` itself, the
+equation, the alphabet in its order, alpha, tol and the site's pattern
+(where x, y and x sigma(y) sit among the earlier elements and the new
+one).  The cache keeps at most TABLE_CACHE_SIZE = 64 tables, the
+oldest going first; a table takes m^(2k) (1 + ceil(m^2 / 8)) bytes for
+an alphabet of m values, so the cache holds at most ~5 MB at m = 9.
+
 A coverage report classifies each equation's stacks in chunks of rows.
 :func:`addlaws.classify.classify_rows` re-checks every row's residual and
 runs the whole classification walk as vectorised masks: it settles each
@@ -50,8 +64,9 @@ from .families import (ALPHA_EQUATIONS, DEFAULT_ALPHABET, EQUATION_IDS,
 
 PAIR_BUDGET = 10 ** 8
 
-#: Most partial assignments one numpy pass of the join evaluates, so memory
-#: stays bounded even where a loose tolerance prunes little.
+#: Most candidate extensions (partial assignments times |alphabet|^2) one
+#: numpy pass of the join checks, so memory stays bounded even where a
+#: loose tolerance prunes little.
 BLOCK = 1 << 20
 
 #: Coverage reports classify solutions in chunks of BLOCK // (ROW_SPREAD
@@ -147,6 +162,80 @@ def _site_residual(equation: str, fx, fy, fp, gx, gy, gp,
     raise KeyError(f"unknown equation id {equation!r}")
 
 
+class _SiteTable:
+    """The verdicts of one site pattern, filled on demand.
+
+    `slots` places x, y and x sigma(y) of the site: slot i < k is the i-th
+    of its k earlier elements, slot k the new element.  A key spells the
+    (f, g) digit pairs f(e) m + g(e) at the earlier elements in base m^2,
+    the first one most significant.  Its row of ``bits`` holds m^2 packed
+    verdicts, ``|residual| <= tol`` at bit a m + b for the new element's
+    (f, g) = (values[a], values[b]); ``known`` marks the keys evaluated.
+    A table takes m^(2k) (1 + ceil(m^2 / 8)) bytes, 78,732 at m = 9.
+    """
+
+    __slots__ = ("residual", "equation", "vals", "alpha", "tol", "slots",
+                 "known", "bits")
+
+    def __init__(self, residual, equation: str, vals: np.ndarray,
+                 alpha: complex, tol: float, slots: tuple[int, int, int]):
+        self.residual, self.equation, self.vals = residual, equation, vals
+        self.alpha, self.tol, self.slots = alpha, tol, slots
+        m, k = len(vals), max(slots)
+        self.known = np.zeros(m ** (2 * k), dtype=bool)
+        self.bits = np.zeros((m ** (2 * k), (m * m + 7) // 8),
+                             dtype=np.uint8)
+
+    def verdicts(self, keys: np.ndarray) -> np.ndarray:
+        """The packed verdict rows of the keys, evaluating each unknown
+        key once, over the distinct ones."""
+        new = keys[~self.known[keys]]
+        if new.size:
+            new = np.unique(new)
+            vals, m, k = self.vals, len(self.vals), max(self.slots)
+            pairs = new[:, None] // (m * m) ** np.arange(k - 1, -1, -1)
+            f_at = [vals[pairs[:, i] % (m * m) // m, None, None]
+                    for i in range(k)] + [vals[:, None]]
+            g_at = [vals[pairs[:, i] % m, None, None]
+                    for i in range(k)] + [vals[None, :]]
+            x, y, p = self.slots
+            R = self.residual(self.equation, f_at[x], f_at[y], f_at[p],
+                              g_at[x], g_at[y], g_at[p], self.alpha)
+            ok = np.broadcast_to(np.abs(R) <= self.tol, (len(new), m, m))
+            self.bits[new] = np.packbits(ok.reshape(len(new), m * m), axis=1)
+            self.known[new] = True
+        return self.bits[keys]
+
+
+#: Site verdict tables kept across scans; the oldest goes first.  One
+#: report needs at most 50 (ten site patterns per equation), ~1.2 MB at
+#: m = 9, since at most three patterns per equation have k = 2.
+TABLE_CACHE_SIZE = 64
+
+_TABLES: dict[tuple, _SiteTable] = {}
+
+
+def _site_table(equation: str, values: tuple, alpha: complex, tol: float,
+                slots: tuple[int, int, int]) -> _SiteTable:
+    """The cached verdict table of one site pattern.
+
+    The key holds `_site_residual` itself, the equation, the alphabet in
+    its order, alpha, tol and the pattern (the slots, which fix k), so a
+    scan with any of them changed, or with `_site_residual` replaced,
+    gets its own table.  At most TABLE_CACHE_SIZE tables are kept, ~5 MB
+    at m = 9.
+    """
+    key = (_site_residual, equation, values, alpha, tol, slots)
+    table = _TABLES.get(key)
+    if table is None:
+        if len(_TABLES) >= TABLE_CACHE_SIZE:
+            del _TABLES[next(iter(_TABLES))]
+        table = _TABLES[key] = _SiteTable(
+            _site_residual, equation, np.array(values, dtype=np.complex128),
+            alpha, tol, slots)
+    return table
+
+
 class GridSolutions(Sequence):
     """The solutions of one grid search, as read-only value stacks.
 
@@ -183,41 +272,51 @@ def grid_solutions(equation: str, S: FiniteSemigroup,
     """
     values, alpha = _check_scan(equation, S, alphabet, alpha, tol, budget)
     n, m = S.n, len(values)
-    vals = np.array(values, dtype=np.complex128)
+    mm = m * m
     ps = S.table[:, S.sigma]
-    # sites[j]: the sites whose three elements all have values at step j.
-    sites: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
+    # sites[j]: the sites whose three elements all have values at step j,
+    # as (earlier elements, verdict table), each pattern once.
+    sites: list[dict] = [{} for _ in range(n)]
     for x in range(n):
         for y in range(n):
-            p = int(ps[x, y])
-            sites[max(x, y, p)].append((x, y, p))
-    # Frontier rows hold the alphabet digits of f and g on elements 0..j-1.
-    digit = np.min_scalar_type(m - 1)
-    Fd = np.zeros((1, 0), dtype=digit)
-    Gd = np.zeros((1, 0), dtype=digit)
-    new_f, new_g = vals[:, None], vals[None, :]
-    rows = max(1, BLOCK // (m * m))
+            trio = (x, y, int(ps[x, y]))
+            j = max(trio)
+            earlier = tuple(dict.fromkeys(e for e in trio if e < j))
+            slots = tuple(earlier.index(e) if e < j else len(earlier)
+                          for e in trio)
+            sites[j][earlier, _site_table(equation, values, alpha, tol,
+                                          slots)] = None
+    # Column r of the frontier is one partial assignment: row e holds the
+    # digit pair f(e) m + g(e) of element e, for e = 0..j-1.
+    pair = np.min_scalar_type(mm - 1)
+    front = np.zeros((0, 1), dtype=pair)
+    rows = max(1, BLOCK // mm)
     # 0 is in the alphabet and the zero pair solves every built-in
     # equation, so the frontier never empties.
     for j in range(n):
-        grown_f, grown_g = [], []
-        for r0 in range(0, len(Fd), rows):
-            fc, gc = Fd[r0:r0 + rows], Gd[r0:r0 + rows]
-            # Values on elements 0..j over the (row, f(j), g(j)) cube.
-            f_at = [vals[fc[:, x], None, None] for x in range(j)] + [new_f]
-            g_at = [vals[gc[:, x], None, None] for x in range(j)] + [new_g]
-            ok = np.ones((len(fc), m, m), dtype=bool)
-            for x, y, p in sites[j]:
-                R = _site_residual(equation, f_at[x], f_at[y], f_at[p],
-                                   g_at[x], g_at[y], g_at[p], alpha)
-                ok &= np.abs(R) <= tol
-            r, a, b = np.nonzero(ok)
-            grown_f.append(np.column_stack([fc[r], a.astype(digit)]))
-            grown_g.append(np.column_stack([gc[r], b.astype(digit)]))
-        Fd, Gd = np.concatenate(grown_f), np.concatenate(grown_g)
+        grown = []
+        for r0 in range(0, front.shape[1], rows):
+            block = front[:, r0:r0 + rows]
+            # Bit a m + b of a row: every site at j holds with (f(j),
+            # g(j)) = (values[a], values[b]).
+            ok = np.full((block.shape[1], (mm + 7) // 8), 0xFF,
+                         dtype=np.uint8)
+            for earlier, table in sites[j]:
+                keys = np.zeros(block.shape[1], dtype=np.intp)
+                for e in earlier:
+                    keys = keys * mm + block[e]
+                ok &= table.verdicts(keys)
+            r, ab = np.divmod(
+                np.flatnonzero(np.unpackbits(ok, axis=1, count=mm)), mm)
+            grown.append(np.vstack([block.take(r, axis=1),
+                                    ab.astype(pair)]))
+        front = np.concatenate(grown, axis=1)
+    F, G = np.divmod(front, m)
     # Lexicographic digit order, element 0 first, f before g.
-    order = np.lexsort(np.hstack([Fd, Gd])[:, ::-1].T)
-    f, g = vals[Fd[order]], vals[Gd[order]]
+    order = np.lexsort(np.concatenate([F, G])[::-1])
+    vals = np.array(values, dtype=np.complex128)
+    f, g = (vals[np.ascontiguousarray(D.take(order, axis=1).T,
+                                      dtype=np.intp)] for D in (F, G))
     f.setflags(write=False)         # so GridSolutions keeps them uncopied
     g.setflags(write=False)
     return GridSolutions(S, f, g)

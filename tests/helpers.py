@@ -96,19 +96,27 @@ def equation_residual(eq_id: str, f, g, S, alpha=None) -> float:
     return evaluate_residual(builtin(eq_id), binding, S)
 
 
+#: Most (f, g, x, y) entries the plain all-pairs scan visits: the default
+#: alphabet on n = 3 has 729^2 * 9 (4.8M), (0, +-1, +-i) on n = 4 has
+#: 625^2 * 16 (6.25M).
+REFERENCE_CUBE = 10 ** 7
+
+
 def reference_grid_pairs(eq_id: str, S, alphabet, alpha=None,
                          tol: float = TOL) -> list[tuple[int, int]]:
     """Every solving (f-index, g-index) pair by the plain all-pairs scan.
 
     Indices count rows of ``value_tuples``.  Each block of f rows is
     broadcast against every g row over all n^2 sites (x, y), and a pair is
-    kept when every site residual is within ``tol``.  Only for n <= 3,
-    where the (f, g, x, y) cube stays small.
+    kept when every site residual is within ``tol``.  Only for grids
+    whose whole (f, g, x, y) cube has at most REFERENCE_CUBE entries.
     """
     from addlaws.oracle import value_tuples
 
-    if S.n > 3:
-        raise ValueError("the reference scan is for carriers with n <= 3")
+    T = len(tuple(alphabet)) ** S.n
+    if T * T * S.n ** 2 > REFERENCE_CUBE:
+        raise ValueError(f"the reference scan's cube of {T}^2 pairs by "
+                         f"{S.n}^2 sites exceeds {REFERENCE_CUBE}")
     V = value_tuples(alphabet, S.n)
     ps = S.table[:, S.sigma]
     a = 0j if alpha is None else complex(alpha)

@@ -1,6 +1,7 @@
 """Batched coverage reports against the plain per-pair classification loop."""
 
 import importlib
+import random
 
 import numpy as np
 import pytest
@@ -14,7 +15,8 @@ from addlaws.examples import m3, n3, np4, z1, z2, z3, z2xz2
 from addlaws.oracle import (DEFAULT_ALPHABET, coverage_report, grid_solutions,
                             value_tuples)
 
-from helpers import reference_coverage_report, reference_grid_pairs, spread
+from helpers import (_relabel, reference_coverage_report,
+                     reference_grid_pairs, spread)
 from test_census import census_carriers
 from test_oracle import THIRDS_ALPHABET
 
@@ -263,3 +265,28 @@ def test_z5_report_classifies_every_solution():
         assert sum(block["cases"].values()) == block["solutions"]
     assert report["equations"]["sine-add"]["cases"]["sine-add/1"] == 9 ** 5
     assert report["equations"]["alpha-skew"]["cases"]["alpha-skew/1"] == 9 ** 5
+
+
+def _tallies(S) -> dict:
+    return {eq: (block["solutions"], block["cases"],
+                 len(block["unclassified"]))
+            for eq, block in coverage_report(S)["equations"].items()}
+
+
+@pytest.mark.parametrize("make", [z1, z2, z3, n3, m3, z2xz2, np4],
+                         ids=lambda make: make().name)
+def test_relabelled_carriers_give_the_same_report(make):
+    """Renaming the elements gives an isomorphic carrier, so the same
+    solution counts and case tallies; the join meets its sites in another
+    order, with other site patterns."""
+    S = make()
+    want = _tallies(S)
+    rng = random.Random(0)
+    for _ in range(3):
+        p = rng.sample(range(S.n), S.n)
+        table, sigma = _relabel(S.table.tolist(), S.sigma.tolist(), p)
+        names = [None] * S.n
+        for x, name in enumerate(S.elements):
+            names[p[x]] = name
+        T = FiniteSemigroup(S.name, names, table, sigma)
+        assert _tallies(T) == want, p

@@ -1,13 +1,15 @@
 """Exhaustive grid scans, coverage reports, and constructor fuzzing."""
 
 import cmath
+import itertools
+import math
 import random
 
 import numpy as np
 import pytest
 
 from addlaws import oracle
-from addlaws.core import stable_json
+from addlaws.core import FiniteSemigroup, stable_json
 from addlaws.dsl import BUILTIN_EQUATIONS
 from addlaws.families import CaseId, admissible_params, all_case_ids, construct
 from addlaws.oracle import (DEFAULT_ALPHABET, PAIR_BUDGET, BudgetError,
@@ -16,7 +18,7 @@ from addlaws.oracle import (DEFAULT_ALPHABET, PAIR_BUDGET, BudgetError,
                             validate_alphabet, value_tuples)
 from addlaws.examples import m3, n3, np4, z1, z2, z3, z2xz2
 
-from helpers import TOL, equation_residual, reference_grid_pairs
+from helpers import TOL, census, equation_residual, reference_grid_pairs
 
 _W = cmath.exp(2j * cmath.pi / 3)
 #: Non-dyadic values: residuals are rounded, not exact, on this alphabet.
@@ -179,6 +181,113 @@ def test_grid_solutions_match_reference_scan(eq, make, alphabet, tol):
     sols = grid_solutions(eq, S, alphabet, alpha=alpha, tol=tol)
     want = reference_grid_pairs(eq, S, alphabet, alpha=alpha, tol=tol)
     assert _pair_indices(S, alphabet, sols) == want
+
+
+def census4_twisted() -> FiniteSemigroup:
+    """The first non-commutative carrier of order 4 in the census whose
+    sigma is not the identity."""
+    for k, (table, sigma) in enumerate(census(4)):
+        if sigma != tuple(range(4)) and any(
+                table[x][y] != table[y][x]
+                for x, y in itertools.combinations(range(4), 2)):
+            return FiniteSemigroup(f"C4.{k}", [str(x) for x in range(4)],
+                                   table, sigma)
+    raise AssertionError("the census of order 4 has no such carrier")
+
+
+#: Grids small enough for the reference scan on four elements.
+N4_GRIDS = (((0, 1, -1, 1j, -1j), 1e-9), ((0, 1, -1), 0.3))
+N4_CARRIERS = {"Z2xZ2": z2xz2, "NP4": np4, "C4-twisted": census4_twisted}
+
+
+def _site_pattern(trio) -> tuple:
+    """Where the last of x, y, x sigma(y) to get values sits among the
+    three, and which of the others coincide: each element is named by
+    its rank of first appearance among the earlier ones, the last one by
+    'new'."""
+    last = max(trio)
+    earlier = list(dict.fromkeys(e for e in trio if e < last))
+    return tuple(earlier.index(e) if e < last else "new" for e in trio)
+
+
+def test_four_element_carriers_reach_every_site_pattern():
+    """Together the N4_CARRIERS reach every pattern a site can have, those
+    with two earlier elements included."""
+    every = {_site_pattern(t) for t in itertools.product(range(3), repeat=3)}
+    seen = set()
+    for make in N4_CARRIERS.values():
+        S = make()
+        for x, y in itertools.product(range(S.n), repeat=2):
+            seen.add(_site_pattern((x, y, S.table[x, S.sigma[y]])))
+    assert len(every) == 10
+    assert seen == every
+
+
+@pytest.mark.parametrize("make", N4_CARRIERS.values(), ids=N4_CARRIERS)
+def test_four_element_joins_match_reference_scan(make):
+    S = make()
+    for eq in BUILTIN_EQUATIONS:
+        alpha = 1.5 + 0.5j if eq in ("alpha-sym", "alpha-skew") else None
+        for alphabet, tol in N4_GRIDS:
+            sols = grid_solutions(eq, S, alphabet, alpha=alpha, tol=tol)
+            want = reference_grid_pairs(eq, S, alphabet, alpha=alpha,
+                                        tol=tol)
+            assert _pair_indices(S, alphabet, sols) == want, (eq, tol)
+
+
+def test_verdict_tables_are_keyed_by_every_scan_input():
+    """Scans back to back that differ only in tol, only in alpha or only
+    in the alphabet's order each match the reference scan, so a verdict
+    table kept from one scan never answers for another."""
+    S = n3()
+    runs = [("sine-add", THIRDS_ALPHABET, None, tol)
+            for tol in (1e-9, 0.3, 1e-9)]
+    runs += [("alpha-skew", THIRDS_ALPHABET, alpha, 0.3)
+             for alpha in (1.5 + 0.5j, 1j, 1.5 + 0.5j)]
+    runs += [("cos-sub", alphabet, None, 0.3)
+             for alphabet in (THIRDS_ALPHABET, THIRDS_ALPHABET[::-1])]
+    answers = []
+    for eq, alphabet, alpha, tol in runs:
+        sols = grid_solutions(eq, S, alphabet, alpha=alpha, tol=tol)
+        want = reference_grid_pairs(eq, S, alphabet, alpha=alpha, tol=tol)
+        assert _pair_indices(S, alphabet, sols) == want
+        answers.append(want)
+    # Each varied input changes the answer, so a stale table would show.
+    assert answers[0] != answers[1] and answers[3] != answers[4]
+    assert answers[6] != answers[7]
+
+
+def test_a_replaced_site_residual_gets_its_own_tables(monkeypatch):
+    """Tables filled before or while `_site_residual` is replaced never
+    answer for the other residual."""
+    S, alphabet = z2(), (0, 1, -1)
+    want = reference_grid_pairs("cos-sub", S, alphabet)
+    assert _pair_indices(S, alphabet, grid_solutions(
+        "cos-sub", S, alphabet)) == want
+    with monkeypatch.context() as patch:
+        patch.setattr(oracle, "_site_residual", lambda *args: np.zeros(()))
+        assert len(grid_solutions("cos-sub", S, alphabet)) == 3 ** 4
+    assert _pair_indices(S, alphabet, grid_solutions(
+        "cos-sub", S, alphabet)) == want
+
+
+def test_verdict_cache_keeps_at_most_its_bound():
+    """72 tables (eight tolerances, nine site patterns on Z2xZ2) pass
+    through a cache of 64; the newest stay, and each table is the size
+    the bound's byte count states."""
+    S = z2xz2()
+    assert oracle.TABLE_CACHE_SIZE == 64
+    for k in range(8):
+        tol = (k + 1) * 1e-10
+        sols = grid_solutions("alpha-sym", S, (0, 1, -1), alpha=2, tol=tol)
+        assert _pair_indices(S, (0, 1, -1), sols) == reference_grid_pairs(
+            "alpha-sym", S, (0, 1, -1), alpha=2, tol=tol)
+    assert len(oracle._TABLES) == oracle.TABLE_CACHE_SIZE
+    assert sum(table.tol == tol for table in oracle._TABLES.values()) == 9
+    for table in oracle._TABLES.values():
+        m, k = len(table.vals), max(table.slots)
+        assert table.known.nbytes + table.bits.nbytes == \
+            m ** (2 * k) * (1 + math.ceil(m * m / 8))
 
 
 def test_grid_solutions_solve_and_match_reference():
