@@ -9,30 +9,36 @@ and proves the answer by reconstructing the pair through
 matches no case is returned as :class:`Unclassified` with a diagnostic
 dump; feeding a non-solution raises :class:`NotASolutionError`.
 
-Each equation's walk is a stream of candidates, (CaseId, CaseParams) pairs
-in the paper's case order, read lazily: :meth:`_Session.run` attempts them
-one at a time and stops at the first hit, so nothing past it is extracted.
-alpha-sym's walk runs cos-sine-g's on the reduced pair and yields the
-translated hit.
+Each equation's walk is one stream of candidates, (CaseId, CaseParams)
+pairs in the paper's case order, which two classifiers read: one for a
+single pair, one for a stack of pairs.  :meth:`_Session.candidates`
+yields them lazily for one pair, and :meth:`_Session.run` attempts them
+one at a time and stops at the first hit, so nothing past it is
+extracted.  :func:`classify_rows` runs the same walk as masks over a
+whole stack (:class:`_Batch`).  alpha-sym walks cos-sine-g's candidates
+on the reduced pair and answers with one translated attempt of their
+first hit.
 
-A stream opens with leading steps whose cases are built from one free table
+A walk opens with leading steps whose cases are built from one free table
 alone: both tables zero, f = 0, F = f/alpha - g = 0, and g = 0 or f
-vanishing on S^2; a final step that applies ends the stream after its
-candidate.  :data:`LEADING_STEPS` holds them once, for the per-pair walks
-and for :func:`classify_rows`, which runs each walk as masks over a whole
-stack of pairs.  Then come the ratio stage (cos-sub/2, alpha-skew/4 and
-alpha-skew/5), the dependent-character cases (f = lambda g and a multiple
-of g a character), the two-character cases (f and g in the span of two
-even characters), the non-even cases and the piecewise cases chi A | 0 |
-rho.  Each of their rules is one function, which the walks call on one
-pair (or a one-row stack) and :func:`classify_rows` on each open row (or
-the stack of them); :data:`_RULES` lists those after the ratio stage in
-walk order.  The ratio and rank decision are computed once, for stacks, with
-np.vecdot, which gives np.vdot's floats row by row.  A mask takes a row
-only where no earlier case was attempted, and settles it only where the
-walk would answer there with a hit, checked by one batched
-construct-and-compare per case that gives the floats and checks of
-:meth:`_Session.attempt`; every other row is left for :func:`classify`.
+vanishing on S^2; a final step that applies ends the walk after its
+candidate.  :data:`LEADING_STEPS` holds them once, for both classifiers.
+Then come the ratio stage (cos-sub/2, alpha-skew/4 and alpha-skew/5), the
+dependent-character cases (f = lambda g and a multiple of g a character),
+the two-character cases (f and g in the span of two even characters), the
+non-even cases and the piecewise cases chi A | 0 | rho.  Each of their
+rules is one function, which both classifiers call, on a one-row stack or
+on the open rows; :data:`_RULES` lists those after the ratio stage in
+walk order.  The ratio and rank decision are computed once, for stacks,
+with np.vecdot, which gives np.vdot's floats row by row.
+
+In :func:`classify_rows` a row stays open until its first hit, checked by
+one batched construct-and-compare per case that gives the floats and
+checks of :meth:`_Session.attempt`, and closes labelled with that case.
+Only a final leading step and the refusal of a character factor beta
+within tol of 0 close a row without a hit.  So each row's label is the
+case :func:`classify` answers, and label 0 marks exactly the rows where
+`classify` returns :class:`Unclassified` or raises.
 """
 
 from __future__ import annotations
@@ -329,9 +335,9 @@ def _skew_zero(f, g, alpha, sq, tol):
     return _is_zero(f / complex(alpha) - g, tol)
 
 
-#: The leading steps of each walk, in walk order, read by the per-pair
-#: walks (:meth:`_Session.candidates`) and by the batch masks
-#: (:func:`classify_rows`) alike.  alpha-sym walks cos-sine-g's steps on
+#: The leading steps of each walk, in walk order, read by
+#: :meth:`_Session.candidates` and by the batch masks (:func:`classify_rows`)
+#: alike.  alpha-sym walks cos-sine-g's steps on
 #: its reduced pair.
 LEADING_STEPS = {
     "cos-sub": (_Step(CaseId("cos-sub", 1), True, (_f_zero, _g_zero)),),
@@ -376,9 +382,9 @@ def _alpha_sym_params(case: CaseId, f, g, params: CaseParams,
     return replace(params, alpha=alpha)
 
 
-# The walks' rules after the leading steps, each one function that the
-# per-pair walks (on one pair, or a one-row stack) and classify_rows' stages
-# (on the open rows) both call.
+# The walks' rules after the leading steps, each one function that
+# _Session.candidates (on a one-row stack) and classify_rows' stages (on the
+# open rows) both call.
 
 # The ratio stage: cos-sub/2, then alpha-skew/4 and alpha-skew/5.  Each
 # returns the rows where the walk attempts the case, and the constants it
@@ -503,11 +509,42 @@ def _cos_sine_g_pair(fc, gc, tol: float):
     return {"c1": w}
 
 
+def _two_char_rows(F, G, chi1: MultChar, chi2: MultChar, rule, tol: float):
+    """The rows of (F, G) whose f and g both lie in span{chi1, chi2} within
+    tol and where the two-character rule gives constants, and those
+    constants."""
+    m = len(F)
+    coords, fit = _coords(np.concatenate([F, G]), chi1.values, chi2.values,
+                          tol)
+    ok = (fit[:m] & fit[m:]).tolist()
+    return _keep(np.arange(m), [rule(coords[i], coords[m + i], tol)
+                                if ok[i] else None for i in range(m)])
+
+
 def _conj_halves(chi: MultChar, f, g, tol: float) -> np.ndarray:
     """cos-sub/6: f = -i(chi - chi*)/2 and g = (chi + chi*)/2."""
     conj = chi.conj
     return (~(np.abs(f + 0.5j * (chi.values - conj)).max(axis=-1) > tol)
             & (np.abs(g - 0.5 * (chi.values + conj)).max(axis=-1) <= tol))
+
+
+def _noneven_rows(walk: str, k: int, chars: list, values: np.ndarray,
+                  F, G, independent: np.ndarray, tol: float):
+    """The walk's non-even case k with each of the non-even `chars` (their
+    values the rows of `values`), in walk order: the case, the character
+    and the rows of (F, G) where the walk attempts it.  cos-sub/6 is
+    attempted only on the `independent` rows."""
+    if k == 8:
+        # g is a non-even character and f averages it with its dual.
+        near = _near(G, values, tol)
+        for j, chi in enumerate(chars):
+            yield CaseId(walk, 8, "chi"), chi, near[:, j]
+    elif independent.any():
+        # Looping over every chi with chi* != chi covers both signs of f,
+        # since swapping chi for chi* negates it.
+        for chi in chars:
+            yield (CaseId(walk, 6), chi,
+                   independent & _conj_halves(chi, F, G, tol))
 
 
 # The piecewise cases: for one even chi, each branch's rows where the walk
@@ -599,12 +636,17 @@ def _by_parity(chars: tuple, n: int) -> tuple:
 
 
 class _Session:
-    """One classification run; collects failed attempts for diagnostics."""
+    """One classification run of one pair; collects failed attempts for
+    diagnostics.  alpha-sym walks cos-sine-g's candidates on the reduced
+    pair (fw = :func:`reduce_alpha_sym`), as :class:`_Batch` does."""
 
     def __init__(self, equation: str, f: FnTable, g: FnTable,
                  S: FiniteSemigroup, chars, tol: float, alpha=None):
         self.equation = equation
         self.f, self.g, self.S = f, g, S
+        self.walk, self.fw = equation, f
+        if equation == "alpha-sym":
+            self.walk, self.fw = "cos-sine-g", reduce_alpha_sym(f, g, alpha)
         self.chars = chars
         self.tol = tol
         self.alpha = alpha
@@ -612,15 +654,6 @@ class _Session:
         (self.evens, self.even_values, self.nonevens,
          self.noneven_values) = _by_parity(tuple(chars), S.n)
         self.sq = sorted(square_set(S))
-
-    def even_pairs(self):
-        """(chi1, chi2, f coords, g coords) for each pair of even
-        characters whose span holds both f and g, in walk order."""
-        H = np.stack([self.f.values, self.g.values])
-        for c1, c2 in itertools.combinations(self.evens, 2):
-            (fc, gc), fit = _coords(H, c1.values, c2.values, self.tol)
-            if fit.all():
-                yield c1, c2, fc, gc
 
     def character(self, h: np.ndarray, beta: complex) -> MultChar | None:
         """The first enumerated even character within tol of beta h, or None
@@ -634,87 +667,111 @@ class _Session:
         near = _near(v[None], self.even_values, self.tol)[0]
         return next(itertools.compress(self.evens, near), None)
 
-    def later(self, walk: str):
-        """The candidates of the walk's rules after its ratio stage, in
-        walk order: the dependent character, the two-character and the
-        non-even cases, then the piecewise ones."""
-        dependent, pair, noneven, pieces = _RULES[walk]
-        f, g, tol = self.f.values, self.g.values, self.tol
-        if dependent is not None:
-            verdict = linear_dependence(self.f, self.g, tol)
-            k, rule = dependent
-            guard = rule(verdict, tol)
-            if guard is not None:
-                chi = self.character(g, guard[0])
-                if chi is not None:
-                    yield CaseId(walk, k), CaseParams(chi=chi, **guard[1])
-            if verdict.kind == "independent":
-                k, rule = pair
-                for c1, c2, fc, gc in self.even_pairs():
-                    consts = rule(fc, gc, tol)
-                    if consts is not None:
-                        yield CaseId(walk, k), CaseParams(chi1=c1, chi2=c2,
-                                                          **consts)
-        if noneven == 6 and verdict.kind == "independent":
-            # Looping over every chi with chi* != chi covers both signs of
-            # f, since swapping chi for chi* negates it.
-            for chi in self.nonevens:
-                if _conj_halves(chi, f, g, tol):
-                    yield CaseId(walk, 6), CaseParams(chi=chi)
-        elif noneven == 8:
-            # g is a non-even character and f averages it with its dual.
-            near = _near(g[None], self.noneven_values, tol)[0]
-            for chi in itertools.compress(self.nonevens, near):
-                yield CaseId(walk, 8, "chi"), CaseParams(chi=chi)
-        for k, rule in pieces:
-            for chi in self.evens:
-                for branch, ok, rho, consts in rule(self.S, chi, f[None],
-                                                    g[None], self.alpha, tol):
-                    if ok[0]:
-                        yield CaseId(walk, k, branch), _piece_params(
-                            walk, k, chi, rho[0],
-                            {n: v[0] for n, v in consts.items()}, self.alpha)
-
-    def candidates(self, walk):
-        """The walk's candidate stream: the leading steps of
-        :data:`LEADING_STEPS` (stopping at a step's first failing test, with
-        each test run once), then those of walk(self).  A final step that
-        applies ends the stream after its candidate."""
-        args = (self.f.values, self.g.values, self.alpha, self.sq, self.tol)
+    def candidates(self):
+        """The walk's candidate stream, in the order of :meth:`_Batch.offers`:
+        the leading steps of :data:`LEADING_STEPS` (stopping at a step's
+        first failing test, with each test run once; a final step that
+        applies ends the stream after its candidate), the ratio stage, then
+        the rules of :data:`_RULES`: the dependent character, the
+        two-character and the non-even cases, then the piecewise ones."""
+        walk, tol, alpha = self.walk, self.tol, self.alpha
+        f, g = self.fw.values, self.g.values
+        args = (f, g, alpha, self.sq, tol)
         known = {}
-        for step in LEADING_STEPS.get(self.equation, ()):
+        for step in LEADING_STEPS[walk]:
             for test in step.tests:
                 if test not in known:
                     known[test] = test(*args)
                 if not known[test]:
                     break
             else:
-                yield step.case, _form_params(step.case, self.f, self.g,
-                                              self.alpha)
+                yield step.case, _form_params(step.case, self.fw, self.g,
+                                              alpha)
                 if step.final:
                     return
-        yield from walk(self)
+        F, G = f[None], g[None]
+        if walk == "cos-sub":
+            # g non-zero but vanishing on the square: f = c g, c^2 = -1.
+            _, cs = _unit_c_rows(F, G, self.sq, tol)
+            if cs:
+                yield CaseId(walk, 2), CaseParams(free=self.g, c=cs[0])
+        elif walk == "alpha-skew":
+            _, cs = _skew_c_rows(F, G, alpha, tol)
+            if cs:
+                yield (CaseId(walk, 4),
+                       CaseParams(alpha=alpha, free=self.f, c=cs[0]))
+            # case 5: F is proportional to (chi - chi*)/2 for a non-even
+            # character, one of each conjugate pair.
+            Fs = F / alpha - G
+            for chi in conjugate_representatives(tuple(self.chars)):
+                _, cs = _conj_pair_rows(Fs, G, chi, tol)
+                if cs:
+                    c1, c2 = cs[0]
+                    yield (CaseId(walk, 5),
+                           CaseParams(alpha=alpha, chi=chi, c1=c1, c2=c2))
+        dependent, pair, noneven, pieces = _RULES[walk]
+        independent = False
+        if dependent is not None:
+            (verdict,) = _dependence(F, G, tol)
+            k, rule = dependent
+            guard = rule(verdict, tol)
+            if guard is not None:
+                chi = self.character(g, guard[0])
+                if chi is not None:
+                    yield CaseId(walk, k), CaseParams(chi=chi, **guard[1])
+            independent = verdict.kind == "independent"
+            if independent:
+                k, rule = pair
+                for c1, c2 in itertools.combinations(self.evens, 2):
+                    _, consts = _two_char_rows(F, G, c1, c2, rule, tol)
+                    if consts:
+                        yield CaseId(walk, k), CaseParams(chi1=c1, chi2=c2,
+                                                          **consts[0])
+        if noneven is not None:
+            for case, chi, hit in _noneven_rows(
+                    walk, noneven, self.nonevens, self.noneven_values, F, G,
+                    np.array([independent]), tol):
+                if hit[0]:
+                    yield case, CaseParams(chi=chi)
+        for k, rule in pieces:
+            for chi in self.evens:
+                for branch, ok, rho, consts in rule(self.S, chi, F, G, alpha,
+                                                    tol):
+                    if ok[0]:
+                        yield CaseId(walk, k, branch), _piece_params(
+                            walk, k, chi, rho[0],
+                            {n: v[0] for n, v in consts.items()}, alpha)
 
-    def run(self, walk) -> ClassifiedSolution | None:
+    def run(self) -> ClassifiedSolution | None:
         """Attempt the candidates of :meth:`candidates` in order; the first
-        hit answers, and the stream is not read past it."""
-        for case, params in self.candidates(walk):
-            hit = self.attempt(case, params)
+        hit answers, and the stream is not read past it.  alpha-sym logs
+        its attempts on the reduced pair with the prefix "via cos-sine-g: ",
+        and its answer is the one translated attempt of the first hit on
+        (f, g)."""
+        via = "" if self.walk == self.equation else f"via {self.walk}: "
+        for case, params in self.candidates():
+            hit = self.attempt(case, params, self.fw, via)
+            if hit and via:
+                case = CaseId(self.equation, case.case, case.branch)
+                return self.attempt(case, _alpha_sym_params(
+                    case, self.f, self.g, params, self.alpha), self.f)
             if hit:
                 return hit
         return None
 
-    def attempt(self, case: CaseId,
-                params: CaseParams) -> ClassifiedSolution | None:
-        """Validate a candidate by reconstruction; log failures."""
+    def attempt(self, case: CaseId, params: CaseParams, f: FnTable,
+                via: str = "") -> ClassifiedSolution | None:
+        """Validate a candidate by reconstruction of (f, g); log failures,
+        each after the prefix `via`."""
         try:
             fc, gc = construct(case, params, self.S)
         except ConstraintError as exc:
-            self.attempts.append(f"{case}: rejected ({exc})")
+            self.attempts.append(f"{via}{case}: rejected ({exc})")
             return None
-        dev = max(self.f.max_abs_diff(fc), self.g.max_abs_diff(gc))
+        dev = max(f.max_abs_diff(fc), self.g.max_abs_diff(gc))
         if dev > self.tol:
-            self.attempts.append(f"{case}: reconstruction off by {dev:.3g}")
+            self.attempts.append(
+                f"{via}{case}: reconstruction off by {dev:.3g}")
             return None
         return ClassifiedSolution(case=case, params=params, residual=dev)
 
@@ -724,67 +781,6 @@ class _Session:
             reason="no case of the classification matched",
             f=self.f.to_json_dict(), g=self.g.to_json_dict(),
             residual=residual, attempts=tuple(self.attempts))
-
-
-# ---------------------------------------------------------------------------
-# Per-equation classification walks.  Each is a generator of the
-# (CaseId, CaseParams) candidates that follow the leading steps, in the
-# paper's case order; _Session.run attempts them and stops at the first hit.
-# ---------------------------------------------------------------------------
-
-def _classify_cos_sub(s: _Session):
-    # g non-zero but vanishing on the square: f = c g with c^2 = -1.
-    _, cs = _unit_c_rows(s.f.values[None], s.g.values[None], s.sq, s.tol)
-    if cs:
-        yield CaseId("cos-sub", 2), CaseParams(free=s.g, c=cs[0])
-    yield from s.later("cos-sub")
-
-
-def _classify_sine_add(s: _Session):
-    yield from s.later("sine-add")
-
-
-def _classify_cos_sine_g(s: _Session):
-    yield from s.later("cos-sine-g")
-
-
-def _classify_alpha_sym(s: _Session):
-    """The hit of cos-sine-g's walk on the reduced pair, as an alpha-sym
-    candidate."""
-    f, g, alpha = s.f, s.g, s.alpha
-    inner = _Session("cos-sine-g", reduce_alpha_sym(f, g, alpha), g, s.S,
-                     s.chars, s.tol)
-    hit = inner.run(_classify_cos_sine_g)
-    s.attempts.extend(f"via cos-sine-g: {a}" for a in inner.attempts)
-    if hit is None:
-        return
-    case = CaseId("alpha-sym", hit.case.case, hit.case.branch)
-    yield case, _alpha_sym_params(case, f, g, hit.params, alpha)
-
-
-def _classify_alpha_skew(s: _Session):
-    fv, gv, tol, alpha = s.f.values, s.g.values, s.tol, s.alpha
-    _, cs = _skew_c_rows(fv[None], gv[None], alpha, tol)
-    if cs:
-        yield (CaseId("alpha-skew", 4),
-               CaseParams(alpha=alpha, free=s.f, c=cs[0]))
-    # case 5: F is proportional to (chi - chi*)/2 for a non-even character,
-    # one of each conjugate pair.
-    Fv = fv / alpha - gv
-    for chi in conjugate_representatives(tuple(s.chars)):
-        _, cs = _conj_pair_rows(Fv[None], gv[None], chi, tol)
-        if cs:
-            c1, c2 = cs[0]
-            yield (CaseId("alpha-skew", 5),
-                   CaseParams(alpha=alpha, chi=chi, c1=c1, c2=c2))
-    yield from s.later("alpha-skew")
-
-
-#: The walk of each equation, by equation id.
-_WALKS = {"cos-sub": _classify_cos_sub, "sine-add": _classify_sine_add,
-          "cos-sine-g": _classify_cos_sine_g,
-          "alpha-sym": _classify_alpha_sym,
-          "alpha-skew": _classify_alpha_skew}
 
 
 def _extract_alpha(equation: str, f: FnTable, g: FnTable,
@@ -817,7 +813,7 @@ def _checked_binding(equation: str, f, g, S, tol: float, alpha,
     if not isinstance(S, FiniteSemigroup):
         raise TypeError("classification runs on finite semigroups only; "
                         "windowed carriers use construct-then-compare")
-    if equation not in _WALKS:
+    if equation not in CASES:
         raise KeyError(f"unknown equation id {equation!r}")
     validate_tolerance(tol)
     binding = {"f": f, "g": g}
@@ -858,12 +854,13 @@ class _Batch:
 
     Each stage makes offers in walk order: a case, the rows where the walk
     would attempt it, and the parameters of a selection of those rows.
-    :meth:`run` gives each row to the first offer that takes it and
-    attempts the case there with one batched construct-and-compare; the
-    hits are settled.  An offer of no case takes rows where the walk
-    raises, for :func:`classify` to raise there.  A stage reads the rows
-    still open when it starts, and no stage skips a candidate that the
-    per-pair walk would attempt before its own.
+    :meth:`run` attempts each offer's case on its open rows with one
+    batched construct-and-compare, and :meth:`settle` closes the hits.  A
+    miss leaves the row open for the next offer, as
+    :meth:`_Session.run` goes on to the next candidate.  A final leading
+    step closes its rows, since the walk ends there, and so does a
+    character factor beta within tol of 0, where the walk raises.  A
+    stage reads the rows still open when it starts.
     """
 
     def __init__(self, equation: str, F: np.ndarray, G: np.ndarray,
@@ -875,7 +872,7 @@ class _Batch:
             self.walk, self.Fw = "cos-sine-g", (G - F / alpha) / 2
         self.labels = {c: k for k, c in enumerate(all_case_ids(equation), 1)}
         self.case = np.zeros(len(F), dtype=np.intp)
-        self.taken = np.zeros(len(F), dtype=bool)
+        self.closed = np.zeros(len(F), dtype=bool)
         self.independent = np.zeros(len(F), dtype=bool)
         self.sq = sorted(square_set(S))
 
@@ -893,20 +890,22 @@ class _Batch:
         return self.by_parity[0]
 
     def run(self) -> np.ndarray:
-        # Each offer's parameters are read before the next offer is made.
+        # Each offer is settled before the next one is made, so that a
+        # stage sees the rows its earlier offers closed.
         for case, rows, params in filter(None, self.offers()):
-            rows = rows[~self.taken[rows]]
+            rows = rows[~self.closed[rows]]
             if rows.size:
-                self.taken[rows] = True
-                if case is not None:
-                    self.settle(case, rows, params(rows))
+                self.settle(case, rows, params(rows))
         return self.case
 
     def settle(self, case: CaseId, rows: np.ndarray,
                params: CaseParams) -> None:
-        """Attempt `case` on the rows; label the hits."""
+        """Attempt `case` on the rows; close the hits, and label them.  For
+        alpha-sym a hit on the reduced pair closes the row, and labels it
+        where the translated attempt on (f, g) hits too."""
         F, G = self.F[rows], self.G[rows]
         hit = _attempt_rows(case, self.Fw[rows], G, self.S, params, self.tol)
+        self.closed[rows[hit]] = True
         if self.walk != self.equation:
             case = CaseId(self.equation, case.case, case.branch)
             hit &= _attempt_rows(case, F, G, self.S, _alpha_sym_params(
@@ -914,9 +913,9 @@ class _Batch:
         self.case[rows[hit]] = self.labels[case]
 
     def open_rows(self) -> np.ndarray:
-        return np.flatnonzero(~self.taken)
+        return np.flatnonzero(~self.closed)
 
-    def offer(self, case: CaseId | None, rows: np.ndarray, make,
+    def offer(self, case: CaseId, rows: np.ndarray, make,
               values=None):
         """An offer of `case` on `rows` (None when there are none); its
         parameters are make(selection), or make(selection, their values)
@@ -939,6 +938,8 @@ class _Batch:
             yield self.offer(step.case, at[mask], lambda r, c=step.case:
                              _form_params(c, self.Fw[r], self.G[r],
                                           self.alpha))
+            if step.final:
+                self.closed[at[mask]] = True
         if walk == "cos-sub":
             yield from self.unit_c()
         elif walk == "alpha-skew":
@@ -992,8 +993,8 @@ class _Batch:
         beta = np.array([guards[i][0] for i in tested], dtype=np.complex128)
         consts = [guards[i][1] for i in tested]
         # The character test refuses beta within tol of 0, so that classify
-        # raises there: those rows are left to it.
-        yield self.offer(None, rows[np.abs(beta) <= self.tol], None)
+        # raises there: those rows close unlabelled.
+        self.closed[rows[np.abs(beta) <= self.tol]] = True
         found = _character_rows(self.G[rows], beta, self.by_parity[1],
                                 self.tol)
         for j, chi in enumerate(self.evens):
@@ -1004,20 +1005,14 @@ class _Batch:
 
     def pairs(self, k: int, rule):
         for c1, c2 in itertools.combinations(self.evens, 2):
-            at = np.flatnonzero(~self.taken & self.independent)
+            at = np.flatnonzero(~self.closed & self.independent)
             if not at.size:
                 return
-            m = len(at)
-            coords, fit = _coords(np.concatenate([self.Fw[at], self.G[at]]),
-                                  c1.values, c2.values, self.tol)
-            found = {}
-            for i in np.flatnonzero(fit[:m] & fit[m:]).tolist():
-                consts = rule(coords[i], coords[m + i], self.tol)
-                if consts is not None:
-                    found[int(at[i])] = consts
-            yield self.offer(CaseId(self.walk, k), np.array(
-                list(found), dtype=np.intp), lambda r, c:
-                CaseParams(chi1=c1, chi2=c2, **_stacked(c)), found.values())
+            rows, consts = _two_char_rows(self.Fw[at], self.G[at], c1, c2,
+                                          rule, self.tol)
+            yield self.offer(CaseId(self.walk, k), at[rows], lambda r, c:
+                             CaseParams(chi1=c1, chi2=c2, **_stacked(c)),
+                             consts)
 
     def noneven(self, k: int):
         """cos-sub/6 on the independent rows, or cos-sine-g/8chi."""
@@ -1025,12 +1020,9 @@ class _Batch:
         if not at.size:
             return
         _, _, nonevens, values = self.by_parity
-        Fw, G = self.Fw[at], self.G[at]
-        near = _near(G, values, self.tol)
-        case = CaseId(self.walk, k, "chi" if k == 8 else None)
-        for j, chi in enumerate(nonevens):
-            hit = (self.independent[at] & _conj_halves(chi, Fw, G, self.tol)
-                   if k == 6 else near[:, j])
+        for case, chi, hit in _noneven_rows(
+                self.walk, k, nonevens, values, self.Fw[at], self.G[at],
+                self.independent[at], self.tol):
             yield self.offer(case, at[hit], lambda r: CaseParams(chi=chi))
 
     def pieces(self, k: int, rule):
@@ -1052,8 +1044,8 @@ class _Batch:
 def classify_rows(equation: str, F: np.ndarray, G: np.ndarray,
                   S: FiniteSemigroup, alpha: complex | None = None,
                   tol: float = EPS, chars=None) -> np.ndarray:
-    """The outcome of :func:`classify` for each pair of a stack (rows of F,
-    G), where masks can settle it.
+    """The case :func:`classify` answers for each pair of a stack (rows of
+    F, G).
 
     Every row's residual is checked as `classify` checks it, and the first
     row that fails raises the same :class:`NotASolutionError`.  Then the
@@ -1064,15 +1056,16 @@ def classify_rows(equation: str, F: np.ndarray, G: np.ndarray,
     (cos-sub/3, sine-add/3, cos-sine-g/4); the two-character cases
     (cos-sub/4, sine-add/4, cos-sine-g/5); the non-even cases (cos-sub/6,
     cos-sine-g/8chi); and the piecewise cases (cos-sub/5+-, sine-add/5,
-    cos-sine-g/7 then /6, alpha-skew/6).  A row is settled only where the
-    walk would answer there with a hit: no earlier case was attempted, the
-    stage's test puts the case first, and the case's batched
-    construct-and-compare accepts the row.
+    cos-sine-g/7 then /6, alpha-skew/6).  Each case is attempted on the
+    open rows where the walk yields it, with one batched
+    construct-and-compare, and a row closes at its first hit.  Only a
+    final leading step and a character factor beta within tol of 0 close
+    a row without a hit, as the walk ends or raises there.
 
     Returns, for each row, 1 + the index of its case in
     :func:`addlaws.families.all_case_ids` (branch included), or 0 where
-    the row is left to `classify`: no case applies, or the first one that
-    applies misses, which the walk logs.  The alpha equations need
+    `classify` returns :class:`Unclassified` or raises.  The alpha
+    equations need
     `alpha` (a TypeError names it when it is missing); `chars` is the
     enumerate_characters list, worked out here when a stage needs it and
     it is not given.  Input that `classify` refuses is refused here with
@@ -1107,7 +1100,7 @@ def classify(equation: str, f: FnTable, g: FnTable, S: FiniteSemigroup,
     if chars is None:
         chars = enumerate_characters(S)
     session = _Session(equation, f, g, S, chars, tol, binding.get("a"))
-    hit = session.run(_WALKS[equation])
+    hit = session.run()
     if hit is None:
         return session.give_up(residual)
     return hit

@@ -33,14 +33,14 @@ an alphabet of m values, so the cache holds at most ~5 MB at m = 9.
 
 A coverage report classifies each equation's stacks in chunks of rows.
 :func:`addlaws.classify.classify_rows` re-checks every row's residual and
-runs the whole classification walk as vectorised masks: it settles each
-row whose first attempted case (a free family, a ratio case, a character
-or two-character case, a non-even or a piecewise case) hits, and labels
-it with that case, branch included.  Only the rows it leaves become
-FnTables and go through :func:`addlaws.classify.classify`, in grid order,
-so the report is byte-identical to classifying every pair.  A scan
-refuses a tolerance that is negative or not finite, an alpha that is not
-finite, and an alphabet entry that is not finite.
+runs the whole classification walk as vectorised masks: each row closes
+at its first hit, labelled with that case, branch included, which is the
+case :func:`addlaws.classify.classify` answers.  Label 0 marks the rows
+where `classify` finds no case; only those become FnTables and go through
+`classify`, in grid order, for their diagnostic dumps, so the report is
+byte-identical to classifying every pair.  A scan refuses a tolerance
+that is negative or not finite, an alpha that is not finite, and an
+alphabet entry that is not finite.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from .characters import enumerate_characters
-from .classify import Unclassified, classify, classify_rows
+from .classify import classify, classify_rows
 from .core import (EPS, FiniteSemigroup, FnTable, cnum, read_only,
                    validate_tolerance)
 from .dsl import builtin, evaluate_residual
@@ -336,9 +336,10 @@ def coverage_report(S: FiniteSemigroup, alphabet=DEFAULT_ALPHABET,
 
     Each equation's solutions are classified as whole stacks, in chunks of
     rows: :func:`addlaws.classify.classify_rows` re-checks their residuals
-    and settles the rows whose first attempted case hits, and only the
-    rows left over become FnTables and go through
-    :func:`addlaws.classify.classify`, in their grid order.
+    and labels each row with the case :func:`addlaws.classify.classify`
+    answers, and only the rows it labels 0, where `classify` finds no
+    case, become FnTables and go through `classify` for their dumps, in
+    their grid order.
     """
     values = validate_alphabet(alphabet)
     _require_finite_alpha(alpha)
@@ -369,11 +370,8 @@ def coverage_report(S: FiniteSemigroup, alphabet=DEFAULT_ALPHABET,
         dumps = []
         for i in np.flatnonzero(settled == 0):
             f, g = pairs[i]
-            hit = classify(eq, f, g, S, alpha=a, chars=chars, tol=tol)
-            if isinstance(hit, Unclassified):
-                dumps.append(hit.to_json_dict())
-            else:
-                cases[str(hit.case)] = cases.get(str(hit.case), 0) + 1
+            dumps.append(classify(eq, f, g, S, alpha=a, chars=chars,
+                                  tol=tol).to_json_dict())
         report["equations"][eq] = {
             "pairs_scanned": scanned,
             "solutions": len(pairs),

@@ -134,8 +134,8 @@ def test_a_hit_ends_the_candidate_stream(chars, monkeypatch):
     S = z2()
     f, g = construct(CaseId("cos-sine-g", 4),
                      CaseParams(chi=chars["Z2"][1], beta=1.0), S)
-    session = classify_mod._Session("cos-sine-g", f, g, S, chars["Z2"], TOL)
-    stream = session.candidates(classify_mod._classify_cos_sine_g)
+    stream = classify_mod._Session("cos-sine-g", f, g, S, chars["Z2"],
+                                   TOL).candidates()
     assert [str(case) for case, _ in stream] == [
         "cos-sine-g/4", "cos-sine-g/7", "cos-sine-g/6"]
     calls = {"construct": 0, "_extract_piece": 0}
@@ -147,6 +147,27 @@ def test_a_hit_ends_the_candidate_stream(chars, monkeypatch):
     hit = classify("cos-sine-g", f, g, S, chars=chars["Z2"])
     assert hit.case == CaseId("cos-sine-g", 4)
     assert calls == {"construct": 1, "_extract_piece": 0}
+
+
+def test_a_row_closes_at_its_first_hit(chars):
+    """On M3 at tol 0.3 the walk of f = (1, +-1/3, 0), g = (1, 0, 0) first
+    attempts cos-sine-g/4, which misses, and then cos-sine-g/7, which hits.
+    classify_rows labels both rows with that hit, as classify answers."""
+    S, tol = m3(), 0.3
+    case = CaseId("cos-sine-g", 7)
+    F = np.array([[1, 1 / 3, 0], [1, -1 / 3, 0]], dtype=complex)
+    G = np.array([[1, 0, 0], [1, 0, 0]], dtype=complex)
+    for fv, gv in zip(F, G):
+        session = classify_mod._Session("cos-sine-g", fn(S, fv), fn(S, gv),
+                                        S, chars["M3"], tol)
+        assert session.run().case == case
+        assert session.attempts == [
+            "cos-sine-g/4: reconstruction off by 0.333"]
+        assert classify("cos-sine-g", fn(S, fv), fn(S, gv), S,
+                        tol=tol).case == case
+    labels = classify_mod.classify_rows("cos-sine-g", F, G, S, tol=tol)
+    label = all_case_ids("cos-sine-g").index(case) + 1
+    assert labels.tolist() == [label, label]
 
 
 @pytest.mark.parametrize("beta", [1, 2, 1 + 1j])
@@ -425,13 +446,15 @@ def _outcome(eq, f, g, S, alpha, chars, tol) -> list:
 def test_classify_outcomes_byte_identical(carriers, chars):
     """Per-pair classify answers, logs and errors hash to a pinned digest.
 
-    Coverage reports settle most rows in classify_rows, so they say little
+    Coverage reports label most rows in classify_rows, so they say little
     about classify's own answers.  Here every carrier and equation gives
-    evenly spaced grid solutions of each case label that classify_rows
-    settles, and of the rows it leaves to classify; each pair is
-    classified as it is, swapped, with f and with g perturbed at one
-    element, and (alpha equations) with alpha recovered by least squares,
-    each at three tolerances.
+    evenly spaced grid solutions of each classify_rows label, 0 (no case)
+    included; each pair is classified as it is, swapped, with f and with g
+    perturbed at one element, and (alpha equations) with alpha recovered
+    by least squares, each at three tolerances.  37 records hold
+    alpha-sym's "via cos-sine-g:" attempt lines, all with f or g perturbed
+    at tol 1e-3 or 0.3: N3 rows 12, 24, 57, 69, 81 and 126, and NP4 rows 2
+    to 18.
     """
     digest = hashlib.sha256()
     for name in ("Z1", "Z2", "Z3", "N3", "M3", "NP4", "Z2xZ2"):
