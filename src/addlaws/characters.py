@@ -434,17 +434,23 @@ def check_condition_I(rho, chi, S) -> bool:
     """
     mul, in_P = S.mul, chi.in_prime_part
     P = [x for x in S.window if in_P(x)]
+    if not P:
+        return True
     non_ideal = [x for x in S.window if not chi.in_ideal(x)]
+    # chi(u) and chi(uv) do not depend on p: tabulate them once.
+    chi_u = [chi(u) for u in non_ideal]
+    chi_uv = [[chi(mul(u, v)) for v in non_ideal] for u in non_ideal]
     for p in P:
         rp = rho(p)
-        for u in non_ideal:
+        for u, cu in zip(non_ideal, chi_u):
             for x in (mul(u, p), mul(p, u)):
-                if not (in_P(x) and abs(rho(x) - rp * chi(u)) <= EPS):
+                if not (in_P(x) and abs(rho(x) - rp * cu) <= EPS):
                     return False
-        for u in non_ideal:
-            for v in non_ideal:
-                x = mul(u, mul(p, v))
-                if not (in_P(x) and abs(rho(x) - rp * chi(mul(u, v))) <= EPS):
+        pvs = [mul(p, v) for v in non_ideal]
+        for u, row in zip(non_ideal, chi_uv):
+            for pv, cuv in zip(pvs, row):
+                x = mul(u, pv)
+                if not (in_P(x) and abs(rho(x) - rp * cuv) <= EPS):
                     return False
     return True
 

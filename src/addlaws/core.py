@@ -227,9 +227,13 @@ class WindowedSemigroup:
     ``mul`` (the product) and ``sig`` (the automorphism) must be total
     computable maps on the carrier, whose elements are hashable.
     Construction validates sig's involutivity and multiplicativity on all
-    window pairs, and associativity on every window triple when there are
-    at most :data:`TRIPLE_SAMPLES` of them, else on that many triples drawn
-    with seed 0 (a full check would be cubic in the window size).
+    window pairs, evaluating sig once per window point (and once per
+    product), and associativity on every window triple when there are at
+    most :data:`TRIPLE_SAMPLES` of them, else on that many triples drawn
+    with seed 0 (a full check would be cubic in the window size).  The
+    sampled triples are the draws of ``random.Random(0).choice`` on the
+    window, in the same order, taken from ``getrandbits`` in blocks; this
+    adds no option.
     ``kernels`` memoizes the equations compiled on this carrier by
     :func:`addlaws.dsl.evaluate_residual`, as on a finite one.
     """
@@ -250,26 +254,48 @@ class WindowedSemigroup:
     def validate(self) -> None:
         if not self.window:
             raise SemigroupError("empty window")
-        sig, mul = self.sig, self.mul
-        for x in self.window:
-            if sig(sig(x)) != x:
+        sig, mul, w = self.sig, self.mul, self.window
+        s = []                  # s[i] = sig(w[i]), one call per point
+        for x in w:
+            sx = sig(x)
+            if sig(sx) != x:
                 raise SemigroupError(f"sigma is not involutive at {x!r}")
-        for x in self.window:
-            for y in self.window:
-                if sig(mul(x, y)) != mul(sig(x), sig(y)):
+            s.append(sx)
+        for x, sx in zip(w, s):
+            for y, sy in zip(w, s):
+                if sig(mul(x, y)) != mul(sx, sy):
                     raise SemigroupError(
                         f"sigma is not multiplicative at ({x!r}, {y!r})")
-        w = self.window
         if len(w) ** 3 <= TRIPLE_SAMPLES:
             triples = itertools.product(w, repeat=3)
         else:
-            rng = random.Random(0)
-            triples = ((rng.choice(w), rng.choice(w), rng.choice(w))
-                       for _ in range(TRIPLE_SAMPLES))
+            picks = map(w.__getitem__, itertools.islice(
+                _seed0_choices(len(w)), 3 * TRIPLE_SAMPLES))
+            triples = zip(picks, picks, picks)
         for x, y, z in triples:
             if mul(mul(x, y), z) != mul(x, mul(y, z)):
                 raise SemigroupError(
                     f"non-associative at ({x!r}, {y!r}, {z!r})")
+
+
+def _seed0_choices(n: int):
+    """The indices ``random.Random(0).choice`` picks, one after another,
+    from a sequence of length ``n`` (below 2**32), drawn 1,024 32-bit words
+    at a time.
+
+    ``choice`` keeps the top ``n.bit_length()`` bits of one word and draws
+    again while they are ``n`` or more; ``getrandbits(32 * block)`` returns
+    the same words, the first in the lowest bits.  Endless: take what is
+    needed.
+    """
+    rng = random.Random(0)
+    shift = 32 - n.bit_length()
+    block = 1024
+    while True:
+        words = np.frombuffer(
+            rng.getrandbits(32 * block).to_bytes(4 * block, "little"), "<u4")
+        picks = words >> shift
+        yield from picks[picks < n].tolist()
 
 
 class FnTable:

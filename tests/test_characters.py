@@ -4,12 +4,12 @@ rho parameter spaces."""
 import numpy as np
 import pytest
 
-from addlaws.characters import (AdditiveFn, MultChar, RhoFn, additive_basis,
-                                additive_residual, check_condition_I,
-                                check_condition_II, element_periods,
-                                enumerate_characters, ideal_sets,
-                                parity_residual, rho_space)
-from addlaws.examples import m3, n3, np4, z2, z3
+from addlaws.characters import (AdditiveFn, MultChar, RhoFn, WindowedChar,
+                                additive_basis, additive_residual,
+                                check_condition_I, check_condition_II,
+                                element_periods, enumerate_characters,
+                                ideal_sets, parity_residual, rho_space)
+from addlaws.examples import example1, m3, n3, np4, z2, z3
 
 from helpers import (TOL, brute_force_characters, match_tables,
                      swapped_semilattice)
@@ -223,3 +223,18 @@ def test_windowed_rho_family_satisfies_condition_I(ex1):
         rho = ex1.extras["rho_family"](1.5, parity)
         assert check_condition_I(rho, chi, ex1)
         assert parity_residual(rho, ex1) <= TOL
+
+
+@pytest.mark.parametrize("bent_at", [5, 25])
+def test_condition_I_reads_chi_at_each_u_and_product_uv(bent_at):
+    # On the window 2..20, 5 is a point u outside the ideal, and 25 = 5 * 5
+    # is a product uv but no u.  A chi that is wrong at 5 fails
+    # rho(up) = rho(p) chi(u); one wrong at 25 only passes those checks and
+    # fails rho(upv) = rho(p) chi(uv) at u = v = 5.
+    W = example1(20)
+    chi = W.extras["chi"]
+    rho = W.extras["rho_family"](1.5)
+    assert check_condition_I(rho, chi, W)
+    bent = WindowedChar(W, lambda x: 2.0 if x == bent_at else chi(x),
+                        chi.in_ideal, chi.in_ideal_square, chi.in_prime_part)
+    assert not check_condition_I(rho, bent, W)

@@ -1,14 +1,17 @@
 """Carrier validation, serialization, and even/odd splitting."""
 
+import itertools
 import json
+import random
 
 import numpy as np
 import pytest
 
 from addlaws.classify import reduce_alpha_sym
-from addlaws.core import (FiniteSemigroup, FnTable, SemigroupError,
-                          WindowedSemigroup, even_odd_parts, fn,
-                          load_semigroup, square_set, stable_json)
+from addlaws.core import (TRIPLE_SAMPLES, FiniteSemigroup, FnTable,
+                          SemigroupError, WindowedSemigroup, _seed0_choices,
+                          even_odd_parts, fn, load_semigroup, square_set,
+                          stable_json)
 from addlaws.examples import m3, n3, np4, z1, z2, z3, z2xz2
 
 from helpers import TOL
@@ -223,6 +226,57 @@ def test_a_small_window_checks_every_triple():
     with pytest.raises(SemigroupError, match=rf"non-associative at "
                        rf"\({top}, {top}, 2\)"):
         WindowedSemigroup("skew", mul, lambda x: x, window)
+
+
+@pytest.mark.parametrize("n", [22, 31, 32, 33, 37, 199, 961])
+def test_blocked_draws_are_the_seed0_choice_draws(n):
+    # Bit-length edges (31, 32, 33), the smallest sampled window (22) and
+    # the two example windows (199 points for example 1, 961 for 2).
+    rng = random.Random(0)
+    expected = [rng.choice(range(n)) for _ in range(30_000)]
+    assert list(itertools.islice(_seed0_choices(n), 30_000)) == expected
+
+
+@pytest.mark.parametrize("window, mul", [
+    (range(22), lambda x, y: x - y),
+    # max is associative; the bump at x = 10 breaks ~2% of the triples,
+    # so the first failing one lies deep in the sample.
+    (range(40), lambda x, y: max(x, y) + (x == 10)),
+], ids=["difference", "bumped-max"])
+def test_a_sampled_window_names_the_first_failing_triple(window, mul):
+    w = tuple(window)
+    assert len(w) ** 3 > TRIPLE_SAMPLES
+    rng = random.Random(0)
+    sample = [(rng.choice(w), rng.choice(w), rng.choice(w))
+              for _ in range(TRIPLE_SAMPLES)]
+    x, y, z = next((x, y, z) for x, y, z in sample
+                   if mul(mul(x, y), z) != mul(x, mul(y, z)))
+    with pytest.raises(SemigroupError,
+                       match=rf"non-associative at \({x}, {y}, {z}\)$"):
+        WindowedSemigroup("skew", mul, lambda x: x, w)
+
+
+def test_sigma_is_called_once_per_point_and_per_product():
+    calls = []
+
+    def sig(x):
+        calls.append(x)
+        return x
+
+    n = 30
+    WindowedSemigroup("count", lambda x, y: x * y, sig, range(2, 2 + n))
+    assert len(calls) == 2 * n + n * n
+
+
+def test_a_non_multiplicative_sigma_names_its_first_pair():
+    # sigma swaps 5 and 6, an involution; sigma(max(5, 6)) = 5 but
+    # max(sigma 5, sigma 6) = 6, and no earlier pair fails.
+    def sig(x):
+        return {5: 6, 6: 5}.get(x, x)
+
+    with pytest.raises(SemigroupError,
+                       match=r"^sigma is not multiplicative at \(5, 6\)$"):
+        WindowedSemigroup("swap", max, sig, range(1, 12))
 
 
 @pytest.mark.parametrize("op", [
