@@ -15,7 +15,8 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .core import EPS, FiniteSemigroup, FnTable, WindowedSemigroup, read_only
+from .core import (EPS, FiniteSemigroup, FnTable, WindowedSemigroup,
+                   _evaluator, read_only)
 
 #: Tolerance for snapping a propagated character value onto its candidate
 #: set.  Products of exact roots of unity carry only ~1e-15 of float noise,
@@ -264,9 +265,7 @@ class AdditiveFn:
         return complex(self.formula(x))
 
     def in_domain(self, x) -> bool:
-        if isinstance(self.domain, (frozenset, set)):
-            return x in self.domain
-        return bool(self.domain(x))
+        return bool(_member(self)(x))
 
 
 #: A function on the prime part P; the same record as :class:`AdditiveFn`.
@@ -305,20 +304,49 @@ def _worst(diffs: Iterable[float]) -> float:
     return worst
 
 
+def _member(fn: AdditiveFn) -> Callable:
+    """The domain membership test of fn, bound once: a set's
+    ``__contains__``, or the predicate itself."""
+    d = fn.domain
+    return d.__contains__ if isinstance(d, (frozenset, set)) else d
+
+
+def _sigma_residual(f, S, sign: float | None = None,
+                    member: Callable | None = None) -> float:
+    """max |f(sigma x) - f(x)|, or |f(sigma x) - sign f(x)| given a sign,
+    over the window points x that `member` admits (every one without it);
+    NaN as soon as a term is NaN.
+
+    f is evaluated once per admitted point, and f(sigma x) is read from
+    that table; where sigma x is not in it (example 1 maps 8 to 27, past
+    a window that ends below 27), f is evaluated there.
+    """
+    ev = _evaluator(f)
+    points = S.window if member is None else \
+        [x for x in S.window if member(x)]
+    table = dict(zip(points, map(ev, points)))
+    values = table.values() if sign is None else \
+        (sign * v for v in table.values())
+    return _worst(abs((table[s] if s in table else ev(s)) - v)
+                  for s, v in zip(map(S.sig, table), values))
+
+
 def additive_residual(A: AdditiveFn, S, pairs: Iterable) -> float:
     """max |A(xy) - A(x) - A(y)| over the given pairs (domain-filtered);
-    NaN if any term is NaN."""
-    mul, in_domain = S.mul, A.in_domain
-    return _worst(abs(A(mul(x, y)) - A(x) - A(y)) for x, y in pairs
-                  if in_domain(x) and in_domain(y))
+    NaN if any term is NaN.  A and its domain test are bound once."""
+    mul, ev, member = S.mul, _evaluator(A), _member(A)
+    return _worst(abs(ev(mul(x, y)) - ev(x) - ev(y)) for x, y in pairs
+                  if member(x) and member(y))
 
 
 def character_residuals(chi, S, pairs: Iterable) -> tuple[float, float]:
     """max |chi(xy) - chi(x) chi(y)| over the given pairs and max
-    |chi(sigma x) - chi(x)| over the window; each NaN if any term is NaN."""
-    mul, sig = S.mul, S.sig
-    return (_worst(abs(chi(mul(x, y)) - chi(x) * chi(y)) for x, y in pairs),
-            _worst(abs(chi(sig(x)) - chi(x)) for x in S.window))
+    |chi(sigma x) - chi(x)| over the window; each NaN if any term is NaN.
+    chi is bound once, and the second maximum evaluates it once per window
+    point (see :func:`_sigma_residual`)."""
+    mul, ev = S.mul, _evaluator(chi)
+    return (_worst(abs(ev(mul(x, y)) - ev(x) * ev(y)) for x, y in pairs),
+            _sigma_residual(chi, S))
 
 
 @dataclass
@@ -430,16 +458,18 @@ def check_condition_I(rho, chi, S) -> bool:
     For p in P and u, v outside the ideal: up, pv and upv lie in P with
     rho(up) = rho(p) chi(u), rho(pv) = rho(p) chi(v) and
     rho(upv) = rho(p) chi(uv).  Windowed carriers quantify u, v, p over the
-    window only.
+    window only.  rho and chi are bound once (see
+    :func:`addlaws.core._evaluator`).
     """
     mul, in_P = S.mul, chi.in_prime_part
     P = [x for x in S.window if in_P(x)]
     if not P:
         return True
+    rho, chi_at = _evaluator(rho), _evaluator(chi)
     non_ideal = [x for x in S.window if not chi.in_ideal(x)]
     # chi(u) and chi(uv) do not depend on p: tabulate them once.
-    chi_u = [chi(u) for u in non_ideal]
-    chi_uv = [[chi(mul(u, v)) for v in non_ideal] for u in non_ideal]
+    chi_u = [chi_at(u) for u in non_ideal]
+    chi_uv = [[chi_at(mul(u, v)) for v in non_ideal] for u in non_ideal]
     for p in P:
         rp = rho(p)
         for u, cu in zip(non_ideal, chi_u):
@@ -457,8 +487,8 @@ def check_condition_I(rho, chi, S) -> bool:
 
 def check_condition_II(f, chi, S) -> bool:
     """Vanishing of f on mixed products: f(xy) = f(yx) = 0 whenever one
-    factor is in I \\ P and the other outside I."""
-    mul = S.mul
+    factor is in I \\ P and the other outside I.  f is bound once."""
+    mul, f = S.mul, _evaluator(f)
     edge = [x for x in S.window
             if chi.in_ideal(x) and not chi.in_prime_part(x)]
     non_ideal = [x for x in S.window if not chi.in_ideal(x)]
@@ -471,7 +501,7 @@ def check_condition_II(f, chi, S) -> bool:
 
 def parity_residual(fn, S) -> float:
     """max |f(sigma x) -/+ f(x)| over the function's domain; NaN if any term
-    is NaN."""
+    is NaN.  f is evaluated once per domain point in the window (see
+    :func:`_sigma_residual`)."""
     sign = 1.0 if fn.parity == "even" else -1.0
-    return _worst(abs(fn(S.sig(x)) - sign * fn(x)) for x in S.window
-                  if fn.in_domain(x))
+    return _sigma_residual(fn, S, sign, _member(fn))

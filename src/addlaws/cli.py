@@ -16,12 +16,17 @@ are UTF-8 JSON with sorted keys, reproducible byte for byte.
 
 Exit codes: 0 success, 1 validation failure or unclassified event,
 2 usage error, 3 candidate-pair budget exceeded.
+
+The argument parser is built once per process and reused by every
+:func:`main` call; each call parses into a fresh namespace, so nothing
+carries over from one call to the next.  This adds no option.
 """
 
 from __future__ import annotations
 
 import argparse
 import cmath
+import functools
 import sys
 from pathlib import Path
 
@@ -462,6 +467,7 @@ def _at_least_one(text: str) -> int:
     return value
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="addlaws",

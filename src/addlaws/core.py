@@ -270,7 +270,7 @@ class WindowedSemigroup:
             triples = itertools.product(w, repeat=3)
         else:
             picks = map(w.__getitem__, itertools.islice(
-                _seed0_choices(len(w)), 3 * TRIPLE_SAMPLES))
+                _draws(random.Random(0), len(w)), 3 * TRIPLE_SAMPLES))
             triples = zip(picks, picks, picks)
         for x, y, z in triples:
             if mul(mul(x, y), z) != mul(x, mul(y, z)):
@@ -278,17 +278,16 @@ class WindowedSemigroup:
                     f"non-associative at ({x!r}, {y!r}, {z!r})")
 
 
-def _seed0_choices(n: int):
-    """The indices ``random.Random(0).choice`` picks, one after another,
-    from a sequence of length ``n`` (below 2**32), drawn 1,024 32-bit words
-    at a time.
+def _draws(rng: random.Random, n: int):
+    """The values ``rng.randrange(n)`` returns, one after another, for ``n``
+    below 2**32, drawn 1,024 32-bit words at a time.
 
-    ``choice`` keeps the top ``n.bit_length()`` bits of one word and draws
-    again while they are ``n`` or more; ``getrandbits(32 * block)`` returns
-    the same words, the first in the lowest bits.  Endless: take what is
-    needed.
+    ``randrange`` (and so ``choice`` and ``randint``) keeps the top
+    ``n.bit_length()`` bits of one word and draws again while they are
+    ``n`` or more; ``getrandbits(32 * block)`` returns the same words, the
+    first in the lowest bits.  Endless: take what is needed.  ``rng`` runs
+    ahead of the values taken, so it is the generator's alone.
     """
-    rng = random.Random(0)
     shift = 32 - n.bit_length()
     block = 1024
     while True:
@@ -296,6 +295,22 @@ def _seed0_choices(n: int):
             rng.getrandbits(32 * block).to_bytes(4 * block, "little"), "<u4")
         picks = words >> shift
         yield from picks[picks < n].tolist()
+
+
+def _evaluator(f) -> Callable:
+    """``f`` as a plain callable, bound once so that a check calls it per
+    point without dispatch.  A values table (``f.values``, an array) is
+    read as ``complex(values[x])``, from a list of its entries made once; a
+    formula (``f.formula``) is called as ``complex(formula(x))``; any other
+    callable is returned as it is.
+    """
+    values = getattr(f, "values", None)
+    if isinstance(values, np.ndarray):
+        return values.astype(np.complex128, copy=False).tolist().__getitem__
+    formula = getattr(f, "formula", None)
+    if formula is not None:
+        return lambda x: complex(formula(x))
+    return f
 
 
 class FnTable:

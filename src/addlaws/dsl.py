@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FiniteSemigroup, FnTable
+from .core import FiniteSemigroup, FnTable, _evaluator
 
 MAX_RATIONAL = 10 ** 6
 #: The deepest nesting of s(...) that a word may have.
@@ -324,7 +324,8 @@ def _bound_values(name: str, fn, points: tuple, finite: bool) -> np.ndarray:
 
     On a finite carrier, whose points are its element indices, a table is
     read as it stands: its last axis runs over the elements and its leading
-    axes are rows.  Anything else is called once per point.
+    axes are rows.  Anything else is bound once (see
+    :func:`addlaws.core._evaluator`) and called once per point.
     """
     table = fn.values if finite and isinstance(fn, FnTable) else fn
     if finite and isinstance(table, np.ndarray):
@@ -333,7 +334,8 @@ def _bound_values(name: str, fn, points: tuple, finite: bool) -> np.ndarray:
             raise ValueError(f"table bound to {name!r} has {got} values "
                              f"but |S| = {len(points)}")
         return table
-    return np.array([complex(fn(e)) for e in points], dtype=np.complex128)
+    ev = _evaluator(fn)
+    return np.array([complex(ev(e)) for e in points], dtype=np.complex128)
 
 
 def _check_binding(funcs, uses_a: bool, binding: dict) -> None:

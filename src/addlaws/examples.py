@@ -21,7 +21,7 @@ import random
 import numpy as np
 
 from .characters import AdditiveFn, RhoFn, WindowedChar
-from .core import FiniteSemigroup, WindowedSemigroup
+from .core import FiniteSemigroup, WindowedSemigroup, _draws
 
 
 def z1() -> FiniteSemigroup:
@@ -235,15 +235,17 @@ def example2() -> WindowedSemigroup:
         return [log_candidate(1, -1, "odd")]
 
     def sample_pairs(count: int, seed: int = 0):
-        rng = random.Random(seed)
-
-        def coord() -> float:
-            while True:
-                # 20-bit dyadics keep pair products exact in doubles.
-                c = rng.randint(-(2 ** 20) + 1, 2 ** 20 - 1) / 2 ** 20
-                if abs(c) >= 1e-3:
-                    return c
-        return [(((coord(), coord())), (coord(), coord()))
+        """`count` pairs of points whose coordinates are the draws of
+        ``random.Random(seed).randint(-(2**20) + 1, 2**20 - 1) / 2**20``
+        with |c| >= 1e-3, in order; the draws are taken in blocks (see
+        :func:`addlaws.core._draws`), which adds no option."""
+        # 20-bit dyadics keep pair products exact in doubles; randint(lo,
+        # -lo) is lo + randrange(1 - 2 * lo).
+        lo = -(2 ** 20) + 1
+        coords = (c for c in ((lo + k) / 2 ** 20
+                              for k in _draws(random.Random(seed), 1 - 2 * lo))
+                  if abs(c) >= 1e-3)
+        return [((next(coords), next(coords)), (next(coords), next(coords)))
                 for _ in range(count)]
 
     W.extras.update({

@@ -1,15 +1,18 @@
 """Multiplicative-function enumeration, ideal partitions, additive and
 rho parameter spaces."""
 
+import math
+
 import numpy as np
 import pytest
 
 from addlaws.characters import (AdditiveFn, MultChar, RhoFn, WindowedChar,
-                                additive_basis, additive_residual,
-                                check_condition_I, check_condition_II,
-                                element_periods, enumerate_characters,
-                                ideal_sets, parity_residual, rho_space)
-from addlaws.examples import example1, m3, n3, np4, z2, z3
+                                _worst, additive_basis, additive_residual,
+                                character_residuals, check_condition_I,
+                                check_condition_II, element_periods,
+                                enumerate_characters, ideal_sets,
+                                parity_residual, rho_space)
+from addlaws.examples import example1, example2, m3, n3, np4, z2, z3
 
 from helpers import (TOL, brute_force_characters, match_tables,
                      swapped_semilattice)
@@ -238,3 +241,90 @@ def test_condition_I_reads_chi_at_each_u_and_product_uv(bent_at):
     bent = WindowedChar(W, lambda x: 2.0 if x == bent_at else chi(x),
                         chi.in_ideal, chi.in_ideal_square, chi.in_prime_part)
     assert not check_condition_I(rho, bent, W)
+
+
+def _per_point_even_residual(chi, S):
+    """The even residual as computed before the window table: chi called
+    twice per window point."""
+    return _worst(abs(chi(S.sig(x)) - chi(x)) for x in S.window)
+
+
+def _per_point_parity_residual(fn, S):
+    """The parity residual as computed before the window table."""
+    sign = 1.0 if fn.parity == "even" else -1.0
+    return _worst(abs(fn(S.sig(x)) - sign * fn(x)) for x in S.window
+                  if fn.in_domain(x))
+
+
+def _same(a, b):
+    return a == b or (math.isnan(a) and math.isnan(b))
+
+
+def _sigma_cases(name):
+    """Each character and basis function of one windowed example, plus a
+    character and a function that are far from even, so that the
+    residuals compared are not all 0."""
+    if name == "example1":
+        W = example1(20)
+        chars = [W.extras["chi"],
+                 WindowedChar(W, lambda n: complex(n % 5, 1 / n),
+                              W.extras["chi"].in_ideal,
+                              W.extras["chi"].in_ideal_square,
+                              W.extras["chi"].in_prime_part)]
+        fns = [W.extras["additive_family"]({5: 1.0, 7: 2.0}),
+               W.extras["rho_family"](1.5, "even"),
+               W.extras["rho_family"](1.5, "odd"),
+               AdditiveFn(domain=lambda n: n % 2 == 1,
+                          formula=lambda n: n ** 0.5, parity="odd")]
+        return W, chars, fns
+    W = example2()
+    chars = list(W.extras["chars"].values())
+    never = chars[0].in_ideal
+    chars.append(WindowedChar(W, lambda u: complex(u[0], u[1] ** 3),
+                              never, never, never))
+    fns = [A for parity in ("even", "odd")
+           for A in W.extras["additive_basis"](W.extras["chars"]["chi_abs"],
+                                               parity)]
+    fns.append(AdditiveFn(domain=lambda u: u[0] != 0 and u[1] != 0,
+                          formula=lambda u: math.log(abs(u[0])) + 2 * u[1],
+                          parity="even"))
+    return W, chars, fns
+
+
+@pytest.mark.parametrize("name", ["example1", "example2"])
+def test_window_table_residuals_equal_the_per_point_ones(name):
+    W, chars, fns = _sigma_cases(name)
+    if name == "example1":
+        # sigma(8) = 27 lies past the window 2..20, so f is evaluated there.
+        assert W.sig(8) == 27 and 27 not in W.window
+    for chi in chars:
+        got = character_residuals(chi, W, [])[1]
+        assert _same(got, _per_point_even_residual(chi, W))
+    assert character_residuals(chars[-1], W, [])[1] > 0.1
+    for f in fns:
+        assert _same(parity_residual(f, W), _per_point_parity_residual(f, W))
+    assert parity_residual(fns[-1], W) > 0.1
+
+
+def test_a_nan_past_the_window_is_kept():
+    W = example1(20)
+
+    def nan_at_27(n):
+        return math.nan if n == 27 else 1 + 0j
+
+    assert math.isnan(character_residuals(nan_at_27, W, [])[1])
+    A = AdditiveFn(domain=lambda n: True, formula=nan_at_27, parity="even")
+    assert math.isnan(parity_residual(A, W))
+
+
+def test_residuals_and_conditions_take_plain_callables():
+    W = example1(20)
+    chi = W.extras["chi"]
+    rho = W.extras["rho_family"](1.5, "even")
+    pairs = [(x, y) for x in W.window for y in W.window]
+    assert character_residuals(lambda n: chi(n), W, pairs) == \
+        character_residuals(chi, W, pairs)
+    assert check_condition_I(lambda n: rho(n), chi, W)
+    assert not check_condition_I(lambda n: 2 * rho(n) if n == 2 else rho(n),
+                                 chi, W)
+    assert check_condition_II(lambda n: 0, chi, W)

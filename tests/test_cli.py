@@ -401,6 +401,47 @@ def test_usage_errors_exit_2(capsys):
     assert e.value.code == EXIT_USAGE
 
 
+def test_the_parser_is_built_once():
+    assert _build_parser() is _build_parser()
+
+
+def test_no_option_carries_over_between_calls(capsys):
+    """The one parser parses every call into a fresh namespace: a scan of
+    one equation leaves the next scan at all five, and values given once
+    do not become defaults."""
+    code, payload, _ = run(capsys, "oracle", "-s", "Z1", "-e", "cos-sub")
+    assert code == EXIT_OK and list(payload["equations"]) == ["cos-sub"]
+    code, payload, _ = run(capsys, "oracle", "-s", "Z1")
+    assert code == EXIT_OK and len(payload["equations"]) == 5
+    parse = _build_parser().parse_args
+    assert parse(["oracle", "-s", "Z1", "--alpha", "2"]).alpha == "2"
+    assert parse(["oracle", "-s", "Z1"]).alpha is None
+    assert parse(["report-examples", "--example", "2",
+                  "--seed", "5"]).seed == 5
+    assert parse(["report-examples", "--example", "2"]).seed == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "-s", "Z2"],
+    ["report-examples", "--example", "3"],
+    ["report-examples", "--example", "2", "--pairs", "0"],
+    ["frobnicate"],
+], ids=["missing", "choice", "type", "command"])
+def test_usage_errors_match_a_fresh_parser(capsys, argv):
+    """Each call on the one parser exits 2 with the stderr of a parser
+    built for that call alone."""
+    with pytest.raises(SystemExit) as e:
+        _build_parser.__wrapped__().parse_args(argv)
+    assert e.value.code == EXIT_USAGE
+    fresh = capsys.readouterr().err
+    assert fresh.startswith("usage: addlaws")
+    for _ in range(2):
+        with pytest.raises(SystemExit) as e:
+            main(argv)
+        assert e.value.code == EXIT_USAGE
+        assert capsys.readouterr().err == fresh
+
+
 @pytest.mark.parametrize("pairs,fragment", [
     ("0", "must be at least 1, got 0"),
     ("-3", "must be at least 1, got -3"),

@@ -9,7 +9,8 @@ import pytest
 
 from addlaws.classify import reduce_alpha_sym
 from addlaws.core import (TRIPLE_SAMPLES, FiniteSemigroup, FnTable,
-                          SemigroupError, WindowedSemigroup, _seed0_choices,
+                          SemigroupError, WindowedSemigroup, _draws,
+                          _evaluator,
                           even_odd_parts, fn, load_semigroup, square_set,
                           stable_json)
 from addlaws.examples import m3, n3, np4, z1, z2, z3, z2xz2
@@ -234,7 +235,38 @@ def test_blocked_draws_are_the_seed0_choice_draws(n):
     # the two example windows (199 points for example 1, 961 for 2).
     rng = random.Random(0)
     expected = [rng.choice(range(n)) for _ in range(30_000)]
-    assert list(itertools.islice(_seed0_choices(n), 30_000)) == expected
+    assert list(itertools.islice(_draws(random.Random(0), n), 30_000)) == \
+        expected
+
+
+@pytest.mark.parametrize("n", [2 ** 4 + 1, 2 ** 16 + 1, 2 ** 31 + 1,
+                               2 ** 21 - 1])
+@pytest.mark.parametrize("seed", [3, 41])
+def test_blocked_draws_are_the_randrange_draws(n, seed):
+    # 2**k + 1 rejects nearly half of the words, 2**31 + 1 keeps all 32
+    # bits, and 2**21 - 1 is the width of example 2's coordinate draws.
+    rng = random.Random(seed)
+    expected = [rng.randrange(n) for _ in range(5_000)]
+    assert list(itertools.islice(_draws(random.Random(seed), n), 5_000)) \
+        == expected
+
+
+def test_an_evaluator_reads_a_table_calls_a_formula_or_is_the_callable():
+    S = z3()
+    table = FnTable(S, values=[1, 2j, np.nan])
+    at = _evaluator(table)
+    assert [at(x) for x in range(3)][:2] == [1 + 0j, 2j]
+    assert all(type(at(x)) is complex for x in range(3))
+    assert np.isnan(at(2))
+    W = WindowedSemigroup("pos", lambda x, y: x * y, lambda x: x,
+                          tuple(range(2, 10)))
+    at = _evaluator(fn(W, lambda x: x * x))
+    assert at(3) == 9 and type(at(3)) is complex
+
+    def plain(x):
+        return x
+
+    assert _evaluator(plain) is plain
 
 
 @pytest.mark.parametrize("window, mul", [

@@ -4,6 +4,7 @@ import math
 import random
 
 import numpy as np
+import pytest
 
 from addlaws.characters import additive_residual, parity_residual
 from addlaws.core import WindowedSemigroup
@@ -108,3 +109,30 @@ def test_quadrant_grid_sample_pairs_are_reproducible(ex2):
     for (x, y) in ex2.extras["sample_pairs"](64, 9):
         for t in (*x, *y):
             assert 1e-3 <= abs(t) < 1.0
+
+
+def _randint_pairs(count: int, seed: int):
+    """The sample as drawn before the blocked draws: one randint per
+    coordinate, and the number of draws the |c| >= 1e-3 filter refused."""
+    rng = random.Random(seed)
+    refused = 0
+
+    def coord() -> float:
+        nonlocal refused
+        while True:
+            c = rng.randint(-(2 ** 20) + 1, 2 ** 20 - 1) / 2 ** 20
+            if abs(c) >= 1e-3:
+                return c
+            refused += 1
+    pairs = [((coord(), coord()), (coord(), coord())) for _ in range(count)]
+    return pairs, refused
+
+
+@pytest.mark.parametrize("count, seed, refusals", [
+    (1, 0, 0), (64, 9, 0), (400, 7, 1), (1200, 0, 4),
+])
+def test_sample_pairs_are_the_randint_stream(ex2, count, seed, refusals):
+    # Seeds 7 and 0 draw coordinates that the |c| >= 1e-3 filter refuses.
+    pairs, refused = _randint_pairs(count, seed)
+    assert refused == refusals
+    assert ex2.extras["sample_pairs"](count, seed) == pairs
