@@ -4,7 +4,10 @@ Provides complete enumeration of the non-zero multiplicative functions on a
 finite semigroup, their null-ideal structure, the additive functions (zero
 on every finite carrier, so a finite piecewise family is built from chi and
 rho alone) and a solver for the admissible rho functions on the prime
-part, plus the two side conditions that piecewise solution families carry.
+part, plus the side conditions that piecewise solution families carry.
+Those conditions and a character's evenness are relations (t, s, c) that
+ask h(t) = c h(s), listed once (:func:`_relations`) and checked by one
+gather (:func:`_gaps`) of a finite table, a stack of rows or a formula.
 """
 
 from __future__ import annotations
@@ -27,17 +30,12 @@ SNAP_TOL = 1e-6
 def _ideal_sets_from_values(S: FiniteSemigroup, values: np.ndarray):
     ideal = frozenset(i for i in range(S.n) if abs(values[i]) <= EPS)
     ideal_sq = frozenset(int(S.table[i, j]) for i in ideal for j in ideal)
-    edge = sorted(ideal - ideal_sq)
-    non_ideal = sorted(set(range(S.n)) - ideal)
-    in_edge = set(edge)
-    prime = []
-    for p in edge:
-        ok = all(S.mul(u, p) in in_edge and S.mul(p, v) in in_edge
-                 and S.mul(u, S.mul(p, v)) in in_edge
-                 for u in non_ideal for v in non_ideal)
-        if ok:
-            prime.append(p)
-    return ideal, ideal_sq, frozenset(prime)
+    edge = ideal - ideal_sq
+    non_ideal = [x for x in range(S.n) if x not in ideal]
+    return ideal, ideal_sq, frozenset(p for p in edge if all(
+        S.mul(u, p) in edge and S.mul(p, v) in edge
+        and S.mul(u, S.mul(p, v)) in edge
+        for u in non_ideal for v in non_ideal))
 
 
 class MultChar:
@@ -237,11 +235,8 @@ def ideal_sets(chi):
     """
     if isinstance(chi, MultChar):
         return chi.null_ideal, chi.null_square, chi.prime_part
-    W = chi.semigroup
-    ideal = tuple(x for x in W.window if chi.in_ideal(x))
-    ideal_sq = tuple(x for x in W.window if chi.in_ideal_square(x))
-    prime = tuple(x for x in W.window if chi.in_prime_part(x))
-    return ideal, ideal_sq, prime
+    return tuple(tuple(filter(test, chi.semigroup.window)) for test in
+                 (chi.in_ideal, chi.in_ideal_square, chi.in_prime_part))
 
 
 @dataclass
@@ -311,24 +306,27 @@ def _member(fn: AdditiveFn) -> Callable:
     return d.__contains__ if isinstance(d, (frozenset, set)) else d
 
 
-def _sigma_residual(f, S, sign: float | None = None,
-                    member: Callable | None = None) -> float:
-    """max |f(sigma x) - f(x)|, or |f(sigma x) - sign f(x)| given a sign,
-    over the window points x that `member` admits (every one without it);
-    NaN as soon as a term is NaN.
+def _gaps(h, targets, sources, factors):
+    """|h(t) - c h(s)| for each relation (t, s, c) of the three sequences,
+    NaN kept.  A finite table (h or h.values, an array) is read as it
+    stands, a stack of rows giving a row of gaps each; any other h is
+    evaluated once per distinct element through
+    :func:`addlaws.core._evaluator`, sigma x past the window included."""
+    values = h if isinstance(h, np.ndarray) else getattr(h, "values", None)
+    if isinstance(values, np.ndarray):
+        return np.abs(values[..., targets] - values[..., sources] * factors)
+    ev, slot = _evaluator(h), {}            # slot: element -> its index
+    ts, ss = [[slot.setdefault(x, len(slot)) for x in xs]
+              for xs in (targets, sources)]
+    at = list(map(ev, slot))
+    return (abs(at[t] - c * at[s]) for t, s, c in zip(ts, ss, factors))
 
-    f is evaluated once per admitted point, and f(sigma x) is read from
-    that table; where sigma x is not in it (example 1 maps 8 to 27, past
-    a window that ends below 27), f is evaluated there.
-    """
-    ev = _evaluator(f)
-    points = S.window if member is None else \
-        [x for x in S.window if member(x)]
-    table = dict(zip(points, map(ev, points)))
-    values = table.values() if sign is None else \
-        (sign * v for v in table.values())
-    return _worst(abs((table[s] if s in table else ev(s)) - v)
-                  for s, v in zip(map(S.sig, table), values))
+
+def _sigma_relations(S, points, sign: float):
+    """f o sigma = sign f at each of the points, as relations for
+    :func:`_gaps`: sigma x to x by sign."""
+    points = list(points)
+    return list(map(S.sig, points)), points, [sign] * len(points)
 
 
 def additive_residual(A: AdditiveFn, S, pairs: Iterable) -> float:
@@ -342,11 +340,11 @@ def additive_residual(A: AdditiveFn, S, pairs: Iterable) -> float:
 def character_residuals(chi, S, pairs: Iterable) -> tuple[float, float]:
     """max |chi(xy) - chi(x) chi(y)| over the given pairs and max
     |chi(sigma x) - chi(x)| over the window; each NaN if any term is NaN.
-    chi is bound once, and the second maximum evaluates it once per window
-    point (see :func:`_sigma_residual`)."""
+    chi is bound once, and the second maximum is one gather (see
+    :func:`_gaps`)."""
     mul, ev = S.mul, _evaluator(chi)
     return (_worst(abs(ev(mul(x, y)) - ev(x) * ev(y)) for x, y in pairs),
-            _sigma_residual(chi, S))
+            _worst(_gaps(chi, *_sigma_relations(S, S.window, 1.0))))
 
 
 @dataclass
@@ -382,12 +380,9 @@ class RhoSpace:
             raise ValueError(
                 f"need {self.dimension} free value(s), got {len(free)}")
         values = np.zeros(n, dtype=np.complex128)
-        domain = set()
-        k = 0
+        domain, bases = set(), iter(free)
         for orbit in self.orbits:
-            base = 0j if orbit.zero_forced else complex(free[k])
-            if not orbit.zero_forced:
-                k += 1
+            base = 0j if orbit.zero_forced else complex(next(bases))
             for x, mult in orbit.members.items():
                 values[x] = base * mult
                 domain.add(x)
@@ -452,56 +447,61 @@ def rho_space(chi: MultChar, S: FiniteSemigroup,
     return space
 
 
-def check_condition_I(rho, chi, S) -> bool:
-    """Translation compatibility of rho over the prime part.
-
-    For p in P and u, v outside the ideal: up, pv and upv lie in P with
-    rho(up) = rho(p) chi(u), rho(pv) = rho(p) chi(v) and
-    rho(upv) = rho(p) chi(uv).  Windowed carriers quantify u, v, p over the
-    window only.  rho and chi are bound once (see
-    :func:`addlaws.core._evaluator`).
-    """
+def _relations(chi, S):
+    """Conditions (I) and (II) of chi over S.window as blocks (targets,
+    sources, factors) of relations for :func:`_gaps`, each built as it is
+    read: a pair of iterators.  The first yields, for each p of the prime
+    part P in window order, its block: up and pu to p by chi(u) for each u
+    outside the ideal I, then u(pv) to p by chi(uv) for each u, v outside
+    I, with whether every target lies in P.  The second yields, for each x
+    in I \\ P, the distinct products xy and yx with y outside I, each to
+    itself by 0: where (II) asks for zeros."""
     mul, in_P = S.mul, chi.in_prime_part
-    P = [x for x in S.window if in_P(x)]
-    if not P:
-        return True
-    rho, chi_at = _evaluator(rho), _evaluator(chi)
-    non_ideal = [x for x in S.window if not chi.in_ideal(x)]
-    # chi(u) and chi(uv) do not depend on p: tabulate them once.
-    chi_u = [chi_at(u) for u in non_ideal]
-    chi_uv = [[chi_at(mul(u, v)) for v in non_ideal] for u in non_ideal]
-    for p in P:
-        rp = rho(p)
-        for u, cu in zip(non_ideal, chi_u):
-            for x in (mul(u, p), mul(p, u)):
-                if not (in_P(x) and abs(rho(x) - rp * cu) <= EPS):
-                    return False
-        pvs = [mul(p, v) for v in non_ideal]
-        for u, row in zip(non_ideal, chi_uv):
-            for pv, cuv in zip(pvs, row):
-                x = mul(u, pv)
-                if not (in_P(x) and abs(rho(x) - rp * cuv) <= EPS):
-                    return False
-    return True
+    off = [x for x in S.window if not chi.in_ideal(x)]
+
+    def cond_I():
+        P = [x for x in S.window if in_P(x)]
+        if not P:
+            return
+        chi_at = _evaluator(chi)
+        # chi(u) and chi(uv) do not depend on p: tabulate them once.
+        factors = [c for u in off for c in (chi_at(u),) * 2]
+        factors += [chi_at(mul(u, v)) for u in off for v in off]
+        for p in P:
+            pvs = [mul(p, v) for v in off]
+            t = [x for u in off for x in (mul(u, p), mul(p, u))]
+            t += [mul(u, pv) for u in off for pv in pvs]
+            yield (t, [p] * len(t), factors), all(map(in_P, t))
+
+    edge = (x for x in S.window if chi.in_ideal(x) and not in_P(x))
+    mixed = (list(dict.fromkeys([z for y in off
+                                 for z in (mul(x, y), mul(y, x))]))
+             for x in edge)
+    return cond_I(), ((z, z, [0] * len(z)) for z in mixed)
+
+
+def check_condition_I(rho, chi, S) -> bool:
+    """Translation compatibility of rho over the prime part P.
+
+    For p in P and u, v outside the ideal: up, pu and u(pv) lie in P with
+    rho(up) = rho(pu) = rho(p) chi(u) and rho(u(pv)) = rho(p) chi(uv), the
+    relations of :func:`_relations`, gathered one p at a time; windowed
+    carriers quantify u, v and p over the window only.
+    """
+    return all(closed and _worst(_gaps(rho, *rel)) <= EPS
+               for rel, closed in _relations(chi, S)[0])
 
 
 def check_condition_II(f, chi, S) -> bool:
     """Vanishing of f on mixed products: f(xy) = f(yx) = 0 whenever one
-    factor is in I \\ P and the other outside I.  f is bound once."""
-    mul, f = S.mul, _evaluator(f)
-    edge = [x for x in S.window
-            if chi.in_ideal(x) and not chi.in_prime_part(x)]
-    non_ideal = [x for x in S.window if not chi.in_ideal(x)]
-    for x in edge:
-        for y in non_ideal:
-            if not (abs(f(mul(x, y))) <= EPS and abs(f(mul(y, x))) <= EPS):
-                return False
-    return True
+    factor is in I \\ P and the other outside I (see :func:`_relations`)."""
+    return all(_worst(_gaps(f, *rel)) <= EPS
+               for rel in _relations(chi, S)[1])
 
 
 def parity_residual(fn, S) -> float:
-    """max |f(sigma x) -/+ f(x)| over the function's domain; NaN if any term
-    is NaN.  f is evaluated once per domain point in the window (see
-    :func:`_sigma_residual`)."""
+    """max |f(sigma x) -/+ f(x)| over the function's domain in the window;
+    NaN if any term is NaN.  One gather (see :func:`_gaps`)."""
     sign = 1.0 if fn.parity == "even" else -1.0
-    return _sigma_residual(fn, S, sign, _member(fn))
+    points = filter(_member(fn), S.window)
+    return _worst(_gaps(fn, *_sigma_relations(S, points, sign)))

@@ -27,6 +27,7 @@ from __future__ import annotations
 import argparse
 import cmath
 import functools
+import itertools
 import sys
 from pathlib import Path
 
@@ -375,12 +376,12 @@ def _example1_report(args) -> dict:
     from .examples import example1
     W = example1(window_max=args.window)
     chi = W.extras["chi"]
-    rng_pairs = [(x, y) for x in W.window for y in W.window]
-    chi_mult, chi_even = character_residuals(chi, W, rng_pairs)
+    pairs = functools.partial(itertools.product, W.window, repeat=2)
+    chi_mult, chi_even = character_residuals(chi, W, pairs())
 
     primes = W.extras["primes"]
     A = W.extras["additive_family"]({r: 1 for r in primes[:4]})
-    a_res = additive_residual(A, W, rng_pairs)
+    a_res = additive_residual(A, W, pairs())
     a_even = parity_residual(A, W)
 
     rho = W.extras["rho_family"](1.0, "even")
@@ -400,7 +401,7 @@ def _example1_report(args) -> dict:
         "example": 1, "window": [2, args.window], "ok": ok,
         "chi": {"multiplicative_residual": chi_mult,
                 "even_residual": chi_even},
-        "additive": {"pairs": len(rng_pairs), "residual": a_res,
+        "additive": {"pairs": len(W.window) ** 2, "residual": a_res,
                      "even_residual": a_even},
         "rho_condition_I": cond1,
         "end_to_end": {"case": str(case),
@@ -455,16 +456,19 @@ def _cmd_report_examples(args) -> int:
 # Argument parsing.
 # ---------------------------------------------------------------------------
 
-def _at_least_one(text: str) -> int:
-    """argparse type of a count: an integer of at least 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected an integer, got {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _at_least(low: int):
+    """argparse type of an integer of at least `low`."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer, got {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {low}, got {value}")
+        return value
+    return parse
 
 
 @functools.cache
@@ -542,9 +546,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("report-examples",
                        help="verify a bundled windowed carrier")
     p.add_argument("--example", type=int, choices=(1, 2), required=True)
-    p.add_argument("--window", type=int, default=200,
+    p.add_argument("--window", type=_at_least(2), default=200,
                    help="window upper bound for example 1")
-    p.add_argument("--pairs", type=_at_least_one, default=1000,
+    p.add_argument("--pairs", type=_at_least(1), default=1000,
                    help="sampled pair count for example 2")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tol", type=float, default=EPS)

@@ -39,10 +39,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .characters import (AdditiveFn, RhoFn, WindowedChar,
-                         check_condition_I, check_condition_II,
-                         conjugate_representatives, parity_residual,
-                         rho_space)
+from .characters import (AdditiveFn, RhoFn, WindowedChar, _gaps,
+                         _relations, _sigma_relations, check_condition_I,
+                         check_condition_II, conjugate_representatives,
+                         parity_residual, rho_space)
 from .core import EPS, FiniteSemigroup, FnTable, square_set
 
 #: Exactly representable scalars for random parameter draws.
@@ -372,35 +372,25 @@ def _every_row(v, rows: int):
 
 @functools.lru_cache(maxsize=64)
 def _piece_sites(chi, parity: str) -> tuple:
-    """Where a finite chi's piecewise conditions look, for rho of a parity,
-    as (target, source, factor) triples that ask |rho(target) -
-    rho(source) factor| <= EPS, in four runs: the parity on the prime part
-    P (rho(sigma p) against +-rho(p)); condition (I), in the order of
-    :func:`addlaws.characters.check_condition_I`; rho itself on P (factor
-    0); and rho on the mixed products in P that condition (II) asks the
-    piece, rho on P and 0 elsewhere, to vanish on.  Returns the triples,
-    where each run ends, and whether every target of (I) lies in P, as
-    (I) also asks."""
-    S = chi.semigroup
-    P = sorted(chi.prime_part)
-    off = [x for x in S.window if not chi.in_ideal(x)]
-    edge = [x for x in S.window
-            if chi.in_ideal(x) and not chi.in_prime_part(x)]
-    sign = 1.0 if parity == "even" else -1.0
-    runs = [[(S.sig(p), p, sign) for p in P], [], [(p, p, 0) for p in P]]
-    for p in P:
-        runs[1] += [(x, p, chi.values[u]) for u in off
-                    for x in (S.mul(u, p), S.mul(p, u))]
-        runs[1] += [(S.mul(u, S.mul(p, v)), p, chi.values[S.mul(u, v)])
-                    for u in off for v in off]
-    runs.append([(z, z, 0) for x in edge for y in off
-                 for z in (S.mul(x, y), S.mul(y, x)) if z in chi.prime_part])
-    triples = [t for run in runs for t in run]
-    target, source, factor = zip(*triples) if triples else ((), (), ())
-    ends = list(itertools.accumulate(len(run) for run in runs))
-    return (np.array(target, dtype=np.intp), np.array(source, dtype=np.intp),
-            np.array(factor, dtype=np.complex128), ends,
-            {x for x, _, _ in runs[1]} <= chi.prime_part)
+    """The relations a finite chi's piecewise clauses gather for rho of a
+    parity (see :func:`addlaws.characters._gaps`): three arrays in four
+    runs, sigma p to p by +-1 on the prime part P, condition (I) (see
+    :func:`addlaws.characters._relations`), p to p by 0, and the products
+    of (II) in P; then where each run ends, and whether every target of (I)
+    lies in P."""
+    S, P = chi.semigroup, sorted(chi.prime_part)
+    cond_I, cond_II = _relations(chi, S)
+    cond_I = list(cond_I)
+    z = [x for zs, _, _ in cond_II for x in zs if x in chi.prime_part]
+    runs = [[_sigma_relations(S, P, 1.0 if parity == "even" else -1.0)],
+            [rel for rel, _ in cond_I], [(P, P, [0] * len(P))],
+            [(z, z, [0] * len(z))]]
+    sites = ([x for run in runs for rel in run for x in rel[k]]
+             for k in range(3))
+    return (*map(np.array, sites, (np.intp, np.intp, np.complex128)),
+            list(itertools.accumulate(sum(len(rel[0]) for rel in run)
+                                      for run in runs)),
+            all(closed for _, closed in cond_I))
 
 
 def _piece_rows(S, p: CaseParams, s_chi, s):
@@ -433,7 +423,7 @@ def _piece_clauses(S, chi, rho, parity: str):
     zero (nor then is the piece chi A | 0 | rho, A = 0)."""
     R = _rho_rows(S, rho)
     target, source, factor, (a, b, c, d), closed = _piece_sites(chi, parity)
-    good = np.abs(R[:, target] - R[:, source] * factor) <= EPS
+    good = _gaps(R, target, source, factor) <= EPS
     yield (f"rho parity must be {parity}",
            (rho.parity != parity) | ~good[:, :a].all(axis=-1))
     yield "condition (I) fails", (not closed) | ~good[:, a:b].all(axis=-1)

@@ -255,3 +255,96 @@ def swapped_semilattice():
     return FiniteSemigroup("SL4", ["1", "e", "f", "0"],
                            [[0, 1, 2, 3], [1, 1, 3, 3], [2, 3, 2, 3],
                             [3, 3, 3, 3]], [0, 2, 1, 3])
+
+
+def _by_rule(name: str, elements, mul, sig):
+    """The FiniteSemigroup on `elements` with the product mul and the
+    automorphism sig, each a rule on the elements themselves."""
+    from addlaws.core import FiniteSemigroup
+    elements = list(elements)
+    at = {x: k for k, x in enumerate(elements)}
+    table = [[at[mul(x, y)] for y in elements] for x in elements]
+    return FiniteSemigroup(name, [str(x) for x in elements], table,
+                           [at[sig(x)] for x in elements])
+
+
+def s3_conjugation():
+    """S3 as permutations of (0, 1, 2), (p q)(x) = p(q(x)), with sigma the
+    conjugation by the transposition (0 1)."""
+    t = (1, 0, 2)
+
+    def mul(p, q):
+        return tuple(p[q[x]] for x in range(3))
+    return _by_rule("S3conj", sorted(itertools.permutations(range(3))),
+                    mul, lambda p: mul(mul(t, p), t))
+
+
+def z3xz4_inversion():
+    """Z3 x Z4 with sigma the inversion x -> -x."""
+    return _by_rule("Z3xZ4", itertools.product(range(3), range(4)),
+                    lambda x, y: ((x[0] + y[0]) % 3, (x[1] + y[1]) % 4),
+                    lambda x: (-x[0] % 3, -x[1] % 4))
+
+
+def rees_z2_with_zero():
+    """The 2x2 Rees matrix semigroup with zero over Z2 whose sandwich
+    matrix is the identity (the Brandt semigroup B(Z2, 2)): (i, g, l)(j,
+    h, m) = (i, g + h, m) when l = j, else 0.  sigma swaps both index
+    pairs."""
+    def mul(x, y):
+        if x == 0 or y == 0 or x[2] != y[0]:
+            return 0
+        return (x[0], (x[1] + y[1]) % 2, y[2])
+    return _by_rule("Rees2x2Z2", [0, *itertools.product(range(2), repeat=3)],
+                    mul, lambda x: x if x == 0 else (1 - x[0], x[1],
+                                                     1 - x[2]))
+
+
+def t2_conjugation():
+    """The maps of {0, 1} to itself as (f(0), f(1)), (f g)(x) = f(g(x)),
+    with sigma the conjugation by the swap."""
+    def mul(f, g):
+        return (f[g[0]], f[g[1]])
+    return _by_rule("T2conj", itertools.product(range(2), repeat=2), mul,
+                    lambda f: mul(mul((1, 0), f), (1, 0)))
+
+
+def free_semilattice_3():
+    """The free semilattice on the generators 0, 1, 2 (the non-empty
+    subsets under union), with sigma swapping 0 and 1."""
+    subsets = [tuple(c) for k in (1, 2, 3)
+               for c in itertools.combinations(range(3), k)]
+    swap = {0: 1, 1: 0, 2: 2}
+    return _by_rule("FSL3", subsets,
+                    lambda x, y: tuple(sorted(set(x) | set(y))),
+                    lambda x: tuple(sorted(swap[g] for g in x)))
+
+
+def carrier_zoo():
+    """The carriers built by rule, past the census and the bundle."""
+    return [s3_conjugation(), z3xz4_inversion(), rees_z2_with_zero(),
+            t2_conjugation(), free_semilattice_3()]
+
+
+def twisted_monoid(swap: bool = True):
+    """The monoid {1, g, p, q, 0} with g^2 = 1, gp = q and gq = p, but pg =
+    p and qg = q, and every product of two of p, q and 0 equal to 0; sigma
+    swaps p and q (or is the identity).  Not commutative: up != pu for u =
+    g.  The character that is 1 on {1, g} and 0 elsewhere has prime part
+    {p, q} and a one-dimensional even rho space."""
+    from addlaws.core import FiniteSemigroup
+    table = [[0, 1, 2, 3, 4], [1, 0, 3, 2, 4], [2, 2, 4, 4, 4],
+             [3, 3, 4, 4, 4], [4, 4, 4, 4, 4]]
+    sigma = [0, 1, 3, 2, 4] if swap else [0, 1, 2, 3, 4]
+    return FiniteSemigroup("TW5" if swap else "TW5id",
+                           ["1", "g", "p", "q", "0"], table, sigma)
+
+
+def left_unit_carrier():
+    """{0, a, p, e} with e a left unit (ex = x), p e = p, every other
+    product 0, and sigma the identity.  For the character that is 1 at e
+    alone, P = {p}, and the mixed product e a = a is no product a y:
+    condition (II) is broken there by yx alone."""
+    from addlaws.core import FiniteSemigroup
+    table = [[0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 2], [0, 1, 2, 3]]
+    return FiniteSemigroup("LU4", ["0", "a", "p", "e"], table, [0, 1, 2, 3])

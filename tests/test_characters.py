@@ -6,16 +6,21 @@ import math
 import numpy as np
 import pytest
 
-from addlaws.characters import (AdditiveFn, MultChar, RhoFn, WindowedChar,
-                                _worst, additive_basis, additive_residual,
+from addlaws.characters import (SNAP_TOL, AdditiveFn, MultChar, RhoFn,
+                                WindowedChar, _gaps, _relations, _snap,
+                                _worst,
+                                additive_basis, additive_residual,
                                 character_residuals, check_condition_I,
                                 check_condition_II, element_periods,
                                 enumerate_characters, ideal_sets,
                                 parity_residual, rho_space)
+from addlaws.core import EPS
 from addlaws.examples import example1, example2, m3, n3, np4, z2, z3
+from addlaws.families import (CaseId, CaseParams, ConstraintError,
+                              construct, construct_rows)
 
-from helpers import (TOL, brute_force_characters, match_tables,
-                     swapped_semilattice)
+from helpers import (TOL, brute_force_characters, left_unit_carrier,
+                     match_tables, swapped_semilattice, twisted_monoid)
 
 
 def test_enumeration_matches_brute_force(carriers, chars):
@@ -328,3 +333,228 @@ def test_residuals_and_conditions_take_plain_callables():
     assert not check_condition_I(lambda n: 2 * rho(n) if n == 2 else rho(n),
                                  chi, W)
     assert check_condition_II(lambda n: 0, chi, W)
+
+
+def _per_point_condition_I(rho, chi, S):
+    """Condition (I) as checked before the relation gather: one loop over
+    p, u and v, rho called at every point."""
+    mul, in_P = S.mul, chi.in_prime_part
+    P = [x for x in S.window if in_P(x)]
+    non_ideal = [x for x in S.window if not chi.in_ideal(x)]
+    for p in P:
+        rp = rho(p)
+        for u in non_ideal:
+            for x in (mul(u, p), mul(p, u)):
+                if not (in_P(x) and abs(rho(x) - rp * chi(u)) <= EPS):
+                    return False
+        for u in non_ideal:
+            for v in non_ideal:
+                x = mul(u, mul(p, v))
+                if not (in_P(x) and abs(rho(x) - rp * chi(mul(u, v))) <= EPS):
+                    return False
+    return True
+
+
+def _per_point_condition_II(f, chi, S):
+    """Condition (II) as checked before the relation gather."""
+    mul = S.mul
+    edge = [x for x in S.window
+            if chi.in_ideal(x) and not chi.in_prime_part(x)]
+    non_ideal = [x for x in S.window if not chi.in_ideal(x)]
+    return all(abs(f(mul(x, y))) <= EPS and abs(f(mul(y, x))) <= EPS
+               for x in edge for y in non_ideal)
+
+
+def _finite_condition_inputs(S, chi):
+    """Functions to check on a finite S for an even chi: rho_space
+    instances of each parity, one rho bent off (I) at the last point of P,
+    one table that is 1 everywhere (failing (II) wherever a mixed product
+    exists) and one NaN table; each as a table and as a plain callable."""
+    tables = []
+    for parity in ("even", "odd"):
+        space = rho_space(chi, S, parity)
+        for free in ([1.0] * space.dimension, [2j] * space.dimension):
+            tables.append(space.instance(free, S.n).values)
+    bent = tables[0].copy()
+    if chi.prime_part:
+        bent[max(chi.prime_part)] += 0.5
+    tables += [bent, np.ones(S.n, complex), np.full(S.n, np.nan + 0j)]
+    for values in tables:
+        rho = RhoFn(domain=chi.prime_part, values=values)
+        yield rho
+        yield lambda x, v=values: complex(v[x])
+
+
+def test_finite_conditions_equal_the_per_point_loops(carriers, chars):
+    verdicts = {}
+    finite = dict(carriers, TW5=twisted_monoid(), TW5id=twisted_monoid(False),
+                  LU4=left_unit_carrier())
+    for name, S in finite.items():
+        for chi in chars.get(name) or enumerate_characters(S):
+            if not chi.even:
+                continue
+            for h in _finite_condition_inputs(S, chi):
+                got = (check_condition_I(h, chi, S),
+                       check_condition_II(h, chi, S))
+                assert got == (_per_point_condition_I(h, chi, S),
+                               _per_point_condition_II(h, chi, S)), name
+                verdicts[got] = verdicts.get(got, 0) + 1
+    # Each of the four verdict pairs occurs, so neither check is vacuous.
+    assert sorted(verdicts) == [(False, False), (False, True),
+                                (True, False), (True, True)]
+
+
+@pytest.mark.parametrize("make", [twisted_monoid, left_unit_carrier, np4])
+def test_relations_list_condition_I_in_the_per_point_order(make):
+    # The relations of (I) as the per-point loop visits them: for each p,
+    # up and pu by chi(u), then u(pv) by chi(uv); and those of (II).
+    S = make()
+    for chi in enumerate_characters(S):
+        mul, P = S.mul, sorted(chi.prime_part)
+        off = [x for x in S.window if not chi.in_ideal(x)]
+        cond_I, cond_II = _relations(chi, S)
+        got = [list(zip(*rel)) for rel, _ in cond_I]
+        assert got == [[(x, p, chi(u)) for u in off
+                        for x in (mul(u, p), mul(p, u))]
+                       + [(mul(u, mul(p, v)), p, chi(mul(u, v)))
+                          for u in off for v in off] for p in P]
+        edge = sorted(chi.null_ideal - chi.prime_part)
+        assert [set(z) for z, _, _ in cond_II] == [
+            {z for y in off for z in (mul(x, y), mul(y, x))} for x in edge]
+
+
+def test_condition_II_reads_both_orders_of_a_mixed_product():
+    S = left_unit_carrier()
+    chi = enumerate_characters(S)[0]
+    assert list(chi.values) == [0, 0, 0, 1] and chi.prime_part == {2}
+    a = RhoFn(domain=frozenset({1}), values=np.array([0, 1, 0, 0]))
+    assert S.mul(3, 1) == 1 and S.mul(1, 3) == 0     # e a = a, a e = 0
+    assert not check_condition_II(a, chi, S)
+    assert not _per_point_condition_II(a, chi, S)
+
+
+def test_the_twisted_monoid_is_not_commutative_where_it_counts():
+    S = twisted_monoid()
+    chi = enumerate_characters(S)[1]            # 1 on {1, g}, 0 elsewhere
+    assert list(chi.values) == [1, 1, 0, 0, 0]
+    assert chi.prime_part == {2, 3}
+    assert S.mul(1, 2) != S.mul(2, 1)           # gp = q, pg = p
+    rho = rho_space(chi, S, "even").instance([1.5], S.n)
+    assert check_condition_I(rho, chi, S)
+    bent = RhoFn(domain=chi.prime_part, values=np.array([0, 0, 1.5, 2, 0]))
+    assert not check_condition_I(bent, chi, S)
+    assert not _per_point_condition_I(bent, chi, S)
+    # For chi(g) = -1, rho(q) = -rho(p) holds every relation up to p
+    # (gp = q, gq = p), and only pg = p, asking rho(p) = -rho(p), fails.
+    minus = enumerate_characters(S)[0]
+    assert np.allclose(minus.values, [1, -1, 0, 0, 0])
+    rho = RhoFn(domain=minus.prime_part, values=np.array([0, 0, 1, -1, 0]))
+    assert not check_condition_I(rho, minus, S)
+    assert not _per_point_condition_I(rho, minus, S)
+
+
+@pytest.mark.parametrize("window", [*range(16, 39), 200])
+def test_windowed_conditions_equal_the_per_point_loops(window):
+    W = example1(window)
+    chi = W.extras["chi"]
+    A = W.extras["additive_family"]({5: 1.0, 7: 2.0})
+    rhos = [W.extras["rho_family"](1.5, parity) for parity in
+            (("even",) if window == 200 else ("even", "odd"))]
+    rho = rhos[0]
+    rhos += [lambda n: rho(n) + (1 if n == 10 else 0),
+             lambda n: math.nan if n == 14 else rho(n)]
+    for h in rhos:
+        assert check_condition_I(h, chi, W) == \
+            _per_point_condition_I(h, chi, W)
+    assert [check_condition_I(h, chi, W) for h in rhos[-2:]] == [False] * 2
+    # 10 = 5 * 2 is a target of (I); a prime part without it is not closed.
+    narrow = WindowedChar(W, chi.formula, chi.in_ideal, chi.in_ideal_square,
+                          lambda n: n != 10 and chi.in_prime_part(n))
+    assert check_condition_I(rho, narrow, W) is False
+    assert _per_point_condition_I(rho, narrow, W) is False
+    f, _ = construct(CaseId("cos-sub", 5, "+"),
+                     CaseParams(chi=chi, A=A, rho=rho), W)
+    fs = [f, lambda n: 1, lambda n: math.nan if n == 20 else f(n)]
+    for h in fs:
+        assert check_condition_II(h, chi, W) == \
+            _per_point_condition_II(h, chi, W)
+    assert [check_condition_II(h, chi, W) for h in fs] == [True, False, False]
+
+
+def _moved(values, S, x, delta):
+    """values with delta added at x and at sigma x (once if sigma fixes
+    x), so that an even rho stays even."""
+    out = np.array(values, dtype=complex)
+    out[list({x, S.sig(x)})] += delta
+    return out
+
+
+@pytest.mark.parametrize("name", ["M3", "NP4", "TW5id"])
+def test_a_rho_row_moved_at_a_condition_I_target(name, carriers):
+    # On M3 and NP4 every relation of (I) maps p to p itself, so no move of
+    # rho can fail (I) there; on TW5id, gp = q maps p to q, and a move of
+    # rho at q by more than EPS is refused.
+    S = carriers.get(name) or twisted_monoid(False)
+    case = CaseId("cos-sub", 5, "+")
+    chi = next(c for c in enumerate_characters(S)
+               if rho_space(c, S).dimension)
+    space = rho_space(chi, S)
+    base = space.instance([1.5] * space.dimension, S.n).values
+    rows = np.array([base] + [_moved(base, S, max(chi.prime_part), m * EPS)
+                              for m in (0.5, 2)])
+    ok, _, _ = construct_rows(case, S, CaseParams(chi=chi, rho=RhoFn(
+        domain=chi.prime_part, values=rows)), 3)
+    assert ok.tolist() == [True, True, name != "TW5id"]
+    for row, passes in zip(rows, ok):
+        rho = RhoFn(domain=chi.prime_part, values=row)
+        assert check_condition_I(rho, chi, S) == passes
+        if not passes:
+            with pytest.raises(ConstraintError,
+                               match=r"^condition \(I\) fails$"):
+                construct(case, CaseParams(chi=chi, rho=rho), S)
+
+
+@pytest.mark.parametrize("move,passes", [(0.5, True), (2, False)])
+def test_a_windowed_rho_moved_at_a_condition_I_target(move, passes):
+    # 10 = 5 * 2 is a target of (I) for p = 2 and u = 5; moving rho at 10
+    # and at sigma(10) = 15 alike keeps rho even.
+    W = example1(20)
+    chi, rho = W.extras["chi"], W.extras["rho_family"](1.5)
+    moved = RhoFn(domain=chi.in_prime_part, parity="even", formula=lambda n:
+                  rho(n) + (move * EPS if n in (10, 15) else 0))
+    assert parity_residual(moved, W) == 0
+    assert check_condition_I(moved, chi, W) is passes
+    params = CaseParams(chi=chi, A=W.extras["additive_family"]({5: 1.0}),
+                        rho=moved)
+    if passes:
+        construct(CaseId("cos-sub", 5, "+"), params, W)
+    else:
+        with pytest.raises(ConstraintError,
+                           match=r"^condition \(I\) fails$"):
+            construct(CaseId("cos-sub", 5, "+"), params, W)
+
+
+def test_snap_tolerance():
+    w = np.exp(2j * np.pi / 3)
+    candidates = [0j, 1 + 0j, w, w * w]
+    for c in candidates:
+        for direction in (1, -1, 1j, -1j):
+            assert _snap(c + 0.5 * SNAP_TOL * direction, candidates) == c
+            assert _snap(c + 2 * SNAP_TOL * direction, candidates) is None
+
+
+def test_the_gather_reads_a_row_stack_a_table_or_a_callable():
+    rows = np.array([[0, 1, -1, 0], [0, 2, 2, np.nan]], dtype=complex)
+    rel = ([2, 3], [1, 1], [-1.0, 0])      # q to p by -1, z to p by 0
+    assert np.array_equal(_gaps(rows, *rel), [[0, 0], [4, np.nan]],
+                          equal_nan=True)
+    for r in rows:
+        calls = []
+
+        def h(x, r=r):
+            calls.append(x)
+            return r[x]
+        assert np.array_equal(list(_gaps(h, *rel)), _gaps(r, *rel),
+                              equal_nan=True)
+        assert sorted(calls) == [1, 2, 3]      # once per distinct element
+    assert list(_gaps(h, [], [], [])) == []

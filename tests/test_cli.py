@@ -3,11 +3,15 @@
 import hashlib
 import json
 import math
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import addlaws
 from addlaws import examples
 from addlaws.cli import (EXIT_BUDGET, EXIT_FAIL, EXIT_OK, EXIT_USAGE,
                          _build_parser, main)
@@ -452,6 +456,40 @@ def test_report_examples_needs_at_least_one_pair(capsys, pairs, fragment):
         main(["report-examples", "--example", "2", "--pairs", pairs])
     assert e.value.code == EXIT_USAGE
     assert f"argument --pairs: {fragment}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("window,fragment", [
+    ("1", "must be at least 2, got 1"),
+    ("0", "must be at least 2, got 0"),
+    ("-4", "must be at least 2, got -4"),
+    ("wide", "expected an integer, got 'wide'"),
+])
+def test_report_examples_needs_a_window_of_at_least_two(capsys, window,
+                                                        fragment):
+    # Example 1's window runs from 2 up, so a bound below 2 leaves it
+    # empty: a usage error, not a failed run.
+    with pytest.raises(SystemExit) as e:
+        main(["report-examples", "--example", "1", "--window", window])
+    assert e.value.code == EXIT_USAGE
+    assert f"argument --window: {fragment}" in capsys.readouterr().err
+
+
+def test_report_examples_takes_the_smallest_window(capsys):
+    code, payload, _ = run(capsys, "report-examples", "--example", "1",
+                           "--window", "2")
+    assert code == EXIT_OK and payload["window"] == [2, 2]
+
+
+def test_python_dash_m_addlaws_runs_the_cli(capsys):
+    src = str(Path(addlaws.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    got = subprocess.run([sys.executable, "-m", "addlaws", "chars", "-s",
+                          "Z1"], capture_output=True, text=True, env=env,
+                         timeout=120)
+    assert main(["chars", "-s", "Z1"]) == got.returncode == EXIT_OK
+    assert got.stdout == capsys.readouterr().out
+    assert got.stdout.startswith("1 non-zero multiplicative function(s)")
 
 
 def test_oracle_clean_scan_and_artifact(capsys, tmp_path):
