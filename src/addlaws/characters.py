@@ -453,9 +453,10 @@ def _relations(chi, S):
     read: a pair of iterators.  The first yields, for each p of the prime
     part P in window order, its block: up and pu to p by chi(u) for each u
     outside the ideal I, then u(pv) to p by chi(uv) for each u, v outside
-    I, with whether every target lies in P.  The second yields, for each x
-    in I \\ P, the distinct products xy and yx with y outside I, each to
-    itself by 0: where (II) asks for zeros."""
+    I, with whether every target lies in P (each distinct target tested
+    once).  The second yields, for each x in I \\ P, the distinct products
+    xy and yx with y outside I, each to itself by 0: where (II) asks for
+    zeros."""
     mul, in_P = S.mul, chi.in_prime_part
     off = [x for x in S.window if not chi.in_ideal(x)]
 
@@ -471,7 +472,7 @@ def _relations(chi, S):
             pvs = [mul(p, v) for v in off]
             t = [x for u in off for x in (mul(u, p), mul(p, u))]
             t += [mul(u, pv) for u in off for pv in pvs]
-            yield (t, [p] * len(t), factors), all(map(in_P, t))
+            yield (t, [p] * len(t), factors), all(map(in_P, set(t)))
 
     edge = (x for x in S.window if chi.in_ideal(x) and not in_P(x))
     mixed = (list(dict.fromkeys([z for y in off

@@ -661,11 +661,9 @@ class _Session:
         b = complex(beta)
         if abs(b) <= self.tol:
             raise ValueError("beta must be non-zero")
-        v = b * h
-        if _is_zero(v, self.tol):
-            return None
-        near = _near(v[None], self.even_values, self.tol)[0]
-        return next(itertools.compress(self.evens, near), None)
+        k = _character_rows(h[None], np.array([b]), self.even_values,
+                            self.tol)[0]
+        return None if k < 0 else self.evens[k]
 
     def candidates(self):
         """The walk's candidate stream, in the order of :meth:`_Batch.offers`:

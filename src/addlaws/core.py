@@ -344,10 +344,6 @@ class FnTable:
             self.values = None
             self.formula = formula
 
-    @property
-    def finite(self) -> bool:
-        return self.values is not None
-
     def __call__(self, x) -> complex:
         if self.values is not None:
             return complex(self.values[x])

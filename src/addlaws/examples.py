@@ -264,7 +264,4 @@ BUNDLED = {"Z1": z1, "Z2": z2, "Z3": z3, "Z2xZ2": z2xz2, "N3": n3,
 
 def example_semigroups() -> dict:
     """The bundled instances, keyed by name."""
-    out = {S.name: S for S in bundled_finite()}
-    out["Example1"] = example1()
-    out["Example2"] = example2()
-    return out
+    return {name: build() for name, build in BUNDLED.items()}

@@ -1,5 +1,6 @@
 """Command-line entry point: exit codes, JSON artifacts, file handling."""
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -12,10 +13,11 @@ from pathlib import Path
 import pytest
 
 import addlaws
-from addlaws import examples
+from addlaws import characters, examples
 from addlaws.cli import (EXIT_BUDGET, EXIT_FAIL, EXIT_OK, EXIT_USAGE,
                          _build_parser, main)
 from addlaws.characters import WindowedChar
+from addlaws.core import EPS
 from addlaws.examples import example2, m3, np4
 
 from helpers import swapped_semilattice
@@ -474,6 +476,19 @@ def test_report_examples_needs_a_window_of_at_least_two(capsys, window,
     assert f"argument --window: {fragment}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("budget,fragment", [
+    ("0", "must be at least 1, got 0"),
+    ("-5", "must be at least 1, got -5"),
+])
+def test_oracle_needs_a_budget_of_at_least_one(capsys, budget, fragment):
+    # A budget below 1 is a bad flag value (exit 2), not a scan that ran
+    # past its budget (exit 3).
+    with pytest.raises(SystemExit) as e:
+        main(["oracle", "-s", "Z2", "--budget", budget])
+    assert e.value.code == EXIT_USAGE
+    assert f"argument --budget: {fragment}" in capsys.readouterr().err
+
+
 def test_report_examples_takes_the_smallest_window(capsys):
     code, payload, _ = run(capsys, "report-examples", "--example", "1",
                            "--window", "2")
@@ -577,6 +592,43 @@ def test_report_example_1(capsys):
     assert code == EXIT_OK
     assert payload["ok"] is True
     assert payload["end_to_end"]["residual"] <= 1e-9
+
+
+def test_report_example_1_gathers_the_conditions_once(capsys, monkeypatch):
+    # construct checks conditions (I) and (II) on the report's (rho, chi,
+    # W), one relation gather each; the report does not check them again.
+    calls = []
+    gather = characters._relations
+
+    def counted(chi, S):
+        calls.append(S.name)
+        return gather(chi, S)
+    monkeypatch.setattr(characters, "_relations", counted)
+    code, payload, _ = run(capsys, "report-examples", "--example", "1",
+                           "--window", "16")
+    assert code == EXIT_OK
+    assert payload["rho_condition_I"] is True
+    assert payload["end_to_end"]["condition_II"] is True
+    assert calls == ["Example1", "Example1"]
+
+
+def test_report_example_1_refuses_a_rho_failing_condition_I(capsys,
+                                                            monkeypatch):
+    # rho(22) = rho(11 * 2) must equal chi(11) rho(2) = rho(2); moving it
+    # by 2 EPS breaks (I) only, as 22 is past the window and no sigma
+    # image of a window point.
+    W = examples.example1(window_max=16)
+    family = W.extras["rho_family"]
+
+    def bent(c, parity="even"):
+        rho = family(c, parity)
+        return dataclasses.replace(rho, formula=lambda n: rho.formula(n) + (
+            2 * EPS if n == 22 else 0))
+    monkeypatch.setitem(W.extras, "rho_family", bent)
+    code = main(["report-examples", "--example", "1", "--window", "16"])
+    out = capsys.readouterr()
+    assert code == EXIT_FAIL
+    assert out.err == "error: condition (I) fails\n" and out.out == ""
 
 
 def test_report_example_2_keeps_a_nan_character(capsys, monkeypatch):
