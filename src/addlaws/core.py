@@ -285,16 +285,20 @@ def _draws(rng: random.Random, n: int):
     ``randrange`` (and so ``choice`` and ``randint``) keeps the top
     ``n.bit_length()`` bits of one word and draws again while they are
     ``n`` or more; ``getrandbits(32 * block)`` returns the same words, the
-    first in the lowest bits.  Endless: take what is needed.  ``rng`` runs
-    ahead of the values taken, so it is the generator's alone.
+    first in the lowest bits.  Endless: take what is needed.  Each block's
+    values are one list, and the iterator reads the lists one after another,
+    so no frame runs per value.  ``rng`` runs ahead of the values taken, so
+    it is the iterator's alone.
     """
     shift = 32 - n.bit_length()
     block = 1024
-    while True:
+
+    def next_block() -> list:
         words = np.frombuffer(
             rng.getrandbits(32 * block).to_bytes(4 * block, "little"), "<u4")
         picks = words >> shift
-        yield from picks[picks < n].tolist()
+        return picks[picks < n].tolist()
+    return itertools.chain.from_iterable(iter(next_block, None))
 
 
 def _evaluator(f) -> Callable:

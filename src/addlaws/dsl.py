@@ -16,9 +16,11 @@ no leading minus, '*' mandatory between factors):
 constant an equation may carry.
 
 Residuals come from a kernel compiled once per AST and carrier, on one
-path for every carrier: each application's word is evaluated with
-`word_element` under every assignment of the variables from ``S.window``,
-which gives one array of point indices per application.  A residual is
+path for every carrier: each application's word is evaluated a column at
+a time over every assignment of the variables from ``S.window`` (a
+product is one map of ``S.mul`` over two columns, and ``s(...)`` calls
+``S.sig`` once per distinct element of its inner column), which gives one
+array of point indices per application.  A residual is
 one numpy gather of the bound functions' values at the points, each
 term's factors multiplied and the terms summed in AST order.  A finite
 carrier's points are its element indices, and a bound table is gathered
@@ -309,14 +311,21 @@ def coeff_value(coeff: Coeff, binding: dict) -> complex:
     return complex(binding["a"])
 
 
-def word_element(word: Word, env: dict, mul, sig):
-    """Evaluate a word to a semigroup element under a variable assignment."""
-    value = None
+def _word_column(word: Word, env: dict, mul, sig) -> list:
+    """A word's elements over every assignment, given each variable's
+    column in `env`: products go a column at a time, and ``s(...)`` calls
+    `sig` once per distinct element of its inner column."""
+    column = None
     for atom in word.atoms:
-        v = env[atom.name] if isinstance(atom, Var) else \
-            sig(word_element(atom.word, env, mul, sig))
-        value = v if value is None else mul(value, v)
-    return value
+        if isinstance(atom, Var):
+            v = env[atom.name]
+        else:
+            inner = _word_column(atom.word, env, mul, sig)
+            distinct = dict.fromkeys(inner)
+            image = dict(zip(distinct, map(sig, distinct)))
+            v = list(map(image.__getitem__, inner))
+        column = v if column is None else list(map(mul, column, v))
+    return column
 
 
 def _bound_values(name: str, fn, points: tuple, finite: bool) -> np.ndarray:
@@ -349,9 +358,12 @@ def _check_binding(funcs, uses_a: bool, binding: dict) -> None:
 class _Kernel:
     """An equation compiled on one carrier.
 
+    The compile evaluates each application's word as one column over
+    every assignment of the variables from ``S.window`` (see
+    :func:`_word_column`), assignments in ``itertools.product`` order.
     The points are a finite carrier's element indices, or the elements a
-    windowed carrier's applications reach over every assignment of the
-    variables from ``S.window``, in the order first reached.  Function
+    windowed carrier's applications reach, in the order first reached
+    (assignment by assignment, applications in AST order).  Function
     symbol k's values sit at k*n .. k*n + n - 1 of the concatenated value
     tables, n the number of points, so ``index[r]`` gathers application r
     (in AST order) over every assignment.  ``finite`` says the points are
@@ -377,17 +389,18 @@ class _Kernel:
                 self.terms.append((term.sign * orient < 0, term.coeff,
                                    range(first, len(apps))))
         self.finite = isinstance(S, FiniteSemigroup)
-        # A finite carrier's slots start full: each element is its own slot.
-        slot = {e: e for e in S.window} if self.finite else {}
-        cols = [[] for _ in apps]
-        for assignment in itertools.product(S.window, repeat=len(names)):
-            env = dict(zip(names, assignment))
-            for col, app in zip(cols, apps):
-                elem = word_element(app.word, env, S.mul, S.sig)
-                col.append(slot.setdefault(elem, len(slot)))
-        self.points = tuple(slot)
+        env = dict(zip(names, zip(*itertools.product(S.window,
+                                                     repeat=len(names)))))
+        cols = [_word_column(app.word, env, S.mul, S.sig) for app in apps]
+        # A finite carrier's elements come first, each its own slot.
+        self.points = tuple(dict.fromkeys(itertools.chain(
+            S.window if self.finite else (),
+            itertools.chain.from_iterable(zip(*cols)))))
         n = len(self.points)
-        self.index = np.array([np.array(col) + self.fns.index(app.fn) * n
+        slot = dict(zip(self.points, range(n)))
+        self.index = np.array([np.fromiter(map(slot.__getitem__, col),
+                                           np.intp, len(col))
+                               + self.fns.index(app.fn) * n
                                for app, col in zip(apps, cols)])
 
     def residuals(self, binding: dict) -> np.ndarray:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import random
 
 import numpy as np
@@ -110,6 +111,9 @@ def _primes_upto(limit: int) -> list[int]:
 def example1(window_max: int = 200) -> WindowedSemigroup:
     """Multiplicative naturals >= 2; sigma swaps the primes p = 2 and q = 3.
 
+    The product is ``operator.mul``, a C callable, so the window checks and
+    kernel compiles call it without a Python frame.
+
     extras:
       chi             the indicator of the complement of pN u qN
       additive_family coeffs dict {prime: coefficient} -> AdditiveFn
@@ -138,7 +142,7 @@ def example1(window_max: int = 200) -> WindowedSemigroup:
         return in_ideal(n) and not in_ideal_square(n)
 
     W = WindowedSemigroup(
-        "Example1", mul=lambda a, b: a * b, sig=sig, window=window)
+        "Example1", mul=operator.mul, sig=sig, window=window)
 
     chi = WindowedChar(W, chi_formula, in_ideal, in_ideal_square,
                        in_prime_part)
@@ -182,7 +186,8 @@ _GRID_STEP = 16
 @functools.lru_cache(maxsize=None)
 def example2() -> WindowedSemigroup:
     """The open square under coordinatewise multiplication, sigma swaps
-    coordinates.
+    coordinates (``operator.itemgetter(1, 0)``, a C callable that returns
+    the tuple ``(u[1], u[0])``).
 
     extras:
       chars           {"chi0", "chi_abs", "chi_sgn"}: the constant-one
@@ -198,10 +203,8 @@ def example2() -> WindowedSemigroup:
     def mul(u, v):
         return (u[0] * v[0], u[1] * v[1])
 
-    def sig(u):
-        return (u[1], u[0])
-
-    W = WindowedSemigroup("Example2", mul=mul, sig=sig, window=window)
+    W = WindowedSemigroup("Example2", mul=mul, sig=operator.itemgetter(1, 0),
+                          window=window)
 
     def on_axes(u) -> bool:
         return u[0] == 0.0 or u[1] == 0.0

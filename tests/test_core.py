@@ -251,6 +251,13 @@ def test_blocked_draws_are_the_randrange_draws(n, seed):
         == expected
 
 
+def test_draws_are_plain_ints():
+    # A numpy scalar would print as np.int64(...) in validate's messages.
+    draws = _draws(random.Random(0), 37)
+    assert type(next(draws)) is int
+    assert all(type(d) is int for d in itertools.islice(draws, 3_000))
+
+
 def test_an_evaluator_reads_a_table_calls_a_formula_or_is_the_callable():
     S = z3()
     table = FnTable(S, values=[1, 2j, np.nan])

@@ -1,6 +1,7 @@
 """Equation mini-language: parse/print round trips, positioned errors,
 residual evaluation."""
 
+import itertools
 import random
 from collections import Counter
 
@@ -12,9 +13,9 @@ from addlaws.classify import NotASolutionError, classify
 from addlaws.core import (FiniteSemigroup, WindowedSemigroup, fn,
                           stable_json)
 from addlaws.dsl import (BUILTIN_EQUATIONS, KERNEL_MEMO_SIZE,
-                         EquationSyntaxError, builtin, equation_symbols,
-                         evaluate_residual, parse_equation, print_equation,
-                         random_equation, resolve_equation)
+                         EquationSyntaxError, Sig, Var, builtin,
+                         equation_symbols, evaluate_residual, parse_equation,
+                         print_equation, random_equation, resolve_equation)
 from addlaws.examples import example1, m3, n3, np4, z1, z2, z3, z2xz2
 
 from helpers import TOL, census
@@ -232,16 +233,99 @@ def test_a_compiled_finite_kernel_evaluates_no_word(monkeypatch):
     report = stable_json(oracle.coverage_report(T))
 
     def no_words(*args):
-        raise AssertionError("word_element ran after the kernel was "
+        raise AssertionError("a word column ran after the kernel was "
                              "compiled")
-    monkeypatch.setattr(dsl, "word_element", no_words)
+    monkeypatch.setattr(dsl, "_word_column", no_words)
     assert classify("sine-add", f, g, S).to_json_dict() == before
     with pytest.raises(NotASolutionError):
         classify("sine-add", g, f, S)
     assert stable_json(oracle.coverage_report(T)) == report
-    with pytest.raises(AssertionError, match="word_element ran"):
+    with pytest.raises(AssertionError, match="a word column ran"):
         evaluate_residual(builtin("sine-add"), {"f": f, "g": g},
                           _interpreted_twin(S))
+
+
+def _word_element(word, env, S):
+    """A word's element under one assignment, one product at a time."""
+    value = None
+    for atom in word.atoms:
+        v = env[atom.name] if isinstance(atom, Var) else \
+            S.sig(_word_element(atom.word, env, S))
+        value = v if value is None else S.mul(value, v)
+    return value
+
+
+def _per_assignment_compile(ast, S):
+    """The kernel's points, index and terms from a loop over assignments,
+    each application's element given the next slot when first reached (a
+    finite carrier's elements start in their own slots)."""
+    funcs, varset, _ = equation_symbols(ast)
+    fns, names = sorted(funcs), sorted(varset)
+    apps, terms = [], []
+    for expr, orient in ((ast.lhs, 1), (ast.rhs, -1)):
+        for term in expr.terms:
+            first = len(apps)
+            apps.extend(term.apps)
+            terms.append((term.sign * orient < 0, term.coeff,
+                          range(first, len(apps))))
+    slot = ({e: e for e in S.window} if isinstance(S, FiniteSemigroup)
+            else {})
+    cols = [[] for _ in apps]
+    for assignment in itertools.product(S.window, repeat=len(names)):
+        env = dict(zip(names, assignment))
+        for col, app in zip(cols, apps):
+            col.append(slot.setdefault(_word_element(app.word, env, S),
+                                       len(slot)))
+    n = len(slot)
+    index = np.array([np.array(col) + fns.index(app.fn) * n
+                      for app, col in zip(apps, cols)])
+    return tuple(slot), index, terms
+
+
+def _nests_sigma(word, depth=0):
+    return any(isinstance(atom, Sig) and (depth or _nests_sigma(atom.word, 1))
+               for atom in word.atoms)
+
+
+def test_the_column_compile_matches_the_per_assignment_loop():
+    randoms = [random_equation(random.Random(seed)) for seed in range(30)]
+    assert any(_nests_sigma(app.word) for ast in randoms
+               for expr in (ast.lhs, ast.rhs) for term in expr.terms
+               for app in term.apps)
+    carriers = [make() for make in AGREEMENT_CARRIERS]
+    carriers += [_interpreted_twin(S) for S in carriers]
+    carriers += [example1(window_max=w) for w in (2, 3, 12, 16)]
+    for S in carriers:
+        for ast in (*map(builtin, BUILTIN_EQUATIONS), *randoms):
+            if len(equation_symbols(ast)[1]) == 3 and len(S.window) > 11:
+                continue
+            kernel = dsl._Kernel(ast, S)
+            points, index, terms = _per_assignment_compile(ast, S)
+            label = f"{S.name}: {print_equation(ast)}"
+            assert kernel.points == points, label
+            assert kernel.index.dtype == index.dtype, label
+            assert np.array_equal(kernel.index, index), label
+            assert kernel.terms == terms, label
+
+
+def test_the_compile_calls_sigma_once_per_distinct_element():
+    """f(x s(y)) = f(x)*g(y) on example 1's window of 15 points: one sigma
+    call per distinct y, and one product per assignment."""
+    W = example1(window_max=16)
+    calls = Counter()
+
+    def mul(a, b):
+        calls["mul"] += 1
+        return W.mul(a, b)
+
+    def sig(a):
+        calls["sig"] += 1
+        return W.sig(a)
+    counted = WindowedSemigroup("Example1-counted", mul, sig, W.window)
+    calls.clear()
+    kernel = dsl._Kernel(parse_equation("f(x s(y)) = f(x)*g(y)"), counted)
+    assert calls == {"sig": 15, "mul": 225}
+    assert kernel.points == dsl._Kernel(kernel.ast, W).points
 
 
 def test_windowed_functions_are_called_once_per_distinct_element():

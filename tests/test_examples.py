@@ -46,6 +46,18 @@ def test_prime_swap_window_structure(ex1):
             assert ex1.sig(x * y) == ex1.sig(x) * ex1.sig(y)
 
 
+def test_example_maps_keep_their_values_and_types(ex1, ex2):
+    # The example maps are C callables (operator.mul, itemgetter(1, 0));
+    # they must give what the formulas a*b and (u[1], u[0]) give.
+    for a in ex1.window[::7]:
+        for b in ex1.window[::13]:
+            assert ex1.mul(a, b) == a * b and type(ex1.mul(a, b)) is int
+    for a, b in [(0.25, -0.5), (0.0, 1 / 16), (-15 / 16, -15 / 16)]:
+        image = ex2.sig((a, b))
+        assert type(image) is tuple and image == (b, a)
+        assert all(type(c) is float for c in image)
+
+
 def test_prime_swap_character_and_primes(ex1):
     chi = ex1.extras["chi"]
     assert chi.formula(35) == 1 and chi.formula(10) == 0
