@@ -26,11 +26,14 @@ candidate.  :data:`LEADING_STEPS` holds them once, for both classifiers.
 Then come the ratio stage (cos-sub/2, alpha-skew/4 and alpha-skew/5), the
 dependent-character cases (f = lambda g and a multiple of g a character),
 the two-character cases (f and g in the span of two even characters), the
-non-even cases and the piecewise cases chi A | 0 | rho.  Each of their
-rules is one function, which both classifiers call, on a one-row stack or
-on the open rows; :data:`_RULES` lists those after the ratio stage in
-walk order.  The ratio and rank decision are computed once, for stacks,
-with np.vecdot, which gives np.vdot's floats row by row.
+non-even cases and the piecewise cases chi A | 0 | rho.  :data:`_RULES`
+lists these slots in walk order, the ratio stage first, so neither
+classifier names a walk: each rule is one function, which both call, on a
+one-row stack or on the open rows.  Both pack a candidate's parameters
+with one function, :func:`_params`, and both work out the characters and
+their parities before the walk starts.  The ratio and rank decision are
+computed once, for stacks, with np.vecdot, which gives np.vdot's floats
+row by row.
 
 In :func:`classify_rows` a row stays open until its first hit, checked by
 one batched construct-and-compare per case that gives the floats and
@@ -361,16 +364,28 @@ LEADING_STEPS = {
 
 
 def _form_free(case: CaseId, f, g):
-    """The table a form case keeps as it is, which is its free table."""
+    """The table a form case keeps as it is, which is its free table: f,
+    g or None (given names, its name)."""
     form = CASES[case.equation][case.case - 1].form
     return f if form[0] == 1 else g if form[1] == 1 else None
 
 
-def _form_params(case: CaseId, f, g, alpha) -> CaseParams:
-    """The parameters that rebuild (f, g) as the form case `case`."""
+def _params(case: CaseId, free, shared: dict, row: dict,
+            alpha) -> CaseParams:
+    """The parameters of a candidate of `case`: its free table (one table
+    or rows), its characters `shared`, and the constants of `row` (one
+    value each, or one per row).  alpha is set where the case's record has
+    it and `row` does not name it, and row["rho"] (rho's values) becomes a
+    RhoFn on chi's prime part with the record's parity."""
     spec = CASES[case.equation][case.case - 1]
-    return CaseParams(alpha=alpha if "alpha" in spec.fields else None,
-                      free=_form_free(case, f, g))
+    kw = {**shared, **row}
+    if "alpha" in spec.fields:
+        kw.setdefault("alpha", alpha)
+    if "rho" in kw:
+        kw["rho"] = RhoFn(domain=frozenset(shared["chi"].prime_part),
+                          values=kw["rho"],
+                          parity=spec.menu.removeprefix("piecewise-"))
+    return CaseParams(free=free, **kw)
 
 
 def _alpha_sym_params(case: CaseId, f, g, params: CaseParams,
@@ -378,17 +393,20 @@ def _alpha_sym_params(case: CaseId, f, g, params: CaseParams,
     """The alpha-sym parameters of a hit `params` of cos-sine-g's walk on
     the reduced pair, for (f, g) (one pair or rows)."""
     if CASES["alpha-sym"][case.case - 1].form is not None:
-        return _form_params(case, f, g, alpha)
+        return _params(case, _form_free(case, f, g), {}, {}, alpha)
     return replace(params, alpha=alpha)
 
 
 # The walks' rules after the leading steps, each one function that
-# _Session.candidates (on a one-row stack) and classify_rows' stages (on the
+# _Session.candidates (on a one-row stack) and classify_rows' walk (on the
 # open rows) both call.
 
 # The ratio stage: cos-sub/2, then alpha-skew/4 and alpha-skew/5.  Each
-# returns the rows where the walk attempts the case, and the constants it
-# attempts them with.
+# stage is a generator over a stack (F, G) that yields, for each case it
+# offers in walk order, (case, rows, free, shared, row): the rows of the
+# stack where the walk attempts it, the name of its free table ("f", "g"
+# or None), its characters, and its constants as one list per name, one
+# entry per row.
 
 def _keep(rows: np.ndarray, values: list):
     """The rows whose value is not None, and those values."""
@@ -402,16 +420,16 @@ def _unit_c(lam: complex | None, tol: float) -> complex | None:
     return 1j if abs(lam - 1j) <= tol else -1j
 
 
-def _unit_c_rows(f, g, sq, tol):
+def _unit_c_stage(F, G, alpha, sq, chars, tol):
     """cos-sub/2: g is non-zero and vanishes on S^2, and f = c g with
     c in {i, -i}."""
-    rows = np.flatnonzero(_vanishes_on(g, sq, tol))
+    rows = np.flatnonzero(_vanishes_on(G, sq, tol))
     if rows.size:
-        rows = rows[~_is_zero(g[rows], tol)]
-    if not rows.size:
-        return rows, []
-    return _keep(rows, [_unit_c(lam, tol)
-                        for lam in _ratio(f, g, tol, rows.tolist())])
+        rows = rows[~_is_zero(G[rows], tol)]
+    if rows.size:
+        rows, cs = _keep(rows, [_unit_c(lam, tol)
+                                for lam in _ratio(F, G, tol, rows.tolist())])
+        yield CaseId("cos-sub", 2), rows, "g", {}, {"c": cs}
 
 
 def _skew_c(verdict: DependenceVerdict, alpha: complex,
@@ -422,25 +440,26 @@ def _skew_c(verdict: DependenceVerdict, alpha: complex,
     return None
 
 
-def _skew_c_rows(f, g, alpha: complex, tol):
+def _skew_stage(F, G, alpha, sq, chars, tol):
     """alpha-skew/4: g = lambda f, and c = lambda alpha / (1 - lambda
-    alpha)."""
-    return _keep(np.arange(len(f)), [_skew_c(v, alpha, tol)
-                                     for v in _dependence(f, g, tol)])
-
-
-def _conj_pair_rows(F, g, chi, tol):
-    """alpha-skew/5 with chi: F = f/alpha - g = c1 d with c1 != 0 and
-    g - e = c2 d, for d = (chi - chi*)/2 and e = (chi + chi*)/2."""
-    d = (chi.values - chi.conj) / 2
-    e = (chi.values + chi.conj) / 2
-    d = np.broadcast_to(d, F.shape)
-    c1 = _ratio(F, d, tol)
-    rows = [i for i, c in enumerate(c1) if c is not None and not abs(c) <= tol]
-    c2 = _ratio(g - e, d, tol, rows)
-    return _keep(np.array(rows, dtype=np.intp),
-                 [None if w2 is None else (c1[i], w2)
-                  for i, w2 in zip(rows, c2)])
+    alpha).  Then alpha-skew/5 for each representative chi of a conjugate
+    pair: F = f/alpha - g = c1 d with c1 != 0 and g - e = c2 d, for
+    d = (chi - chi*)/2 and e = (chi + chi*)/2."""
+    rows, cs = _keep(np.arange(len(F)), [_skew_c(v, alpha, tol)
+                                         for v in _dependence(F, G, tol)])
+    yield CaseId("alpha-skew", 4), rows, "f", {}, {"c": cs}
+    Fs = F / alpha - G
+    for chi in conjugate_representatives(tuple(chars)):
+        d = np.broadcast_to((chi.values - chi.conj) / 2, F.shape)
+        c1 = _ratio(Fs, d, tol)
+        rows = [i for i, c in enumerate(c1)
+                if c is not None and not abs(c) <= tol]
+        c2 = _ratio(G - (chi.values + chi.conj) / 2, d, tol, rows)
+        rows, cs = _keep(np.array(rows, dtype=np.intp),
+                         [None if w2 is None else (c1[i], w2)
+                          for i, w2 in zip(rows, c2)])
+        yield (CaseId("alpha-skew", 5), rows, None, {"chi": chi},
+               {"c1": [w for w, _ in cs], "c2": [w for _, w in cs]})
 
 
 # The dependent-character cases, cos-sub/3, sine-add/3 and cos-sine-g/4:
@@ -548,13 +567,14 @@ def _noneven_rows(walk: str, k: int, chars: list, values: np.ndarray,
 
 
 # The piecewise cases: for one even chi, each branch's rows where the walk
-# attempts the case, with the rho values and the constants of each row.
+# attempts the case, and a row: rho's values and the case's constants, one
+# entry per row of the stack.
 
 def _cos_sub_piece(S, chi, f, g, alpha, tol):
     """cos-sub/5: i f = chi A | 0 | rho and g = chi +- i f."""
     ok, rho = _extract_piece(S, chi, 1j * f, tol)
     return [(branch, ok & (np.abs(g - (chi.values + sign * f)).max(axis=-1)
-                           <= tol), rho, {})
+                           <= tol), {"rho": rho})
             for branch, sign in (("+", 1j), ("-", -1j))]
 
 
@@ -565,7 +585,7 @@ def _matched_piece(S, chi, v, piece, tol):
     if not hit.any():
         return []
     ok, rho = _extract_piece(S, chi, piece, tol)
-    return [(None, hit & ok, rho, {})]
+    return [(None, hit & ok, {"rho": rho})]
 
 
 def _sine_add_piece(S, chi, f, g, alpha, tol):
@@ -592,33 +612,23 @@ def _alpha_skew_piece(S, chi, f, g, alpha, tol):
     cs = [None] * len(f)
     for i, c in zip(rows, _ratio(g - chi.values, F, tol, rows)):
         cs[i] = c
-    return [(None, np.array([c is not None for c in cs], dtype=bool), rho,
-             {"c": cs})]
+    return [(None, np.array([c is not None for c in cs], dtype=bool),
+             {"rho": rho, "c": cs})]
 
 
-#: The rules of each walk after its ratio stage: (case, dependent rule);
-#: (case, two-character rule); the non-even case; then each piecewise
-#: (case, rule), in walk order.  alpha-skew has only its piecewise case.
+#: Each walk after its leading steps, in walk order: the ratio stage;
+#: (case, dependent rule); (case, two-character rule); the non-even case;
+#: then each piecewise (case, rule).
 _RULES = {
-    "cos-sub": ((3, _cos_sub_dependent), (4, _cos_sub_pair), 6,
-                ((5, _cos_sub_piece),)),
-    "sine-add": ((3, _sine_add_dependent), (4, _sine_add_pair), None,
+    "cos-sub": (_unit_c_stage, (3, _cos_sub_dependent), (4, _cos_sub_pair),
+                6, ((5, _cos_sub_piece),)),
+    "sine-add": (None, (3, _sine_add_dependent), (4, _sine_add_pair), None,
                  ((5, _sine_add_piece),)),
-    "cos-sine-g": ((4, _cos_sine_g_dependent), (5, _cos_sine_g_pair), 8,
-                   ((7, _cos_sine_g_7), (6, _cos_sine_g_6))),
-    "alpha-skew": (None, None, None, ((6, _alpha_skew_piece),)),
+    "cos-sine-g": (None, (4, _cos_sine_g_dependent), (5, _cos_sine_g_pair),
+                   8, ((7, _cos_sine_g_7), (6, _cos_sine_g_6))),
+    "alpha-skew": (_skew_stage, None, None, None,
+                   ((6, _alpha_skew_piece),)),
 }
-
-
-def _piece_params(walk: str, k: int, chi: MultChar, rho: np.ndarray,
-                  consts: dict, alpha) -> CaseParams:
-    """The parameters of the piecewise case k with chi, rho's values (one
-    row, or a stack) and the case's constants."""
-    spec = CASES[walk][k - 1]
-    extra = {"alpha": alpha} if "alpha" in spec.fields else {}
-    return CaseParams(chi=chi, rho=RhoFn(
-        domain=frozenset(chi.prime_part), values=rho,
-        parity=spec.menu.removeprefix("piecewise-")), **consts, **extra)
 
 
 @functools.lru_cache(maxsize=32)
@@ -655,22 +665,12 @@ class _Session:
          self.noneven_values) = _by_parity(tuple(chars), S.n)
         self.sq = sorted(square_set(S))
 
-    def character(self, h: np.ndarray, beta: complex) -> MultChar | None:
-        """The first enumerated even character within tol of beta h, or None
-        when beta h is zero within tol or matches none of them."""
-        b = complex(beta)
-        if abs(b) <= self.tol:
-            raise ValueError("beta must be non-zero")
-        k = _character_rows(h[None], np.array([b]), self.even_values,
-                            self.tol)[0]
-        return None if k < 0 else self.evens[k]
-
     def candidates(self):
         """The walk's candidate stream, in the order of :meth:`_Batch.offers`:
         the leading steps of :data:`LEADING_STEPS` (stopping at a step's
         first failing test, with each test run once; a final step that
-        applies ends the stream after its candidate), the ratio stage, then
-        the rules of :data:`_RULES`: the dependent character, the
+        applies ends the stream after its candidate), then the slots of
+        :data:`_RULES`: the ratio stage, the dependent character, the
         two-character and the non-even cases, then the piecewise ones."""
         walk, tol, alpha = self.walk, self.tol, self.alpha
         f, g = self.fw.values, self.g.values
@@ -683,62 +683,59 @@ class _Session:
                 if not known[test]:
                     break
             else:
-                yield step.case, _form_params(step.case, self.fw, self.g,
-                                              alpha)
+                yield step.case, _params(step.case, _form_free(
+                    step.case, self.fw, self.g), {}, {}, alpha)
                 if step.final:
                     return
         F, G = f[None], g[None]
-        if walk == "cos-sub":
-            # g non-zero but vanishing on the square: f = c g, c^2 = -1.
-            _, cs = _unit_c_rows(F, G, self.sq, tol)
-            if cs:
-                yield CaseId(walk, 2), CaseParams(free=self.g, c=cs[0])
-        elif walk == "alpha-skew":
-            _, cs = _skew_c_rows(F, G, alpha, tol)
-            if cs:
-                yield (CaseId(walk, 4),
-                       CaseParams(alpha=alpha, free=self.f, c=cs[0]))
-            # case 5: F is proportional to (chi - chi*)/2 for a non-even
-            # character, one of each conjugate pair.
-            Fs = F / alpha - G
-            for chi in conjugate_representatives(tuple(self.chars)):
-                _, cs = _conj_pair_rows(Fs, G, chi, tol)
-                if cs:
-                    c1, c2 = cs[0]
-                    yield (CaseId(walk, 5),
-                           CaseParams(alpha=alpha, chi=chi, c1=c1, c2=c2))
-        dependent, pair, noneven, pieces = _RULES[walk]
+        stage, dependent, pair, noneven, pieces = _RULES[walk]
+        if stage is not None:
+            tables = {"f": self.fw, "g": self.g}
+            for case, rows, free, shared, row in stage(F, G, alpha, self.sq,
+                                                       self.chars, tol):
+                if rows.size:
+                    yield case, _params(case, tables.get(free), shared,
+                                        {n: v[0] for n, v in row.items()},
+                                        alpha)
         independent = False
         if dependent is not None:
             (verdict,) = _dependence(F, G, tol)
             k, rule = dependent
             guard = rule(verdict, tol)
             if guard is not None:
-                chi = self.character(g, guard[0])
-                if chi is not None:
-                    yield CaseId(walk, k), CaseParams(chi=chi, **guard[1])
+                beta, consts = guard
+                if abs(beta) <= tol:
+                    raise ValueError("beta must be non-zero")
+                (j,) = _character_rows(G, np.array([beta], np.complex128),
+                                       self.even_values, tol)
+                if j >= 0:
+                    case = CaseId(walk, k)
+                    yield case, _params(case, None, {"chi": self.evens[j]},
+                                        consts, alpha)
             independent = verdict.kind == "independent"
             if independent:
                 k, rule = pair
                 for c1, c2 in itertools.combinations(self.evens, 2):
                     _, consts = _two_char_rows(F, G, c1, c2, rule, tol)
                     if consts:
-                        yield CaseId(walk, k), CaseParams(chi1=c1, chi2=c2,
-                                                          **consts[0])
+                        case = CaseId(walk, k)
+                        yield case, _params(case, None, {"chi1": c1,
+                                                         "chi2": c2},
+                                            consts[0], alpha)
         if noneven is not None:
             for case, chi, hit in _noneven_rows(
                     walk, noneven, self.nonevens, self.noneven_values, F, G,
                     np.array([independent]), tol):
                 if hit[0]:
-                    yield case, CaseParams(chi=chi)
+                    yield case, _params(case, None, {"chi": chi}, {}, alpha)
         for k, rule in pieces:
             for chi in self.evens:
-                for branch, ok, rho, consts in rule(self.S, chi, F, G, alpha,
-                                                    tol):
+                for branch, ok, row in rule(self.S, chi, F, G, alpha, tol):
                     if ok[0]:
-                        yield CaseId(walk, k, branch), _piece_params(
-                            walk, k, chi, rho[0],
-                            {n: v[0] for n, v in consts.items()}, alpha)
+                        case = CaseId(walk, k, branch)
+                        yield case, _params(case, None, {"chi": chi},
+                                            {n: v[0] for n, v in row.items()},
+                                            alpha)
 
     def run(self) -> ClassifiedSolution | None:
         """Attempt the candidates of :meth:`candidates` in order; the first
@@ -842,29 +839,36 @@ def _attempt_rows(case: CaseId, F: np.ndarray, G: np.ndarray,
 
 
 def _stacked(consts: list) -> dict:
-    """Per-row constant dicts as one sequence per name."""
+    """Per-row constant dicts as one list per name."""
     return {name: [c[name] for c in consts] for name in consts[0]} \
         if consts else {}
+
+
+def _take(row: dict, idx: np.ndarray) -> dict:
+    """The entries idx of each per-row list or array of `row`."""
+    return {name: v[idx] if isinstance(v, np.ndarray)
+            else [v[i] for i in idx.tolist()] for name, v in row.items()}
 
 
 class _Batch:
     """The walk of one equation run as masks over a stack of pairs.
 
-    Each stage makes offers in walk order: a case, the rows where the walk
-    would attempt it, and the parameters of a selection of those rows.
-    :meth:`run` attempts each offer's case on its open rows with one
-    batched construct-and-compare, and :meth:`settle` closes the hits.  A
-    miss leaves the row open for the next offer, as
-    :meth:`_Session.run` goes on to the next candidate.  A final leading
-    step closes its rows, since the walk ends there, and so does a
-    character factor beta within tol of 0, where the walk raises.  A
-    stage reads the rows still open when it starts.
+    :meth:`offers` makes records in walk order, as the ratio stage does
+    (see :data:`_RULES`): a case, the rows where the walk would attempt
+    it, the name of its free table, its characters and its per-row
+    constants.  :meth:`run` packs each record's rows that are still open
+    and attempts its case there with one batched construct-and-compare,
+    and :meth:`settle` closes the hits.  A miss leaves the row open for
+    the next record, as :meth:`_Session.run` goes on to the next
+    candidate.  A final leading step closes its rows, since the walk ends
+    there, and so does a character factor beta within tol of 0, where the
+    walk raises.  A stage reads the rows still open when it starts.
     """
 
     def __init__(self, equation: str, F: np.ndarray, G: np.ndarray,
                  S: FiniteSemigroup, alpha, tol: float, chars):
         self.equation, self.F, self.G, self.S = equation, F, G, S
-        self.alpha, self.tol, self._chars = alpha, tol, chars
+        self.alpha, self.tol, self.chars = alpha, tol, chars
         self.walk, self.Fw = equation, F
         if equation == "alpha-sym":        # the walk of reduce_alpha_sym
             self.walk, self.Fw = "cos-sine-g", (G - F / alpha) / 2
@@ -873,27 +877,20 @@ class _Batch:
         self.closed = np.zeros(len(F), dtype=bool)
         self.independent = np.zeros(len(F), dtype=bool)
         self.sq = sorted(square_set(S))
-
-    @functools.cached_property
-    def chars(self):
-        return (enumerate_characters(self.S) if self._chars is None
-                else self._chars)
-
-    @functools.cached_property
-    def by_parity(self):
-        return _by_parity(tuple(self.chars), self.S.n)
-
-    @property
-    def evens(self):
-        return self.by_parity[0]
+        (self.evens, self.even_values, self.nonevens,
+         self.noneven_values) = _by_parity(tuple(chars), S.n)
 
     def run(self) -> np.ndarray:
-        # Each offer is settled before the next one is made, so that a
-        # stage sees the rows its earlier offers closed.
-        for case, rows, params in filter(None, self.offers()):
-            rows = rows[~self.closed[rows]]
-            if rows.size:
-                self.settle(case, rows, params(rows))
+        # Each record is settled before the next one is made, so that a
+        # stage sees the rows its earlier records closed.
+        tables = {"f": self.Fw, "g": self.G}
+        for case, rows, free, shared, row in self.offers():
+            keep = ~self.closed[rows]
+            if keep.any():
+                rows, table = rows[keep], tables.get(free)
+                self.settle(case, rows, _params(
+                    case, None if table is None else table[rows], shared,
+                    _take(row, np.flatnonzero(keep)), self.alpha))
         return self.case
 
     def settle(self, case: CaseId, rows: np.ndarray,
@@ -913,130 +910,71 @@ class _Batch:
     def open_rows(self) -> np.ndarray:
         return np.flatnonzero(~self.closed)
 
-    def offer(self, case: CaseId, rows: np.ndarray, make,
-              values=None):
-        """An offer of `case` on `rows` (None when there are none); its
-        parameters are make(selection), or make(selection, their values)
-        when each row has a value."""
-        if not rows.size:
-            return None
-        if values is None:
-            return case, rows, make
-        table = dict(zip(rows.tolist(), values))
-        return case, rows, lambda r: make(r, [table[i] for i in r.tolist()])
-
     def offers(self):
-        walk = self.walk
+        """The walk's records (case, rows, free, shared, row), in the
+        order of :meth:`_Session.candidates`."""
+        walk, alpha, tol = self.walk, self.alpha, self.tol
         at = self.open_rows()
         Fw, G = self.Fw[at], self.G[at]
         for step in LEADING_STEPS[walk]:
             mask = np.ones(len(at), dtype=bool)
             for test in step.tests:
-                mask &= test(Fw, G, self.alpha, self.sq, self.tol)
-            yield self.offer(step.case, at[mask], lambda r, c=step.case:
-                             _form_params(c, self.Fw[r], self.G[r],
-                                          self.alpha))
+                mask &= test(Fw, G, alpha, self.sq, tol)
+            yield step.case, at[mask], _form_free(step.case, "f", "g"), {}, {}
             if step.final:
                 self.closed[at[mask]] = True
-        if walk == "cos-sub":
-            yield from self.unit_c()
-        elif walk == "alpha-skew":
-            yield from self.ratios()
-        dependent, pair, noneven, pieces = _RULES[walk]
-        if dependent is not None:
-            yield from self.dependent(*dependent)
-            yield from self.pairs(*pair)
-        if noneven is not None:
-            yield from self.noneven(noneven)
-        for k, rule in pieces:
-            yield from self.pieces(k, rule)
-
-    def unit_c(self):
-        at = self.open_rows()
-        if at.size:
-            rows, cs = _unit_c_rows(self.F[at], self.G[at], self.sq, self.tol)
-            yield self.offer(CaseId("cos-sub", 2), at[rows], lambda r, c:
-                             CaseParams(free=self.G[r], c=c), cs)
-
-    def ratios(self):
-        """alpha-skew/4, then alpha-skew/5 for each representative of a
-        conjugate pair."""
-        at = self.open_rows()
-        if not at.size:
-            return
-        alpha = self.alpha
-        rows, cs = _skew_c_rows(self.F[at], self.G[at], alpha, self.tol)
-        yield self.offer(CaseId("alpha-skew", 4), at[rows], lambda r, c:
-                         CaseParams(alpha=alpha, free=self.F[r], c=c), cs)
-        Fs = self.F / alpha - self.G
-        for chi in conjugate_representatives(tuple(self.chars)):
+        stage, dependent, pair, noneven, pieces = _RULES[walk]
+        at = self.open_rows()               # no later slot opens a row
+        if stage is not None and at.size:
+            for case, rows, free, shared, row in stage(
+                    self.Fw[at], self.G[at], alpha, self.sq, self.chars, tol):
+                yield case, at[rows], free, shared, row
             at = self.open_rows()
-            rows, cs = _conj_pair_rows(Fs[at], self.G[at], chi, self.tol)
-            yield self.offer(CaseId("alpha-skew", 5), at[rows],
-                             lambda r, c: CaseParams(
-                                 alpha=alpha, chi=chi, c1=[w for w, _ in c],
-                                 c2=[w for _, w in c]), cs)
-
-    def dependent(self, k: int, rule):
-        at = self.open_rows()
-        if not at.size:
-            return
-        verdicts = _dependence(self.Fw[at], self.G[at], self.tol)
-        self.independent[at] = [v.kind == "independent" for v in verdicts]
-        guards = [rule(v, self.tol) for v in verdicts]
-        tested = [i for i, guard in enumerate(guards) if guard is not None]
-        if not tested:
-            return
-        rows = at[tested]
-        beta = np.array([guards[i][0] for i in tested], dtype=np.complex128)
-        consts = [guards[i][1] for i in tested]
-        # The character test refuses beta within tol of 0, so that classify
-        # raises there: those rows close unlabelled.
-        self.closed[rows[np.abs(beta) <= self.tol]] = True
-        found = _character_rows(self.G[rows], beta, self.by_parity[1],
-                                self.tol)
-        for j, chi in enumerate(self.evens):
-            sel = found == j
-            yield self.offer(CaseId(self.walk, k), rows[sel], lambda r, c:
-                             CaseParams(chi=chi, **_stacked(c)),
-                             itertools.compress(consts, sel))
-
-    def pairs(self, k: int, rule):
-        for c1, c2 in itertools.combinations(self.evens, 2):
-            at = np.flatnonzero(~self.closed & self.independent)
+        if dependent is not None and at.size:
+            verdicts = _dependence(self.Fw[at], self.G[at], tol)
+            self.independent[at] = [v.kind == "independent" for v in verdicts]
+            k, rule = dependent
+            guards = [rule(v, tol) for v in verdicts]
+            tested = [i for i, guard in enumerate(guards) if guard is not None]
+            rows = at[tested]
+            beta = np.array([guards[i][0] for i in tested], np.complex128)
+            consts = [guards[i][1] for i in tested]
+            # The walk raises for beta within tol of 0: those rows close
+            # unlabelled.
+            self.closed[rows[np.abs(beta) <= tol]] = True
+            if tested:
+                found = _character_rows(self.G[rows], beta, self.even_values,
+                                        tol)
+                for j, chi in enumerate(self.evens):
+                    sel = found == j
+                    yield (CaseId(walk, k), rows[sel], None, {"chi": chi},
+                           _stacked(list(itertools.compress(consts, sel))))
+            k, rule = pair
+            for c1, c2 in itertools.combinations(self.evens, 2):
+                at = np.flatnonzero(~self.closed & self.independent)
+                if not at.size:
+                    break
+                rows, consts = _two_char_rows(self.Fw[at], self.G[at], c1, c2,
+                                              rule, tol)
+                yield (CaseId(walk, k), at[rows], None,
+                       {"chi1": c1, "chi2": c2}, _stacked(consts))
+            at = self.open_rows()
+        if noneven is not None and at.size:
+            for case, chi, hit in _noneven_rows(
+                    walk, noneven, self.nonevens, self.noneven_values,
+                    self.Fw[at], self.G[at], self.independent[at], tol):
+                yield case, at[hit], None, {"chi": chi}, {}
+            at = self.open_rows()
+        for k, rule in pieces:
             if not at.size:
                 return
-            rows, consts = _two_char_rows(self.Fw[at], self.G[at], c1, c2,
-                                          rule, self.tol)
-            yield self.offer(CaseId(self.walk, k), at[rows], lambda r, c:
-                             CaseParams(chi1=c1, chi2=c2, **_stacked(c)),
-                             consts)
-
-    def noneven(self, k: int):
-        """cos-sub/6 on the independent rows, or cos-sine-g/8chi."""
-        at = self.open_rows()
-        if not at.size:
-            return
-        _, _, nonevens, values = self.by_parity
-        for case, chi, hit in _noneven_rows(
-                self.walk, k, nonevens, values, self.Fw[at], self.G[at],
-                self.independent[at], self.tol):
-            yield self.offer(case, at[hit], lambda r: CaseParams(chi=chi))
-
-    def pieces(self, k: int, rule):
-        at = self.open_rows()
-        if not at.size:
-            return
-        Fw, G = self.Fw[at], self.G[at]
-        for chi in self.evens:
-            for branch, ok, rho, consts in rule(self.S, chi, Fw, G,
-                                                self.alpha, self.tol):
-                yield self.offer(
-                    CaseId(self.walk, k, branch), at[ok],
-                    lambda r, i: _piece_params(
-                        self.walk, k, chi, rho[i],
-                        {n: [v[j] for j in i] for n, v in consts.items()},
-                        self.alpha), np.flatnonzero(ok))
+            Fw, G = self.Fw[at], self.G[at]
+            for chi in self.evens:
+                for branch, ok, row in rule(self.S, chi, Fw, G, alpha, tol):
+                    i = np.flatnonzero(ok)
+                    yield (CaseId(walk, k, branch), at[i], None, {"chi": chi},
+                           _take(row, i))
+            at = self.open_rows()
 
 
 def classify_rows(equation: str, F: np.ndarray, G: np.ndarray,
@@ -1048,27 +986,27 @@ def classify_rows(equation: str, F: np.ndarray, G: np.ndarray,
     Every row's residual is checked as `classify` checks it, and the first
     row that fails raises the same :class:`NotASolutionError`.  Then the
     equation's walk runs as masks over the rows, in walk order (alpha-sym
-    walks cos-sine-g's on the reduced pair): the leading steps; the ratio
-    stage (cos-sub/2; alpha-skew/4, then alpha-skew/5 for each
-    representative of a conjugate pair); the dependent-character cases
-    (cos-sub/3, sine-add/3, cos-sine-g/4); the two-character cases
-    (cos-sub/4, sine-add/4, cos-sine-g/5); the non-even cases (cos-sub/6,
-    cos-sine-g/8chi); and the piecewise cases (cos-sub/5+-, sine-add/5,
-    cos-sine-g/7 then /6, alpha-skew/6).  Each case is attempted on the
-    open rows where the walk yields it, with one batched
-    construct-and-compare, and a row closes at its first hit.  Only a
-    final leading step and a character factor beta within tol of 0 close
-    a row without a hit, as the walk ends or raises there.
+    walks cos-sine-g's on the reduced pair): the leading steps, then the
+    slots of :data:`_RULES`: the ratio stage (cos-sub/2; alpha-skew/4,
+    then alpha-skew/5 for each representative of a conjugate pair); the
+    dependent-character cases (cos-sub/3, sine-add/3, cos-sine-g/4); the
+    two-character cases (cos-sub/4, sine-add/4, cos-sine-g/5); the
+    non-even cases (cos-sub/6, cos-sine-g/8chi); and the piecewise cases
+    (cos-sub/5+-, sine-add/5, cos-sine-g/7 then /6, alpha-skew/6).  Each
+    case is attempted on the open rows where the walk yields it, with
+    parameters packed by :func:`_params` as `classify`'s are and one
+    batched construct-and-compare, and a row closes at its first hit.
+    Only a final leading step and a character factor beta within tol of 0
+    close a row without a hit, as the walk ends or raises there.
 
     Returns, for each row, 1 + the index of its case in
     :func:`addlaws.families.all_case_ids` (branch included), or 0 where
     `classify` returns :class:`Unclassified` or raises.  The alpha
-    equations need
-    `alpha` (a TypeError names it when it is missing); `chars` is the
-    enumerate_characters list, worked out here when a stage needs it and
-    it is not given.  Input that `classify` refuses is refused here with
-    the same error, and F and G that are not (rows, |S|) arrays of one
-    shape with a ValueError.
+    equations need `alpha` (a TypeError names it when it is missing);
+    `chars` is the enumerate_characters list, worked out here up front,
+    as `classify` does, when it is not given.  Input that `classify`
+    refuses is refused here with the same error, and F and G that are not
+    (rows, |S|) arrays of one shape with a ValueError.
     """
     binding = _checked_binding(equation, F, G, S, tol, alpha)
     if not (np.ndim(F) == 2 and np.shape(F) == np.shape(G)
@@ -1079,6 +1017,8 @@ def classify_rows(equation: str, F: np.ndarray, G: np.ndarray,
     bad = np.flatnonzero(~(residual <= tol))
     if bad.size:
         raise _not_a_solution(equation, float(residual[bad[0]]))
+    if chars is None:
+        chars = enumerate_characters(S)
     return _Batch(equation, F, G, S, binding.get("a"), tol, chars).run()
 
 

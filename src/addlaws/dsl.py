@@ -358,9 +358,9 @@ def _check_binding(funcs, uses_a: bool, binding: dict) -> None:
 class _Kernel:
     """An equation compiled on one carrier.
 
-    The compile evaluates each application's word as one column over
-    every assignment of the variables from ``S.window`` (see
-    :func:`_word_column`), assignments in ``itertools.product`` order.
+    The compile evaluates each distinct word of the applications once, as
+    one column over every assignment of the variables from ``S.window``
+    (see :func:`_word_column`), assignments in ``itertools.product`` order.
     The points are a finite carrier's element indices, or the elements a
     windowed carrier's applications reach, in the order first reached
     (assignment by assignment, applications in AST order).  Function
@@ -391,7 +391,9 @@ class _Kernel:
         self.finite = isinstance(S, FiniteSemigroup)
         env = dict(zip(names, zip(*itertools.product(S.window,
                                                      repeat=len(names)))))
-        cols = [_word_column(app.word, env, S.mul, S.sig) for app in apps]
+        words = {w: _word_column(w, env, S.mul, S.sig)
+                 for w in dict.fromkeys(app.word for app in apps)}
+        cols = [words[app.word] for app in apps]
         # A finite carrier's elements come first, each its own slot.
         self.points = tuple(dict.fromkeys(itertools.chain(
             S.window if self.finite else (),

@@ -172,15 +172,16 @@ def test_a_row_closes_at_its_first_hit(chars):
 
 @pytest.mark.parametrize("beta", [1, 2, 1 + 1j])
 def test_character_looks_only_among_even_characters(chars, beta):
-    """_Session.character(chi / beta, beta) gives back each even character
-    of Z2xZ2 and None for each of its two non-even ones."""
+    """_character_rows on the rows chi / beta with the factor beta gives
+    back each even character of Z2xZ2 and -1 (none) for each of its two
+    non-even ones."""
     S = z2xz2()
-    zero = fn(S, [0, 0, 0, 0])
-    session = classify_mod._Session("cos-sub", zero, zero, S, chars["Z2xZ2"],
-                                    TOL)
-    for chi in chars["Z2xZ2"]:
-        found = session.character(chi.values / beta, beta)
-        assert found is (chi if chi.even else None)
+    evens, values, _, _ = classify_mod._by_parity(tuple(chars["Z2xZ2"]), S.n)
+    H = np.array([chi.values / beta for chi in chars["Z2xZ2"]])
+    found = classify_mod._character_rows(
+        H, np.full(len(H), beta, dtype=complex), values, TOL)
+    for chi, k in zip(chars["Z2xZ2"], found.tolist()):
+        assert (evens[k] if k >= 0 else None) is (chi if chi.even else None)
 
 
 def test_classify_rejects_non_solutions():

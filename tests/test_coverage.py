@@ -1,6 +1,7 @@
 """Batched coverage reports against the plain per-pair classification loop."""
 
 import importlib
+import itertools
 import random
 
 import numpy as np
@@ -202,6 +203,63 @@ def test_settled_rows_are_classify_outcomes():
                     "cos-sine-g/4", "cos-sine-g/5", "cos-sine-g/6",
                     "cos-sine-g/7", "cos-sine-g/8chi", "alpha-sym/8chi",
                     "alpha-skew/5", "alpha-skew/6"}
+
+
+def test_both_drivers_attempt_one_stage_order(monkeypatch):
+    """Row by row, classify_rows attempts the cases that classify's walk
+    attempts for that pair, in the same order, up to the first hit (cases
+    of cos-sine-g's walk for alpha-sym): the grid solutions of Z2xZ2, N3,
+    M3 and NP4 for every equation, at tol 1e-9 and at 0.3, where misses
+    happen.  At 0.3 the default alphabet's rows miss only alpha-skew/4
+    before /5, so SMALL_ALPHABET (alpha-skew/3 before /2) and
+    THIRDS_ALPHABET (cos-sine-g/4 before /7 and /6) run there too.
+    classify runs on a spread of the rows of each sequence the batch
+    attempts."""
+    walked, settled = [], []
+    candidates = classify_mod._Session.candidates
+    settle = classify_mod._Batch.settle
+
+    def walk(self):
+        for case, params in candidates(self):
+            walked.append(case)
+            yield case, params
+
+    def batch(self, case, rows, params):
+        for r in rows.tolist():
+            settled[r].append(case)
+        settle(self, case, rows, params)
+    monkeypatch.setattr(classify_mod._Session, "candidates", walk)
+    monkeypatch.setattr(classify_mod._Batch, "settle", batch)
+    runs = [(DEFAULT_ALPHABET, 1e-9), (DEFAULT_ALPHABET, 0.3),
+            (SMALL_ALPHABET, 0.3), (THIRDS_ALPHABET, 0.3)]
+    missed = set()
+    for S in (z2xz2(), n3(), m3(), np4()):
+        chars = enumerate_characters(S)
+        for (alphabet, tol), eq in itertools.product(runs, BUILTIN_EQUATIONS):
+            alpha = 1.0 if eq in ALPHA_EQS else None
+            sols = grid_solutions(eq, S, alphabet, alpha=alpha, tol=tol)
+            settled[:] = [[] for _ in range(len(sols.f))]
+            classify_mod.classify_rows(eq, sols.f, sols.g, S, alpha=alpha,
+                                       tol=tol, chars=chars)
+            orders = {}
+            for i, order in enumerate(settled):
+                orders.setdefault(tuple(order), []).append(i)
+            for order, rows in orders.items():
+                for i in spread(rows, 3):
+                    walked.clear()
+                    f, g = sols[i]
+                    try:
+                        classify_mod.classify(eq, f, g, S, alpha=alpha,
+                                              chars=chars, tol=tol)
+                    except ValueError:          # beta within tol of 0
+                        pass
+                    assert tuple(walked) == order, (S.name, eq, tol, i)
+                if len(order) > 1:
+                    missed.add(tuple(map(str, order)))
+    assert missed >= {("alpha-skew/4", "alpha-skew/5"),
+                      ("alpha-skew/3", "alpha-skew/2"),
+                      ("cos-sine-g/4", "cos-sine-g/7"),
+                      ("cos-sine-g/4", "cos-sine-g/6")}
 
 
 def test_grid_solutions_never_touch_the_classifier(monkeypatch):

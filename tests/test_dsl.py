@@ -309,8 +309,9 @@ def test_the_column_compile_matches_the_per_assignment_loop():
 
 
 def test_the_compile_calls_sigma_once_per_distinct_element():
-    """f(x s(y)) = f(x)*g(y) on example 1's window of 15 points: one sigma
-    call per distinct y, and one product per assignment."""
+    """On example 1's window of 15 points: one sigma call per distinct y,
+    and one product per assignment, however many applications share the
+    word x s(y) (the alpha equations apply it to f and to g)."""
     W = example1(window_max=16)
     calls = Counter()
 
@@ -322,10 +323,13 @@ def test_the_compile_calls_sigma_once_per_distinct_element():
         calls["sig"] += 1
         return W.sig(a)
     counted = WindowedSemigroup("Example1-counted", mul, sig, W.window)
-    calls.clear()
-    kernel = dsl._Kernel(parse_equation("f(x s(y)) = f(x)*g(y)"), counted)
-    assert calls == {"sig": 15, "mul": 225}
-    assert kernel.points == dsl._Kernel(kernel.ast, W).points
+    for source in ("f(x s(y)) = f(x)*g(y)", BUILTIN_EQUATIONS["cos-sub"],
+                   BUILTIN_EQUATIONS["alpha-sym"],
+                   BUILTIN_EQUATIONS["alpha-skew"]):
+        calls.clear()
+        kernel = dsl._Kernel(parse_equation(source), counted)
+        assert calls == {"sig": 15, "mul": 225}, source
+        assert kernel.points == dsl._Kernel(kernel.ast, W).points
 
 
 def test_windowed_functions_are_called_once_per_distinct_element():
