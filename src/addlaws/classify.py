@@ -201,7 +201,10 @@ _LSTSQ_ROWS = 256
 def _coords(H: np.ndarray, u: np.ndarray, v: np.ndarray, tol: float):
     """The coordinates (a, b) of each row h of H in span{u, v}, from
     np.linalg.lstsq(M, H.T) with M = [u v], and whether h lies in the span
-    within tol: the max norm of a u + b v - h is not above it."""
+    within tol: the max norm of a u + b v - h is not above it.  A stack
+    of no rows has no coordinates and an empty fit."""
+    if not len(H):
+        return [], np.zeros(0, dtype=bool)
     M = np.stack([u, v], axis=1)
     a, b = np.concatenate(
         [np.linalg.lstsq(M, H[r:r + _LSTSQ_ROWS].T, rcond=None)[0]

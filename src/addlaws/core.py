@@ -232,8 +232,9 @@ class WindowedSemigroup:
     most :data:`TRIPLE_SAMPLES` of them, else on that many triples drawn
     with seed 0 (a full check would be cubic in the window size).  The
     sampled triples are the draws of ``random.Random(0).choice`` on the
-    window, in the same order, taken from ``getrandbits`` in blocks; this
-    adds no option.
+    window, in the same order, taken from ``getrandbits`` in blocks (see
+    :func:`_draws`); this adds no option.  Either way the check walks
+    triples of window indices, read from the window one triple at a time.
     ``kernels`` memoizes the equations compiled on this carrier by
     :func:`addlaws.dsl.evaluate_residual`, as on a finite one.
     """
@@ -266,13 +267,15 @@ class WindowedSemigroup:
                 if sig(mul(x, y)) != mul(sx, sy):
                     raise SemigroupError(
                         f"sigma is not multiplicative at ({x!r}, {y!r})")
-        if len(w) ** 3 <= TRIPLE_SAMPLES:
-            triples = itertools.product(w, repeat=3)
+        n = len(w)
+        if n ** 3 <= TRIPLE_SAMPLES:
+            triples = itertools.product(range(n), repeat=3)
         else:
-            picks = map(w.__getitem__, itertools.islice(
-                _draws(random.Random(0), len(w)), 3 * TRIPLE_SAMPLES))
+            picks = itertools.islice(_draws(random.Random(0), n),
+                                     3 * TRIPLE_SAMPLES)
             triples = zip(picks, picks, picks)
-        for x, y, z in triples:
+        for i, j, k in triples:
+            x, y, z = w[i], w[j], w[k]
             if mul(mul(x, y), z) != mul(x, mul(y, z)):
                 raise SemigroupError(
                     f"non-associative at ({x!r}, {y!r}, {z!r})")
@@ -280,24 +283,24 @@ class WindowedSemigroup:
 
 def _draws(rng: random.Random, n: int):
     """The values ``rng.randrange(n)`` returns, one after another, for ``n``
-    below 2**32, drawn 1,024 32-bit words at a time.
+    below 2**32, drawn 4,096 32-bit words at a time.
 
     ``randrange`` (and so ``choice`` and ``randint``) keeps the top
     ``n.bit_length()`` bits of one word and draws again while they are
     ``n`` or more; ``getrandbits(32 * block)`` returns the same words, the
     first in the lowest bits.  Endless: take what is needed.  Each block's
-    values are one list, and the iterator reads the lists one after another,
-    so no frame runs per value.  ``rng`` runs ahead of the values taken, so
-    it is the iterator's alone.
+    values are one list (its kept words, by ``np.compress``), and the
+    iterator reads the lists one after another, so no frame runs per value.
+    ``rng`` runs ahead of the values taken, so it is the iterator's alone.
     """
     shift = 32 - n.bit_length()
-    block = 1024
+    block = 4096
 
     def next_block() -> list:
         words = np.frombuffer(
             rng.getrandbits(32 * block).to_bytes(4 * block, "little"), "<u4")
         picks = words >> shift
-        return picks[picks < n].tolist()
+        return picks.compress(picks < n).tolist()
     return itertools.chain.from_iterable(iter(next_block, None))
 
 

@@ -25,8 +25,8 @@ one numpy gather of the bound functions' values at the points, each
 term's factors multiplied and the terms summed in AST order.  A finite
 carrier's points are its element indices, and a bound table is gathered
 as it stands; a windowed carrier's points are the elements reached, and
-each bound function is called once per point.  Both kinds of carrier give
-the same floats for the same values.
+each bound function is called once per point its applications read.  Both
+kinds of carrier give the same floats for the same values.
 """
 
 from __future__ import annotations
@@ -328,25 +328,6 @@ def _word_column(word: Word, env: dict, mul, sig) -> list:
     return column
 
 
-def _bound_values(name: str, fn, points: tuple, finite: bool) -> np.ndarray:
-    """The value table of one bound function symbol at a kernel's points.
-
-    On a finite carrier, whose points are its element indices, a table is
-    read as it stands: its last axis runs over the elements and its leading
-    axes are rows.  Anything else is bound once (see
-    :func:`addlaws.core._evaluator`) and called once per point.
-    """
-    table = fn.values if finite and isinstance(fn, FnTable) else fn
-    if finite and isinstance(table, np.ndarray):
-        if table.shape[-1:] != (len(points),):
-            got = table.shape[-1] if table.ndim else 0
-            raise ValueError(f"table bound to {name!r} has {got} values "
-                             f"but |S| = {len(points)}")
-        return table
-    ev = _evaluator(fn)
-    return np.array([complex(ev(e)) for e in points], dtype=np.complex128)
-
-
 def _check_binding(funcs, uses_a: bool, binding: dict) -> None:
     for name in funcs:
         if name not in binding:
@@ -370,11 +351,12 @@ class _Kernel:
     a finite carrier's elements, so that bound tables are read as they
     stand.  Each term is (negated, coeff, rows): ``negated`` folds the
     term's sign with its side of the equation, and ``rows`` lists the
-    term's applications.
+    term's applications.  ``reads`` is None until a binding is evaluated
+    rather than read as a table (see :meth:`_bound_values`).
     """
 
     __slots__ = ("ast", "points", "finite", "fns", "uses_a", "index",
-                 "terms")
+                 "terms", "reads")
 
     def __init__(self, ast: Equation, S):
         self.ast = ast
@@ -404,15 +386,51 @@ class _Kernel:
                                            np.intp, len(col))
                                + self.fns.index(app.fn) * n
                                for app, col in zip(apps, cols)])
+        self.reads = None
+
+    def _read_slots(self) -> list:
+        """For each function symbol, the slots of the points its
+        applications read, in point order, and those points."""
+        read = np.zeros(len(self.fns) * len(self.points), dtype=bool)
+        read[self.index] = True
+        return [(slots, [self.points[i] for i in slots.tolist()])
+                for slots in map(np.flatnonzero,
+                                 read.reshape(len(self.fns), -1))]
+
+    def _bound_values(self, k: int, fn) -> np.ndarray:
+        """The value table of function symbol k, bound to `fn`, at the
+        points.
+
+        On a finite carrier, whose points are its element indices, a table
+        is read as it stands: its last axis runs over the elements and its
+        leading axes are rows.  Anything else is bound once (see
+        :func:`addlaws.core._evaluator`) and called once at each slot that
+        symbol k's applications read, worked out the first time and kept
+        in ``reads``; the other slots, which no gather reads, hold 0.
+        """
+        n = len(self.points)
+        table = fn.values if self.finite and isinstance(fn, FnTable) else fn
+        if self.finite and isinstance(table, np.ndarray):
+            if table.shape[-1:] != (n,):
+                got = table.shape[-1] if table.ndim else 0
+                raise ValueError(f"table bound to {self.fns[k]!r} has {got} "
+                                 f"values but |S| = {n}")
+            return table
+        if self.reads is None:
+            self.reads = self._read_slots()
+        slots, points = self.reads[k]
+        ev = _evaluator(fn)
+        values = np.zeros(n, dtype=np.complex128)
+        values[slots] = [complex(ev(e)) for e in points]
+        return values
 
     def residuals(self, binding: dict) -> np.ndarray:
         """max |LHS - RHS| per row of the bound tables: each term's factors
         multiplied in AST order, the terms summed in AST order.  Stacked
         tables (equal leading axes) give one residual per row; plain
         tables give one scalar."""
-        tables = np.concatenate([_bound_values(name, binding[name],
-                                               self.points, self.finite)
-                                 for name in self.fns], axis=-1)
+        tables = np.concatenate([self._bound_values(k, binding[name])
+                                 for k, name in enumerate(self.fns)], axis=-1)
         # With the element axis first (tables.T, copied element-major so
         # the gather reads contiguous rows), gathered[r] is application r
         # over (assignment, rows...), and .T restores the rows' order.

@@ -117,7 +117,9 @@ def example1(window_max: int = 200) -> WindowedSemigroup:
     extras:
       chi             the indicator of the complement of pN u qN
       additive_family coeffs dict {prime: coefficient} -> AdditiveFn
-      rho_family      (c, parity) -> RhoFn constant on each of the two rays
+      rho_family      (c, parity) -> RhoFn on the prime part: c on its
+                      multiples of p, +-c on those of q; every reader
+                      tests membership first, so its formula does not
       primes          the primes in the window other than p and q
     """
     p, q = 2, 3
@@ -159,8 +161,6 @@ def example1(window_max: int = 200) -> WindowedSemigroup:
         sign = 1 if parity == "even" else -1
 
         def formula(n: int) -> complex:
-            if not in_prime_part(n):
-                return 0j
             return complex(c) if n % p == 0 else sign * complex(c)
         return RhoFn(domain=in_prime_part, formula=formula, parity=parity)
 

@@ -275,7 +275,11 @@ def _spec(case: CaseId) -> CaseSpec:
     return CASES[case.equation][case.case - 1]
 
 
-def _check_fields(case: CaseId, params: CaseParams, S) -> None:
+def _check(case: CaseId, params: CaseParams, S) -> None:
+    """Raise :class:`ConstraintError` naming the first of `construct`'s
+    checks that one pair's parameters fail: the case's fields and
+    constants, a form or ratio case on a carrier that is not finite, then
+    each clause in order (see :func:`_clauses`)."""
     spec = _spec(case)
     # A is 0 on a finite carrier, so only a windowed piecewise case takes it.
     fields = spec.fields | ({"A"} if "rho" in spec.fields and not _finite(S)
@@ -288,6 +292,12 @@ def _check_fields(case: CaseId, params: CaseParams, S) -> None:
     for const in spec.constants:
         if not cmath.isfinite(getattr(params, const.name)):
             raise ConstraintError(f"{const.name} is not finite")
+    if not _finite(S) and (case.equation, case.case) in _FINITE_ONLY:
+        raise ConstraintError("form and ratio cases need a finite carrier")
+    free = None if params.free is None else params.free.values
+    for clause, fails in _clauses(case, S, params, free):
+        if fails:
+            raise ConstraintError(clause)
 
 
 def _finite(S) -> bool:
@@ -667,14 +677,8 @@ def construct(case: CaseId, params: CaseParams, S):
     formula tables.  Where f or g is the caller's own `free`
     table, that table itself is handed back; its values are read-only.
     """
-    _check_fields(case, params, S)
-    if not _finite(S) and (case.equation, case.case) in _FINITE_ONLY:
-        raise ConstraintError("form and ratio cases need a finite carrier")
-    free = None if params.free is None else params.free.values
-    for clause, fails in _clauses(case, S, params, free):
-        if fails:
-            raise ConstraintError(clause)
-    rows = None if free is None else free[None]
+    _check(case, params, S)
+    rows = None if params.free is None else params.free.values[None]
     return tuple([params.free if h is rows else _pair_table(S, h)
                   for h in _tables(case, S, params, rows, _ONE_PAIR)])
 
@@ -742,15 +746,16 @@ class ParamMenu:
     def sample(self, rng) -> CaseParams | None:
         """One random admissible parameter bundle, or None if unavailable.
 
-        Draws are retried through construct() so that every returned bundle
-        is actually accepted.
+        Draws are retried through construct()'s checks, which alone raise
+        ConstraintError, so that every returned bundle is accepted; no
+        tables are built.
         """
         if not self.available:
             return None
         for _ in range(80):
             params = self._draw(rng)
             try:
-                construct(self.case, params, self.S)
+                _check(self.case, params, self.S)
             except ConstraintError:
                 continue
             return params

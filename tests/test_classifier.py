@@ -9,9 +9,11 @@ import random
 import numpy as np
 import pytest
 
+from addlaws.characters import enumerate_characters
 from addlaws.classify import (ALIASES, ClassifiedSolution, NotASolutionError,
-                              Unclassified, alias_equivalent, classify,
-                              linear_dependence, reduce_alpha_sym)
+                              Unclassified, _cos_sub_pair, _two_char_rows,
+                              alias_equivalent, classify, linear_dependence,
+                              reduce_alpha_sym)
 from addlaws.core import FiniteSemigroup, FnTable, cnum, fn, stable_json
 from addlaws.dsl import BUILTIN_EQUATIONS
 from addlaws.families import CaseId, CaseParams, admissible_params, \
@@ -485,3 +487,11 @@ def test_classify_outcomes_byte_identical(carriers, chars):
                             [name, eq, i, tol,
                              _outcome(eq, f, g, S, al, cs, tol)]).encode())
     assert digest.hexdigest() == CLASSIFY_OUTCOME_DIGEST
+
+
+def test_two_character_rows_of_an_empty_stack_are_empty():
+    S = z2xz2()
+    chi1, chi2 = enumerate_characters(S)[:2]
+    rows, constants = _two_char_rows(np.zeros((0, 4)), np.zeros((0, 4)),
+                                     chi1, chi2, _cos_sub_pair, 1e-9)
+    assert rows.size == 0 and constants == []

@@ -229,6 +229,33 @@ def test_a_small_window_checks_every_triple():
         WindowedSemigroup("skew", mul, lambda x: x, window)
 
 
+@pytest.mark.parametrize("n", [21, 22, 37])
+def test_validate_checks_the_seed0_choice_triples_in_order(n):
+    # A counting max records each product; sigma's check makes two per
+    # pair, then each triple makes four: xy, (xy)z, yz and x(yz).  21
+    # points are all checked, in itertools.product order; 22 and 37
+    # (example 1 at window 38) are sampled.
+    w = tuple(range(100, 100 + n))
+    calls = []
+
+    def mul(x, y):
+        calls.append((x, y))
+        return max(x, y)
+
+    WindowedSemigroup("max", mul, lambda x: x, w)
+    if n ** 3 <= TRIPLE_SAMPLES:
+        expected = list(itertools.product(w, repeat=3))
+    else:
+        rng = random.Random(0)
+        expected = [(rng.choice(w), rng.choice(w), rng.choice(w))
+                    for _ in range(TRIPLE_SAMPLES)]
+    products = calls[2 * n * n:]
+    assert len(products) == 4 * len(expected)
+    assert [(x, y, z) for (x, y), (_, z) in zip(products[::4],
+                                               products[1::4])] == expected
+    assert products[2::4] == [(y, z) for _, y, z in expected]
+
+
 @pytest.mark.parametrize("n", [22, 31, 32, 33, 37, 199, 961])
 def test_blocked_draws_are_the_seed0_choice_draws(n):
     # Bit-length edges (31, 32, 33), the smallest sampled window (22) and

@@ -17,6 +17,7 @@ from addlaws.dsl import (BUILTIN_EQUATIONS, KERNEL_MEMO_SIZE,
                          equation_symbols, evaluate_residual, parse_equation,
                          print_equation, random_equation, resolve_equation)
 from addlaws.examples import example1, m3, n3, np4, z1, z2, z3, z2xz2
+from addlaws.families import CaseId, CaseParams, construct
 
 from helpers import TOL, census
 
@@ -348,6 +349,70 @@ def test_windowed_functions_are_called_once_per_distinct_element():
             binding["a"] = 0.5
             assert evaluate_residual(builtin(eq_id), binding, W) >= 0.0
             assert calls and max(calls.values()) == 1, (W.name, eq_id)
+
+
+def test_windowed_functions_are_called_only_where_their_applications_read():
+    """On example 1's window of 15 points, each bound function is called
+    once at each element its own applications reach and nowhere else:
+    under cos-sub, f is read at x and y only, the window."""
+    W = example1(window_max=16)
+    for eq_id in BUILTIN_EQUATIONS:
+        ast = builtin(eq_id)
+        funcs, varset, _ = equation_symbols(ast)
+        names = sorted(varset)
+        apps = [app for expr in (ast.lhs, ast.rhs) for term in expr.terms
+                for app in term.apps]
+        reached = {name: set() for name in funcs}
+        for assignment in itertools.product(W.window, repeat=len(names)):
+            env = dict(zip(names, assignment))
+            for app in apps:
+                reached[app.fn].add(_word_element(app.word, env, W))
+        calls = {name: Counter() for name in funcs}
+
+        def counted(name):
+            def value(x):
+                calls[name][x] += 1
+                return complex(x % 7, len(name))
+            return value
+        binding = {name: counted(name) for name in funcs}
+        binding["a"] = 0.5
+        assert evaluate_residual(ast, binding, W) >= 0.0
+        for name in funcs:
+            assert set(calls[name]) == reached[name], (eq_id, name)
+            assert max(calls[name].values()) == 1, (eq_id, name)
+        if eq_id == "cos-sub":
+            assert set(calls["f"]) == set(W.window)
+            assert len(W.kernels[id(ast)].points) > len(W.window)
+
+
+def test_a_formula_raising_off_the_window_leaves_the_residual_unchanged():
+    # Cos-sub reads f at x and y only; a formula that refuses every other
+    # element gives the same floats, on the solution and off it.
+    W = example1(window_max=16)
+    params = CaseParams(chi=W.extras["chi"],
+                        A=W.extras["additive_family"]({5: 1.0, 7: -0.5}),
+                        rho=W.extras["rho_family"](1.0, "even"))
+    f, g = construct(CaseId("cos-sub", 5, "+"), params, W)
+    window = set(W.window)
+
+    def strict(x):
+        if x not in window:
+            raise AssertionError(f"f read at {x}, off the window")
+        return f(x)
+    ast = builtin("cos-sub")
+    for g_ in (g, lambda x: g(x) + x % 3):
+        expected = evaluate_residual(ast, {"f": f, "g": g_}, W)
+        assert evaluate_residual(ast, {"f": strict, "g": g_}, W) == expected
+    assert expected > 1.0
+
+
+def test_finite_tables_work_out_no_read_slots():
+    # Tables are gathered as they stand; only an evaluated binding asks
+    # which slots its applications read.
+    S = z3()
+    ast = builtin("alpha-sym")
+    evaluate_residual(ast, _random_binding(S, np.random.default_rng(3)), S)
+    assert S.kernels[id(ast)].reads is None
 
 
 def test_kernel_memo_never_hashes_the_ast_and_stays_bounded(monkeypatch):

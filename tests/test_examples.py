@@ -1,5 +1,6 @@
 """The bundled carriers: finite tables and the two windowed examples."""
 
+import dataclasses
 import math
 import random
 
@@ -8,7 +9,10 @@ import pytest
 
 from addlaws.characters import additive_residual, parity_residual
 from addlaws.core import WindowedSemigroup
-from addlaws.examples import (bundled_finite, example_semigroups, m3, np4)
+from addlaws.dsl import builtin, evaluate_residual
+from addlaws.examples import (bundled_finite, example1, example_semigroups,
+                              m3, np4)
+from addlaws.families import CaseId, CaseParams, construct
 
 from helpers import TOL
 
@@ -148,3 +152,23 @@ def test_sample_pairs_are_the_randint_stream(ex2, count, seed, refusals):
     pairs, refused = _randint_pairs(count, seed)
     assert refused == refusals
     assert ex2.extras["sample_pairs"](count, seed) == pairs
+
+
+def test_example1_rho_formula_is_read_on_the_prime_part_only():
+    # Rho's formula does not test membership itself; construct's checks of
+    # cos-sub/5+ and the report's end-to-end residual call it on P only.
+    W = example1(window_max=16)
+    chi = W.extras["chi"]
+    rho = W.extras["rho_family"](1.0, "even")
+    args = []
+
+    def counted(n):
+        args.append(n)
+        return rho.formula(n)
+    params = CaseParams(
+        chi=chi, A=W.extras["additive_family"]({r: 1 for r in
+                                               W.extras["primes"][:4]}),
+        rho=dataclasses.replace(rho, formula=counted))
+    f, g = construct(CaseId("cos-sub", 5, "+"), params, W)
+    assert evaluate_residual(builtin("cos-sub"), {"f": f, "g": g}, W) <= TOL
+    assert args and all(chi.in_prime_part(n) for n in args)

@@ -11,6 +11,7 @@ import re
 import numpy as np
 import pytest
 
+from addlaws import families
 from addlaws.core import (FiniteSemigroup, WindowedSemigroup, cnum, fn,
                           stable_json)
 from addlaws.dsl import BUILTIN_EQUATIONS
@@ -289,6 +290,37 @@ def test_menu_sampling_is_deterministic_and_admissible(carriers, chars):
                 f1, g1 = construct(case, p1, S)
                 f2, g2 = construct(case, p2, S)
                 assert f1.max_abs_diff(f2) == 0 and g1.max_abs_diff(g2) == 0
+
+
+def test_menu_sampling_checks_draws_without_building_tables(
+        carriers, chars, monkeypatch):
+    """`sample` accepts the draws `construct` accepts, using the rng the
+    same way, and builds no tables to decide."""
+    def through_construct(m, rng):
+        for _ in range(80):
+            params = m._draw(rng)
+            try:
+                construct(m.case, params, m.S)
+            except ConstraintError:
+                continue
+            return params, rng.random()
+        return None, rng.random()
+
+    for name in ("Z2xZ2", "N3", "M3", "NP4"):
+        S = carriers[name]
+        menus = [admissible_params(case, S, chars[name])
+                 for eq in BUILTIN_EQUATIONS for case in all_case_ids(eq)]
+        expected = [through_construct(m, random.Random(seed))
+                    for m in menus if m.available for seed in range(3)]
+        with monkeypatch.context() as patch:
+            def no_tables(*args):
+                raise AssertionError("sample built tables")
+            patch.setattr(families, "_tables", no_tables)
+            got = [(m.sample(rng), rng.random()) for m in menus
+                   if m.available for seed in range(3)
+                   for rng in [random.Random(seed)]]
+        assert [(_param_record(p) if p else p, r) for p, r in got] == \
+            [(_param_record(p) if p else p, r) for p, r in expected], name
 
 
 def test_constructed_pairs_solve_their_equation(carriers, chars):
