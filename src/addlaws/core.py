@@ -227,12 +227,14 @@ class WindowedSemigroup:
     ``mul`` (the product) and ``sig`` (the automorphism) must be total
     computable maps on the carrier, whose elements are hashable.
     Construction validates sig's involutivity and multiplicativity on all
-    window pairs, evaluating sig once per window point (and once per
-    product), and associativity on every window triple when there are at
-    most :data:`TRIPLE_SAMPLES` of them, else on that many triples drawn
-    with seed 0 (a full check would be cubic in the window size).  The
-    sampled triples are the draws of ``random.Random(0).choice`` on the
-    window, in the same order, taken from ``getrandbits`` in blocks (see
+    window pairs, evaluating sig once per window point and once per
+    product, each product computed once per sig-orbit of window pairs (one
+    product per pair on a window that sig maps onto itself), and
+    associativity on every window triple when there are at most
+    :data:`TRIPLE_SAMPLES` of them, else on that many triples drawn with
+    seed 0 (a full check would be cubic in the window size).  The sampled
+    triples are the draws of ``random.Random(0).choice`` on the window, in
+    the same order, taken from ``getrandbits`` in blocks (see
     :func:`_draws`); this adds no option.  Either way the check walks
     triples of window indices, read from the window one triple at a time.
     ``kernels`` memoizes the equations compiled on this carrier by
@@ -262,11 +264,7 @@ class WindowedSemigroup:
             if sig(sx) != x:
                 raise SemigroupError(f"sigma is not involutive at {x!r}")
             s.append(sx)
-        for x, sx in zip(w, s):
-            for y, sy in zip(w, s):
-                if sig(mul(x, y)) != mul(sx, sy):
-                    raise SemigroupError(
-                        f"sigma is not multiplicative at ({x!r}, {y!r})")
+        _check_multiplicative(sig, mul, w, s)
         n = len(w)
         if n ** 3 <= TRIPLE_SAMPLES:
             triples = itertools.product(range(n), repeat=3)
@@ -281,27 +279,81 @@ class WindowedSemigroup:
                     f"non-associative at ({x!r}, {y!r}, {z!r})")
 
 
+def _check_multiplicative(sig: Callable, mul: Callable, w: tuple,
+                          s: list) -> None:
+    """Raise :class:`SemigroupError` naming the first pair (x, y) of points
+    of the window ``w``, in window order, with sig(x y) != sig(x) sig(y);
+    ``s[i]`` is sig(w[i]) and sig is involutive on ``w``.  sig is called
+    once per pair.
+
+    The pairs (x, y) and (sig x, sig y) share their two products: a = x y
+    and b = sig(x) sig(y) give sig(a) = b for the one and sig(b) = a for
+    the other.  So the pairs of x are checked with those of its partner
+    sig(x), and when sig fixes x, the pair (x, y) with (x, sig y): one
+    product per pair on a window that sig maps onto itself, and no row of
+    products is kept.  A pair whose image lies outside the window is
+    checked on its own.
+    """
+    n = len(w)
+    at = {x: j for j, x in enumerate(w)}
+    image = [at.get(sx, n) for sx in s]     # n: sig(w[j]) is not in w
+    outside = [(y, sy) for y, sy, m in zip(w, s, image) if m == n]
+    for i, (x, sx, k) in enumerate(zip(w, s, image)):
+        if k == n:                          # sig(x) is not in w
+            for y, sy in zip(w, s):
+                if sig(mul(x, y)) != mul(sx, sy):
+                    raise _not_multiplicative(sig, mul, w, s, x, y)
+        elif k == i:                        # (x, y) with (x, sig y)
+            for j, (y, sy, m) in enumerate(zip(w, s, image)):
+                if m < j:
+                    continue
+                a = mul(x, y)
+                b = a if m == j else mul(x, sy)
+                if sig(a) != b or j < m < n and sig(b) != a:
+                    raise _not_multiplicative(sig, mul, w, s, x, y)
+        elif k > i:                         # the pairs of x and of sig(x)
+            for y, sy, m in zip(w, s, image):
+                a, b = mul(x, y), mul(sx, sy)
+                if sig(a) != b or m < n and sig(b) != a:
+                    raise _not_multiplicative(sig, mul, w, s, x, y)
+            for y, sy in outside:
+                if sig(mul(sx, y)) != mul(x, sy):
+                    raise _not_multiplicative(sig, mul, w, s, sx, y)
+        # k < i: x's pairs were checked with those of its partner w[k]
+
+
+def _not_multiplicative(sig, mul, w, s, x, y) -> SemigroupError:
+    """The error for a failed check of the sigma law, naming the first
+    failing pair in window order by a plain scan (or (x, y), the pair at
+    hand, if the scan finds none)."""
+    x, y = next(((x, y) for x, sx in zip(w, s) for y, sy in zip(w, s)
+                 if sig(mul(x, y)) != mul(sx, sy)), (x, y))
+    return SemigroupError(f"sigma is not multiplicative at ({x!r}, {y!r})")
+
+
 def _draws(rng: random.Random, n: int):
     """The values ``rng.randrange(n)`` returns, one after another, for ``n``
-    below 2**32, drawn 4,096 32-bit words at a time.
+    below 2**32, drawn in blocks of 1,024, then 2,048, then 4,096 32-bit
+    words each, so that a short draw converts few words.
 
     ``randrange`` (and so ``choice`` and ``randint``) keeps the top
     ``n.bit_length()`` bits of one word and draws again while they are
-    ``n`` or more; ``getrandbits(32 * block)`` returns the same words, the
-    first in the lowest bits.  Endless: take what is needed.  Each block's
-    values are one list (its kept words, by ``np.compress``), and the
-    iterator reads the lists one after another, so no frame runs per value.
-    ``rng`` runs ahead of the values taken, so it is the iterator's alone.
+    ``n`` or more; ``getrandbits(32 * size)`` returns the next ``size``
+    words, the first in the lowest bits, so the block sizes do not change
+    the values.  Endless: take what is needed.  Each block's values are
+    one list (its kept words, by ``np.compress``), and the iterator reads
+    the lists one after another, so no frame runs per value.  ``rng``
+    runs ahead of the values taken, so it is the iterator's alone.
     """
     shift = 32 - n.bit_length()
-    block = 4096
 
-    def next_block() -> list:
+    def block(size: int) -> list:
         words = np.frombuffer(
-            rng.getrandbits(32 * block).to_bytes(4 * block, "little"), "<u4")
+            rng.getrandbits(32 * size).to_bytes(4 * size, "little"), "<u4")
         picks = words >> shift
         return picks.compress(picks < n).tolist()
-    return itertools.chain.from_iterable(iter(next_block, None))
+    sizes = itertools.chain((1024, 2048), itertools.repeat(4096))
+    return itertools.chain.from_iterable(map(block, sizes))
 
 
 def _evaluator(f) -> Callable:

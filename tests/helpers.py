@@ -326,6 +326,16 @@ def carrier_zoo():
             t2_conjugation(), free_semilattice_3()]
 
 
+def product(A, B):
+    """A x B under the coordinatewise product, with sigma x sigma; its
+    elements are pairs of element indices, and FiniteSemigroup checks
+    associativity and the automorphism."""
+    return _by_rule(f"{A.name}x{B.name}",
+                    itertools.product(range(A.n), range(B.n)),
+                    lambda x, y: (A.mul(x[0], y[0]), B.mul(x[1], y[1])),
+                    lambda x: (A.sig(x[0]), B.sig(x[1])))
+
+
 def twisted_monoid(swap: bool = True):
     """The monoid {1, g, p, q, 0} with g^2 = 1, gp = q and gq = p, but pg =
     p and qg = q, and every product of two of p, q and 0 equal to 0; sigma

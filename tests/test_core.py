@@ -231,8 +231,9 @@ def test_a_small_window_checks_every_triple():
 
 @pytest.mark.parametrize("n", [21, 22, 37])
 def test_validate_checks_the_seed0_choice_triples_in_order(n):
-    # A counting max records each product; sigma's check makes two per
-    # pair, then each triple makes four: xy, (xy)z, yz and x(yz).  21
+    # A counting max records each product; sigma's check makes one per
+    # pair on this window, which sigma = id maps onto itself, then each
+    # triple makes four: xy, (xy)z, yz and x(yz).  21
     # points are all checked, in itertools.product order; 22 and 37
     # (example 1 at window 38) are sampled.
     w = tuple(range(100, 100 + n))
@@ -249,7 +250,7 @@ def test_validate_checks_the_seed0_choice_triples_in_order(n):
         rng = random.Random(0)
         expected = [(rng.choice(w), rng.choice(w), rng.choice(w))
                     for _ in range(TRIPLE_SAMPLES)]
-    products = calls[2 * n * n:]
+    products = calls[n * n:]
     assert len(products) == 4 * len(expected)
     assert [(x, y, z) for (x, y), (_, z) in zip(products[::4],
                                                products[1::4])] == expected
@@ -343,6 +344,92 @@ def test_a_non_multiplicative_sigma_names_its_first_pair():
     with pytest.raises(SemigroupError,
                        match=r"^sigma is not multiplicative at \(5, 6\)$"):
         WindowedSemigroup("swap", max, sig, range(1, 12))
+
+
+@pytest.mark.parametrize("products, first", [
+    ({(1, 5): 50, (8, 5): 100}, (8, 5)),
+    ({(1, 5): 50, (8, 5): 100, (3, 4): 60}, (3, 4)),
+    ({(3, 1): 70, (3, 8): 71}, (3, 8)),
+], ids=["partner-pair-only", "earlier-pair-in-a-later-orbit",
+        "fixed-x-swapped-y-only"])
+def test_sigma_law_failures_are_named_in_window_order(products, first):
+    # Every product is 0 but those listed; sigma swaps 1 and 8 and is
+    # only involutive on the window.  (1, 5) holds, as sigma(50) = 100 =
+    # 8 * 5, but its partner pair (8, 5) fails, as sigma(100) = 7, not
+    # 1 * 5 = 50, and is checked with it.  The bug at (3, 4) comes later
+    # in orbit order but first in window order.  sigma fixes 3, so (3, 1)
+    # and (3, 8) share their products: the first holds and the second
+    # does not.
+    swap = {1: 8, 8: 1, 50: 100, 100: 7, 60: 61, 70: 71, 71: 5}
+
+    def mul(x, y):
+        return products.get((x, y), 0)
+
+    def sig(x):
+        return swap.get(x, x)
+
+    x, y = first
+    with pytest.raises(SemigroupError, match=rf"^sigma is not "
+                       rf"multiplicative at \({x}, {y}\)$"):
+        WindowedSemigroup("null", mul, sig, range(10))
+
+
+def _swap_2_3(x):
+    """Example 1's sigma: the exponents of 2 and 3 in x trade places."""
+    a = b = 0
+    while x % 2 == 0:
+        x, a = x // 2, a + 1
+    while x % 3 == 0:
+        x, b = x // 3, b + 1
+    return x * 2 ** b * 3 ** a
+
+
+@pytest.mark.parametrize("bump, first", [
+    (None, None),
+    ((27, 5), (8, 5)),
+    ((3, 27), (2, 8)),
+    ((2, 27), (3, 8)),
+], ids=["passes", "x-image-outside", "y-image-outside",
+        "partner-y-image-outside"])
+def test_a_window_sigma_maps_partly_outside_itself(bump, first):
+    # sigma(8) = 27 lies outside the window 2..9, so each bump breaks one
+    # pair, whose image pair is not in the window: (8, 5), whose x has no
+    # partner there; (2, 8), whose x does; and (3, 8), the partner 3 of 2
+    # with that same y.  sigma is called once per point and per pair all
+    # the same.
+    calls = []
+
+    def sig(x):
+        calls.append(x)
+        return _swap_2_3(x)
+
+    def mul(x, y):
+        return x * y + ((x, y) == bump)
+
+    w = range(2, 10)
+    if first is None:
+        WindowedSemigroup("ex1-style", mul, sig, w)
+        assert len(calls) == 2 * len(w) + len(w) ** 2
+    else:
+        x, y = first
+        with pytest.raises(SemigroupError, match=rf"^sigma is not "
+                           rf"multiplicative at \({x}, {y}\)$"):
+            WindowedSemigroup("ex1-style", mul, sig, w)
+
+
+@pytest.mark.parametrize("window, mul, sig, error", [
+    ((5,), max, lambda x: x, None),
+    ((5,), lambda x, y: x * y, lambda x: x + (x == 25), r"\(5, 5\)"),
+    ((2,), lambda x, y: x * y, _swap_2_3, None),
+    ((2,), lambda x, y: x * y + (x == 3), _swap_2_3, r"\(2, 2\)"),
+], ids=["fixed", "fixed-fails", "partner-outside", "partner-outside-fails"])
+def test_a_one_point_window(window, mul, sig, error):
+    if error is None:
+        assert WindowedSemigroup("one", mul, sig, window).window == window
+    else:
+        with pytest.raises(SemigroupError,
+                           match=rf"^sigma is not multiplicative at {error}$"):
+            WindowedSemigroup("one", mul, sig, window)
 
 
 @pytest.mark.parametrize("op", [
