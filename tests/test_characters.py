@@ -1,6 +1,7 @@
 """Multiplicative-function enumeration, ideal partitions, additive and
 rho parameter spaces."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -14,13 +15,43 @@ from addlaws.characters import (SNAP_TOL, AdditiveFn, MultChar, RhoFn,
                                 check_condition_II, element_periods,
                                 enumerate_characters, ideal_sets,
                                 parity_residual, rho_space)
-from addlaws.core import EPS
+from addlaws.core import EPS, FiniteSemigroup, cnum, stable_json
 from addlaws.examples import example1, example2, m3, n3, np4, z2, z3
 from addlaws.families import (CaseId, CaseParams, ConstraintError,
                               construct, construct_rows)
 
-from helpers import (TOL, brute_force_characters, left_unit_carrier,
-                     match_tables, swapped_semilattice, twisted_monoid)
+from helpers import (TOL, brute_force_characters, carrier_zoo, census,
+                     left_unit_carrier, match_tables, product,
+                     swapped_semilattice, twisted_monoid)
+
+#: SHA-256 of every rho space of RHO_CARRIERS (each character, both
+#: parities): each orbit's representative, members, multipliers and
+#: whether it is forced to zero.  Pinned before rho_space took its
+#: relations from the table that construct's piecewise clauses gather.
+RHO_SPACE_DIGEST = ("e23008eeaf4722d1455bbb689017d41f"
+                    "940047264694bbebade37a46d205a15f")
+
+
+def rho_carriers():
+    """The census of order n <= 4, the carrier zoo, and M3 and NP4 with
+    their products with Z2, Z3, M3 and N3."""
+    for n in (1, 2, 3, 4):
+        for k, (table, sigma) in enumerate(census(n)):
+            yield FiniteSemigroup(f"C{n}.{k}", [str(x) for x in range(n)],
+                                  table, sigma)
+    yield from carrier_zoo()
+    for A in (m3(), np4()):
+        yield A
+        yield from (product(A, B) for B in (z2(), z3(), m3(), n3()))
+
+
+def rho_spaces():
+    """(S, chi, parity, rho_space) for each character of rho_carriers()
+    and each parity."""
+    for S in rho_carriers():
+        for chi in enumerate_characters(S):
+            for parity in ("even", "odd"):
+                yield S, chi, parity, rho_space(chi, S, parity)
 
 
 def test_enumeration_matches_brute_force(carriers, chars):
@@ -141,6 +172,18 @@ def test_rho_space_np4_carries_both_parities():
     assert parity_residual(r_odd, S) <= TOL
     with pytest.raises(ValueError, match="free value"):
         even.instance([1.0, 2.0], S.n)
+
+
+def test_rho_spaces_byte_identical():
+    digest, count = hashlib.sha256(), 0
+    for S, chi, parity, space in rho_spaces():
+        digest.update(stable_json([
+            S.name, parity, [cnum(z) for z in chi.values],
+            [[o.representative, [[x, cnum(w)] for x, w in o.members.items()],
+              o.zero_forced] for o in space.orbits]]).encode())
+        count += 1
+    assert count == 1560
+    assert digest.hexdigest() == RHO_SPACE_DIGEST
 
 
 def test_condition_II_detects_mixed_products():

@@ -27,6 +27,11 @@ from helpers import swapped_semilattice
 REPORT_EXAMPLES_DIGEST = ("5f7c9998b644dad97d9890f3402b09e9"
                           "e00c538f9844ad7af2f46634a8f450f1")
 
+#: SHA-256 of the exit codes, stdout and stderr of the chars, rho and
+#: additive runs in test_character_commands_byte_identical.
+CHARACTER_COMMANDS_DIGEST = ("dfd9af85ca537b3a1d16a5e5a5d28487"
+                             "2bca8dec1d100f79988d5c4833e2f873")
+
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
 
 #: The arguments of every `$ addlaws ...` line of README.md.
@@ -663,6 +668,36 @@ def test_report_examples_byte_identical(capsys):
         out = capsys.readouterr().out
         digest.update(f"{' '.join(argv)} -> {code}\n{out}".encode())
     assert digest.hexdigest() == REPORT_EXAMPLES_DIGEST
+
+
+def test_character_commands_byte_identical(capsys, tmp_path):
+    """Exit codes and output of `chars`, and of `rho` and `additive` for
+    every character index and both parities, hash to a pinned digest: on
+    the five bundled finite carriers by name and on M3 and NP4 read from
+    files.  No other test reads the orbit multipliers `rho` prints."""
+    carriers = ["Z1", "Z2", "Z3", "Z2xZ2", "N3"]
+    for S in (m3(), np4()):
+        path = tmp_path / f"{S.name}.json"
+        path.write_text(S.to_json())
+        carriers.append(str(path))
+    digest = hashlib.sha256()
+
+    def record(label, argv):
+        code = main(argv)
+        out = capsys.readouterr()
+        digest.update(f"{label} -> {code}\n{out.out}{out.err}".encode())
+        return code, out.out
+    for carrier in carriers:
+        name = Path(carrier).stem
+        code, out = record(f"chars {name}", ["chars", "-s", carrier])
+        assert code == EXIT_OK
+        for k in range(json.loads(out.splitlines()[-1])["count"]):
+            for parity in ("even", "odd"):
+                for command in ("rho", "additive"):
+                    record(f"{command} {name} {k} {parity}",
+                           [command, "-s", carrier, "--char", str(k),
+                            "--parity", parity])
+    assert digest.hexdigest() == CHARACTER_COMMANDS_DIGEST
 
 
 @pytest.mark.parametrize("command", README_COMMANDS,
