@@ -13,6 +13,7 @@ gather (:func:`_gaps`) of a finite table, a stack of rows or a formula.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
@@ -44,14 +45,17 @@ class MultChar:
     Caches the null ideal I, its square I^2, the prime part P, the
     composition with the automorphism, and the evenness flag; `in_ideal`
     and `in_prime_part` test membership as on a :class:`WindowedChar`.
-    Raises ValueError when the values are zero or not multiplicative.  As
-    in :class:`FnTable`, a writable array is copied, so the caller can
-    neither change the values through it nor find it frozen.
+    Raises ValueError when the values are not finite, zero or not
+    multiplicative.  As in :class:`FnTable`, a writable array is copied,
+    so the caller can neither change the values through it nor find it
+    frozen.
     """
 
     def __init__(self, S: FiniteSemigroup, values):
         self.semigroup = S
         self.values = v = read_only(np.asarray(values, dtype=np.complex128))
+        if not np.all(np.isfinite(v)):
+            raise ValueError("multiplicative function must be finite")
         self.conj = v[S.sigma]
         self.even = bool(np.all(np.abs(self.conj - v) <= EPS))
         self.null_ideal, self.null_square, self.prime_part = \
@@ -394,32 +398,21 @@ def rho_space(chi: MultChar, S: FiniteSemigroup,
               parity: str = "even") -> RhoSpace:
     """Orbit decomposition of P with propagated multipliers.
 
-    Relations: rho(u p) = chi(u) rho(p), rho(p v) = chi(v) rho(p) for u, v
-    outside the ideal, and rho o sigma = +/- rho.  Conflicting relations on
-    an orbit force rho = 0 there instead of failing.
+    Solves the first two runs of :func:`_relation_table`, condition (I)
+    and rho o sigma = +/- rho: each relation (t, s, c) with both ends in P
+    is an edge s -> t weighted c and t -> s weighted 1/c.  Conflicting
+    relations on an orbit force rho = 0 there instead of failing.
     """
     if parity not in ("even", "odd"):
         raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
     P = sorted(chi.prime_part)
-    non_ideal = sorted(set(range(S.n)) - chi.null_ideal)
-    sign = 1.0 if parity == "even" else -1.0
-
-    # Undirected weighted edges p --w--> q meaning rho(q) = w * rho(p).
+    *table, ends, _ = _relation_table(chi, parity)
+    # Weighted edges p --w--> q meaning rho(q) = w * rho(p).
     edges: dict[int, list[tuple[int, complex]]] = {p: [] for p in P}
-
-    def add_edge(p: int, q: int, w: complex) -> None:
-        if p in edges and q in edges:
-            edges[p].append((q, w))
-            edges[q].append((p, 1.0 / w))
-
-    for p in P:
-        for u in non_ideal:
-            cu = chi(u)
-            add_edge(p, S.mul(u, p), cu)
-            add_edge(p, S.mul(p, u), cu)
-        sp = S.sig(p)
-        if sp in edges:
-            add_edge(p, sp, sign + 0j)
+    for t, s, c in zip(*(column[:ends[1]].tolist() for column in table)):
+        if t in edges and s in edges:
+            edges[s].append((t, c))
+            edges[t].append((s, 1.0 / c))
 
     space = RhoSpace(parity=parity)
     seen: set[int] = set()
@@ -479,6 +472,31 @@ def _relations(chi, S):
                                  for z in (mul(x, y), mul(y, x))]))
              for x in edge)
     return cond_I(), ((z, z, [0] * len(z)) for z in mixed)
+
+
+@functools.lru_cache(maxsize=64)
+def _relation_table(chi: MultChar, parity: str) -> tuple:
+    """The relations on rho of a parity for a finite chi, as one table for
+    :func:`_gaps`: three arrays in four runs, condition (I) (see
+    :func:`_relations`), sigma p to p by +-1 on the prime part P, p to p
+    by 0, and the products of (II) in P; then where each run ends, and
+    whether every target of (I) lies in P.  :func:`rho_space` solves the
+    first two runs and construct's piecewise clauses gather all four.  (I)
+    comes first: rho_space follows the edges in table order, and the
+    multipliers it reports on an orbit forced to zero depend on it."""
+    S, P = chi.semigroup, sorted(chi.prime_part)
+    cond_I, cond_II = _relations(chi, S)
+    cond_I = list(cond_I)
+    z = [x for zs, _, _ in cond_II for x in zs if x in chi.prime_part]
+    runs = [[rel for rel, _ in cond_I],
+            [_sigma_relations(S, P, 1.0 if parity == "even" else -1.0)],
+            [(P, P, [0] * len(P))], [(z, z, [0] * len(z))]]
+    sites = ([x for run in runs for rel in run for x in rel[k]]
+             for k in range(3))
+    return (*map(np.array, sites, (np.intp, np.intp, np.complex128)),
+            list(itertools.accumulate(sum(len(rel[0]) for rel in run)
+                                      for run in runs)),
+            all(closed for _, closed in cond_I))
 
 
 def check_condition_I(rho, chi, S) -> bool:

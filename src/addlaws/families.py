@@ -32,7 +32,6 @@ parameters for them.
 from __future__ import annotations
 
 import cmath
-import functools
 import itertools
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -40,7 +39,7 @@ from functools import cached_property
 import numpy as np
 
 from .characters import (AdditiveFn, RhoFn, WindowedChar, _gaps,
-                         _relations, _sigma_relations, check_condition_I,
+                         _relation_table, check_condition_I,
                          check_condition_II, conjugate_representatives,
                          parity_residual, rho_space)
 from .core import EPS, FiniteSemigroup, FnTable, square_set
@@ -335,6 +334,8 @@ def _clauses(case: CaseId, S, p: CaseParams, free):
             yield clause, not (_finite(T) and _finite(S)
                                and np.array_equal(T.table, S.table)
                                and np.array_equal(T.sigma, S.sigma))
+    if free is not None:
+        yield "free is not finite", ~np.all(np.isfinite(free), axis=-1)
     rho = p.rho
     if rho is not None and _finite(S):
         yield "rho is not a function on the prime part of chi", not (
@@ -380,29 +381,6 @@ def _every_row(v, rows: int):
     return v[None] if rows == 1 else v[None].repeat(rows, axis=0)
 
 
-@functools.lru_cache(maxsize=64)
-def _piece_sites(chi, parity: str) -> tuple:
-    """The relations a finite chi's piecewise clauses gather for rho of a
-    parity (see :func:`addlaws.characters._gaps`): three arrays in four
-    runs, sigma p to p by +-1 on the prime part P, condition (I) (see
-    :func:`addlaws.characters._relations`), p to p by 0, and the products
-    of (II) in P; then where each run ends, and whether every target of (I)
-    lies in P."""
-    S, P = chi.semigroup, sorted(chi.prime_part)
-    cond_I, cond_II = _relations(chi, S)
-    cond_I = list(cond_I)
-    z = [x for zs, _, _ in cond_II for x in zs if x in chi.prime_part]
-    runs = [[_sigma_relations(S, P, 1.0 if parity == "even" else -1.0)],
-            [rel for rel, _ in cond_I], [(P, P, [0] * len(P))],
-            [(z, z, [0] * len(z))]]
-    sites = ([x for run in runs for rel in run for x in rel[k]]
-             for k in range(3))
-    return (*map(np.array, sites, (np.intp, np.intp, np.complex128)),
-            list(itertools.accumulate(sum(len(rel[0]) for rel in run)
-                                      for run in runs)),
-            all(closed for _, closed in cond_I))
-
-
 def _piece_rows(S, p: CaseParams, s_chi, s):
     """chi (s_chi + s A) off chi's null ideal I, 0 on I \\ P and s rho on
     the prime part P.  On a finite carrier A is 0, and the table has one
@@ -432,11 +410,11 @@ def _piece_clauses(S, chi, rho, parity: str):
     has the case's parity, conditions (I) and (II) hold, and rho is not
     zero (nor then is the piece chi A | 0 | rho, A = 0)."""
     R = _rho_rows(S, rho)
-    target, source, factor, (a, b, c, d), closed = _piece_sites(chi, parity)
-    good = _gaps(R, target, source, factor) <= EPS
+    *table, (a, b, c, d), closed = _relation_table(chi, parity)
+    good = _gaps(R, *table) <= EPS
     yield (f"rho parity must be {parity}",
-           (rho.parity != parity) | ~good[:, :a].all(axis=-1))
-    yield "condition (I) fails", (not closed) | ~good[:, a:b].all(axis=-1)
+           (rho.parity != parity) | ~good[:, a:b].all(axis=-1))
+    yield "condition (I) fails", (not closed) | ~good[:, :a].all(axis=-1)
     yield "rho vanishes", good[:, b:c].all(axis=-1)
     yield "condition (II) fails", ~good[:, c:d].all(axis=-1)
 

@@ -24,10 +24,12 @@ packed bits of `_site_residual` within tol over every (f, g) value at
 the new element.  A table is filled on demand, once per key, over the
 distinct keys a block of the frontier meets that it does not yet know,
 so its verdicts are the floats of the same expression.  Tables are kept
-across scans in `_TABLES`, keyed by `_site_residual` itself, the
+across scans in `_TABLES`, keyed by the scan inputs alone: the
 equation, the alphabet in its order, alpha, tol and the site's pattern
 (where x, y and x sigma(y) sit among the earlier elements and the new
-one).  The cache keeps at most TABLE_CACHE_SIZE = 64 tables, the
+one); code that replaces `_site_residual` must also give the scan an
+empty `_TABLES`, since a table fills from whichever `_site_residual` the
+module holds when it meets a new key.  The cache keeps at most TABLE_CACHE_SIZE = 64 tables, the
 oldest going first; a table takes m^(2k) (1 + ceil(m^2 / 8)) bytes for
 an alphabet of m values, so the cache holds at most ~5 MB at m = 9.
 
@@ -174,12 +176,12 @@ class _SiteTable:
     A table takes m^(2k) (1 + ceil(m^2 / 8)) bytes, 78,732 at m = 9.
     """
 
-    __slots__ = ("residual", "equation", "vals", "alpha", "tol", "slots",
-                 "known", "bits")
+    __slots__ = ("equation", "vals", "alpha", "tol", "slots", "known",
+                 "bits")
 
-    def __init__(self, residual, equation: str, vals: np.ndarray,
-                 alpha: complex, tol: float, slots: tuple[int, int, int]):
-        self.residual, self.equation, self.vals = residual, equation, vals
+    def __init__(self, equation: str, vals: np.ndarray, alpha: complex,
+                 tol: float, slots: tuple[int, int, int]):
+        self.equation, self.vals = equation, vals
         self.alpha, self.tol, self.slots = alpha, tol, slots
         m, k = len(vals), max(slots)
         self.known = np.zeros(m ** (2 * k), dtype=bool)
@@ -199,8 +201,8 @@ class _SiteTable:
             g_at = [vals[pairs[:, i] % m, None, None]
                     for i in range(k)] + [vals[None, :]]
             x, y, p = self.slots
-            R = self.residual(self.equation, f_at[x], f_at[y], f_at[p],
-                              g_at[x], g_at[y], g_at[p], self.alpha)
+            R = _site_residual(self.equation, f_at[x], f_at[y], f_at[p],
+                               g_at[x], g_at[y], g_at[p], self.alpha)
             ok = np.broadcast_to(np.abs(R) <= self.tol, (len(new), m, m))
             self.bits[new] = np.packbits(ok.reshape(len(new), m * m), axis=1)
             self.known[new] = True
@@ -219,20 +221,19 @@ def _site_table(equation: str, values: tuple, alpha: complex, tol: float,
                 slots: tuple[int, int, int]) -> _SiteTable:
     """The cached verdict table of one site pattern.
 
-    The key holds `_site_residual` itself, the equation, the alphabet in
-    its order, alpha, tol and the pattern (the slots, which fix k), so a
-    scan with any of them changed, or with `_site_residual` replaced,
-    gets its own table.  At most TABLE_CACHE_SIZE tables are kept, ~5 MB
-    at m = 9.
+    The key holds the equation, the alphabet in its order, alpha, tol and
+    the pattern (the slots, which fix k), so a scan with any of them
+    changed gets its own table.  At most TABLE_CACHE_SIZE tables are kept,
+    ~5 MB at m = 9.
     """
-    key = (_site_residual, equation, values, alpha, tol, slots)
+    key = (equation, values, alpha, tol, slots)
     table = _TABLES.get(key)
     if table is None:
         if len(_TABLES) >= TABLE_CACHE_SIZE:
             del _TABLES[next(iter(_TABLES))]
         table = _TABLES[key] = _SiteTable(
-            _site_residual, equation, np.array(values, dtype=np.complex128),
-            alpha, tol, slots)
+            equation, np.array(values, dtype=np.complex128), alpha, tol,
+            slots)
     return table
 
 

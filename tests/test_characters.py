@@ -16,7 +16,8 @@ from addlaws.characters import (SNAP_TOL, AdditiveFn, MultChar, RhoFn,
                                 enumerate_characters, ideal_sets,
                                 parity_residual, rho_space)
 from addlaws.core import EPS, FiniteSemigroup, cnum, stable_json
-from addlaws.examples import example1, example2, m3, n3, np4, z2, z3
+from addlaws.examples import (example1, example2, m3, n3, np4, z1, z2,
+                               z3)
 from addlaws.families import (CaseId, CaseParams, ConstraintError,
                               construct, construct_rows)
 
@@ -186,6 +187,35 @@ def test_rho_spaces_byte_identical():
     assert digest.hexdigest() == RHO_SPACE_DIGEST
 
 
+def test_rho_space_instances_pass_the_checks_and_construct():
+    """Each non-zero rho space, given seeded non-zero free values, yields
+    a rho that satisfies condition (I) and its parity and that construct
+    takes with its chi: in sine-add/5 when even, in alpha-skew/6 when
+    odd.  No free orbit holds a product where condition (II) asks for a
+    zero, so the solver never offers a rho that (II) refuses."""
+    rng, count = np.random.default_rng(0), 0
+    for S, chi, parity, space in rho_spaces():
+        if not space.dimension:
+            continue
+        count += 1
+        d = space.dimension
+        rho = space.instance(rng.uniform(0.5, 2, d)
+                             + 1j * rng.uniform(-1, 1, d), S.n)
+        assert check_condition_I(rho, chi, S)
+        assert parity_residual(rho, S) <= EPS
+        if parity == "even":
+            construct(CaseId("sine-add", 5), CaseParams(chi=chi, rho=rho), S)
+        else:
+            construct(CaseId("alpha-skew", 6),
+                      CaseParams(alpha=1.0, c=2.0, chi=chi, rho=rho), S)
+        off = [y for y in S.window if not chi.in_ideal(y)]
+        zeros = {z for x in chi.null_ideal - chi.prime_part for y in off
+                 for z in (S.mul(x, y), S.mul(y, x))}
+        assert not zeros & {x for o in space.orbits if not o.zero_forced
+                            for x in o.members}
+    assert count == 50
+
+
 def test_condition_II_detects_mixed_products():
     S = m3()
     chi = enumerate_characters(S)[0]
@@ -235,6 +265,15 @@ def test_mult_char_copies_a_writable_array():
     frozen = np.array([1, 1], complex)
     frozen.setflags(write=False)
     assert MultChar(z2(), frozen).values is frozen
+
+
+@pytest.mark.parametrize("make,values", [(z1, [math.nan]),
+                                         (z2, [math.inf, 1])])
+def test_mult_char_refuses_non_finite_values(make, values):
+    # Refused before conj and the ideal sets are worked out, so no numpy
+    # warning comes first (the suite turns warnings into errors).
+    with pytest.raises(ValueError, match="must be finite"):
+        MultChar(make(), values)
 
 
 def test_additive_basis_refuses_a_windowed_carrier(ex1):

@@ -228,6 +228,26 @@ def test_non_finite_constants_are_refused(case, name, params_fn, value,
         construct(case, params_fn(chars["Z2"][1], value), z2())
 
 
+@pytest.mark.parametrize("case,values", [
+    (CaseId("sine-add", 1), [np.nan, 1, 0]),
+    (CaseId("sine-add", 2), [0, np.nan, 0]),
+    (CaseId("cos-sine-g", 3), [0, np.inf, 0]),
+], ids=["sine-add/1", "sine-add/2", "cos-sine-g/3"])
+def test_non_finite_free_tables_are_refused(case, values):
+    S = n3()
+    with pytest.raises(ConstraintError, match="^free is not finite$"):
+        construct(case, CaseParams(free=fn(S, values)), S)
+
+
+@pytest.mark.parametrize("case", [CaseId("sine-add", 1),
+                                  CaseId("sine-add", 2)], ids=str)
+def test_construct_rows_refuses_non_finite_free_rows(case):
+    rows = np.array([[0, np.nan, 0], [0, np.inf, 0], [np.nan, 1, 0],
+                     [0, 1, 0]], dtype=complex)
+    ok, _, _ = construct_rows(case, n3(), CaseParams(free=rows), 4)
+    assert ok.tolist() == [False, False, False, True]
+
+
 def test_nan_rho_is_refused():
     S = m3()
     chi = enumerate_characters(S)[0]            # [1, 0, 0], P = {p}

