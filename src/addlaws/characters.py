@@ -54,7 +54,7 @@ class MultChar:
     def __init__(self, S: FiniteSemigroup, values):
         self.semigroup = S
         self.values = v = read_only(np.asarray(values, dtype=np.complex128))
-        if not np.all(np.isfinite(v)):
+        if not np.isfinite(v).all():
             raise ValueError("multiplicative function must be finite")
         self.conj = v[S.sigma]
         self.even = bool(np.all(np.abs(self.conj - v) <= EPS))
@@ -398,16 +398,17 @@ def rho_space(chi: MultChar, S: FiniteSemigroup,
               parity: str = "even") -> RhoSpace:
     """Orbit decomposition of P with propagated multipliers.
 
-    Solves the first two runs of :func:`_relation_table`, condition (I)
-    and rho o sigma = +/- rho: each relation (t, s, c) with both ends in P
-    is an edge s -> t weighted c and t -> s weighted 1/c.  Conflicting
-    relations on an orbit force rho = 0 there instead of failing.
+    S is chi's carrier.  Solves the first two runs of
+    :func:`_relation_table`, condition (I) and rho o sigma = +/- rho: each
+    relation (t, s, c) with both ends in P is an edge s -> t weighted c
+    and t -> s weighted 1/c.  Conflicting relations on an orbit force rho
+    = 0 there instead of failing.
     """
     if parity not in ("even", "odd"):
         raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
     P = sorted(chi.prime_part)
     *table, ends, _ = _relation_table(chi, parity)
-    # Weighted edges p --w--> q meaning rho(q) = w * rho(p).
+    # Undirected weighted edges p --w--> q meaning rho(q) = w * rho(p).
     edges: dict[int, list[tuple[int, complex]]] = {p: [] for p in P}
     for t, s, c in zip(*(column[:ends[1]].tolist() for column in table)):
         if t in edges and s in edges:

@@ -335,7 +335,7 @@ def _clauses(case: CaseId, S, p: CaseParams, free):
                                and np.array_equal(T.table, S.table)
                                and np.array_equal(T.sigma, S.sigma))
     if free is not None:
-        yield "free is not finite", ~np.all(np.isfinite(free), axis=-1)
+        yield "free is not finite", ~np.isfinite(free).all(axis=-1)
     rho = p.rho
     if rho is not None and _finite(S):
         yield "rho is not a function on the prime part of chi", not (

@@ -24,14 +24,14 @@ packed bits of `_site_residual` within tol over every (f, g) value at
 the new element.  A table is filled on demand, once per key, over the
 distinct keys a block of the frontier meets that it does not yet know,
 so its verdicts are the floats of the same expression.  Tables are kept
-across scans in `_TABLES`, keyed by the scan inputs alone: the
-equation, the alphabet in its order, alpha, tol and the site's pattern
-(where x, y and x sigma(y) sit among the earlier elements and the new
-one); code that replaces `_site_residual` must also give the scan an
-empty `_TABLES`, since a table fills from whichever `_site_residual` the
-module holds when it meets a new key.  The cache keeps at most TABLE_CACHE_SIZE = 64 tables, the
-oldest going first; a table takes m^(2k) (1 + ceil(m^2 / 8)) bytes for
-an alphabet of m values, so the cache holds at most ~5 MB at m = 9.
+across scans in `_TABLES`, keyed by the scan inputs alone: the equation,
+the alphabet in its order, alpha, tol and the site's pattern (where x, y
+and x sigma(y) sit among the earlier elements and the new one).  A table
+fills from the module's `_site_residual` when it meets a new key, so code
+that replaces that function must also swap in an empty `_TABLES`.  The
+cache keeps at most TABLE_CACHE_SIZE = 64 tables, the oldest going
+first; a table takes m^(2k) (1 + ceil(m^2 / 8)) bytes for an alphabet
+of m values, so the cache holds at most ~5 MB at m = 9.
 
 A coverage report classifies each equation's stacks in chunks of rows.
 :func:`addlaws.classify.classify_rows` re-checks every row's residual and

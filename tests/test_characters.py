@@ -25,7 +25,7 @@ from helpers import (TOL, brute_force_characters, carrier_zoo, census,
                      left_unit_carrier, match_tables, product,
                      swapped_semilattice, twisted_monoid)
 
-#: SHA-256 of every rho space of RHO_CARRIERS (each character, both
+#: SHA-256 of every rho space of rho_carriers() (each character, both
 #: parities): each orbit's representative, members, multipliers and
 #: whether it is forced to zero.  Pinned before rho_space took its
 #: relations from the table that construct's piecewise clauses gather.
