@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import weakref
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
@@ -70,10 +71,6 @@ class MultChar:
 
     def __call__(self, i: int) -> complex:
         return complex(self.values[i])
-
-    @property
-    def fn(self) -> FnTable:
-        return FnTable(self.semigroup, values=self.values)
 
     def multiplicativity_residual(self) -> float:
         S, v = self.semigroup, self.values
@@ -173,8 +170,27 @@ def _snap(value: complex, candidates: Sequence[complex]) -> complex | None:
     return None
 
 
-def enumerate_characters(S: FiniteSemigroup) -> list[MultChar]:
+def enumerate_characters(S: FiniteSemigroup) -> tuple[MultChar, ...]:
     """All non-zero multiplicative functions on S, canonically ordered.
+
+    S keeps their tables (:func:`_character_tables`), so the search runs
+    once per carrier, and weak references to the characters built from
+    them: while any caller holds those (the classifier's caches included),
+    every call returns the same :class:`MultChar` objects.  Strong ones
+    would make S and its characters a reference cycle, and a dropped
+    carrier would wait for Python's cycle collector.
+    """
+    chars = tuple(ref() for ref in getattr(S, "_characters", ()))
+    if not chars or None in chars:
+        if not hasattr(S, "_character_tables"):
+            S._character_tables = _character_tables(S)
+        chars = tuple(MultChar(S, v) for v in S._character_tables)
+        S._characters = tuple(map(weakref.ref, chars))
+    return chars
+
+
+def _character_tables(S: FiniteSemigroup) -> tuple:
+    """The value tables of S's characters in canonical order.
 
     Backtracking over the per-element candidate sets with constraint
     propagation through the multiplication table; complete because the
@@ -225,9 +241,7 @@ def enumerate_characters(S: FiniteSemigroup) -> list[MultChar]:
                 values[t] = None
 
     search()
-    chars = [MultChar(S, v) for v in found]
-    chars.sort(key=MultChar.key)
-    return chars
+    return tuple(sorted(found, key=_values_key))
 
 
 def ideal_sets(chi):
@@ -271,9 +285,9 @@ class AdditiveFn:
 RhoFn = AdditiveFn
 
 
-def additive_basis(S, chi, parity: str = "even") -> list[AdditiveFn]:
+def additive_basis(chi, parity: str = "even") -> list[AdditiveFn]:
     """Basis of {A on S \\ I : A(xy) = A(x) + A(y), A o sigma = +/-A}: empty
-    on every finite S.
+    on every finite carrier S of chi.
 
     Proof: S \\ I is closed under products, and each x in it has x^m =
     x^(m+p) for some m, p >= 1, so additivity gives m A(x) = (m+p) A(x),
@@ -281,8 +295,9 @@ def additive_basis(S, chi, parity: str = "even") -> list[AdditiveFn]:
     a parity other than even or odd, and ValueError when sigma maps a
     point of S \\ I into I, where A o sigma is not defined.
     """
-    if not isinstance(S, FiniteSemigroup):
+    if not isinstance(chi, MultChar):
         raise TypeError("additive_basis needs a finite semigroup")
+    S = chi.semigroup
     if parity not in ("even", "odd"):
         raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
     if any(chi.in_ideal(S.sig(x)) for x in S.window if not chi.in_ideal(x)):
@@ -394,16 +409,18 @@ class RhoSpace:
                      parity=self.parity)
 
 
-def rho_space(chi: MultChar, S: FiniteSemigroup,
-              parity: str = "even") -> RhoSpace:
+def rho_space(chi: MultChar, parity: str = "even") -> RhoSpace:
     """Orbit decomposition of P with propagated multipliers.
 
-    S is chi's carrier.  Solves the first two runs of
-    :func:`_relation_table`, condition (I) and rho o sigma = +/- rho: each
-    relation (t, s, c) with both ends in P is an edge s -> t weighted c
-    and t -> s weighted 1/c.  Conflicting relations on an orbit force rho
-    = 0 there instead of failing.
+    Solves the first two runs of :func:`_relation_table`, condition (I)
+    and rho o sigma = +/- rho: each relation (t, s, c) with both ends in
+    P is an edge s -> t weighted c and t -> s weighted 1/c.  Conflicting
+    relations on an orbit force rho = 0 there instead of failing.  Raises
+    TypeError for a windowed carrier's character and ValueError on a
+    parity other than even or odd.
     """
+    if not isinstance(chi, MultChar):
+        raise TypeError("rho_space needs a finite semigroup")
     if parity not in ("even", "odd"):
         raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
     P = sorted(chi.prime_part)
@@ -441,18 +458,17 @@ def rho_space(chi: MultChar, S: FiniteSemigroup,
     return space
 
 
-def _relations(chi, S):
-    """Conditions (I) and (II) of chi over S.window as blocks (targets,
-    sources, factors) of relations for :func:`_gaps`, each built as it is
-    read: a pair of iterators.  The first yields, for each p of the prime
+def _relations(chi):
+    """Conditions (I) and (II) of chi over its carrier's window as blocks
+    (targets, sources, factors) of relations for :func:`_gaps`, each built as
+    it is read: a pair of iterators.  The first yields, for each p of the prime
     part P in window order, its block: up and pu to p by chi(u) for each u
-    outside the ideal I, then u(pv) to p by chi(uv) for each u, v outside
-    I, with whether every target lies in P (each distinct target tested
-    once).  The second yields, for each x in I \\ P, the distinct products
-    xy and yx with y outside I, each to itself by 0: where (II) asks for
-    zeros."""
-    mul, in_P = S.mul, chi.in_prime_part
-    off = [x for x in S.window if not chi.in_ideal(x)]
+    outside the ideal I, then u(pv) to p by chi(uv) for each u, v outside I,
+    with whether every target lies in P (each distinct target tested once).
+    The second yields, for each x in I \\ P, the distinct products xy and yx
+    with y outside I, each to itself by 0: where (II) asks for zeros."""
+    S, in_P = chi.semigroup, chi.in_prime_part
+    mul, off = S.mul, [x for x in S.window if not chi.in_ideal(x)]
 
     def cond_I():
         P = [x for x in S.window if in_P(x)]
@@ -486,7 +502,7 @@ def _relation_table(chi: MultChar, parity: str) -> tuple:
     comes first: rho_space follows the edges in table order, and the
     multipliers it reports on an orbit forced to zero depend on it."""
     S, P = chi.semigroup, sorted(chi.prime_part)
-    cond_I, cond_II = _relations(chi, S)
+    cond_I, cond_II = _relations(chi)
     cond_I = list(cond_I)
     z = [x for zs, _, _ in cond_II for x in zs if x in chi.prime_part]
     runs = [[rel for rel, _ in cond_I],
@@ -500,7 +516,7 @@ def _relation_table(chi: MultChar, parity: str) -> tuple:
             all(closed for _, closed in cond_I))
 
 
-def check_condition_I(rho, chi, S) -> bool:
+def check_condition_I(rho, chi) -> bool:
     """Translation compatibility of rho over the prime part P.
 
     For p in P and u, v outside the ideal: up, pu and u(pv) lie in P with
@@ -509,14 +525,14 @@ def check_condition_I(rho, chi, S) -> bool:
     carriers quantify u, v and p over the window only.
     """
     return all(closed and _worst(_gaps(rho, *rel)) <= EPS
-               for rel, closed in _relations(chi, S)[0])
+               for rel, closed in _relations(chi)[0])
 
 
-def check_condition_II(f, chi, S) -> bool:
+def check_condition_II(f, chi) -> bool:
     """Vanishing of f on mixed products: f(xy) = f(yx) = 0 whenever one
     factor is in I \\ P and the other outside I (see :func:`_relations`)."""
     return all(_worst(_gaps(f, *rel)) <= EPS
-               for rel in _relations(chi, S)[1])
+               for rel in _relations(chi)[1])
 
 
 def parity_residual(fn, S) -> float:

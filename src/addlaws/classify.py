@@ -284,14 +284,13 @@ def _ratio_of(verdict: DependenceVerdict, kind: str,
     return c
 
 
-def _extract_piece(S: FiniteSemigroup, chi: MultChar, H: np.ndarray,
-                   tol: float):
+def _extract_piece(chi: MultChar, H: np.ndarray, tol: float):
     """For each row of H, a table chi A | 0 | rho (on S \\ I, I \\ P and
     P) with A = 0, as on every finite carrier: whether the row vanishes on
     I \\ P within tol and on S \\ I within EPS (A = 0 is exact there, so
     tol does not widen it), and its rho values (the row on P, 0 off P)."""
     edge = chi.null_ideal - chi.prime_part
-    off = set(range(S.n)) - chi.null_ideal
+    off = set(chi.semigroup.window) - chi.null_ideal
     ok = _vanishes_on(H, edge, tol) & _vanishes_on(H, off, EPS)
     rho = np.zeros(H.shape, dtype=np.complex128)
     P = sorted(chi.prime_part)
@@ -573,44 +572,44 @@ def _noneven_rows(walk: str, k: int, chars: list, values: np.ndarray,
 # attempts the case, and a row: rho's values and the case's constants, one
 # entry per row of the stack.
 
-def _cos_sub_piece(S, chi, f, g, alpha, tol):
+def _cos_sub_piece(chi, f, g, alpha, tol):
     """cos-sub/5: i f = chi A | 0 | rho and g = chi +- i f."""
-    ok, rho = _extract_piece(S, chi, 1j * f, tol)
+    ok, rho = _extract_piece(chi, 1j * f, tol)
     return [(branch, ok & (np.abs(g - (chi.values + sign * f)).max(axis=-1)
                            <= tol), {"rho": rho})
             for branch, sign in (("+", 1j), ("-", -1j))]
 
 
-def _matched_piece(S, chi, v, piece, tol):
+def _matched_piece(chi, v, piece, tol):
     """The rows where v matches chi and piece is chi A | 0 | rho, and rho's
     values; nothing where no row matches."""
     hit = _near(v, chi.values[None], tol)[:, 0]
     if not hit.any():
         return []
-    ok, rho = _extract_piece(S, chi, piece, tol)
+    ok, rho = _extract_piece(chi, piece, tol)
     return [(None, hit & ok, {"rho": rho})]
 
 
-def _sine_add_piece(S, chi, f, g, alpha, tol):
+def _sine_add_piece(chi, f, g, alpha, tol):
     """sine-add/5: g = chi and f = chi A | 0 | rho."""
-    return _matched_piece(S, chi, g, f, tol)
+    return _matched_piece(chi, g, f, tol)
 
 
-def _cos_sine_g_7(S, chi, f, g, alpha, tol):
+def _cos_sine_g_7(chi, f, g, alpha, tol):
     """cos-sine-g/7: g = chi and f = chi + (0 | 0 | rho)."""
-    return _matched_piece(S, chi, g, f - chi.values, tol)
+    return _matched_piece(chi, g, f - chi.values, tol)
 
 
-def _cos_sine_g_6(S, chi, f, g, alpha, tol):
+def _cos_sine_g_6(chi, f, g, alpha, tol):
     """cos-sine-g/6: 2f - g = chi and g = chi + (0 | 0 | rho)."""
-    return _matched_piece(S, chi, 2 * f - g, g - chi.values, tol)
+    return _matched_piece(chi, 2 * f - g, g - chi.values, tol)
 
 
-def _alpha_skew_piece(S, chi, f, g, alpha, tol):
+def _alpha_skew_piece(chi, f, g, alpha, tol):
     """alpha-skew/6: F = f/alpha - g = 0 | 0 | rho with odd rho, and
     g = chi + c F."""
     F = f / alpha - g
-    ok, rho = _extract_piece(S, chi, F, tol)
+    ok, rho = _extract_piece(chi, F, tol)
     rows = np.flatnonzero(ok).tolist()
     cs = [None] * len(f)
     for i, c in zip(rows, _ratio(g - chi.values, F, tol, rows)):
@@ -665,7 +664,7 @@ class _Session:
         self.alpha = alpha
         self.attempts: list[str] = []
         (self.evens, self.even_values, self.nonevens,
-         self.noneven_values) = _by_parity(tuple(chars), S.n)
+         self.noneven_values) = _by_parity(chars, S.n)
         self.sq = sorted(square_set(S))
 
     def candidates(self):
@@ -733,7 +732,7 @@ class _Session:
                     yield case, _params(case, None, {"chi": chi}, {}, alpha)
         for k, rule in pieces:
             for chi in self.evens:
-                for branch, ok, row in rule(self.S, chi, F, G, alpha, tol):
+                for branch, ok, row in rule(chi, F, G, alpha, tol):
                     if ok[0]:
                         case = CaseId(walk, k, branch)
                         yield case, _params(case, None, {"chi": chi},
@@ -869,9 +868,9 @@ class _Batch:
     """
 
     def __init__(self, equation: str, F: np.ndarray, G: np.ndarray,
-                 S: FiniteSemigroup, alpha, tol: float, chars):
+                 S: FiniteSemigroup, alpha, tol: float):
         self.equation, self.F, self.G, self.S = equation, F, G, S
-        self.alpha, self.tol, self.chars = alpha, tol, chars
+        self.alpha, self.tol, self.chars = alpha, tol, enumerate_characters(S)
         self.walk, self.Fw = equation, F
         if equation == "alpha-sym":        # the walk of reduce_alpha_sym
             self.walk, self.Fw = "cos-sine-g", (G - F / alpha) / 2
@@ -881,7 +880,7 @@ class _Batch:
         self.independent = np.zeros(len(F), dtype=bool)
         self.sq = sorted(square_set(S))
         (self.evens, self.even_values, self.nonevens,
-         self.noneven_values) = _by_parity(tuple(chars), S.n)
+         self.noneven_values) = _by_parity(self.chars, S.n)
 
     def run(self) -> np.ndarray:
         # Each record is settled before the next one is made, so that a
@@ -973,7 +972,7 @@ class _Batch:
                 return
             Fw, G = self.Fw[at], self.G[at]
             for chi in self.evens:
-                for branch, ok, row in rule(self.S, chi, Fw, G, alpha, tol):
+                for branch, ok, row in rule(chi, Fw, G, alpha, tol):
                     i = np.flatnonzero(ok)
                     yield (CaseId(walk, k, branch), at[i], None, {"chi": chi},
                            _take(row, i))
@@ -982,7 +981,7 @@ class _Batch:
 
 def classify_rows(equation: str, F: np.ndarray, G: np.ndarray,
                   S: FiniteSemigroup, alpha: complex | None = None,
-                  tol: float = EPS, chars=None) -> np.ndarray:
+                  tol: float = EPS) -> np.ndarray:
     """The case :func:`classify` answers for each pair of a stack (rows of
     F, G).
 
@@ -1005,11 +1004,10 @@ def classify_rows(equation: str, F: np.ndarray, G: np.ndarray,
     Returns, for each row, 1 + the index of its case in
     :func:`addlaws.families.all_case_ids` (branch included), or 0 where
     `classify` returns :class:`Unclassified` or raises.  The alpha
-    equations need `alpha` (a TypeError names it when it is missing);
-    `chars` is the enumerate_characters list, worked out here up front,
-    as `classify` does, when it is not given.  Input that `classify`
-    refuses is refused here with the same error, and F and G that are not
-    (rows, |S|) arrays of one shape with a ValueError.
+    equations need `alpha` (a TypeError names it when it is missing).
+    Input that `classify` refuses is refused here with the same error,
+    and F and G that are not (rows, |S|) arrays of one shape with a
+    ValueError.  The characters are S's own, as in :func:`classify`.
     """
     binding = _checked_binding(equation, F, G, S, tol, alpha)
     if not (np.ndim(F) == 2 and np.shape(F) == np.shape(G)
@@ -1020,9 +1018,7 @@ def classify_rows(equation: str, F: np.ndarray, G: np.ndarray,
     bad = np.flatnonzero(~(residual <= tol))
     if bad.size:
         raise _not_a_solution(equation, float(residual[bad[0]]))
-    if chars is None:
-        chars = enumerate_characters(S)
-    return _Batch(equation, F, G, S, binding.get("a"), tol, chars).run()
+    return _Batch(equation, F, G, S, binding.get("a"), tol).run()
 
 
 def classify(equation: str, f: FnTable, g: FnTable, S: FiniteSemigroup,
@@ -1030,16 +1026,16 @@ def classify(equation: str, f: FnTable, g: FnTable, S: FiniteSemigroup,
     """Classify a verified solution pair on a finite semigroup.
 
     For the two alpha equations the constant is taken from `alpha` when
-    given and recovered by least squares otherwise.  `chars` can carry a
-    precomputed enumerate_characters list to share across many calls.
+    given and recovered by least squares otherwise.  The characters are
+    S's own (:func:`addlaws.characters.enumerate_characters`) unless
+    `chars` is given; it stays only for callers that pass it.
     Raises ValueError for a tolerance that is negative or not finite.
     """
     binding = _checked_binding(equation, f, g, S, tol, alpha, fit=True)
     residual = evaluate_residual(builtin(equation), binding, S)
     if not residual <= tol:                 # a NaN residual is no solution
         raise _not_a_solution(equation, residual)
-    if chars is None:
-        chars = enumerate_characters(S)
+    chars = enumerate_characters(S) if chars is None else tuple(chars)
     session = _Session(equation, f, g, S, chars, tol, binding.get("a"))
     hit = session.run()
     if hit is None:

@@ -160,7 +160,8 @@ def _char_payload(S: FiniteSemigroup, chars) -> list[dict]:
     return out
 
 
-def _pick_char(S: FiniteSemigroup, chars, index: int):
+def _pick_char(S: FiniteSemigroup, index: int):
+    chars = enumerate_characters(S)
     if not 0 <= index < len(chars):
         raise CliError(f"character index {index} out of range; "
                        f"{S.name} has {len(chars)} character(s)")
@@ -211,10 +212,9 @@ def _cmd_chars(args) -> int:
 
 def _cmd_additive(args) -> int:
     S = _finite(_resolve_semigroup(args.semigroup))
-    chars = enumerate_characters(S)
-    chi = _pick_char(S, chars, args.char)
+    chi = _pick_char(S, args.char)
     try:
-        basis = additive_basis(S, chi, args.parity)
+        basis = additive_basis(chi, args.parity)
     except ValueError as exc:       # sigma maps S \ I into I
         raise CliError(str(exc)) from exc
     names = S.elements
@@ -233,9 +233,8 @@ def _cmd_additive(args) -> int:
 
 def _cmd_rho(args) -> int:
     S = _finite(_resolve_semigroup(args.semigroup))
-    chars = enumerate_characters(S)
-    chi = _pick_char(S, chars, args.char)
-    space = rho_space(chi, S, args.parity)
+    chi = _pick_char(S, args.char)
+    space = rho_space(chi, args.parity)
     names = S.elements
     payload = {
         "semigroup": S.name, "character": args.char, "parity": args.parity,
@@ -252,8 +251,8 @@ def _cmd_rho(args) -> int:
     return EXIT_OK
 
 
-def _params_from_file(S: FiniteSemigroup, case: CaseId, path: str,
-                      chars) -> CaseParams:
+def _params_from_file(S: FiniteSemigroup, case: CaseId,
+                      path: str) -> CaseParams:
     data = _read_json(path)
     if not isinstance(data, dict):
         raise CliError("parameter file must hold a JSON object")
@@ -266,7 +265,7 @@ def _params_from_file(S: FiniteSemigroup, case: CaseId, path: str,
             idx = data[name]
             if type(idx) is not int:        # a JSON bool is no index
                 raise CliError(f"{name} must be a character index")
-            fields[name] = _pick_char(S, chars, idx)
+            fields[name] = _pick_char(S, idx)
     if "free" in data:
         values = {name: cnum(_as_complex(v, f"free[{name!r}]"))
                   for name, v in
@@ -286,7 +285,7 @@ def _params_from_file(S: FiniteSemigroup, case: CaseId, path: str,
         if coeffs:          # A is 0 on a finite carrier: no basis to weigh
             raise CliError("A.coeffs must give 0 value(s) for "
                            "this character's additive basis")
-        space = rho_space(fields["chi"], S, parity)
+        space = rho_space(fields["chi"], parity)
         rho = _typed(path, "rho", data.get("rho", {}), dict)
         free = [_as_complex(v, "rho.free") for v in
                 _typed(path, "rho.free", rho.get("free", []), list)]
@@ -304,8 +303,7 @@ def _cmd_construct(args) -> int:
         case = CaseId(args.equation, args.case, args.branch)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
-    chars = enumerate_characters(S)
-    params = _params_from_file(S, case, args.params, chars)
+    params = _params_from_file(S, case, args.params)
     try:
         f, g = construct(case, params, S)
     except (ConstraintError, ValueError) as exc:

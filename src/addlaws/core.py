@@ -84,7 +84,8 @@ class FiniteSemigroup:
     associativity, involutivity and multiplicativity of sigma are all
     checked exhaustively.  ``window`` is every element index.  ``kernels``
     memoizes the equations compiled on this carrier by
-    :func:`addlaws.dsl.evaluate_residual`.
+    :func:`addlaws.dsl.evaluate_residual`, and
+    :func:`addlaws.characters.enumerate_characters` keeps what it finds.
     """
 
     def __init__(self, name: str, elements: Sequence[str], table, sigma):

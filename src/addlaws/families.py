@@ -427,11 +427,11 @@ def _formula_piece_clauses(S, p: CaseParams, parity: str):
         h = getattr(p, name)
         yield f"{name} parity must be {parity}", not (
             h.parity == parity and parity_residual(h, S) <= EPS)
-    yield "condition (I) fails", not check_condition_I(p.rho, p.chi, S)
+    yield "condition (I) fails", not check_condition_I(p.rho, p.chi)
     piece = _piece_rows(S, p, 0, 1)
     yield "A and rho both vanish", all(abs(piece(x)) <= EPS
                                        for x in S.window)
-    yield "condition (II) fails", not check_condition_II(piece, p.chi, S)
+    yield "condition (II) fails", not check_condition_II(piece, p.chi)
 
 
 # ---------------------------------------------------------------------------
@@ -677,7 +677,10 @@ def construct_rows(case: CaseId, S: FiniteSemigroup, params: CaseParams,
     ok = np.ones(rows, dtype=bool)
     for _, fails in _clauses(case, S, params, params.free):
         ok &= np.logical_not(fails)
-    f, g = _tables(case, S, params, params.free, ok)
+    free = params.free      # no arithmetic on refused rows: zero them
+    if free is not None and not ok.all():
+        free = np.where(ok[:, None], free, 0)
+    f, g = _tables(case, S, params, free, ok)
     return ok, f, g
 
 
@@ -811,7 +814,7 @@ def admissible_params(case: CaseId, S: FiniteSemigroup,
     elif kind.startswith("piecewise-"):
         parity = kind.removeprefix("piecewise-")
         for chi in evens:       # A is 0 on a finite carrier (additive_basis)
-            space = rho_space(chi, S, parity)
+            space = rho_space(chi, parity)
             if space.dimension > 0:
                 menu.rho_spaces[len(menu.chars)] = space
                 menu.chars.append(chi)

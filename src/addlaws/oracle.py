@@ -348,7 +348,6 @@ def coverage_report(S: FiniteSemigroup, alphabet=DEFAULT_ALPHABET,
     for eq in equations:
         _check_scan(eq, S, values, alpha if eq in ALPHA_EQUATIONS else None,
                     tol, budget)
-    chars = enumerate_characters(S)
     scanned = (len(values) ** S.n) ** 2
     chunk = max(1, BLOCK // (ROW_SPREAD * S.n ** 2))
     report = {
@@ -363,7 +362,7 @@ def coverage_report(S: FiniteSemigroup, alphabet=DEFAULT_ALPHABET,
                                budget=budget)
         settled = np.concatenate(
             [classify_rows(eq, pairs.f[r:r + chunk], pairs.g[r:r + chunk],
-                           S, alpha=a, tol=tol, chars=chars)
+                           S, alpha=a, tol=tol)
              for r in range(0, len(pairs), chunk)])
         ids = all_case_ids(eq)
         cases = {str(ids[k - 1]): int(count) for k, count in
@@ -371,7 +370,7 @@ def coverage_report(S: FiniteSemigroup, alphabet=DEFAULT_ALPHABET,
         dumps = []
         for i in np.flatnonzero(settled == 0):
             f, g = pairs[i]
-            dumps.append(classify(eq, f, g, S, alpha=a, chars=chars,
+            dumps.append(classify(eq, f, g, S, alpha=a,
                                   tol=tol).to_json_dict())
         report["equations"][eq] = {
             "pairs_scanned": scanned,
@@ -391,14 +390,13 @@ def fuzz_constructors(equation: str, n: int = 500, seed: int = 0) -> dict:
     """
     semigroups = bundled_finite()
     rng = random.Random(seed)
-    chars = {S.name: enumerate_characters(S) for S in semigroups}
     ast = builtin(equation)
     result = {"equation": equation, "seed": seed, "draws": 0,
               "max_residual": 0.0, "cases": {}, "unavailable": []}
     for case in all_case_ids(equation):
         menus = []
         for S in semigroups:
-            menu = admissible_params(case, S, chars[S.name])
+            menu = admissible_params(case, S, enumerate_characters(S))
             if menu.available:
                 menus.append(menu)
         if not menus:

@@ -172,7 +172,7 @@ def test_criterion_6_additive_spaces(bundle, chars, ex1, ex2):
     for S in bundle:
         for chi in chars[S.name]:
             for parity in ("even", "odd"):
-                dims.append(len(additive_basis(S, chi, parity)))
+                dims.append(len(additive_basis(chi, parity)))
     A1 = ex1.extras["additive_family"]({5: 1.0, 7: -2.0, 11: 0.5})
     dom = [x for x in ex1.window if A1.in_domain(x)]
     pairs1 = [(x, y) for x in dom for y in dom]
@@ -204,8 +204,8 @@ def test_criterion_7_windowed_end_to_end(ex1):
         for y in range(2, 61):
             lhs = g(x * ex1.sig(y))
             worst = max(worst, abs(lhs - g(x) * g(y) - f(x) * f(y)))
-    cond1 = check_condition_I(rho, chi, ex1)
-    cond2 = check_condition_II(f, chi, ex1)
+    cond1 = check_condition_I(rho, chi)
+    cond2 = check_condition_II(f, chi)
     ok = worst < 1e-9 and cond1 and cond2
     ok_line(ok, "criterion 7 (windowed end-to-end)",
             f"piecewise cos-sub family on the [2, 200] prime-swap window; "

@@ -1,12 +1,16 @@
 """Multiplicative-function enumeration, ideal partitions, additive and
 rho parameter spaces."""
 
+import gc
 import hashlib
 import math
+import operator
+import weakref
 
 import numpy as np
 import pytest
 
+from addlaws import characters
 from addlaws.characters import (SNAP_TOL, AdditiveFn, MultChar, RhoFn,
                                 WindowedChar, _gaps, _relations, _snap,
                                 _worst,
@@ -52,7 +56,7 @@ def rho_spaces():
     for S in rho_carriers():
         for chi in enumerate_characters(S):
             for parity in ("even", "odd"):
-                yield S, chi, parity, rho_space(chi, S, parity)
+                yield S, chi, parity, rho_space(chi, parity)
 
 
 def test_enumeration_matches_brute_force(carriers, chars):
@@ -60,6 +64,51 @@ def test_enumeration_matches_brute_force(carriers, chars):
         expected = brute_force_characters(S)
         got = [c.values for c in chars[name]]
         assert match_tables(expected, got), name
+
+
+def test_a_carrier_keeps_its_characters():
+    # While they are held, every call hands back the same MultChar
+    # objects, so all callers share them.
+    S = np4()
+    chars = enumerate_characters(S)
+    assert type(chars) is tuple
+    assert all(map(operator.is_, enumerate_characters(S), chars))
+    assert all(chi.semigroup is S for chi in chars)
+
+
+def test_the_search_runs_once_per_carrier(monkeypatch):
+    S, searches = z3(), []
+    candidates = characters.character_candidates
+    monkeypatch.setattr(characters, "character_candidates",
+                        lambda T: searches.append(T) or candidates(T))
+    first = [chi.values for chi in enumerate_characters(S)]
+    again = enumerate_characters(S)         # the first tuple is dropped
+    assert searches == [S]
+    assert all(a is chi.values for a, chi in zip(first, again))
+
+
+def test_a_dropped_carrier_needs_no_cycle_collector():
+    # S refers to its characters weakly, so S, its characters and their
+    # tables go as soon as the last reference does.  (The search's own
+    # recursive closures, garbage from the start, go first.)
+    S = m3()
+    chars = enumerate_characters(S)
+    gone = weakref.ref(S)
+    gc.collect()
+    gc.disable()
+    try:
+        del S, chars
+        assert gone() is None
+    finally:
+        gc.enable()
+
+
+def test_a_rebuilt_carrier_enumerates_afresh():
+    first, rebuilt = enumerate_characters(m3()), m3()
+    again = enumerate_characters(rebuilt)
+    assert all(map(operator.is_, enumerate_characters(rebuilt), again))
+    assert not set(map(id, first)) & set(map(id, again))
+    assert [c.key() for c in again] == [c.key() for c in first]
 
 
 def test_enumeration_counts(chars):
@@ -126,12 +175,12 @@ def test_additive_space_is_trivial_on_finite_carriers(carriers, chars):
     for name, S in carriers.items():
         for chi in chars[name]:
             for parity in ("even", "odd"):
-                assert additive_basis(S, chi, parity) == []
+                assert additive_basis(chi, parity) == []
 
 
 def test_additive_parity_argument_checked(chars):
     with pytest.raises(ValueError, match="parity must be"):
-        additive_basis(z2(), chars["Z2"][0], "sideways")
+        additive_basis(chars["Z2"][0], "sideways")
 
 
 def test_additive_basis_refuses_sigma_leaving_the_domain():
@@ -142,17 +191,17 @@ def test_additive_basis_refuses_sigma_leaving_the_domain():
         for parity in ("even", "odd"):
             with pytest.raises(ValueError,
                                match=r"does not preserve S \\ I"):
-                additive_basis(S, chi, parity)
-    assert additive_basis(S, chars[0], "odd") == []
+                additive_basis(chi, parity)
+    assert additive_basis(chars[0], "odd") == []
 
 
 def test_rho_space_m3():
     S = m3()
     chi = enumerate_characters(S)[0]
-    even = rho_space(chi, S, "even")
+    even = rho_space(chi, "even")
     assert even.dimension == 1
     # sigma = id fixes p, so an odd rho must satisfy rho(p) = -rho(p).
-    odd = rho_space(chi, S, "odd")
+    odd = rho_space(chi, "odd")
     assert odd.dimension == 0
     assert [o.zero_forced for o in odd.orbits] == [True]
 
@@ -160,15 +209,15 @@ def test_rho_space_m3():
 def test_rho_space_np4_carries_both_parities():
     S = np4()
     chi = enumerate_characters(S)[0]
-    even = rho_space(chi, S, "even")
-    odd = rho_space(chi, S, "odd")
+    even = rho_space(chi, "even")
+    odd = rho_space(chi, "odd")
     assert even.dimension == 1 and odd.dimension == 1
     r_even = even.instance([2.0], S.n)
     r_odd = odd.instance([2.0], S.n)
     assert r_even(1) == 2.0 and r_even(2) == 2.0
     assert r_odd(1) == 2.0 and r_odd(2) == -2.0
-    assert check_condition_I(r_even, chi, S)
-    assert check_condition_I(r_odd, chi, S)
+    assert check_condition_I(r_even, chi)
+    assert check_condition_I(r_odd, chi)
     assert parity_residual(r_even, S) <= TOL
     assert parity_residual(r_odd, S) <= TOL
     with pytest.raises(ValueError, match="free value"):
@@ -201,7 +250,7 @@ def test_rho_space_instances_pass_the_checks_and_construct():
         d = space.dimension
         rho = space.instance(rng.uniform(0.5, 2, d)
                              + 1j * rng.uniform(-1, 1, d), S.n)
-        assert check_condition_I(rho, chi, S)
+        assert check_condition_I(rho, chi)
         assert parity_residual(rho, S) <= EPS
         if parity == "even":
             construct(CaseId("sine-add", 5), CaseParams(chi=chi, rho=rho), S)
@@ -220,8 +269,8 @@ def test_condition_II_detects_mixed_products():
     S = m3()
     chi = enumerate_characters(S)[0]
     # Edge I \ P = {'0'}; its products with the unit land back at '0'.
-    assert check_condition_II(lambda x: [0, 1, 0][x], chi, S)
-    assert not check_condition_II(lambda x: [0, 1, 1][x], chi, S)
+    assert check_condition_II(lambda x: [0, 1, 0][x], chi)
+    assert not check_condition_II(lambda x: [0, 1, 1][x], chi)
 
 
 def test_parity_and_additive_residuals_keep_a_nan():
@@ -236,8 +285,8 @@ def test_conditions_refuse_nan_tables():
     S = m3()
     chi = enumerate_characters(S)[0]            # [1, 0, 0], P = {p}
     rho = RhoFn(domain=frozenset({1}), values=np.array([0, np.nan, 0]))
-    assert not check_condition_I(rho, chi, S)
-    assert not check_condition_II(lambda x: np.nan, chi, S)
+    assert not check_condition_I(rho, chi)
+    assert not check_condition_II(lambda x: np.nan, chi)
 
 
 def test_element_periods():
@@ -279,7 +328,12 @@ def test_mult_char_refuses_non_finite_values(make, values):
 def test_additive_basis_refuses_a_windowed_carrier(ex1):
     with pytest.raises(TypeError,
                        match="additive_basis needs a finite semigroup"):
-        additive_basis(ex1, ex1.extras["chi"], "even")
+        additive_basis(ex1.extras["chi"], "even")
+
+
+def test_rho_space_refuses_a_windowed_character(ex1):
+    with pytest.raises(TypeError, match="rho_space needs a finite semigroup"):
+        rho_space(ex1.extras["chi"])
 
 
 def test_windowed_character_on_prime_swap_carrier(ex1):
@@ -311,7 +365,7 @@ def test_windowed_rho_family_satisfies_condition_I(ex1):
     chi = ex1.extras["chi"]
     for parity in ("even", "odd"):
         rho = ex1.extras["rho_family"](1.5, parity)
-        assert check_condition_I(rho, chi, ex1)
+        assert check_condition_I(rho, chi)
         assert parity_residual(rho, ex1) <= TOL
 
 
@@ -324,10 +378,10 @@ def test_condition_I_reads_chi_at_each_u_and_product_uv(bent_at):
     W = example1(20)
     chi = W.extras["chi"]
     rho = W.extras["rho_family"](1.5)
-    assert check_condition_I(rho, chi, W)
+    assert check_condition_I(rho, chi)
     bent = WindowedChar(W, lambda x: 2.0 if x == bent_at else chi(x),
                         chi.in_ideal, chi.in_ideal_square, chi.in_prime_part)
-    assert not check_condition_I(rho, bent, W)
+    assert not check_condition_I(rho, bent)
 
 
 def _per_point_even_residual(chi, S):
@@ -411,10 +465,10 @@ def test_residuals_and_conditions_take_plain_callables():
     pairs = [(x, y) for x in W.window for y in W.window]
     assert character_residuals(lambda n: chi(n), W, pairs) == \
         character_residuals(chi, W, pairs)
-    assert check_condition_I(lambda n: rho(n), chi, W)
+    assert check_condition_I(lambda n: rho(n), chi)
     assert not check_condition_I(lambda n: 2 * rho(n) if n == 2 else rho(n),
-                                 chi, W)
-    assert check_condition_II(lambda n: 0, chi, W)
+                                 chi)
+    assert check_condition_II(lambda n: 0, chi)
 
 
 def _per_point_condition_I(rho, chi, S):
@@ -454,7 +508,7 @@ def _finite_condition_inputs(S, chi):
     exists) and one NaN table; each as a table and as a plain callable."""
     tables = []
     for parity in ("even", "odd"):
-        space = rho_space(chi, S, parity)
+        space = rho_space(chi, parity)
         for free in ([1.0] * space.dimension, [2j] * space.dimension):
             tables.append(space.instance(free, S.n).values)
     bent = tables[0].copy()
@@ -476,8 +530,8 @@ def test_finite_conditions_equal_the_per_point_loops(carriers, chars):
             if not chi.even:
                 continue
             for h in _finite_condition_inputs(S, chi):
-                got = (check_condition_I(h, chi, S),
-                       check_condition_II(h, chi, S))
+                got = (check_condition_I(h, chi),
+                       check_condition_II(h, chi))
                 assert got == (_per_point_condition_I(h, chi, S),
                                _per_point_condition_II(h, chi, S)), name
                 verdicts[got] = verdicts.get(got, 0) + 1
@@ -494,7 +548,7 @@ def test_relations_list_condition_I_in_the_per_point_order(make):
     for chi in enumerate_characters(S):
         mul, P = S.mul, sorted(chi.prime_part)
         off = [x for x in S.window if not chi.in_ideal(x)]
-        cond_I, cond_II = _relations(chi, S)
+        cond_I, cond_II = _relations(chi)
         got = [list(zip(*rel)) for rel, _ in cond_I]
         assert got == [[(x, p, chi(u)) for u in off
                         for x in (mul(u, p), mul(p, u))]
@@ -511,7 +565,7 @@ def test_condition_II_reads_both_orders_of_a_mixed_product():
     assert list(chi.values) == [0, 0, 0, 1] and chi.prime_part == {2}
     a = RhoFn(domain=frozenset({1}), values=np.array([0, 1, 0, 0]))
     assert S.mul(3, 1) == 1 and S.mul(1, 3) == 0     # e a = a, a e = 0
-    assert not check_condition_II(a, chi, S)
+    assert not check_condition_II(a, chi)
     assert not _per_point_condition_II(a, chi, S)
 
 
@@ -521,17 +575,17 @@ def test_the_twisted_monoid_is_not_commutative_where_it_counts():
     assert list(chi.values) == [1, 1, 0, 0, 0]
     assert chi.prime_part == {2, 3}
     assert S.mul(1, 2) != S.mul(2, 1)           # gp = q, pg = p
-    rho = rho_space(chi, S, "even").instance([1.5], S.n)
-    assert check_condition_I(rho, chi, S)
+    rho = rho_space(chi, "even").instance([1.5], S.n)
+    assert check_condition_I(rho, chi)
     bent = RhoFn(domain=chi.prime_part, values=np.array([0, 0, 1.5, 2, 0]))
-    assert not check_condition_I(bent, chi, S)
+    assert not check_condition_I(bent, chi)
     assert not _per_point_condition_I(bent, chi, S)
     # For chi(g) = -1, rho(q) = -rho(p) holds every relation up to p
     # (gp = q, gq = p), and only pg = p, asking rho(p) = -rho(p), fails.
     minus = enumerate_characters(S)[0]
     assert np.allclose(minus.values, [1, -1, 0, 0, 0])
     rho = RhoFn(domain=minus.prime_part, values=np.array([0, 0, 1, -1, 0]))
-    assert not check_condition_I(rho, minus, S)
+    assert not check_condition_I(rho, minus)
     assert not _per_point_condition_I(rho, minus, S)
 
 
@@ -546,21 +600,21 @@ def test_windowed_conditions_equal_the_per_point_loops(window):
     rhos += [lambda n: rho(n) + (1 if n == 10 else 0),
              lambda n: math.nan if n == 14 else rho(n)]
     for h in rhos:
-        assert check_condition_I(h, chi, W) == \
+        assert check_condition_I(h, chi) == \
             _per_point_condition_I(h, chi, W)
-    assert [check_condition_I(h, chi, W) for h in rhos[-2:]] == [False] * 2
+    assert [check_condition_I(h, chi) for h in rhos[-2:]] == [False] * 2
     # 10 = 5 * 2 is a target of (I); a prime part without it is not closed.
     narrow = WindowedChar(W, chi.formula, chi.in_ideal, chi.in_ideal_square,
                           lambda n: n != 10 and chi.in_prime_part(n))
-    assert check_condition_I(rho, narrow, W) is False
+    assert check_condition_I(rho, narrow) is False
     assert _per_point_condition_I(rho, narrow, W) is False
     f, _ = construct(CaseId("cos-sub", 5, "+"),
                      CaseParams(chi=chi, A=A, rho=rho), W)
     fs = [f, lambda n: 1, lambda n: math.nan if n == 20 else f(n)]
     for h in fs:
-        assert check_condition_II(h, chi, W) == \
+        assert check_condition_II(h, chi) == \
             _per_point_condition_II(h, chi, W)
-    assert [check_condition_II(h, chi, W) for h in fs] == [True, False, False]
+    assert [check_condition_II(h, chi) for h in fs] == [True, False, False]
 
 
 def _moved(values, S, x, delta):
@@ -579,8 +633,8 @@ def test_a_rho_row_moved_at_a_condition_I_target(name, carriers):
     S = carriers.get(name) or twisted_monoid(False)
     case = CaseId("cos-sub", 5, "+")
     chi = next(c for c in enumerate_characters(S)
-               if rho_space(c, S).dimension)
-    space = rho_space(chi, S)
+               if rho_space(c).dimension)
+    space = rho_space(chi)
     base = space.instance([1.5] * space.dimension, S.n).values
     rows = np.array([base] + [_moved(base, S, max(chi.prime_part), m * EPS)
                               for m in (0.5, 2)])
@@ -589,7 +643,7 @@ def test_a_rho_row_moved_at_a_condition_I_target(name, carriers):
     assert ok.tolist() == [True, True, name != "TW5id"]
     for row, passes in zip(rows, ok):
         rho = RhoFn(domain=chi.prime_part, values=row)
-        assert check_condition_I(rho, chi, S) == passes
+        assert check_condition_I(rho, chi) == passes
         if not passes:
             with pytest.raises(ConstraintError,
                                match=r"^condition \(I\) fails$"):
@@ -605,7 +659,7 @@ def test_a_windowed_rho_moved_at_a_condition_I_target(move, passes):
     moved = RhoFn(domain=chi.in_prime_part, parity="even", formula=lambda n:
                   rho(n) + (move * EPS if n in (10, 15) else 0))
     assert parity_residual(moved, W) == 0
-    assert check_condition_I(moved, chi, W) is passes
+    assert check_condition_I(moved, chi) is passes
     params = CaseParams(chi=chi, A=W.extras["additive_family"]({5: 1.0}),
                         rho=moved)
     if passes:

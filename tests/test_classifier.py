@@ -9,7 +9,7 @@ import random
 import numpy as np
 import pytest
 
-from addlaws.characters import enumerate_characters
+from addlaws.characters import MultChar, enumerate_characters
 from addlaws.classify import (ALIASES, ClassifiedSolution, NotASolutionError,
                               Unclassified, _cos_sub_pair, _two_char_rows,
                               alias_equivalent, classify, linear_dependence,
@@ -149,6 +149,25 @@ def test_a_hit_ends_the_candidate_stream(chars, monkeypatch):
     hit = classify("cos-sine-g", f, g, S, chars=chars["Z2"])
     assert hit.case == CaseId("cos-sine-g", 4)
     assert calls == {"construct": 1, "_extract_piece": 0}
+
+
+def test_classify_enumerates_a_carrier_once(monkeypatch):
+    """Without chars=, classify reads the carrier's own characters: after
+    the first enumeration, 50 calls build no MultChar."""
+    S = z2xz2()
+    sols = grid_solutions("cos-sub", S, (0, 1, -1))
+    chars = enumerate_characters(S)
+    built = []
+    init = MultChar.__init__
+
+    def counted(self, *args):
+        built.append(self)
+        init(self, *args)
+    monkeypatch.setattr(MultChar, "__init__", counted)
+    for i in range(50):
+        f, g = sols[i % len(sols)]
+        classify("cos-sub", f, g, S)
+    assert built == [] and enumerate_characters(S) == chars
 
 
 def test_a_row_closes_at_its_first_hit(chars):
@@ -466,7 +485,7 @@ def test_classify_outcomes_byte_identical(carriers, chars):
             alpha = 1.0 if eq in ALPHA_EQS else None
             sols = grid_solutions(eq, S, alpha=alpha)
             labels = classify_mod.classify_rows(eq, sols.f, sols.g, S,
-                                                alpha=alpha, chars=cs)
+                                                alpha=alpha)
             picked = set()
             for label in np.unique(labels).tolist():
                 picked |= set(spread(np.flatnonzero(labels == label), 8))

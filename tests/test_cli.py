@@ -605,9 +605,9 @@ def test_report_example_1_gathers_the_conditions_once(capsys, monkeypatch):
     calls = []
     gather = characters._relations
 
-    def counted(chi, S):
-        calls.append(S.name)
-        return gather(chi, S)
+    def counted(chi):
+        calls.append(chi.semigroup.name)
+        return gather(chi)
     monkeypatch.setattr(characters, "_relations", counted)
     code, payload, _ = run(capsys, "report-examples", "--example", "1",
                            "--window", "16")

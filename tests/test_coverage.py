@@ -175,8 +175,7 @@ def test_settled_rows_are_classify_outcomes():
             alpha = 1.0 if eq in ALPHA_EQS else None
             sols = grid_solutions(eq, S, alphabet, alpha=alpha, tol=tol)
             labels = classify_mod.classify_rows(eq, sols.f, sols.g, S,
-                                                alpha=alpha, tol=tol,
-                                                chars=chars)
+                                                alpha=alpha, tol=tol)
             ids = families.all_case_ids(eq)
             for label in np.unique(labels).tolist():
                 for i in spread(np.flatnonzero(labels == label),
@@ -240,7 +239,7 @@ def test_both_drivers_attempt_one_stage_order(monkeypatch):
             sols = grid_solutions(eq, S, alphabet, alpha=alpha, tol=tol)
             settled[:] = [[] for _ in range(len(sols.f))]
             classify_mod.classify_rows(eq, sols.f, sols.g, S, alpha=alpha,
-                                       tol=tol, chars=chars)
+                                       tol=tol)
             orders = {}
             for i, order in enumerate(settled):
                 orders.setdefault(tuple(order), []).append(i)

@@ -113,7 +113,7 @@ def test_scan_rejects_a_tolerance_that_is_negative_or_not_finite(
 
     with pytest.raises(GridInputError, match="tolerance must be finite"):
         grid_solutions("cos-sub", z1(), tol=tol)
-    monkeypatch.setattr(oracle, "enumerate_characters", no_work)
+    monkeypatch.setattr(oracle, "grid_solutions", no_work)
     with pytest.raises(GridInputError, match="tolerance must be finite"):
         coverage_report(z2(), tol=tol)
 
@@ -128,7 +128,7 @@ def test_scan_rejects_an_alpha_that_is_not_finite(monkeypatch, alpha):
     for eq in ("alpha-sym", "alpha-skew"):
         with pytest.raises(GridInputError, match="alpha must be finite"):
             grid_solutions(eq, z2(), alpha=alpha)
-    monkeypatch.setattr(oracle, "enumerate_characters", no_work)
+    monkeypatch.setattr(oracle, "grid_solutions", no_work)
     for equations in (None, ["cos-sub"], ["alpha-skew"]):
         with pytest.raises(GridInputError, match="alpha must be finite"):
             coverage_report(z1(), alpha=alpha, equations=equations)
@@ -145,12 +145,13 @@ def test_budget_is_checked_before_scanning(monkeypatch):
 
     monkeypatch.setattr(oracle, "_site_residual", no_work)
     monkeypatch.setattr(oracle, "_TABLES", {})
-    monkeypatch.setattr(oracle, "enumerate_characters", no_work)
     message = ("scan of 6561 candidate pairs exceeds the budget of 10; "
                "shrink the alphabet or raise the budget")
     with pytest.raises(BudgetError) as exc:
         grid_solutions("cos-sub", z2(), DEFAULT_ALPHABET, budget=10)
     assert str(exc.value) == message
+    # coverage_report refuses before its own scan starts.
+    monkeypatch.setattr(oracle, "grid_solutions", no_work)
     with pytest.raises(BudgetError) as exc:
         coverage_report(z2(), budget=10)
     assert str(exc.value) == message
@@ -160,8 +161,8 @@ def test_coverage_report_checks_every_scan_before_any_work(monkeypatch):
     def no_work(*args, **kwargs):
         raise AssertionError("work started before the input checks")
 
-    monkeypatch.setattr(oracle, "enumerate_characters", no_work)
     monkeypatch.setattr(oracle, "grid_solutions", no_work)
+    monkeypatch.setattr(oracle, "classify_rows", no_work)
     with pytest.raises(GridInputError, match="alpha must be non-zero"):
         coverage_report(z2xz2(), alpha=0)
     with pytest.raises(GridInputError, match="must contain 0"):
