@@ -36,14 +36,25 @@ from helpers import (TOL, brute_force_characters, carrier_zoo, census,
 RHO_SPACE_DIGEST = ("e23008eeaf4722d1455bbb689017d41f"
                     "940047264694bbebade37a46d205a15f")
 
+#: SHA-256 of the raw bytes of every table enumerate_characters returns,
+#: in its order, on census_carriers(), the carrier zoo, M3 and NP4.
+#: Pinned while the search still snapped float products onto candidates.
+CHARACTER_TABLES_DIGEST = ("9a093b314c952b03afb626632cac74ea"
+                           "38060f34d4f895ff2d9e7fd5ffdc4682")
 
-def rho_carriers():
-    """The census of order n <= 4, the carrier zoo, and M3 and NP4 with
-    their products with Z2, Z3, M3 and N3."""
+
+def census_carriers():
+    """Each carrier of the census of order n <= 4."""
     for n in (1, 2, 3, 4):
         for k, (table, sigma) in enumerate(census(n)):
             yield FiniteSemigroup(f"C{n}.{k}", [str(x) for x in range(n)],
                                   table, sigma)
+
+
+def rho_carriers():
+    """The census of order n <= 4, the carrier zoo, and M3 and NP4 with
+    their products with Z2, Z3, M3 and N3."""
+    yield from census_carriers()
     yield from carrier_zoo()
     for A in (m3(), np4()):
         yield A
@@ -64,6 +75,16 @@ def test_enumeration_matches_brute_force(carriers, chars):
         expected = brute_force_characters(S)
         got = [c.values for c in chars[name]]
         assert match_tables(expected, got), name
+
+
+def test_character_tables_byte_identical():
+    digest, count = hashlib.sha256(), 0
+    for S in [*census_carriers(), *carrier_zoo(), m3(), np4()]:
+        for chi in enumerate_characters(S):
+            digest.update(chi.values.tobytes())
+            count += 1
+    assert count == 748
+    assert digest.hexdigest() == CHARACTER_TABLES_DIGEST
 
 
 def test_a_carrier_keeps_its_characters():
