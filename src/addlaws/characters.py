@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import weakref
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
@@ -22,12 +23,6 @@ import numpy as np
 
 from .core import (EPS, FiniteSemigroup, FnTable, WindowedSemigroup,
                    _evaluator, read_only)
-
-#: Tolerance for snapping a propagated character value onto its candidate
-#: set.  Products of exact roots of unity carry only ~1e-15 of float noise,
-#: so anything further than this from every candidate is a contradiction.
-SNAP_TOL = 1e-6
-
 
 def _ideal_sets_from_values(S: FiniteSemigroup, values: np.ndarray):
     ideal = frozenset(i for i in range(S.n) if abs(values[i]) <= EPS)
@@ -112,12 +107,8 @@ class WindowedChar:
 
     Ideal membership comes from formula predicates supplied by the carrier's
     example builder; the defining quantifiers are certified over the window
-    only (`window_certified` is always True here).  Every bundled windowed
-    character is even.
+    only, and so is `even`, worked out on first read.
     """
-
-    window_certified = True
-    even = True
 
     def __init__(self, W: WindowedSemigroup, formula: Callable,
                  in_ideal: Callable, in_ideal_square: Callable,
@@ -130,6 +121,10 @@ class WindowedChar:
 
     def __call__(self, x) -> complex:
         return complex(self.formula(x))
+
+    @functools.cached_property
+    def even(self) -> bool:
+        return _evenness_residual(self, self.semigroup) <= EPS
 
     @property
     def fn(self) -> FnTable:
@@ -148,26 +143,6 @@ def element_periods(S: FiniteSemigroup) -> list[int]:
             k += 1
         periods.append(k - seen[cur])
     return periods
-
-
-def character_candidates(S: FiniteSemigroup) -> list[list[complex]]:
-    """Per-element candidate values: 0 or a p-th root of unity.
-
-    On a finite semigroup x^m = x^{m+p} for some index m and period p, so a
-    multiplicative value at x is either 0 or satisfies z^p = 1.
-    """
-    cands = []
-    for p in element_periods(S):
-        roots = [np.exp(2j * np.pi * k / p) for k in range(p)]
-        cands.append([0j] + roots)
-    return cands
-
-
-def _snap(value: complex, candidates: Sequence[complex]) -> complex | None:
-    for c in candidates:
-        if abs(value - c) <= SNAP_TOL:
-            return c
-    return None
 
 
 def enumerate_characters(S: FiniteSemigroup) -> tuple[MultChar, ...]:
@@ -192,56 +167,58 @@ def enumerate_characters(S: FiniteSemigroup) -> tuple[MultChar, ...]:
 def _character_tables(S: FiniteSemigroup) -> tuple:
     """The value tables of S's characters in canonical order.
 
-    Backtracking over the per-element candidate sets with constraint
-    propagation through the multiplication table; complete because the
-    candidate sets are (see :func:`character_candidates`).
+    Each x has x^m = x^(m+p) with p its period, so a character's value at
+    x is 0 or a p-th root of unity.  The search runs in exact exponents of
+    exp(2 pi i / L), L the lcm of the periods: the value at x is -1 for 0
+    or a multiple k of L/p, a product adds exponents mod L, and two values
+    agree when their integers do.  Depth-first over one element's values
+    at a time, closing each partial assignment under products
+    (:func:`_closed`); complete because each element's values are.  Only a
+    finished table becomes floats, exp(2 pi i j / p) with j = k/(L/p).
     """
-    n = S.n
-    cands = character_candidates(S)
-    values: list[complex | None] = [None] * n
-    found: list[np.ndarray] = []
-
-    def propagate(x: int, trail: list[int]) -> bool:
-        # Close the partial assignment under products involving x.
-        queue = [x]
-        while queue:
-            a = queue.pop()
-            for b in range(n):
-                if values[b] is None:
-                    continue
-                for (u, w) in ((a, b), (b, a)):
-                    z = S.mul(u, w)
-                    req = values[u] * values[w]
-                    if values[z] is None:
-                        snapped = _snap(req, cands[z])
-                        if snapped is None:
-                            return False
-                        values[z] = snapped
-                        trail.append(z)
-                        queue.append(z)
-                    elif abs(values[z] - req) > SNAP_TOL:
-                        return False
-        return True
-
-    def search() -> None:
-        try:
+    periods = element_periods(S)
+    L = math.lcm(*periods)
+    steps = [L // p for p in periods]
+    table, found = S.table.tolist(), []
+    stack = [[None] * S.n]
+    while stack:
+        values = stack.pop()
+        if None in values:
             x = values.index(None)
-        except ValueError:
-            table = np.array(values, dtype=np.complex128)
-            table.setflags(write=False)     # so MultChar keeps it uncopied
-            if np.max(np.abs(table)) > EPS:
-                found.append(table)
-            return
-        for c in cands[x]:
-            trail = [x]
-            values[x] = c
-            if propagate(x, trail):
-                search()
-            for t in trail:
-                values[t] = None
-
-    search()
+            for k in (-1, *range(0, L, steps[x])):
+                branch = values.copy()
+                branch[x] = k
+                if _closed(branch, x, table, steps, L):
+                    stack.append(branch)
+        elif max(values) >= 0:
+            found.append(np.array(
+                [np.exp(2j * np.pi * (k // step) / p) if k >= 0 else 0j
+                 for k, step, p in zip(values, steps, periods)]))
+            found[-1].setflags(write=False)  # so MultChar keeps it uncopied
     return tuple(sorted(found, key=_values_key))
+
+
+def _closed(values: list, x: int, table: list, steps: list, L: int) -> bool:
+    """Close values under the products involving x, just assigned, in
+    place; False at the first product whose exponent is not a value of its
+    element or differs from the one already there."""
+    queue = [x]
+    while queue:
+        a = queue.pop()
+        va = values[a]
+        for b, vb in enumerate(values):
+            if vb is None:
+                continue
+            req = -1 if va < 0 or vb < 0 else (va + vb) % L
+            for z in (table[a][b], table[b][a]):
+                if values[z] is None:
+                    if req >= 0 and req % steps[z]:
+                        return False
+                    values[z] = req
+                    queue.append(z)
+                elif values[z] != req:
+                    return False
+    return True
 
 
 def ideal_sets(chi):
@@ -359,11 +336,16 @@ def additive_residual(A: AdditiveFn, S, pairs: Iterable) -> float:
 def character_residuals(chi, S, pairs: Iterable) -> tuple[float, float]:
     """max |chi(xy) - chi(x) chi(y)| over the given pairs and max
     |chi(sigma x) - chi(x)| over the window; each NaN if any term is NaN.
-    chi is bound once, and the second maximum is one gather (see
-    :func:`_gaps`)."""
+    chi is bound once."""
     mul, ev = S.mul, _evaluator(chi)
     return (_worst(abs(ev(mul(x, y)) - ev(x) * ev(y)) for x, y in pairs),
-            _worst(_gaps(chi, *_sigma_relations(S, S.window, 1.0))))
+            _evenness_residual(chi, S))
+
+
+def _evenness_residual(chi, S) -> float:
+    """max |chi(sigma x) - chi(x)| over S's window, NaN kept: one gather
+    (see :func:`_gaps`)."""
+    return _worst(_gaps(chi, *_sigma_relations(S, S.window, 1.0)))
 
 
 @dataclass

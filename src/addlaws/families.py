@@ -407,9 +407,13 @@ def _piece_rows(S, p: CaseParams, s_chi, s):
 
 def _piece_clauses(S, chi, rho, parity: str):
     """The piecewise side conditions on a finite carrier, row by row: rho
-    has the case's parity, conditions (I) and (II) hold, and rho is not
-    zero (nor then is the piece chi A | 0 | rho, A = 0)."""
+    is finite and has the case's parity, conditions (I) and (II) hold, and
+    rho is not zero (nor then is the piece chi A | 0 | rho, A = 0)."""
     R = _rho_rows(S, rho)
+    finite = np.isfinite(R).all(axis=-1)
+    yield "rho is not finite", ~finite
+    if not finite.all():                # gather no refused row: zero them
+        R = np.where(finite[:, None], R, 0)
     *table, (a, b, c, d), closed = _relation_table(chi, parity)
     good = _gaps(R, *table) <= EPS
     yield (f"rho parity must be {parity}",
@@ -677,9 +681,13 @@ def construct_rows(case: CaseId, S: FiniteSemigroup, params: CaseParams,
     ok = np.ones(rows, dtype=bool)
     for _, fails in _clauses(case, S, params, params.free):
         ok &= np.logical_not(fails)
-    free = params.free      # no arithmetic on refused rows: zero them
-    if free is not None and not ok.all():
-        free = np.where(ok[:, None], free, 0)
+    free, rho = params.free, params.rho
+    if not ok.all():            # no arithmetic on refused rows: zero them
+        if free is not None:
+            free = np.where(ok[:, None], free, 0)
+        if rho is not None:
+            params = replace(params, rho=replace(
+                rho, values=np.where(ok[:, None], _rho_rows(S, rho), 0)))
     f, g = _tables(case, S, params, free, ok)
     return ok, f, g
 

@@ -11,9 +11,8 @@ import numpy as np
 import pytest
 
 from addlaws import characters
-from addlaws.characters import (SNAP_TOL, AdditiveFn, MultChar, RhoFn,
-                                WindowedChar, _gaps, _relations, _snap,
-                                _worst,
+from addlaws.characters import (AdditiveFn, MultChar, RhoFn, WindowedChar,
+                                _gaps, _relations, _worst,
                                 additive_basis, additive_residual,
                                 character_residuals, check_condition_I,
                                 check_condition_II, element_periods,
@@ -99,9 +98,9 @@ def test_a_carrier_keeps_its_characters():
 
 def test_the_search_runs_once_per_carrier(monkeypatch):
     S, searches = z3(), []
-    candidates = characters.character_candidates
-    monkeypatch.setattr(characters, "character_candidates",
-                        lambda T: searches.append(T) or candidates(T))
+    search = characters._character_tables
+    monkeypatch.setattr(characters, "_character_tables",
+                        lambda T: searches.append(T) or search(T))
     first = [chi.values for chi in enumerate_characters(S)]
     again = enumerate_characters(S)         # the first tuple is dropped
     assert searches == [S]
@@ -109,13 +108,12 @@ def test_the_search_runs_once_per_carrier(monkeypatch):
 
 
 def test_a_dropped_carrier_needs_no_cycle_collector():
-    # S refers to its characters weakly, so S, its characters and their
-    # tables go as soon as the last reference does.  (The search's own
-    # recursive closures, garbage from the start, go first.)
+    # S refers to its characters weakly, and the search leaves no cycle
+    # behind, so S, its characters and their tables go as soon as the last
+    # reference does.
     S = m3()
     chars = enumerate_characters(S)
     gone = weakref.ref(S)
-    gc.collect()
     gc.disable()
     try:
         del S, chars
@@ -361,7 +359,7 @@ def test_windowed_character_on_prime_swap_carrier(ex1):
     chi = ex1.extras["chi"]
     assert chi.formula(35) == 1                  # coprime to 6
     assert chi.formula(10) == 0                  # divisible by 2
-    assert chi.even and chi.window_certified
+    assert chi.even
     I, I2, P = ideal_sets(chi)
     # Independent membership formulas over the window: the ideal is the
     # multiples of 2 or 3, and the prime part is {2w, 3w : gcd(w, 6) = 1}.
@@ -370,6 +368,22 @@ def test_windowed_character_on_prime_swap_carrier(ex1):
         in_p = ((x % 2 == 0 and x % 4 and x % 3) or
                 (x % 3 == 0 and x % 9 and x % 2))
         assert (x in P) == bool(in_p), x
+
+
+def test_a_non_even_windowed_character_is_refused(ex2):
+    # chi(u) = u0 is multiplicative on the open square, but sigma swaps
+    # the coordinates, so chi* != chi: an even case must refuse it.
+    def on_axis(u):
+        return u[0] == 0.0
+
+    chi = WindowedChar(ex2, lambda u: complex(u[0]), on_axis, on_axis,
+                       lambda u: False)
+    pairs = ex2.extras["sample_pairs"](50, 0)
+    assert character_residuals(chi, ex2, pairs) == (0.0, 1.875)
+    assert not chi.even
+    assert all(c.even for c in ex2.extras["chars"].values())
+    with pytest.raises(ConstraintError, match=r"^chi\* = chi fails for chi$"):
+        construct(CaseId("cos-sub", 3), CaseParams(chi=chi, alpha=2), ex2)
 
 
 def test_windowed_additive_family_is_additive(ex1):
@@ -689,15 +703,6 @@ def test_a_windowed_rho_moved_at_a_condition_I_target(move, passes):
         with pytest.raises(ConstraintError,
                            match=r"^condition \(I\) fails$"):
             construct(CaseId("cos-sub", 5, "+"), params, W)
-
-
-def test_snap_tolerance():
-    w = np.exp(2j * np.pi / 3)
-    candidates = [0j, 1 + 0j, w, w * w]
-    for c in candidates:
-        for direction in (1, -1, 1j, -1j):
-            assert _snap(c + 0.5 * SNAP_TOL * direction, candidates) == c
-            assert _snap(c + 2 * SNAP_TOL * direction, candidates) is None
 
 
 def test_the_gather_reads_a_row_stack_a_table_or_a_callable():

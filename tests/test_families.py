@@ -267,6 +267,36 @@ def test_nan_rho_is_refused():
         construct(CaseId("sine-add", 5), CaseParams(chi=chi, rho=rho), S)
 
 
+@pytest.mark.parametrize("case,consts,parity", [
+    pytest.param(case, consts, parity, id=str(case))
+    for case, consts, parity in [
+        (CaseId("sine-add", 5), {}, "even"),
+        (CaseId("cos-sub", 5, "+"), {}, "even"),
+        (CaseId("cos-sub", 5, "-"), {}, "even"),
+        (CaseId("cos-sine-g", 6), {}, "even"),
+        (CaseId("cos-sine-g", 7), {}, "even"),
+        (CaseId("alpha-sym", 6), {"alpha": 2}, "even"),
+        (CaseId("alpha-skew", 6), {"alpha": 1, "c": -1}, "odd")]])
+def test_non_finite_rho_is_refused_before_any_gather(case, consts, parity):
+    # inf in the prime part would meet a 0 factor in the relation gather,
+    # and alpha-skew/6 with c = -1 scales rho by 0: neither may happen (the
+    # suite turns numpy's warnings into errors).
+    S = np4()
+    chi = enumerate_characters(S)[0]            # P = {p, q}
+    good = rho_space(chi, parity).instance([1.0], S.n)
+    bad = good.values.copy()
+    bad[1] = np.inf
+    with pytest.raises(ConstraintError, match="^rho is not finite$"):
+        construct(case, CaseParams(chi=chi, rho=dataclasses.replace(
+            good, values=bad), **consts), S)
+    rows = dataclasses.replace(good, values=np.stack([bad, good.values]))
+    ok, f, g = construct_rows(case, S, CaseParams(chi=chi, rho=rows,
+                                                  **consts), 2)
+    assert ok.tolist() == [False, True]
+    one = construct(case, CaseParams(chi=chi, rho=good, **consts), S)
+    assert [f[1].tolist(), g[1].tolist()] == [h.values.tolist() for h in one]
+
+
 def test_menu_availability(carriers, chars):
     def menu(case, name):
         return admissible_params(case, carriers[name], chars[name])
